@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, is_two_nilpotent,
-                     lie_member, star)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_failure,
+                     is_two_nilpotent, lie_member, square_failure, star)
 from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_NONE, LOOP_UNORIENTED,
                        LOOP_UPPER, consumption, glue, validate)
 
@@ -217,9 +217,9 @@ def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     if x.rows != g.n or x.cols != g.n:
         raise DomainError(f"expected a {g.n}x{g.n} matrix, got {x.rows}x{x.cols}")
     if not lie_member(x, g):
-        raise DomainError(f"matrix not in {g.name}: transpose(a)F + Fa != 0")
+        raise DomainError(f"matrix not in {g.name}: {form_failure(x, g)}")
     if not is_two_nilpotent(x):
-        raise DomainError("matrix is not 2-nilpotent: x @ x != 0")
+        raise DomainError(f"matrix is not 2-nilpotent: {square_failure(x)}")
     n, l = g.n, g.l
     positions = set(rank_signature(x).delta_positions())
     if any((star(c, n), star(r, n)) not in positions for (r, c) in positions):

@@ -17,6 +17,8 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
@@ -30,18 +32,27 @@ def exp_nilpotent(s: Matrix) -> Matrix:
     if not s.is_square:
         raise DomainError("exp needs a square matrix")
     n = s.rows
-    out = Matrix.identity(n)
-    power = Matrix.identity(n)
-    fact = 1
-    for m in range(1, n + 1):
-        power = power @ s
+    powers = []
+    power = s
+    for _ in range(n):
         if power.is_zero():
             break
-        fact *= m
-        out = out + power.scale(Fraction(1, fact))
+        powers.append(power.entries)
+        power = power @ s
     else:
         raise DomainError("matrix is not nilpotent")
-    return out
+    weights = [Fraction(1, factorial(m)) for m in range(1, len(powers) + 1)]
+    rows = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            v = Fraction(1 if p == q else 0)
+            for w, entries in zip(weights, powers):
+                if entries[p][q]:
+                    v += w * entries[p][q]
+            row.append(v)
+        rows.append(tuple(row))
+    return Matrix(tuple(rows))
 
 
 def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
@@ -55,13 +66,24 @@ def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
     return mk(diag), mk([1 / v for v in diag])
 
 
+@lru_cache(maxsize=None)
+def _upper_basis(g: GroupKind) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+    """Nonzero 0-based entries (p, q, value) of each strictly upper basis
+    element of the algebra of g."""
+    return tuple(tuple((p, q, v) for p, row in enumerate(b.entries)
+                       for q, v in enumerate(row) if v)
+                 for b in lie_algebra_basis(g, lambda r, c: r < c))
+
+
 def _unipotent(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
-    basis = lie_algebra_basis(g, lambda r, c: r < c)
-    s = Matrix.zero(g.n)
-    for b in basis:
+    n = g.n
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for support in _upper_basis(g):
         coef = rng.randint(-2, 2)
         if coef:
-            s = s + b.scale(coef)
+            for p, q, v in support:
+                acc[p][q] += coef * v
+    s = Matrix(tuple(tuple(row) for row in acc))
     return exp_nilpotent(s), exp_nilpotent(-s)
 
 

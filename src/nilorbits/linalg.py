@@ -2,9 +2,12 @@
 
 Everything downstream (pattern representatives, rank signatures, orbit
 dimensions) reduces to exact linear algebra over Q, so this module has no
-floating point anywhere: entries are fractions.Fraction, rank is computed by
-fraction-free (Bareiss) elimination on cleared integer rows, and nullspaces
-by rational row reduction.
+floating point anywhere: entries are fractions.Fraction, products run on
+integer rows cleared to one shared denominator per operand, rank is computed
+by fraction-free (Bareiss) elimination on cleared integer rows, and
+nullspaces by rational row reduction.  Every defining form is anti-diagonal
+with entries +-1, so the membership tests read its signed anti-diagonal
+entry by entry instead of multiplying by the Gram matrix.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +34,13 @@ def _frac(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"entries must be exact rationals, got {type(value).__name__}")
+
+
+def _cleared(m: "Matrix") -> tuple[list[list[int]], int]:
+    """Integer rows and the lcm d of all denominators, with m = rows / d."""
+    den = lcm(*{v.denominator for row in m.entries for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row in m.entries], den
 
 
 @dataclass(frozen=True)
@@ -132,10 +143,22 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DomainError("inner dimension mismatch")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                  for col in cols)
-                            for row in self.entries))
+        # Accumulate numerators in plain ints over each operand's shared
+        # denominator; one Fraction is built per nonzero output entry.
+        left, da = _cleared(self)
+        right, db = _cleared(other)
+        right_support = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+        den = da * db
+        zero = Fraction(0)
+        out = []
+        for row in left:
+            acc = [0] * other.cols
+            for a, support in zip(row, right_support):
+                if a:
+                    for j, b in support:
+                        acc[j] += a * b
+            out.append(tuple(Fraction(v, den) if v else zero for v in acc))
+        return Matrix(tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)) if self.entries else ())
@@ -218,34 +241,67 @@ def star(p: int, n: int) -> int:
     return n + 1 - p
 
 
+@lru_cache(maxsize=None)
+def _form_signs(g: GroupKind) -> tuple[int, ...]:
+    """The defining form is anti-diagonal: F[p][n-1-p] = signs[p] (0-based).
+
+    Symplectic: +1 on the first l rows, -1 on the last l.  Orthogonal: all +1.
+    """
+    if g.is_symplectic:
+        return (1,) * g.l + (-1,) * g.l
+    return (1,) * g.n
+
+
 def form_matrix(g: GroupKind) -> Matrix:
     """Gram matrix of the defining bilinear form.
 
     Symplectic: [[0, J_l], [-J_l, 0]] (skew).  Orthogonal: J_n (symmetric).
     """
-    n = g.n
-    if not g.is_symplectic:
-        return jay(n)
-    l = g.l
-    sign = lambda p, q: 1 if p <= l else -1
-    return Matrix(tuple(tuple(Fraction(sign(p + 1, q + 1) if p + q == n - 1 else 0)
+    n, signs = g.n, _form_signs(g)
+    zero = Fraction(0)
+    return Matrix(tuple(tuple(Fraction(signs[p]) if p + q == n - 1 else zero
                               for q in range(n)) for p in range(n)))
+
+
+def _require_shape(a: Matrix, g: GroupKind):
+    if a.rows != g.n or a.cols != g.n:
+        raise DomainError(f"expected a {g.n}x{g.n} matrix, got {a.rows}x{a.cols}")
+
+
+def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
+    """First 1-based (row, col), row-major, where transpose(a) F + F a is
+    nonzero, or None when a is in the Lie algebra of g.
+
+    Entry (p, q) is s[q*] a[q*][p] + s[p] a[p*][q] for the signs s of F, so
+    each of the n^2 entries is decided exactly without a product.
+    """
+    _require_shape(a, g)
+    n, signs, e = g.n, _form_signs(g), a.entries
+    for p in range(n):
+        ps = n - 1 - p
+        for q in range(n):
+            qs = n - 1 - q
+            x, y = e[qs][p], e[ps][q]
+            if (x != -y) if signs[qs] == signs[p] else (x != y):
+                return p + 1, q + 1
+    return None
 
 
 def lie_member(a: Matrix, g: GroupKind) -> bool:
     """True iff transpose(a) F + F a = 0 exactly."""
-    if a.rows != g.n or a.cols != g.n:
-        raise DomainError(f"expected a {g.n}x{g.n} matrix, got {a.rows}x{a.cols}")
-    f = form_matrix(g)
-    return (a.transpose() @ f + f @ a).is_zero()
+    return _lie_violation(a, g) is None
 
 
 def group_member(u: Matrix, g: GroupKind) -> bool:
     """True iff transpose(u) F u = F exactly."""
-    if u.rows != g.n or u.cols != g.n:
-        raise DomainError(f"expected a {g.n}x{g.n} matrix, got {u.rows}x{u.cols}")
-    f = form_matrix(g)
-    return (u.transpose() @ f @ u - f).is_zero()
+    _require_shape(u, g)
+    n, signs = g.n, _form_signs(g)
+    # F u is u with its rows reversed and the row p negated where s[p] = -1.
+    fu = Matrix(tuple(row if s > 0 else tuple(-v for v in row)
+                      for s, row in zip(signs, reversed(u.entries))))
+    return all(v == (signs[p] if p + q == n - 1 else 0)
+               for p, row in enumerate((u.transpose() @ fu).entries)
+               for q, v in enumerate(row))
 
 
 def is_two_nilpotent(a: Matrix) -> bool:
@@ -253,6 +309,20 @@ def is_two_nilpotent(a: Matrix) -> bool:
     if not a.is_square:
         raise DomainError("nilpotency test needs a square matrix")
     return (a @ a).is_zero()
+
+
+def form_failure(a: Matrix, g: GroupKind) -> str:
+    """Name the first entry where transpose(a) F + F a is nonzero; for the
+    message after lie_member(a, g) has failed."""
+    r, c = _lie_violation(a, g)
+    return f"(transpose(a)F + Fa)[{r},{c}] != 0"
+
+
+def square_failure(a: Matrix) -> str:
+    """Name the first nonzero entry of a @ a; for the message after
+    is_two_nilpotent(a) has failed."""
+    r, c = (a @ a).support()[0]
+    return f"(x @ x)[{r},{c}] != 0"
 
 
 @dataclass(frozen=True)
@@ -393,11 +463,12 @@ def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
 # -- dimensions of membership subspaces --------------------------------------
 
 
-def _lie_constraint(p: int, q: int, f: Matrix, n: int) -> list[tuple[int, int, Fraction]]:
-    # (transpose(a) F + F a)_{pq} has at most two terms because F is
-    # anti-diagonal: F_{q*,q} a_{q*,p} + F_{p,p*} a_{p*,q}.
+def _lie_constraint(p: int, q: int, signs: tuple[int, ...], n: int
+                    ) -> list[tuple[int, int, int]]:
+    # (transpose(a) F + F a)_{pq} has two terms because F is anti-diagonal:
+    # F_{q*,q} a_{q*,p} + F_{p,p*} a_{p*,q}, with F_{p,p*} = signs[p - 1].
     ps, qs = star(p, n), star(q, n)
-    return [(qs, p, f.entry(qs, q)), (ps, q, f.entry(p, ps))]
+    return [(qs, p, signs[qs - 1]), (ps, q, signs[p - 1])]
 
 
 def _sparse_rank(rows: list[dict[int, Fraction]], cols: int) -> int:
@@ -421,7 +492,7 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     treated as hard zeros.  Pass x=None to drop the commutant condition.
     """
     n = g.n
-    f = form_matrix(g)
+    signs = _form_signs(g)
     unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
                 if allowed(p, q)]
     index = {pq: i for i, pq in enumerate(unknowns)}
@@ -429,8 +500,8 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     for p in range(1, n + 1):
         for q in range(1, n + 1):
             row: dict[int, Fraction] = {}
-            for (r, c, coef) in _lie_constraint(p, q, f, n):
-                if coef != 0 and (r, c) in index:
+            for (r, c, coef) in _lie_constraint(p, q, signs, n):
+                if (r, c) in index:
                     i = index[(r, c)]
                     row[i] = row.get(i, Fraction(0)) + coef
             if row:
@@ -470,9 +541,9 @@ def parabolic_dim(spec: SpaceSpec) -> int:
 def centralizer_dim_in(x: Matrix, g: GroupKind, flag: SpaceSpec) -> int:
     """Dimension of {a in the parabolic of `flag` : a x = x a}."""
     if not lie_member(x, g):
-        raise DomainError(f"matrix not in {g.name}: the form condition fails")
+        raise DomainError(f"matrix not in {g.name}: {form_failure(x, g)}")
     if not is_two_nilpotent(x):
-        raise DomainError("matrix is not 2-nilpotent: x @ x != 0")
+        raise DomainError(f"matrix is not 2-nilpotent: {square_failure(x)}")
     return membership_dim(g, _flag_allows(flag.flag), x)
 
 
@@ -485,7 +556,7 @@ def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None =
                       ) -> list[Matrix]:
     """Basis of the members of g supported on `allowed` positions."""
     n = g.n
-    f = form_matrix(g)
+    signs = _form_signs(g)
     if allowed is None:
         allowed = lambda r, c: True
     unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
@@ -496,8 +567,8 @@ def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None =
         for q in range(1, n + 1):
             row = [Fraction(0)] * len(unknowns)
             hit = False
-            for (r, c, coef) in _lie_constraint(p, q, f, n):
-                if coef != 0 and (r, c) in index:
+            for (r, c, coef) in _lie_constraint(p, q, signs, n):
+                if (r, c) in index:
                     row[index[(r, c)]] += coef
                     hit = True
             if hit:

@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_matrix,
-                     is_two_nilpotent, jay, lie_member, rank)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_failure,
+                     form_matrix, is_two_nilpotent, jay, lie_member, rank,
+                     square_failure)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        consumption, validate)
 
@@ -335,9 +336,9 @@ class SymmetricRep:
             raise DomainError("loop must act on the middle space")
         if not lie_member(self.loop, self.group):
             raise DomainError(f"loop not in {self.group.name}: "
-                              "transpose(a)F + Fa != 0")
+                              f"{form_failure(self.loop, self.group)}")
         if not is_two_nilpotent(self.loop):
-            raise DomainError("loop is not 2-nilpotent")
+            raise DomainError(f"loop is not 2-nilpotent: {square_failure(self.loop)}")
 
 
 def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:

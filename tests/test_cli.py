@@ -109,6 +109,17 @@ def test_identify_rejects_with_diagnostics(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("nilorbits identify:")
 
 
+def test_identify_refusals_name_the_failing_entry(tmp_path, capsys):
+    src = tmp_path / "matrix.json"
+    bad_form = Matrix.unit(4, 1, 2)
+    not_square_zero = Matrix.unit(4, 1, 2) - Matrix.unit(4, 3, 4) + Matrix.unit(4, 2, 3)
+    for x, want in ((bad_form, "matrix not in sp_4: (transpose(a)F + Fa)[2,4] != 0"),
+                    (not_square_zero, "matrix is not 2-nilpotent: (x @ x)[1,3] != 0")):
+        src.write_text(matrix_to_json(x), encoding="utf-8")
+        assert main(["identify", "--group", "sp", "--in", str(src)]) == 2
+        assert capsys.readouterr().err == f"nilorbits identify: {want}\n"
+
+
 def test_repr_identify_round_trip(tmp_path, capsys):
     for group, n in (("sp", 4), ("o", 4), ("o", 5)):
         g = (GroupKind.symplectic(n) if group == "sp"

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import rank_signature
 from nilorbits.harness import (SuiteConfig, brute_force_count, exp_nilpotent,
                                random_group_element, random_group_element_pair,
                                run_suite, suite_report_json)
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              group_member)
+                              group_member, lie_algebra_basis, matrix_from_obj)
 from nilorbits.patterns import enumerate_patterns
 
 
@@ -90,3 +93,59 @@ def test_suite_respects_the_configured_subsets():
     assert ids == ["counts/o/l=0", "counts/o/l=1", "nilradical/o/l=1"]
     assert report["summary"]["failed"] == 0
     assert report["config"]["max_rank"] == 1
+
+
+def power_series_exp(s: Matrix) -> Matrix:
+    """The reference formula: a dense scale and sum for every power of s."""
+    out = power = Matrix.identity(s.rows)
+    fact = 1
+    for m in range(1, s.rows + 1):
+        power = power @ s
+        fact *= m
+        out = out + power.scale(Fraction(1, fact))
+    return out
+
+
+UPPER_BASES = {g: lie_algebra_basis(g, lambda r, c: r < c)
+               for g in (GroupKind.symplectic(6), GroupKind.orthogonal(6),
+                         GroupKind.orthogonal(7))}
+
+
+@st.composite
+def strictly_upper_members(draw):
+    g = draw(st.sampled_from(list(UPPER_BASES)))
+    s = Matrix.zero(g.n)
+    for b in UPPER_BASES[g]:
+        s = s + b.scale(draw(st.builds(Fraction, st.integers(-3, 3),
+                                       st.sampled_from((1, 2, 3)))))
+    return s
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(strictly_upper_members())
+def test_exp_nilpotent_inverts_and_matches_the_power_series(s):
+    e = exp_nilpotent(s)
+    assert e == power_series_exp(s)
+    assert e @ exp_nilpotent(-s) == Matrix.identity(s.rows)
+
+
+def test_random_pairs_are_frozen():
+    # Seeded trajectories feed the byte-stable verify report, so a change to
+    # how (u, u^-1) is computed must reproduce these exactly.
+    frozen = {
+        GroupKind.symplectic(4): (
+            [[-3, -3, 0, -7], [0, -3, 6, -6], [0, 0, "-1/3", "1/3"],
+             [0, 0, 0, "-1/3"]],
+            [["-1/3", "1/3", 6, 7], [0, "-1/3", -6, 0], [0, 0, -3, -3],
+             [0, 0, 0, -3]]),
+        GroupKind.orthogonal(5): (
+            [[-3, -3, 0, 5, -5], [0, -3, -6, 6, -11], [0, 0, 1, -2, 2],
+             [0, 0, 0, "-1/3", "1/3"], [0, 0, 0, 0, "-1/3"]],
+            [["-1/3", "1/3", 2, -11, -5], [0, "-1/3", -2, 6, 5], [0, 0, 1, -6, 0],
+             [0, 0, 0, -3, -3], [0, 0, 0, 0, -3]]),
+    }
+    as_matrix = lambda rows: matrix_from_obj(
+        {"rows": len(rows), "cols": len(rows), "entries": rows})
+    for g, (u, u_inv) in frozen.items():
+        got = random_group_element_pair(g, SpaceSpec.borel(g), 5)
+        assert got == (as_matrix(u), as_matrix(u_inv))

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               borel_subalgebra_dim, centralizer_dim_in,
                               form_matrix, group_member, is_two_nilpotent,
@@ -231,3 +233,122 @@ def test_matrix_json_rejects_malformed():
         matrix_from_obj({"rows": 1, "cols": 1, "entries": [["1/0"]]})
     with pytest.raises(DomainError):
         matrix_from_obj([[1]])
+
+
+# -- the integer product kernel and the structural form checks ----------------
+
+FORM_GROUPS = (GroupKind.symplectic(4), GroupKind.symplectic(6),
+               GroupKind.orthogonal(4), GroupKind.orthogonal(6),
+               GroupKind.orthogonal(5), GroupKind.orthogonal(7))
+
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+
+# Zeros, signs and mixed denominators, from a strategy cheap enough to draw
+# a whole 7x7 matrix per example.
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 4, 6)))
+
+
+def naive_product(a: Matrix, b: Matrix) -> Matrix:
+    """Row-by-column sums of Fraction products, with no integer clearing."""
+    return Matrix(tuple(tuple(sum((a.entries[i][k] * b.entries[k][j]
+                                   for k in range(a.cols)), Fraction(0))
+                              for j in range(b.cols))
+                        for i in range(a.rows)))
+
+
+def dense_lie_member(a: Matrix, g: GroupKind) -> bool:
+    f = form_matrix(g)
+    return (naive_product(a.transpose(), f) + naive_product(f, a)).is_zero()
+
+
+def dense_group_member(u: Matrix, g: GroupKind) -> bool:
+    f = form_matrix(g)
+    return naive_product(naive_product(u.transpose(), f), u) == f
+
+
+@st.composite
+def product_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    a = Matrix(tuple(tuple(draw(rationals) for _ in range(inner)) for _ in range(rows)))
+    b = Matrix(tuple(tuple(draw(rationals) for _ in range(cols)) for _ in range(inner)))
+    return a, b
+
+
+@st.composite
+def algebra_members(draw):
+    """x - F^T x^T F, which lies in the algebra of g for every square x
+    because F^T = +-F and F^T F = I; every member arises, from x = a / 2."""
+    g = draw(st.sampled_from(FORM_GROUPS))
+    x = Matrix(tuple(tuple(draw(rationals) for _ in range(g.n)) for _ in range(g.n)))
+    f = form_matrix(g)
+    return g, x - f.transpose() @ x.transpose() @ f
+
+
+def perturb(m: Matrix, r: int, c: int, delta: Fraction) -> Matrix:
+    """m with delta added at the 1-based position (r, c)."""
+    return m + Matrix.unit(m.rows, r, c, delta)
+
+
+nonzero_rationals = rationals.filter(lambda v: v != 0)
+
+
+@deterministic
+@given(product_operands())
+def test_matmul_equals_the_naive_fraction_sum(operands):
+    a, b = operands
+    got = a @ b
+    assert got == naive_product(a, b)
+    assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
+@deterministic
+@given(algebra_members(), st.data())
+def test_lie_member_equals_the_dense_definition(member, data):
+    g, a = member
+    assert lie_member(a, g) and dense_lie_member(a, g)
+    r, c = (data.draw(st.integers(1, g.n)) for _ in range(2))
+    bad = perturb(a, r, c, data.draw(nonzero_rationals))
+    assert lie_member(bad, g) == dense_lie_member(bad, g)
+    # A perturbed member stays a member exactly when the unit it added is one.
+    assert lie_member(bad, g) == dense_lie_member(Matrix.unit(g.n, r, c), g)
+
+
+@deterministic
+@given(st.sampled_from(FORM_GROUPS), st.integers(0, 10 ** 6), st.data())
+def test_group_member_equals_the_dense_definition(g, seed, data):
+    u = random_group_element_pair(g, SpaceSpec.borel(g), seed)[0]
+    # Multiplying by F itself leaves the Borel subgroup but not the group.
+    u = data.draw(st.sampled_from((u, u @ form_matrix(g), form_matrix(g) @ u)))
+    assert group_member(u, g) and dense_group_member(u, g)
+    r, c = (data.draw(st.integers(1, g.n)) for _ in range(2))
+    bad = perturb(u, r, c, data.draw(nonzero_rationals))
+    assert group_member(bad, g) == dense_group_member(bad, g)
+
+
+def test_perturbed_group_members_are_rejected():
+    # Moving a diagonal entry off the middle index always breaks u^T F u = F;
+    # some off-diagonal moves are transvections and stay in the group.
+    for g in FORM_GROUPS:
+        u = Matrix.identity(g.n)
+        middle = g.l + 1 if g.is_odd_orthogonal else None
+        for p in range(1, g.n + 1):
+            if p != middle:
+                bad = perturb(u, p, p, Fraction(1, 2))
+                assert not group_member(bad, g) and not dense_group_member(bad, g)
+    sp4 = GroupKind.symplectic(4)
+    transvection = perturb(Matrix.identity(4), 1, 4, Fraction(3))
+    assert group_member(transvection, sp4) and dense_group_member(transvection, sp4)
+
+
+def test_refusals_name_the_first_failing_entry():
+    g = GroupKind.symplectic(4)
+    spec = SpaceSpec.borel(g)
+    with pytest.raises(DomainError,
+                       match=r"^matrix not in sp_4: \(transpose\(a\)F \+ Fa\)\[1,4\] != 0$"):
+        centralizer_dim_in(Matrix.identity(4), g, spec)
+    semisimple = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 0],
+                                   [0, 0, -2, 0], [0, 0, 0, 0]])
+    with pytest.raises(DomainError,
+                       match=r"^matrix is not 2-nilpotent: \(x @ x\)\[2,2\] != 0$"):
+        centralizer_dim_in(semisimple, g, spec)
