@@ -8,7 +8,7 @@ from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      form_matrix, group_member, is_two_nilpotent, jay,
                      lie_algebra_basis, lie_algebra_dim, lie_member,
                      matrix_from_json, matrix_to_json, nullspace,
-                     orbit_dimension, parabolic_dim, rank, star, t_transpose)
+                     orbit_dimension, parabolic_dim, rank, star)
 from .patterns import (Arc, LinkPattern, consumption, count_borel, dotted,
                        enumerate_patterns, glue, is_nilradical, lower_loop,
                        pattern_from_json, pattern_to_json, strip_orientation,
@@ -25,8 +25,7 @@ from .quiver import (ARSequence, Cminus, Cplus, Dminus, Dplus, M, Mstar,
                      realize_flag, realize_isotropic_flag, symmetric_endo_dim,
                      total_dimension_vector)
 from .harness import (SuiteConfig, brute_force_count, exp_nilpotent,
-                      random_group_element, random_group_element_pair,
-                      run_suite)
+                      random_group_element_pair, run_suite)
 
 __version__ = "0.1.0"
 

@@ -147,7 +147,9 @@ def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     # Reduce with the operations that preserve every lower-left rank: adding
     # a lower row to an upper one and adding a left column to a right one.
     # Columns are processed left to right, the pivot is the bottom-most
-    # nonzero; afterwards each nonzero column holds a single unit.
+    # nonzero; afterwards each nonzero column holds a single unit.  This is
+    # not linalg's elimination kernel: that one swaps rows and eliminates
+    # downward, which would destroy the lower-left ranks read off here.
     n = x.rows
     a = [list(row) for row in x.entries]
     pivots: list[tuple[int, int]] = []
@@ -160,11 +162,9 @@ def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
             if a[i][c] != 0:
                 f = a[i][c] / lead
                 a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        for c2 in range(c + 1, n):
-            if a[r][c2] != 0:
-                f = a[r][c2] / lead
-                for i in range(n):
-                    a[i][c2] -= f * a[i][c]
+        # Column c is now lead * e_r, so clearing row r right of it with
+        # column operations changes no other entry.
+        a[r][c + 1:] = [0] * (n - c - 1)
         pivots.append((r + 1, c + 1))
     return pivots
 

@@ -87,12 +87,6 @@ def _unipotent(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
     return exp_nilpotent(s), exp_nilpotent(-s)
 
 
-def random_group_element(g: GroupKind, spec: SpaceSpec, seed: int) -> Matrix:
-    """A seeded upper-triangular element of the group (hence of the
-    parabolic of any standard flag), satisfying the form condition exactly."""
-    return random_group_element_pair(g, spec, seed)[0]
-
-
 def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
                               seed: int) -> tuple[Matrix, Matrix]:
     """(u, u^{-1}): inverses come from exp(-s) and the reciprocal torus, so

@@ -2,12 +2,14 @@
 
 Everything downstream (pattern representatives, rank signatures, orbit
 dimensions) reduces to exact linear algebra over Q, so this module has no
-floating point anywhere: entries are fractions.Fraction, products run on
-integer rows cleared to one shared denominator per operand, rank is computed
-by fraction-free (Bareiss) elimination on cleared integer rows, and
-nullspaces by rational row reduction.  Every defining form is anti-diagonal
-with entries +-1, so the membership tests read its signed anti-diagonal
-entry by entry instead of multiplying by the Gram matrix.
+floating point anywhere: entries are fractions.Fraction, and products run
+on integer rows cleared to one shared denominator per operand.  There is one
+elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
+integer rows; rank, nullspace, the membership and centralizer dimensions,
+the algebra bases and the quiver layer's inverse and stabilizer dimensions
+all sit on it.  Every defining form is anti-diagonal with entries +-1, so
+the membership tests read its signed anti-diagonal entry by entry instead
+of multiplying by the Gram matrix.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -175,15 +177,6 @@ def jay(l: int) -> Matrix:
         raise DomainError("jay needs l >= 1")
     return Matrix(tuple(tuple(Fraction(1 if p + q == l - 1 else 0)
                               for q in range(l)) for p in range(l)))
-
-
-def t_transpose(a: Matrix) -> Matrix:
-    """Anti-transpose J * transpose(a) * J: reflection across the anti-diagonal."""
-    if not a.is_square:
-        raise DomainError("anti-transpose needs a square matrix")
-    n = a.rows
-    return Matrix(tuple(tuple(a.entries[n - 1 - q][n - 1 - p] for q in range(n))
-                        for p in range(n)))
 
 
 # -- group kinds and flags --------------------------------------------------
@@ -387,77 +380,81 @@ class SpaceSpec:
         raise DomainError(f"vertex {v} beyond the last flag step {self.flag[-1] if self.flag else 0}")
 
 
-# -- rank and nullspace ------------------------------------------------------
+# -- the elimination kernel ----------------------------------------------------
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    # Clearing denominators row by row keeps elimination in plain integers.
-    out = []
-    for row in m.entries:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) for v in row])
-    return out
+def _eliminate(rows: list[dict[int, int]], cols: int) -> list[int]:
+    """Fraction-free (one-step Bareiss) forward elimination, in place.
 
-
-def _int_rank(rows: list[list[int]], cols: int) -> int:
-    # One-step Bareiss: the division by the previous pivot is exact, so
-    # intermediate entries stay integral and of modest size.
-    rank = 0
+    `rows` are sparse integer rows {column: nonzero entry} over columns
+    0..cols-1.  Returns the pivot columns; on return rows[s] is the pivot
+    row of the s-th of them, zero left of it, and any later row is empty.
+    Every remaining row is updated at every step, so dividing by the
+    previous pivot is exact (Sylvester's identity) and the entries stay
+    integral and of modest size.
+    """
+    pivots: list[int] = []
     prev = 1
     for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        r = len(pivots)
+        # The sparsest row holding column c as pivot keeps fill-in low.
+        piv = min((i for i in range(r, len(rows)) if c in rows[i]),
+                  key=lambda i: len(rows[i]), default=None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            head = rows[i][c]
-            if head == 0 and all(v == 0 for v in rows[i][c + 1:]):
-                continue
-            ri, rr = rows[i], rows[rank]
-            for j in range(c + 1, cols):
-                ri[j] = (lead * ri[j] - head * rr[j]) // prev
-            ri[c] = 0
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        lead = top[c]
+        rest = []
+        for row in rows[r + 1:]:
+            head = row.pop(c, 0)
+            if head:
+                acc = {j: lead * v for j, v in row.items()}
+                for j, v in top.items():
+                    if j != c:
+                        acc[j] = acc.get(j, 0) - head * v
+                row = {j: v // prev for j, v in acc.items() if v}
+            elif lead != prev:
+                row = {j: lead * v // prev for j, v in row.items()}
+            if row:
+                rest.append(row)
+        rows[r + 1:] = rest
+        pivots.append(c)
         prev = lead
-        rank += 1
-    return rank
+    return pivots
+
+
+def _null_basis(rows: list[dict[int, int]], cols: int) -> list[tuple[Fraction, ...]]:
+    """The right nullspace of sparse integer rows: one vector per free
+    column f, equal to e_f on the free columns (which makes it unique)."""
+    pivots = _eliminate(rows, cols)
+    pivot_rows = list(zip(pivots, rows))[::-1]
+    zero = Fraction(0)
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        vec = [zero] * cols
+        vec[f] = Fraction(1)
+        # Pivot unknowns right of f are zero; solve the others bottom-up.
+        for c, row in pivot_rows:
+            if c < f:
+                vec[c] = -sum((v * vec[j] for j, v in row.items() if j != c),
+                              zero) / row[c]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _sparse_rows(m: Matrix) -> list[dict[int, int]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in _cleared(m)[0]]
 
 
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _int_rank(_integer_rows(m), m.cols)
+    return len(_eliminate(_sparse_rows(m), m.cols))
 
 
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace (one vector per free column of the RREF)."""
-    rows = [list(row) for row in m.entries]
-    cols = m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [Fraction(0)] * cols
-        vec[c] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -rows[pr][c]
-        basis.append(tuple(vec))
-    return basis
+    return _null_basis(_sparse_rows(m), m.cols)
 
 
 # -- dimensions of membership subspaces --------------------------------------
@@ -471,17 +468,49 @@ def _lie_constraint(p: int, q: int, signs: tuple[int, ...], n: int
     return [(qs, p, signs[qs - 1]), (ps, q, signs[p - 1])]
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]], cols: int) -> int:
-    dense = Matrix(tuple(tuple(row.get(c, Fraction(0)) for c in range(cols))
-                         for row in rows))
-    return rank(dense)
-
-
 def _flag_allows(flag: tuple[int, ...]) -> Callable[[int, int], bool]:
     # Entry (r, c) kills flag invariance iff some step d has c <= d < r.
     def allowed(r: int, c: int) -> bool:
         return not any(c <= d < r for d in flag)
     return allowed
+
+
+def _constraint_rows(g: GroupKind, allowed: Callable[[int, int], bool],
+                     x: Matrix | None = None
+                     ) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
+    """The unknowns (allowed 1-based positions, row-major) and sparse integer
+    rows over them stating a in g, and [a, x] = 0 when x is given."""
+    n = g.n
+    signs = _form_signs(g)
+    unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
+                if allowed(p, q)]
+    index = {pq: i for i, pq in enumerate(unknowns)}
+    rows: list[dict[int, int]] = []
+
+    def emit(terms):
+        row: dict[int, int] = {}
+        for pq, coef in terms:
+            i = index.get(pq)
+            if i is not None:
+                row[i] = row.get(i, 0) + coef
+        row = {i: v for i, v in row.items() if v}
+        if row:
+            rows.append(row)
+
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            emit(((r, c), coef) for r, c, coef in _lie_constraint(p, q, signs, n))
+    if x is not None:
+        # [a, x] = 0 is unchanged by scaling x, so x is cleared to integers once.
+        xi = _cleared(x)[0]
+        in_row = [[(r, v) for r, v in enumerate(row, start=1) if v] for row in xi]
+        in_col = [[(r, v) for r, v in enumerate(col, start=1) if v] for col in zip(*xi)]
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                # ([a, x])_{pq} = sum_r a_{pr} x_{rq} - x_{pr} a_{rq}
+                emit([((p, r), v) for r, v in in_col[q - 1]]
+                     + [((r, q), -v) for r, v in in_row[p - 1]])
+    return unknowns, rows
 
 
 def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
@@ -491,36 +520,8 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     `allowed` is a predicate on 1-based (row, col); forbidden positions are
     treated as hard zeros.  Pass x=None to drop the commutant condition.
     """
-    n = g.n
-    signs = _form_signs(g)
-    unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
-                if allowed(p, q)]
-    index = {pq: i for i, pq in enumerate(unknowns)}
-    rows: list[dict[int, Fraction]] = []
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            row: dict[int, Fraction] = {}
-            for (r, c, coef) in _lie_constraint(p, q, signs, n):
-                if (r, c) in index:
-                    i = index[(r, c)]
-                    row[i] = row.get(i, Fraction(0)) + coef
-            if row:
-                rows.append(row)
-    if x is not None:
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                row = {}
-                for r in range(1, n + 1):
-                    if (p, r) in index and x.entry(r, q) != 0:
-                        i = index[(p, r)]
-                        row[i] = row.get(i, Fraction(0)) + x.entry(r, q)
-                    if (r, q) in index and x.entry(p, r) != 0:
-                        i = index[(r, q)]
-                        row[i] = row.get(i, Fraction(0)) - x.entry(p, r)
-                row = {i: v for i, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    return len(unknowns) - _sparse_rank(rows, len(unknowns))
+    unknowns, rows = _constraint_rows(g, allowed, x)
+    return len(unknowns) - len(_eliminate(rows, len(unknowns)))
 
 
 def lie_algebra_dim(g: GroupKind) -> int:
@@ -556,27 +557,9 @@ def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None =
                       ) -> list[Matrix]:
     """Basis of the members of g supported on `allowed` positions."""
     n = g.n
-    signs = _form_signs(g)
-    if allowed is None:
-        allowed = lambda r, c: True
-    unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
-                if allowed(p, q)]
-    index = {pq: i for i, pq in enumerate(unknowns)}
-    rows = []
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            row = [Fraction(0)] * len(unknowns)
-            hit = False
-            for (r, c, coef) in _lie_constraint(p, q, signs, n):
-                if (r, c) in index:
-                    row[index[(r, c)]] += coef
-                    hit = True
-            if hit:
-                rows.append(tuple(row))
-    if not rows:
-        rows = [tuple([Fraction(0)] * len(unknowns))]
+    unknowns, rows = _constraint_rows(g, allowed or (lambda r, c: True))
     basis = []
-    for vec in nullspace(Matrix(tuple(rows))):
+    for vec in _null_basis(rows, len(unknowns)):
         m = [[Fraction(0)] * n for _ in range(n)]
         for (p, q), v in zip(unknowns, vec):
             m[p - 1][q - 1] = v
@@ -609,10 +592,19 @@ def matrix_to_obj(m: Matrix) -> dict:
             "entries": [[_scalar_to_obj(v) for v in row] for row in m.entries]}
 
 
+def _is_int(v) -> bool:
+    # JSON true/false decode to bools, which Python counts as ints.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def matrix_from_obj(obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise DomainError("matrix object needs keys rows, cols, entries")
     entries = obj["entries"]
+    if not _is_int(obj["rows"]) or not _is_int(obj["cols"]):
+        raise DomainError("matrix rows and cols must be integers")
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise DomainError("matrix entries must be a list of rows")
     if len(entries) != obj["rows"] or any(len(row) != obj["cols"] for row in entries):
         raise DomainError("matrix entries do not match the declared shape")
     return Matrix(tuple(tuple(_scalar_from_obj(v) for v in row) for row in entries))

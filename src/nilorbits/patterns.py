@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .linalg import DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec
+from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
+                     _is_int)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -296,9 +297,10 @@ def _arc_from_obj(obj) -> Arc:
     if not isinstance(obj, dict) or not {"from", "to", "dotted"} <= set(obj):
         raise DomainError("arc object needs keys from, to, dotted")
     source, target, dot = obj["from"], obj["to"], obj["dotted"]
-    if not isinstance(source, int) or not isinstance(target, int) or not isinstance(dot, bool):
-        raise DomainError("arc fields have the wrong types")
     variant = obj.get("loop", LOOP_NONE)
+    if (not _is_int(source) or not _is_int(target) or not isinstance(dot, bool)
+            or not isinstance(variant, str)):
+        raise DomainError("arc fields have the wrong types")
     return Arc(source, target, dotted=dot, loop_variant=variant)
 
 
@@ -310,8 +312,11 @@ def pattern_to_obj(p: LinkPattern) -> dict:
 def pattern_from_obj(obj) -> LinkPattern:
     if not isinstance(obj, dict) or not {"kind", "k", "b", "arcs"} <= set(obj):
         raise DomainError("pattern object needs keys kind, k, b, arcs")
-    if not isinstance(obj["k"], int) or not isinstance(obj["b"], list):
-        raise DomainError("pattern fields have the wrong types")
+    if (not isinstance(obj["kind"], str) or not _is_int(obj["k"])
+            or not isinstance(obj["b"], list) or not all(_is_int(v) for v in obj["b"])
+            or not isinstance(obj["arcs"], list)):
+        raise DomainError("pattern fields have the wrong types: kind is a string, "
+                          "k an integer, b a list of integers, arcs a list")
     arcs = tuple(_arc_from_obj(a) for a in obj["arcs"])
     return LinkPattern(obj["kind"], obj["k"], tuple(obj["b"]), arcs)
 

@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_failure,
-                     form_matrix, is_two_nilpotent, jay, lie_member, rank,
-                     square_failure)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
+                     _eliminate, form_failure, form_matrix, is_two_nilpotent,
+                     jay, lie_member, nullspace, rank, square_failure)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        consumption, validate)
 
@@ -403,37 +403,28 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
 
 
 def _inverse(m: Matrix) -> Matrix:
+    # The nullspace of [m | -I] holds the (x, y) with m x = y.  Its basis is
+    # (column k of m^-1, e_k) for k = 1..n exactly when m is invertible.
     n = m.rows
-    aug = [list(row) + [Fraction(1 if p == q else 0) for q in range(n)]
-           for p, row in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return Matrix.from_rows([row[n:] for row in aug])
+    eye = Matrix.identity(n).entries
+    basis = nullspace(Matrix(tuple(row + tuple(-v for v in unit)
+                                   for row, unit in zip(m.entries, eye))))
+    if [v[n:] for v in basis] != list(eye):
+        raise DomainError("matrix is singular")
+    return Matrix(tuple(zip(*(v[:n] for v in basis))))
 
 
-def symmetric_endo_dim(rep, g: GroupKind | None = None) -> int:
+def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     """Dimension of the symmetric endomorphism algebra of a flag
     representation: intertwiners at every arrow and the loop, compatible
     with the bilinear pairings.
 
-    Accepts a SymmetricRep, a SpaceSpec (standard flag realization), or a
-    flag-shaped summand multiset together with its group.
+    Accepts a SymmetricRep or a SpaceSpec (standard flag realization).
     """
     if isinstance(rep, SpaceSpec):
         rep = realize_flag(rep)
-    elif isinstance(rep, list):
-        rep = realize_flag(_flag_spec_from_multiset(rep, g))
     elif not isinstance(rep, SymmetricRep):
-        raise DomainError("expected a SymmetricRep, a SpaceSpec, or a summand multiset")
+        raise DomainError("expected a SymmetricRep or a SpaceSpec")
 
     g = rep.group
     n = g.n
@@ -455,30 +446,37 @@ def symmetric_endo_dim(rep, g: GroupKind | None = None) -> int:
             return space - 1
         return 2 * k + 1 + space  # space=-s -> index 2k+1-s
 
-    rows: list[dict[int, Fraction]] = []
+    # Each constraint is homogeneous in one given matrix, so that matrix is
+    # cleared to integers once and every row is integral.
+    rows: list[dict[int, int]] = []
 
     def entry_index(space: int, r: int, c: int) -> int:
         blk = block_of_space(space)
         return offsets[blk] + r * side[blk] + c
 
-    def add(row: dict, space: int, r: int, c: int, coef: Fraction):
+    def add(row: dict, space: int, r: int, c: int, coef: int):
         if coef == 0:
             return
         idx = entry_index(space, r, c)
-        row[idx] = row.get(idx, Fraction(0)) + coef
+        row[idx] = row.get(idx, 0) + coef
+
+    def emit(row: dict):
+        row = {idx: v for idx, v in row.items() if v}
+        if row:
+            rows.append(row)
 
     def intertwine(fmat: Matrix, tail: int, head: int):
         # A_head @ f - f @ A_tail = 0
         rows_f, cols_f = fmat.rows, fmat.cols
+        fe = _cleared(fmat)[0]
         for a in range(rows_f):
             for b in range(cols_f):
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for c in range(rows_f):
-                    add(row, head, a, c, fmat.entries[c][b])
+                    add(row, head, a, c, fe[c][b])
                 for c in range(cols_f):
-                    add(row, tail, c, b, -fmat.entries[a][c])
-                if row:
-                    rows.append(row)
+                    add(row, tail, c, b, -fe[a][c])
+                emit(row)
 
     # arrow intertwining on the unstarred side (a_s: V_s -> V_{s+1}, a_k -> omega)
     for s in range(1, k + 1):
@@ -489,80 +487,36 @@ def symmetric_endo_dim(rep, g: GroupKind | None = None) -> int:
              @ (f if s == k else rep.pairings[s]))
         intertwine(x, 0 if s == k else -(s + 1), -s)
     # loop commutes
-    alpha = rep.loop
+    alpha = _cleared(rep.loop)[0]
     for a in range(n):
         for b in range(n):
             row = {}
             for c in range(n):
-                add(row, 0, c, b, alpha.entries[a][c])
-                add(row, 0, a, c, -alpha.entries[c][b])
-            if row:
-                rows.append(row)
+                add(row, 0, c, b, alpha[a][c])
+                add(row, 0, a, c, -alpha[c][b])
+            emit(row)
     # form condition on the middle space
+    fe = _cleared(f)[0]
     for a in range(n):
         for b in range(n):
             row = {}
             for c in range(n):
-                add(row, 0, c, a, f.entries[c][b])
-                add(row, 0, c, b, f.entries[a][c])
-            if row:
-                rows.append(row)
+                add(row, 0, c, a, fe[c][b])
+                add(row, 0, c, b, fe[a][c])
+            emit(row)
     # pairing compatibility between each space and its star
     for s in range(1, k + 1):
-        gm = rep.pairings[s - 1]
+        gm = _cleared(rep.pairings[s - 1])[0]
         d = rep.dims[s - 1]
         for a in range(d):
             for b in range(d):
                 row = {}
                 for c in range(d):
-                    add(row, s, c, a, gm.entries[c][b])
-                    add(row, -s, c, b, gm.entries[a][c])
-                if row:
-                    rows.append(row)
+                    add(row, s, c, a, gm[c][b])
+                    add(row, -s, c, b, gm[a][c])
+                emit(row)
 
-    if not rows:
-        return total
-    dense = Matrix(tuple(tuple(row.get(idx, Fraction(0)) for idx in range(total))
-                         for row in rows))
-    return total - rank(dense)
-
-
-def _flag_spec_from_multiset(ms: Multiset, g: GroupKind | None) -> SpaceSpec:
-    if g is None:
-        raise DomainError("a group kind is needed to interpret a summand multiset")
-    blocks: dict[int, int] = {}
-    middles_paired = 0
-    middles_single = 0
-    k = ms[0][0].parts[0].l if ms else 0
-    for piece, mult in ms:
-        parts = piece.parts
-        if any(p.l != k for p in parts):
-            raise DomainError("mixed quiver ranks in the multiset")
-        if len(parts) == 1 and parts[0] == M(k + 1, k + 1, k):
-            middles_single += mult
-        elif (len(parts) == 2 and parts[0] == M(k + 1, k + 1, k)
-              and parts[1] == parts[0]):
-            middles_paired += mult
-        elif (len(parts) == 2 and parts[0].family == "M" and parts[0].j == k + 1
-              and parts[1] == Mstar(parts[0].i, k + 1, k)):
-            s = parts[0].i
-            blocks[s] = blocks.get(s, 0) + mult
-        else:
-            raise DomainError(f"{piece.text()} is not part of a flag representation")
-    if middles_single > 1:
-        raise DomainError("more than one unpaired middle summand")
-    if sorted(blocks) != list(range(1, k + 1)):
-        raise DomainError("flag multiset must touch every block once")
-    flag = []
-    total = 0
-    for s in range(1, k + 1):
-        total += blocks[s]
-        flag.append(total)
-    n = 2 * total + 2 * middles_paired + middles_single
-    if n != g.n:
-        raise DomainError(f"multiset describes a space of dimension {n}, "
-                          f"but the group has n = {g.n}")
-    return SpaceSpec(g, tuple(flag))
+    return total - len(_eliminate(rows, total))
 
 
 # -- Auslander-Reiten sequences ------------------------------------------------
@@ -800,10 +754,3 @@ def coefficient_quiver_dot(s: Summand) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def ar_report_text(l: int) -> str:
-    sequences, skips = _ar_build(l)
-    lines = [seq.text() for seq in sequences]
-    for skip in skips:
-        lines.append(f"skipped {skip.rule}{skip.indices}: {skip.reason}")
-    return "\n".join(lines)

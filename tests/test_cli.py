@@ -172,3 +172,23 @@ def test_verify_writes_a_report(tmp_path, capsys):
 def test_verify_respects_group_selection(capsys):
     assert main(["verify", "--group", "sp", "--rank", "1"]) == 0
     assert capsys.readouterr().out == "verify: 6/6 checks passed\n"
+
+
+HOSTILE_JSON = [
+    ("identify", '{"rows":2,"cols":2,"entries":5}'),
+    ("identify", '{"rows":2,"cols":2,"entries":[5,6]}'),
+    ("repr", '{"kind":"symplectic","k":2,"b":[1,1],"arcs":5}'),
+    ("repr", '{"kind":"symplectic","k":2,"b":["a",1],"arcs":[]}'),
+    ("repr", '{"kind":"symplectic","k":true,"b":[1],"arcs":[]}'),
+]
+
+
+@pytest.mark.parametrize("command, text", HOSTILE_JSON)
+def test_malformed_json_fields_exit_2_with_one_line(tmp_path, capsys, command, text):
+    src = tmp_path / "input.json"
+    src.write_text(text, encoding="utf-8")
+    assert main([command, "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"nilorbits {command}: ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               borel_subalgebra_dim, centralizer_dim_in,
@@ -11,7 +14,9 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               jay, lie_algebra_basis, lie_algebra_dim,
                               lie_member, matrix_from_json, matrix_from_obj,
                               matrix_to_json, nullspace, orbit_dimension,
-                              parabolic_dim, rank, star, t_transpose)
+                              parabolic_dim, rank, star)
+from nilorbits.linalg import _eliminate
+from nilorbits.patterns import enumerate_patterns
 
 from conftest import naive_rank, random_rational_matrix
 
@@ -46,16 +51,6 @@ def test_arithmetic_and_submatrix():
     assert a.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
     big = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert big.submatrix(2, 3, 1, 2) == Matrix.from_rows([[4, 5], [7, 8]])
-
-
-def test_t_transpose_reflects_anti_diagonal():
-    n = 4
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            got = t_transpose(Matrix.unit(n, p, q))
-            assert got == Matrix.unit(n, star(q, n), star(p, n))
-    a = random_rational_matrix(random.Random(5), 4, 4)
-    assert t_transpose(a) == jay(4) @ a.transpose() @ jay(4)
 
 
 def test_forms_symmetry():
@@ -352,3 +347,70 @@ def test_refusals_name_the_first_failing_entry():
     with pytest.raises(DomainError,
                        match=r"^matrix is not 2-nilpotent: \(x @ x\)\[2,2\] != 0$"):
         centralizer_dim_in(semisimple, g, spec)
+
+
+# -- the elimination kernel ------------------------------------------------------
+
+
+@st.composite
+def rational_matrices(draw):
+    """Wide, tall and square shapes, with whole zero rows mixed in."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    return Matrix(tuple(tuple(Fraction(0) if i in zero_rows else draw(rationals)
+                              for _ in range(cols)) for i in range(rows)))
+
+
+@deterministic
+@given(rational_matrices())
+def test_rank_equals_naive_elimination(m):
+    assert rank(m) == naive_rank(m)
+
+
+@deterministic
+@given(rational_matrices())
+def test_nullspace_vectors_are_unit_on_free_columns(m):
+    basis = nullspace(m)
+    assert len(basis) == m.cols - naive_rank(m)
+    # The free columns are those outside the column span of their left part.
+    free = [c for c in range(m.cols)
+            if naive_rank(m.submatrix(1, m.rows, 1, c + 1)) ==
+            (naive_rank(m.submatrix(1, m.rows, 1, c)) if c else 0)]
+    assert len(free) == len(basis)
+    for f, vec in zip(free, basis):
+        assert all(isinstance(v, Fraction) for v in vec)
+        assert [vec[c] for c in free] == [Fraction(c == f) for c in free]
+        assert all(sum((a * v for a, v in zip(row, vec)), Fraction(0)) == 0
+                   for row in m.entries)
+
+
+@deterministic
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_kernel_pivots_are_leading_minors(rows):
+    # One-step Bareiss keeps every entry a minor of the input: on a
+    # nonsingular integer matrix the last pivot is the determinant up to sign.
+    n = len(rows)
+    work = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots = _eliminate(work, n)
+    assert len(pivots) == naive_rank(Matrix.from_rows(rows))
+    det = sum((-1) ** sum(a > b for i, a in enumerate(s) for b in s[i + 1:])
+              * prod(row[j] for row, j in zip(rows, s)) for s in permutations(range(n)))
+    assert (len(pivots) == n) == (det != 0)
+    if det:
+        assert abs(work[-1][pivots[-1]]) == abs(det)
+
+
+def test_orbit_dimension_is_invariant_under_borel_conjugation():
+    # The conjugates carry denominators from the torus part of u, so the
+    # commutant rows are built from a cleared copy of x.
+    spec = SpaceSpec.borel(GroupKind.symplectic(6))
+    g = spec.group
+    fractional = 0
+    for idx, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
+        x = pattern_to_matrix(p, g)
+        u, u_inv = random_group_element_pair(g, spec, 7000 + idx)
+        conjugate = u @ x @ u_inv
+        fractional += any(v.denominator > 1 for row in conjugate.entries for v in row)
+        assert orbit_dimension(conjugate, spec) == orbit_dimension(x, spec), p.text()
+    assert fractional > 0

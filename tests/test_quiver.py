@@ -1,20 +1,27 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
+from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               centralizer_dim_in)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (Cminus, Cplus, Dminus, Dplus, M, Mstar, Summand,
-                              SymmetricPiece, Zminus, Zplus, ar_report_text,
-                              ar_sequences, ar_skipped, catalog,
-                              coefficient_quiver_dot, dimension_vector, dual,
-                              flag_to_representation, multiset_text,
-                              multiset_to_json, pattern_to_summands,
-                              realize_flag, realize_isotropic_flag, slot_name,
+                              SymmetricPiece, Zminus, Zplus, ar_sequences,
+                              ar_skipped, catalog, coefficient_quiver_dot,
+                              dimension_vector, dual, flag_to_representation,
+                              multiset_text, multiset_to_json,
+                              pattern_to_summands, realize_flag,
+                              realize_isotropic_flag, slot_name,
                               symmetric_endo_dim, total_dimension_vector)
+from nilorbits.quiver import _inverse
+
+from conftest import naive_rank
 
 
 def test_degenerate_names_normalize():
@@ -200,16 +207,14 @@ def test_symmetric_endo_dim_routes_agree():
     spec = SpaceSpec.borel(GroupKind.orthogonal(5))
     via_spec = symmetric_endo_dim(spec)
     via_rep = symmetric_endo_dim(realize_flag(spec))
-    via_multiset = symmetric_endo_dim(flag_to_representation(spec), spec.group)
-    assert via_spec == via_rep == via_multiset == 6
-    with pytest.raises(DomainError, match="group kind"):
-        symmetric_endo_dim(flag_to_representation(spec))
+    assert via_spec == via_rep == 6
     with pytest.raises(DomainError, match="expected a"):
         symmetric_endo_dim(42)
 
 
 def test_endo_dim_with_loop_matches_centralizer():
-    for g in (GroupKind.symplectic(4), GroupKind.orthogonal(5)):
+    for g in (GroupKind.symplectic(4), GroupKind.orthogonal(5),
+              GroupKind.orthogonal(7)):
         spec = SpaceSpec.borel(g)
         for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
             x = pattern_to_matrix(p, g)
@@ -217,19 +222,21 @@ def test_endo_dim_with_loop_matches_centralizer():
             assert symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec), p.text()
 
 
-def test_flag_multisets_are_vetted():
+def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
+    # Fractional arrows and loops reach the stabilizer solver cleared to
+    # integers one matrix at a time; the dimension must not notice.
+    g = GroupKind.orthogonal(4)
+    v, w = [1, Fraction(1, 2), 0, 0], [0, 0, Fraction(2, 3), Fraction(-1, 3)]
+    fractional = realize_isotropic_flag(g, [[v], [v, w]])
+    integral = realize_isotropic_flag(g, [[[2, 1, 0, 0]], [[2, 1, 0, 0], [0, 0, 2, -1]]])
+    assert symmetric_endo_dim(fractional) == symmetric_endo_dim(integral)
     g = GroupKind.symplectic(4)
-    with pytest.raises(DomainError, match="not part of a flag"):
-        symmetric_endo_dim([(SymmetricPiece.pair(Dplus(1, 1, 2)), 1)], g)
-    with pytest.raises(DomainError, match="every block"):
-        symmetric_endo_dim([(SymmetricPiece.pair(M(2, 3, 2)), 1)], g)
-    with pytest.raises(DomainError, match="unpaired middle"):
-        symmetric_endo_dim([(SymmetricPiece.pair(M(1, 2, 1)), 1),
-                            (SymmetricPiece.single(M(2, 2, 1)), 2)],
-                           GroupKind.orthogonal(4))
-    with pytest.raises(DomainError, match="dimension"):
-        symmetric_endo_dim(flag_to_representation(SpaceSpec.borel(g)),
-                           GroupKind.symplectic(6))
+    spec = SpaceSpec.borel(g)
+    for idx, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
+        x = pattern_to_matrix(p, g)
+        u, u_inv = random_group_element_pair(g, spec, 300 + idx)
+        rep = realize_flag(spec, loop=u @ x @ u_inv)
+        assert symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec), p.text()
 
 
 def test_ar_counts_and_skips_frozen():
@@ -267,9 +274,9 @@ def test_projective_cover_rule_is_version_dependent():
         assert skips["mstar_to_projective"] == "dimension additivity fails for l >= 3"
 
 
-def test_ar_report_lists_sequences_and_skips():
-    report = ar_report_text(3)
-    lines = report.splitlines()
+def test_ar_report_lists_sequences_and_skips(capsys):
+    assert main(["ar", "--rank", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 53 + 5
     assert lines[0].startswith("0 -> ")
     assert any("skipped mstar_to_projective" in line for line in lines)
@@ -300,3 +307,30 @@ def test_multiset_emitters():
     assert obj["pieces"][0] == {"parts": [{"family": "M", "i": 1, "j": 3},
                                           {"family": "M*", "i": 1, "j": 3}],
                                 "mult": 1}
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 6)))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices, half of them made singular by a dependent last row."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        coefs = [draw(rationals) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coefs, rows)), Fraction(0))
+                    for j in range(n)]
+    return Matrix.from_rows(rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(square_matrices())
+def test_inverse_is_exact_and_refuses_singular_input(g):
+    n = g.rows
+    if naive_rank(g) < n:
+        with pytest.raises(DomainError, match="singular"):
+            _inverse(g)
+    else:
+        inv = _inverse(g)
+        assert g @ inv == Matrix.identity(n) == inv @ g
