@@ -5,7 +5,7 @@ summand dictionary, all in exact rational arithmetic."""
 
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, borel_subalgebra_dim, centralizer_dim_in,
-                     form_matrix, group_member, is_two_nilpotent, jay,
+                     form_matrix, group_member, is_two_nilpotent,
                      lie_algebra_basis, lie_algebra_dim, lie_member,
                      matrix_from_json, matrix_to_json, nullspace,
                      orbit_dimension, parabolic_dim, rank, star)
@@ -29,4 +29,30 @@ from .harness import (SuiteConfig, brute_force_count, exp_nilpotent,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # linalg
+    "DomainError", "GroupKind", "Matrix", "ORTHOGONAL", "SYMPLECTIC",
+    "SpaceSpec", "borel_subalgebra_dim", "centralizer_dim_in", "form_matrix",
+    "group_member", "is_two_nilpotent", "lie_algebra_basis", "lie_algebra_dim",
+    "lie_member", "matrix_from_json", "matrix_to_json", "nullspace",
+    "orbit_dimension", "parabolic_dim", "rank", "star",
+    # patterns
+    "Arc", "LinkPattern", "consumption", "count_borel", "dotted",
+    "enumerate_patterns", "glue", "is_nilradical", "lower_loop",
+    "pattern_from_json", "pattern_to_json", "strip_orientation", "undotted",
+    "unoriented_loop", "upper_loop", "validate",
+    # correspondence
+    "MalformedInputError", "RankSignature", "identify", "identify_parabolic",
+    "parabolic_representative", "pattern_to_matrix", "rank_signature",
+    "refine", "tex_matrix", "tex_pattern", "tex_table",
+    # quiver
+    "ARSequence", "Cminus", "Cplus", "Dminus", "Dplus", "M", "Mstar",
+    "SkipRecord", "Summand", "SymmetricPiece", "SymmetricRep", "Zminus",
+    "Zplus", "ar_sequences", "ar_skipped", "catalog", "coefficient_quiver_dot",
+    "dimension_vector", "dual", "flag_to_representation",
+    "pattern_to_summands", "realize_flag", "realize_isotropic_flag",
+    "symmetric_endo_dim", "total_dimension_vector",
+    # harness
+    "SuiteConfig", "brute_force_count", "exp_nilpotent",
+    "random_group_element_pair", "run_suite",
+]

@@ -209,58 +209,64 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# Every option a subcommand may declare, keyed by the name used in _COMMANDS.
+# "kinds" is verify's --group: without it, both families are verified.
+_OPTIONS = {
+    "group": (("--group",), dict(choices=("sp", "o"), default="sp",
+                                 help="group family: sp (symplectic) or o (orthogonal)")),
+    "kinds": (("--group",), dict(choices=("sp", "o"), default=None,
+                                 help="group family to verify (default: both)")),
+    "n": (("--n",), dict(type=int, default=None, help="matrix size n")),
+    "rank": (("--rank",), dict(type=int, default=None,
+                               help="rank l (Borel level: n = 2l or 2l+1)")),
+    "blocks": (("--blocks",), dict(type=str, default=None,
+                                   help="comma-separated flag block sizes, e.g. 2,1,1")),
+    "seed": (("--seed",), dict(type=int, default=0, help="suite seed")),
+    "in": (("--in",), dict(dest="infile", type=str, default=None,
+                           help="input file (default: stdin)")),
+    "out": (("--out",), dict(dest="outfile", type=str, default=None,
+                             help="output file (default: stdout)")),
+}
+
+# name: (handler, help, options read, --format choices emitted)
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, "list all valid patterns at the given level",
+                  ("group", "n", "rank", "blocks", "out"), ("json", "csv", "tex", "text")),
+    "count": (_cmd_count, "count patterns (recurrence at Borel level, else enumeration)",
+              ("group", "n", "rank", "blocks", "out"), ("json", "text")),
+    "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix",
+             ("group", "n", "in", "out"), ("json", "tex", "text")),
+    "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern",
+                 ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
+    "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
+                 ("group", "n", "in", "out"), ("json", "text")),
+    "ar": (_cmd_ar, "Auslander-Reiten sequences for the given rank",
+           ("rank", "out"), ("json", "text")),
+    "verify": (_cmd_verify, "run the randomized verification suite",
+               ("kinds", "rank", "seed", "out"), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilorbits",
         description="Borel/parabolic conjugation orbits of 2-nilpotent elements "
                     "in symplectic and orthogonal Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "enumerate": "list all valid patterns at the given level",
-        "count": "count patterns (recurrence at Borel level, else enumeration)",
-        "repr": "pattern (JSON on stdin or --in) to representative matrix",
-        "identify": "matrix (JSON on stdin or --in) to its orbit's pattern",
-        "summands": "pattern to its Krull-Remak-Schmidt summand multiset",
-        "ar": "Auslander-Reiten sequences for the given rank",
-        "verify": "run the randomized verification suite",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, options, formats) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", choices=("sp", "o"),
-                       default="sp" if name in ("enumerate", "count", "repr",
-                                                "identify", "summands") else None,
-                       help="group family: sp (symplectic) or o (orthogonal)")
-        p.add_argument("--n", type=int, default=None,
-                       help="matrix size n")
-        p.add_argument("--rank", type=int, default=None,
-                       help="rank l (Borel level: n = 2l or 2l+1)")
-        p.add_argument("--blocks", type=str, default=None,
-                       help="comma-separated flag block sizes, e.g. 2,1,1")
-        p.add_argument("--format", choices=("json", "csv", "tex", "text"),
-                       default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--in", dest="infile", type=str, default=None,
-                       help="input file (default: stdin)")
-        p.add_argument("--out", dest="outfile", type=str, default=None,
-                       help="output file (default: stdout)")
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
     return parser
-
-
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "repr": _cmd_repr,
-    "identify": _cmd_identify,
-    "summands": _cmd_summands,
-    "ar": _cmd_ar,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (DomainError, MalformedInputError) as exc:
         print(f"nilorbits {args.command}: {exc}", file=sys.stderr)
         return 2

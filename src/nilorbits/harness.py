@@ -22,7 +22,7 @@ from math import factorial
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, group_member, lie_algebra_basis)
+                     SpaceSpec, _ints, group_member, lie_algebra_basis)
 from .patterns import count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -108,7 +108,7 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
     """
     if kind not in (SYMPLECTIC, ORTHOGONAL):
         raise DomainError(f"unknown pattern kind {kind!r}")
-    b = tuple(int(v) for v in b)
+    b = _ints(b, "block capacities")
     if len(b) != k or any(v < 1 for v in b):
         raise DomainError("block vector must list a positive capacity per vertex")
     w = 1 if kind == SYMPLECTIC else 2

@@ -6,10 +6,10 @@ floating point anywhere: entries are fractions.Fraction, and products run
 on integer rows cleared to one shared denominator per operand.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
 integer rows; rank, nullspace, the membership and centralizer dimensions,
-the algebra bases and the quiver layer's inverse and stabilizer dimensions
-all sit on it.  Every defining form is anti-diagonal with entries +-1, so
-the membership tests read its signed anti-diagonal entry by entry instead
-of multiplying by the Gram matrix.
+the algebra bases and the quiver layer's stabilizer dimensions all sit on
+it.  Every defining form is anti-diagonal with entries +-1, so the
+membership tests read its signed anti-diagonal entry by entry instead of
+multiplying by the Gram matrix.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -30,12 +30,25 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+def _is_int(v) -> bool:
+    # JSON true/false decode to bools, which Python counts as ints.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     raise DomainError(f"entries must be exact rationals, got {type(value).__name__}")
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple, refused unless every entry is a non-bool int."""
+    out = tuple(values)
+    if not all(_is_int(v) for v in out):
+        raise DomainError(f"{what} must be integers, got {out!r}")
+    return out
 
 
 def _cleared(m: "Matrix") -> tuple[list[list[int]], int]:
@@ -171,14 +184,6 @@ class Matrix:
                             for row in self.entries[row_lo - 1:row_hi]))
 
 
-def jay(l: int) -> Matrix:
-    """The l x l anti-diagonal matrix with ones on the anti-diagonal."""
-    if l < 1:
-        raise DomainError("jay needs l >= 1")
-    return Matrix(tuple(tuple(Fraction(1 if p + q == l - 1 else 0)
-                              for q in range(l)) for p in range(l)))
-
-
 # -- group kinds and flags --------------------------------------------------
 
 SYMPLECTIC = "symplectic"
@@ -304,18 +309,19 @@ def is_two_nilpotent(a: Matrix) -> bool:
     return (a @ a).is_zero()
 
 
-def form_failure(a: Matrix, g: GroupKind) -> str:
-    """Name the first entry where transpose(a) F + F a is nonzero; for the
-    message after lie_member(a, g) has failed."""
-    r, c = _lie_violation(a, g)
-    return f"(transpose(a)F + Fa)[{r},{c}] != 0"
+def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
+    """Refuse x unless it is a 2-nilpotent member of the Lie algebra of g.
 
-
-def square_failure(a: Matrix) -> str:
-    """Name the first nonzero entry of a @ a; for the message after
-    is_two_nilpotent(a) has failed."""
-    r, c = (a @ a).support()[0]
-    return f"(x @ x)[{r},{c}] != 0"
+    The DomainError names `what` and the first failing entry, row-major:
+    of transpose(x) F + F x, then of x @ x.
+    """
+    if not lie_member(x, g):
+        r, c = _lie_violation(x, g)
+        raise DomainError(f"{what} not in {g.name}: "
+                          f"(transpose(a)F + Fa)[{r},{c}] != 0")
+    if not is_two_nilpotent(x):
+        r, c = (x @ x).support()[0]
+        raise DomainError(f"{what} is not 2-nilpotent: (x @ x)[{r},{c}] != 0")
 
 
 @dataclass(frozen=True)
@@ -332,7 +338,7 @@ class SpaceSpec:
     flag: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "flag", tuple(int(d) for d in self.flag))
+        object.__setattr__(self, "flag", _ints(self.flag, "flag steps"))
         d = self.flag
         if any(b <= 0 for b in d) or any(d[s] >= d[s + 1] for s in range(len(d) - 1)):
             raise DomainError(f"flag must be strictly increasing positive, got {d}")
@@ -346,8 +352,8 @@ class SpaceSpec:
     @staticmethod
     def from_blocks(g: GroupKind, blocks: Sequence[int]) -> "SpaceSpec":
         flag, total = [], 0
-        for b in blocks:
-            total += int(b)
+        for b in _ints(blocks, "flag blocks"):
+            total += b
             flag.append(total)
         return SpaceSpec(g, tuple(flag))
 
@@ -541,10 +547,7 @@ def parabolic_dim(spec: SpaceSpec) -> int:
 
 def centralizer_dim_in(x: Matrix, g: GroupKind, flag: SpaceSpec) -> int:
     """Dimension of {a in the parabolic of `flag` : a x = x a}."""
-    if not lie_member(x, g):
-        raise DomainError(f"matrix not in {g.name}: {form_failure(x, g)}")
-    if not is_two_nilpotent(x):
-        raise DomainError(f"matrix is not 2-nilpotent: {square_failure(x)}")
+    require_two_nilpotent(x, g)
     return membership_dim(g, _flag_allows(flag.flag), x)
 
 
@@ -590,11 +593,6 @@ def _scalar_from_obj(v) -> Fraction:
 def matrix_to_obj(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [[_scalar_to_obj(v) for v in row] for row in m.entries]}
-
-
-def _is_int(v) -> bool:
-    # JSON true/false decode to bools, which Python counts as ints.
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def matrix_from_obj(obj) -> Matrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _is_int)
+                     _is_int, _ints)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -106,7 +106,7 @@ class LinkPattern:
     def __post_init__(self):
         if self.kind not in (SYMPLECTIC, ORTHOGONAL):
             raise DomainError(f"unknown pattern kind {self.kind!r}")
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        object.__setattr__(self, "b", _ints(self.b, "block capacities"))
         if self.k < 0 or len(self.b) != self.k or any(v < 1 for v in self.b):
             raise DomainError("block vector must list a positive capacity per vertex")
         for arc in self.arcs:

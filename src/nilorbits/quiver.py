@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
-                     _eliminate, form_failure, form_matrix, is_two_nilpotent,
-                     jay, lie_member, nullspace, rank, square_failure)
+                     _eliminate, _frac, _ints, form_matrix, rank,
+                     require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        consumption, validate)
 
@@ -305,59 +304,48 @@ def flag_to_representation(spec: SpaceSpec) -> Multiset:
 class SymmetricRep:
     """An explicit symmetric representation of A(k) built from a flag.
 
-    Spaces are Q^{d_1}, ..., Q^{d_k}, Q^n and mirrored duals; `arrows`
+    Spaces are Q^{d_1}, ..., Q^{d_k} and the middle space Q^n; `arrows`
     holds the k inclusion matrices (the last one landing in the middle
-    space), `loop` the alpha action on the middle space, and `pairings` the
-    invertible Gram matrices identifying the starred spaces with duals.
-    The starred arrow actions are derived, not stored: the starred arrow
-    under a_s is minus its adjoint with respect to the pairings.
+    space) and `loop` the alpha action on the middle space.  The starred
+    spaces are not stored, because each is the dual of an unstarred one, so
+    a symmetric endomorphism is fixed by its blocks on V_1, ..., V_k and
+    V_omega and its starred conditions are transposes of the unstarred ones.
     """
 
     group: GroupKind
     dims: tuple[int, ...]
     arrows: tuple[Matrix, ...]
     loop: Matrix
-    pairings: tuple[Matrix, ...]
 
     def __post_init__(self):
-        d = self.dims
-        if len(self.arrows) != len(d) or len(self.pairings) != len(d):
-            raise DomainError("need one arrow and one pairing per flag step")
+        d = _ints(self.dims, "flag dimensions")
+        object.__setattr__(self, "dims", d)
+        if len(self.arrows) != len(d):
+            raise DomainError("need one arrow per flag step")
         n = self.group.n
-        shapes = list(d[1:]) + [n]
-        for s, (a, rows) in enumerate(zip(self.arrows, shapes), start=1):
+        for s, (a, rows) in enumerate(zip(self.arrows, d[1:] + (n,)), start=1):
             if (a.rows, a.cols) != (rows, d[s - 1]):
                 raise DomainError(f"arrow {s} has shape {a.rows}x{a.cols}, "
                                   f"expected {rows}x{d[s - 1]}")
-        for s, gm in enumerate(self.pairings, start=1):
-            if (gm.rows, gm.cols) != (d[s - 1], d[s - 1]) or rank(gm) != d[s - 1]:
-                raise DomainError(f"pairing {s} must be invertible {d[s-1]}x{d[s-1]}")
         if (self.loop.rows, self.loop.cols) != (n, n):
             raise DomainError("loop must act on the middle space")
-        if not lie_member(self.loop, self.group):
-            raise DomainError(f"loop not in {self.group.name}: "
-                              f"{form_failure(self.loop, self.group)}")
-        if not is_two_nilpotent(self.loop):
-            raise DomainError(f"loop is not 2-nilpotent: {square_failure(self.loop)}")
+        require_two_nilpotent(self.loop, self.group, "loop")
+
+
+def _inclusions(dims: tuple[int, ...], n: int) -> list[Matrix]:
+    """Coordinate inclusions [I; 0] of each Q^{d_s} into the next space,
+    the last one into Q^n."""
+    return [Matrix.from_rows([[1 if p == q else 0 for q in range(cols)]
+                              for p in range(rows)])
+            for cols, rows in zip(dims, dims[1:] + (n,))]
 
 
 def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:
-    """Standard-basis realization of the standard isotropic flag.
-
-    Arrows are coordinate inclusions [I; 0]; the pairing of the s-th flag
-    space with its dual is exactly J in standard bases.
-    """
-    g = spec.group
-    d = spec.flag
-    arrows = []
-    shapes = list(d[1:]) + [g.n]
-    for s, rows in enumerate(shapes, start=1):
-        cols = d[s - 1]
-        arrows.append(Matrix.from_rows([[1 if p == q else 0 for q in range(cols)]
-                                        for p in range(rows)]))
-    pairings = tuple(jay(ds) for ds in d)
-    return SymmetricRep(g, d, tuple(arrows), loop if loop is not None
-                        else Matrix.zero(g.n), pairings)
+    """Standard-basis realization of the standard isotropic flag: every
+    arrow is a coordinate inclusion [I; 0]."""
+    n = spec.group.n
+    return SymmetricRep(spec.group, spec.flag, tuple(_inclusions(spec.flag, n)),
+                        loop if loop is not None else Matrix.zero(n))
 
 
 def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
@@ -365,13 +353,12 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
     """Realize a (possibly non-standard) totally isotropic flag.
 
     `subspaces` lists bases, each extending the previous one (prefix
-    nesting), each vector a length-n sequence of rationals.  The pairings
-    are taken as identities; endomorphism dimensions do not depend on that
-    choice.
+    nesting), each vector a length-n sequence of exact rationals (ints or
+    Fractions; floats are refused).
     """
     if not subspaces:
         raise DomainError("need at least one subspace")
-    exact = [[tuple(Fraction(v) for v in vec) for vec in base] for base in subspaces]
+    exact = [[tuple(_frac(v) for v in vec) for vec in base] for base in subspaces]
     vectors = exact[-1]
     for prev, cur in zip(exact, exact[1:]):
         if len(prev) >= len(cur) or prev != cur[:len(prev)]:
@@ -388,36 +375,17 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
     dims = tuple(len(b) for b in subspaces)
     if dims[-1] > g.l:
         raise DomainError(f"flag step {dims[-1]} exceeds the isotropic bound l={g.l}")
-    arrows = []
-    shapes = list(dims[1:]) + [n]
-    for s, rows in enumerate(shapes, start=1):
-        cols = dims[s - 1]
-        if s < len(dims):
-            arrows.append(Matrix.from_rows([[1 if p == q else 0 for q in range(cols)]
-                                            for p in range(rows)]))
-        else:
-            arrows.append(big)
-    pairings = tuple(Matrix.identity(ds) for ds in dims)
+    # The inner arrows are coordinate inclusions by prefix nesting; the last
+    # one embeds the largest basis in Q^n.
+    arrows = _inclusions(dims[:-1], dims[-1]) + [big]
     return SymmetricRep(g, dims, tuple(arrows), loop if loop is not None
-                        else Matrix.zero(n), pairings)
-
-
-def _inverse(m: Matrix) -> Matrix:
-    # The nullspace of [m | -I] holds the (x, y) with m x = y.  Its basis is
-    # (column k of m^-1, e_k) for k = 1..n exactly when m is invertible.
-    n = m.rows
-    eye = Matrix.identity(n).entries
-    basis = nullspace(Matrix(tuple(row + tuple(-v for v in unit)
-                                   for row, unit in zip(m.entries, eye))))
-    if [v[n:] for v in basis] != list(eye):
-        raise DomainError("matrix is singular")
-    return Matrix(tuple(zip(*(v[:n] for v in basis))))
+                        else Matrix.zero(n))
 
 
 def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     """Dimension of the symmetric endomorphism algebra of a flag
-    representation: intertwiners at every arrow and the loop, compatible
-    with the bilinear pairings.
+    representation: blocks A_1, ..., A_k, A_omega intertwining every arrow
+    and the loop, with A_omega in the Lie algebra of the form.
 
     Accepts a SymmetricRep or a SpaceSpec (standard flag realization).
     """
@@ -426,95 +394,45 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     elif not isinstance(rep, SymmetricRep):
         raise DomainError("expected a SymmetricRep or a SpaceSpec")
 
-    g = rep.group
-    n = g.n
-    k = len(rep.dims)
-    f = form_matrix(g)
-    # unknown blocks: A_1..A_k, A_omega, A_{k*}..A_{1*}
-    sizes = [d * d for d in rep.dims] + [n * n] + [d * d for d in rep.dims[::-1]]
+    n = rep.group.n
+    omega = len(rep.dims) + 1
+    # unknown blocks A_1..A_k, then A_omega, each row-major
+    side = rep.dims + (n,)
     offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
+    for d in side:
+        offsets.append(offsets[-1] + d * d)
     total = offsets[-1]
-    side = list(rep.dims) + [n] + list(rep.dims[::-1])
-
-    def block_of_space(space: int) -> int:
-        # spaces numbered 1..k, 0 for omega, -1..-k for starred
-        if space == 0:
-            return k
-        if space > 0:
-            return space - 1
-        return 2 * k + 1 + space  # space=-s -> index 2k+1-s
-
-    # Each constraint is homogeneous in one given matrix, so that matrix is
-    # cleared to integers once and every row is integral.
     rows: list[dict[int, int]] = []
 
-    def entry_index(space: int, r: int, c: int) -> int:
-        blk = block_of_space(space)
-        return offsets[blk] + r * side[blk] + c
-
-    def add(row: dict, space: int, r: int, c: int, coef: int):
-        if coef == 0:
-            return
-        idx = entry_index(space, r, c)
-        row[idx] = row.get(idx, 0) + coef
-
-    def emit(row: dict):
+    def emit(terms):
+        # terms: ((space, r, c), coef) with spaces numbered 1..omega
+        row: dict[int, int] = {}
+        for (space, r, c), coef in terms:
+            idx = offsets[space - 1] + r * side[space - 1] + c
+            row[idx] = row.get(idx, 0) + coef
         row = {idx: v for idx, v in row.items() if v}
         if row:
             rows.append(row)
 
     def intertwine(fmat: Matrix, tail: int, head: int):
-        # A_head @ f - f @ A_tail = 0
-        rows_f, cols_f = fmat.rows, fmat.cols
+        # A_head @ f - f @ A_tail = 0.  It is homogeneous in f, so f is
+        # cleared to integers once and every row is integral.
         fe = _cleared(fmat)[0]
-        for a in range(rows_f):
-            for b in range(cols_f):
-                row: dict[int, int] = {}
-                for c in range(rows_f):
-                    add(row, head, a, c, fe[c][b])
-                for c in range(cols_f):
-                    add(row, tail, c, b, -fe[a][c])
-                emit(row)
+        for a in range(fmat.rows):
+            for b in range(fmat.cols):
+                emit([((head, a, c), fe[c][b]) for c in range(fmat.rows) if fe[c][b]]
+                     + [((tail, c, b), -fe[a][c]) for c in range(fmat.cols) if fe[a][c]])
 
-    # arrow intertwining on the unstarred side (a_s: V_s -> V_{s+1}, a_k -> omega)
-    for s in range(1, k + 1):
-        intertwine(rep.arrows[s - 1], s, s + 1 if s < k else 0)
-    # derived starred arrows x_s: V_{(s+1)*} -> V_{s*} (from omega when s = k)
-    for s in range(1, k + 1):
-        x = (-(_inverse(rep.pairings[s - 1])) @ rep.arrows[s - 1].transpose()
-             @ (f if s == k else rep.pairings[s]))
-        intertwine(x, 0 if s == k else -(s + 1), -s)
-    # loop commutes
-    alpha = _cleared(rep.loop)[0]
+    # a_s: V_s -> V_{s+1}, with V_{k+1} the middle space
+    for s, arrow in enumerate(rep.arrows, start=1):
+        intertwine(arrow, s, s + 1)
+    intertwine(rep.loop, omega, omega)
+    # form condition on the middle space: transpose(A) F + F A = 0
+    fe = _cleared(form_matrix(rep.group))[0]
     for a in range(n):
         for b in range(n):
-            row = {}
-            for c in range(n):
-                add(row, 0, c, b, alpha[a][c])
-                add(row, 0, a, c, -alpha[c][b])
-            emit(row)
-    # form condition on the middle space
-    fe = _cleared(f)[0]
-    for a in range(n):
-        for b in range(n):
-            row = {}
-            for c in range(n):
-                add(row, 0, c, a, fe[c][b])
-                add(row, 0, c, b, fe[a][c])
-            emit(row)
-    # pairing compatibility between each space and its star
-    for s in range(1, k + 1):
-        gm = _cleared(rep.pairings[s - 1])[0]
-        d = rep.dims[s - 1]
-        for a in range(d):
-            for b in range(d):
-                row = {}
-                for c in range(d):
-                    add(row, s, c, a, gm[c][b])
-                    add(row, -s, c, b, gm[a][c])
-                emit(row)
+            emit([((omega, c, a), fe[c][b]) for c in range(n) if fe[c][b]]
+                 + [((omega, c, b), fe[a][c]) for c in range(n) if fe[a][c]])
 
     return total - len(_eliminate(rows, total))
 

@@ -192,3 +192,26 @@ def test_malformed_json_fields_exit_2_with_one_line(tmp_path, capsys, command, t
     assert captured.out == ""
     assert captured.err.startswith(f"nilorbits {command}: ")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+UNREAD_FLAGS = [
+    ["count", "--rank", "2", "--in", "/nonexistent"],
+    ["count", "--rank", "2", "--format", "tex"],
+    ["ar", "--rank", "2", "--blocks", "9"],
+    ["ar", "--rank", "2", "--n", "99"],
+    ["verify", "--rank", "1", "--format", "csv"],
+    ["enumerate", "--rank", "2", "--seed", "3"],
+    ["summands", "--format", "tex"],
+    ["repr", "--blocks", "2"],
+    ["identify", "--rank", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS)
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    # argparse exits before any handler runs, so nothing reads stdin
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: nilorbits" in captured.err

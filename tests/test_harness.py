@@ -73,6 +73,9 @@ def test_brute_force_count_refuses_large_spaces():
         brute_force_count("unitary", 1, (1,))
     with pytest.raises(DomainError, match="capacity"):
         brute_force_count("symplectic", 2, (1,))
+    for b in ((1.9, 1), (1, True)):
+        with pytest.raises(DomainError, match="must be integers"):
+            brute_force_count("symplectic", 2, b)
 
 
 def test_suite_passes_and_reports_deterministically():

@@ -11,7 +11,7 @@ from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               borel_subalgebra_dim, centralizer_dim_in,
                               form_matrix, group_member, is_two_nilpotent,
-                              jay, lie_algebra_basis, lie_algebra_dim,
+                              lie_algebra_basis, lie_algebra_dim,
                               lie_member, matrix_from_json, matrix_from_obj,
                               matrix_to_json, nullspace, orbit_dimension,
                               parabolic_dim, rank, star)
@@ -58,7 +58,8 @@ def test_forms_symmetry():
     assert sp.transpose() == -sp
     o = form_matrix(GroupKind.orthogonal(5))
     assert o.transpose() == o
-    assert o == jay(5)
+    assert o == Matrix.from_rows([[1 if p + q == 4 else 0 for q in range(5)]
+                                  for p in range(5)])
 
 
 def test_star_is_an_involution():
@@ -157,6 +158,17 @@ def test_space_spec_construction_and_blocks():
         SpaceSpec(g, (3, 2))
     with pytest.raises(DomainError):
         SpaceSpec(g, (5,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: SpaceSpec(g, (1.7,)),
+    lambda g: SpaceSpec(g, (True, 2)),
+    lambda g: SpaceSpec.from_blocks(g, [1.5]),
+    lambda g: SpaceSpec.from_blocks(g, (1, False)),
+])
+def test_space_spec_refuses_inexact_steps(build):
+    with pytest.raises(DomainError, match="must be integers"):
+        build(GroupKind.orthogonal(4))
 
 
 def test_lie_algebra_dim_formulas_small():

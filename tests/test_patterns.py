@@ -55,6 +55,9 @@ def test_pattern_validation_errors():
         LinkPattern("symplectic", 2, (1, 0), ())
     with pytest.raises(DomainError):
         LinkPattern("symplectic", 2, (1, 1), (undotted(1, 3),))
+    for b in ((1.9,), (True,)):
+        with pytest.raises(DomainError, match="must be integers"):
+            LinkPattern("symplectic", 1, b, ())
 
 
 def test_consumption_weights_by_kind():

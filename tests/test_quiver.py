@@ -1,14 +1,14 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              centralizer_dim_in)
+                              centralizer_dim_in, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (Cminus, Cplus, Dminus, Dplus, M, Mstar, Summand,
@@ -19,9 +19,6 @@ from nilorbits.quiver import (Cminus, Cplus, Dminus, Dplus, M, Mstar, Summand,
                               pattern_to_summands, realize_flag,
                               realize_isotropic_flag, slot_name,
                               symmetric_endo_dim, total_dimension_vector)
-from nilorbits.quiver import _inverse
-
-from conftest import naive_rank
 
 
 def test_degenerate_names_normalize():
@@ -186,6 +183,9 @@ def test_realize_isotropic_flag_validates_bases():
         realize_isotropic_flag(g, [[[1, 0, 0, 0], [0, 0, 0, 1]]])
     with pytest.raises(DomainError, match="length 4"):
         realize_isotropic_flag(g, [[[1, 0, 0]]])
+    # a float would enter as its binary approximation, so it is refused
+    with pytest.raises(DomainError, match="exact rationals"):
+        realize_isotropic_flag(g, [[[0.1, 0, 0, 0]]])
 
 
 def test_symmetric_endo_dims_frozen():
@@ -212,14 +212,32 @@ def test_symmetric_endo_dim_routes_agree():
         symmetric_endo_dim(42)
 
 
+def test_symmetric_endo_dim_equals_parabolic_dim_on_every_flag():
+    # every flag of every group with n <= 8, the empty flag (k = 0) included
+    groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 9)])
+    count = 0
+    for g in groups:
+        for k in range(g.l + 1):
+            for flag in combinations(range(1, g.l + 1), k):
+                spec = SpaceSpec(g, flag)
+                assert symmetric_endo_dim(spec) == parabolic_dim(spec), (g.name, flag)
+                count += 1
+    assert count == 75
+    o1 = SpaceSpec.borel(GroupKind.orthogonal(1))
+    assert o1.flag == () and symmetric_endo_dim(o1) == parabolic_dim(o1) == 0
+
+
 def test_endo_dim_with_loop_matches_centralizer():
     for g in (GroupKind.symplectic(4), GroupKind.orthogonal(5),
               GroupKind.orthogonal(7)):
-        spec = SpaceSpec.borel(g)
-        for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
-            x = pattern_to_matrix(p, g)
-            rep = realize_flag(spec, loop=x)
-            assert symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec), p.text()
+        for spec in dict.fromkeys((SpaceSpec.borel(g), SpaceSpec(g, (g.l,)),
+                                   SpaceSpec(g, (1, g.l)))):
+            for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
+                x = pattern_to_matrix(p, g)
+                rep = realize_flag(spec, loop=x)
+                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec)
+                        ), (spec.flag, p.text())
 
 
 def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
@@ -307,30 +325,3 @@ def test_multiset_emitters():
     assert obj["pieces"][0] == {"parts": [{"family": "M", "i": 1, "j": 3},
                                           {"family": "M*", "i": 1, "j": 3}],
                                 "mult": 1}
-
-
-rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 6)))
-
-
-@st.composite
-def square_matrices(draw):
-    """Square matrices, half of them made singular by a dependent last row."""
-    n = draw(st.integers(1, 5))
-    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
-    if draw(st.booleans()):
-        coefs = [draw(rationals) for _ in range(n - 1)]
-        rows[-1] = [sum((c * row[j] for c, row in zip(coefs, rows)), Fraction(0))
-                    for j in range(n)]
-    return Matrix.from_rows(rows)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(square_matrices())
-def test_inverse_is_exact_and_refuses_singular_input(g):
-    n = g.rows
-    if naive_rank(g) < n:
-        with pytest.raises(DomainError, match="singular"):
-            _inverse(g)
-    else:
-        inv = _inverse(g)
-        assert g @ inv == Matrix.identity(n) == inv @ g
