@@ -7,8 +7,8 @@ from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, borel_subalgebra_dim, centralizer_dim_in,
                      form_matrix, group_member, is_two_nilpotent,
                      lie_algebra_basis, lie_algebra_dim, lie_member,
-                     matrix_from_json, matrix_to_json, nullspace,
-                     orbit_dimension, parabolic_dim, rank, star)
+                     matrix_from_json, matrix_to_json, orbit_dimension,
+                     parabolic_dim, rank, star)
 from .patterns import (Arc, LinkPattern, consumption, count_borel, dotted,
                        enumerate_patterns, glue, is_nilradical, lower_loop,
                        pattern_from_json, pattern_to_json, strip_orientation,
@@ -34,8 +34,8 @@ __all__ = [
     "DomainError", "GroupKind", "Matrix", "ORTHOGONAL", "SYMPLECTIC",
     "SpaceSpec", "borel_subalgebra_dim", "centralizer_dim_in", "form_matrix",
     "group_member", "is_two_nilpotent", "lie_algebra_basis", "lie_algebra_dim",
-    "lie_member", "matrix_from_json", "matrix_to_json", "nullspace",
-    "orbit_dimension", "parabolic_dim", "rank", "star",
+    "lie_member", "matrix_from_json", "matrix_to_json", "orbit_dimension",
+    "parabolic_dim", "rank", "star",
     # patterns
     "Arc", "LinkPattern", "consumption", "count_borel", "dotted",
     "enumerate_patterns", "glue", "is_nilradical", "lower_loop",

@@ -17,8 +17,8 @@ from .correspondence import (MalformedInputError, identify, identify_parabolic,
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      matrix_from_json, matrix_to_json, orbit_dimension)
-from .patterns import (LinkPattern, count_borel, enumerate_patterns,
-                       pattern_from_json, pattern_to_json)
+from .patterns import (count_borel, enumerate_patterns, pattern_from_json,
+                       pattern_to_json)
 from .quiver import (ar_sequences, ar_skipped, multiset_text, multiset_to_json,
                      pattern_to_summands)
 

@@ -18,8 +18,8 @@ from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names.
 from .linalg import lie_member  # noqa: F401
-from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_NONE, LOOP_UNORIENTED,
-                       LOOP_UPPER, consumption, glue, validate)
+from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER,
+                       glue, validate)
 
 
 class MalformedInputError(ValueError):

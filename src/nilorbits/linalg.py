@@ -5,11 +5,14 @@ dimensions) reduces to exact linear algebra over Q, so this module has no
 floating point anywhere: entries are fractions.Fraction, and products run
 on integer rows cleared to one shared denominator per operand.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
-integer rows; rank, nullspace, the membership and centralizer dimensions,
-the algebra bases and the quiver layer's stabilizer dimensions all sit on
-it.  Every defining form is anti-diagonal with entries +-1, so the
-membership tests read its signed anti-diagonal entry by entry instead of
-multiplying by the Gram matrix.
+integer rows; rank, the membership and centralizer dimensions and the
+quiver layer's stabilizer dimensions all sit on it.  Every defining form is
+anti-diagonal with entries +-1, so a member of the Lie algebra is fixed by
+half of its entries: each position determines its mate across the
+anti-diagonal up to a sign.  The membership test reads these mate pairs
+entry by entry instead of multiplying by the Gram matrix, and the
+membership solvers and algebra bases work in mate-pair coordinates, so the
+only rows they eliminate are those of the commutant condition.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -250,6 +253,21 @@ def _form_signs(g: GroupKind) -> tuple[int, ...]:
     return (1,) * g.n
 
 
+@lru_cache(maxsize=None)
+def _mates(g: GroupKind) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(r, c, c*, r*, sign) for every 0-based position (r, c), row-major,
+    with sign = -s[r] s[c] for the signs s of F.
+
+    Entry (r*, c) of transpose(a) F + F a is s[c*] a[c*][r*] + s[r*] a[r][c],
+    so a is in g exactly when a[c*][r*] = sign * a[r][c] everywhere: each
+    entry fixes its mate (c*, r*), whose own mate is (r, c) with the same
+    sign.  An anti-diagonal position is its own mate.
+    """
+    n, s = g.n, _form_signs(g)
+    return tuple((r, c, n - 1 - c, n - 1 - r, -s[r] * s[c])
+                 for r in range(n) for c in range(n))
+
+
 def form_matrix(g: GroupKind) -> Matrix:
     """Gram matrix of the defining bilinear form.
 
@@ -270,17 +288,18 @@ def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
     """First 1-based (row, col), row-major, where transpose(a) F + F a is
     nonzero, or None when a is in the Lie algebra of g.
 
-    Entry (p, q) is s[q*] a[q*][p] + s[p] a[p*][q] for the signs s of F, so
-    each of the n^2 entries is decided exactly without a product.
+    Entry (p, q) vanishes iff the position (p*, q) and its mate agree up to
+    their sign (see `_mates`), so each entry is decided without a product.
+    The matrix is symmetric or skew, so its first nonzero entry lies on or
+    above the diagonal, and only those entries are read.
     """
     _require_shape(a, g)
-    n, signs, e = g.n, _form_signs(g), a.entries
+    n, mates, e = g.n, _mates(g), a.entries
     for p in range(n):
-        ps = n - 1 - p
-        for q in range(n):
-            qs = n - 1 - q
-            x, y = e[qs][p], e[ps][q]
-            if (x != -y) if signs[qs] == signs[p] else (x != y):
+        r = n - 1 - p
+        for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
+            x, y = e[mr][mc], e[r][q]
+            if (x != y) if sign > 0 else (x != -y):
                 return p + 1, q + 1
     return None
 
@@ -430,48 +449,13 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[int]:
     return pivots
 
 
-def _null_basis(rows: list[dict[int, int]], cols: int) -> list[tuple[Fraction, ...]]:
-    """The right nullspace of sparse integer rows: one vector per free
-    column f, equal to e_f on the free columns (which makes it unique)."""
-    pivots = _eliminate(rows, cols)
-    pivot_rows = list(zip(pivots, rows))[::-1]
-    zero = Fraction(0)
-    basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        vec = [zero] * cols
-        vec[f] = Fraction(1)
-        # Pivot unknowns right of f are zero; solve the others bottom-up.
-        for c, row in pivot_rows:
-            if c < f:
-                vec[c] = -sum((v * vec[j] for j, v in row.items() if j != c),
-                              zero) / row[c]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _sparse_rows(m: Matrix) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in _cleared(m)[0]]
-
-
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
-    return len(_eliminate(_sparse_rows(m), m.cols))
-
-
-def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace (one vector per free column of the RREF)."""
-    return _null_basis(_sparse_rows(m), m.cols)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in _cleared(m)[0]]
+    return len(_eliminate(rows, m.cols))
 
 
 # -- dimensions of membership subspaces --------------------------------------
-
-
-def _lie_constraint(p: int, q: int, signs: tuple[int, ...], n: int
-                    ) -> list[tuple[int, int, int]]:
-    # (transpose(a) F + F a)_{pq} has two terms because F is anti-diagonal:
-    # F_{q*,q} a_{q*,p} + F_{p,p*} a_{p*,q}, with F_{p,p*} = signs[p - 1].
-    ps, qs = star(p, n), star(q, n)
-    return [(qs, p, signs[qs - 1]), (ps, q, signs[p - 1])]
 
 
 def _flag_allows(flag: tuple[int, ...]) -> Callable[[int, int], bool]:
@@ -483,40 +467,44 @@ def _flag_allows(flag: tuple[int, ...]) -> Callable[[int, int], bool]:
 
 def _constraint_rows(g: GroupKind, allowed: Callable[[int, int], bool],
                      x: Matrix | None = None
-                     ) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
-    """The unknowns (allowed 1-based positions, row-major) and sparse integer
-    rows over them stating a in g, and [a, x] = 0 when x is given."""
-    n = g.n
-    signs = _form_signs(g)
-    unknowns = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
-                if allowed(p, q)]
-    index = {pq: i for i, pq in enumerate(unknowns)}
+                     ) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
+    """Coordinates of the members of g supported on `allowed` positions, and
+    sparse integer rows over them stating [a, x] = 0 (none when x is None).
+
+    A coordinate is a `_mates` entry whose position and mate are both
+    allowed, named by the row-major later one: a is 1 there and `sign` at
+    the mate.  A pair with a forbidden position is zero, and so is a
+    self-mated position of sign -1.
+    """
+    def is_coordinate(r, c, mr, mc, sign):
+        later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
+        return later and allowed(r + 1, c + 1) and allowed(mr + 1, mc + 1)
+
+    coords = [m for m in _mates(g) if is_coordinate(*m)]
     rows: list[dict[int, int]] = []
-
-    def emit(terms):
-        row: dict[int, int] = {}
-        for pq, coef in terms:
-            i = index.get(pq)
-            if i is not None:
-                row[i] = row.get(i, 0) + coef
-        row = {i: v for i, v in row.items() if v}
-        if row:
-            rows.append(row)
-
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            emit(((r, c), coef) for r, c, coef in _lie_constraint(p, q, signs, n))
     if x is not None:
+        # The entry of a at each position, as (coordinate, coefficient).
+        entry = {}
+        for i, (r, c, mr, mc, sign) in enumerate(coords):
+            entry[mr, mc] = (i, sign)
+            entry[r, c] = (i, 1)
         # [a, x] = 0 is unchanged by scaling x, so x is cleared to integers once.
         xi = _cleared(x)[0]
-        in_row = [[(r, v) for r, v in enumerate(row, start=1) if v] for row in xi]
-        in_col = [[(r, v) for r, v in enumerate(col, start=1) if v] for col in zip(*xi)]
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
+        in_row = [[(r, v) for r, v in enumerate(row) if v] for row in xi]
+        in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*xi)]
+        for p in range(g.n):
+            for q in range(g.n):
                 # ([a, x])_{pq} = sum_r a_{pr} x_{rq} - x_{pr} a_{rq}
-                emit([((p, r), v) for r, v in in_col[q - 1]]
-                     + [((r, q), -v) for r, v in in_row[p - 1]])
-    return unknowns, rows
+                row: dict[int, int] = {}
+                for pos, v in ([((p, r), v) for r, v in in_col[q]]
+                               + [((r, q), -v) for r, v in in_row[p]]):
+                    if pos in entry:
+                        i, sign = entry[pos]
+                        row[i] = row.get(i, 0) + sign * v
+                row = {i: v for i, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return coords, rows
 
 
 def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
@@ -526,8 +514,8 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     `allowed` is a predicate on 1-based (row, col); forbidden positions are
     treated as hard zeros.  Pass x=None to drop the commutant condition.
     """
-    unknowns, rows = _constraint_rows(g, allowed, x)
-    return len(unknowns) - len(_eliminate(rows, len(unknowns)))
+    coords, rows = _constraint_rows(g, allowed, x)
+    return len(coords) - len(_eliminate(rows, len(coords)))
 
 
 def lie_algebra_dim(g: GroupKind) -> int:
@@ -558,14 +546,16 @@ def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
 
 def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None = None
                       ) -> list[Matrix]:
-    """Basis of the members of g supported on `allowed` positions."""
+    """Basis of the members of g supported on `allowed` positions: one per
+    coordinate of `_constraint_rows`, in its order, with 1 at the coordinate's
+    position and its sign at the mate."""
     n = g.n
-    unknowns, rows = _constraint_rows(g, allowed or (lambda r, c: True))
+    coords, _ = _constraint_rows(g, allowed or (lambda r, c: True))
     basis = []
-    for vec in _null_basis(rows, len(unknowns)):
+    for r, c, mr, mc, sign in coords:
         m = [[Fraction(0)] * n for _ in range(n)]
-        for (p, q), v in zip(unknowns, vec):
-            m[p - 1][q - 1] = v
+        m[mr][mc] = Fraction(sign)
+        m[r][c] = Fraction(1)
         basis.append(Matrix.from_rows(m))
     return basis
 

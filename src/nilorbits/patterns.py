@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _is_int, _ints)
+from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _is_int,
+                     _ints)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -106,6 +106,8 @@ class LinkPattern:
     def __post_init__(self):
         if self.kind not in (SYMPLECTIC, ORTHOGONAL):
             raise DomainError(f"unknown pattern kind {self.kind!r}")
+        if not _is_int(self.k):
+            raise DomainError(f"vertex count k must be an integer, got {self.k!r}")
         object.__setattr__(self, "b", _ints(self.b, "block capacities"))
         if self.k < 0 or len(self.b) != self.k or any(v < 1 for v in self.b):
             raise DomainError("block vector must list a positive capacity per vertex")
@@ -129,19 +131,23 @@ class LinkPattern:
         return "{" + ", ".join(arc.text() for arc in self.arcs) + "}" if self.arcs else "{}"
 
 
+def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
+    """(vertex, capacity) pairs an arc takes: 1 per non-loop endpoint, 2 for
+    an unoriented loop, and w for a dotted loop, with w = 1 symplectic and
+    w = 2 orthogonal."""
+    if arc.loop_variant == LOOP_UNORIENTED:
+        return ((arc.source, 2),)
+    if arc.is_loop:
+        return ((arc.source, 1 if kind == SYMPLECTIC else 2),)
+    return ((arc.source, 1), (arc.target, 1))
+
+
 def consumption(p: LinkPattern) -> tuple[int, ...]:
-    """Per-vertex capacity use: non-loop endpoints + 2*(unoriented loops)
-    + w*(dotted loops), with w = 1 symplectic and w = 2 orthogonal."""
-    w = 1 if p.kind == SYMPLECTIC else 2
+    """Per-vertex capacity use: the `_arc_cost` of the arcs, summed."""
     used = [0] * (p.k + 1)
     for arc in p.arcs:
-        if arc.loop_variant == LOOP_UNORIENTED:
-            used[arc.source] += 2
-        elif arc.is_loop:
-            used[arc.source] += w
-        else:
-            used[arc.source] += 1
-            used[arc.target] += 1
+        for v, c in _arc_cost(arc, p.kind):
+            used[v] += c
     return tuple(used[1:])
 
 
@@ -159,15 +165,6 @@ def _arc_types(k: int) -> list[Arc]:
             types.extend((undotted(i, j), undotted(j, i), dotted(i, j), dotted(j, i)))
     types.sort(key=Arc.key)
     return types
-
-
-def _arc_cost(arc: Arc, kind: str) -> dict[int, int]:
-    w = 1 if kind == SYMPLECTIC else 2
-    if arc.loop_variant == LOOP_UNORIENTED:
-        return {arc.source: 2}
-    if arc.is_loop:
-        return {arc.source: w}
-    return {arc.source: 1, arc.target: 1}
 
 
 def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]:
@@ -188,13 +185,13 @@ def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]
         out.append(LinkPattern(kind, k, base.b, tuple(chosen)))
         for t in range(start, len(types)):
             cost = costs[t]
-            if all(residual[v - 1] >= c for v, c in cost.items()):
-                for v, c in cost.items():
+            if all(residual[v - 1] >= c for v, c in cost):
+                for v, c in cost:
                     residual[v - 1] -= c
                 chosen.append(types[t])
                 extend(t)
                 chosen.pop()
-                for v, c in cost.items():
+                for v, c in cost:
                     residual[v - 1] += c
 
     extend(0)

@@ -19,7 +19,7 @@ from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
                      _eliminate, _frac, _ints, form_matrix, rank,
                      require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
-                       consumption, validate)
+                       consumption)
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
 _FAMILY_ORDER = {f: idx for idx, f in enumerate(FAMILIES)}
@@ -253,7 +253,9 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
         raise DomainError("pattern capacities do not match the flag blocks")
     if (p.kind == "symplectic") != spec.group.is_symplectic:
         raise DomainError("pattern kind does not match the group family")
-    if not validate(p):
+    # Capacity left at each block; the pattern is valid iff none is negative.
+    free = [cap - used for cap, used in zip(p.b, consumption(p))]
+    if any(f < 0 for f in free):
         raise DomainError("pattern is not valid for its capacities")
     k = spec.k
     symplectic = spec.group.is_symplectic
@@ -277,9 +279,8 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
             else:
                 base = Zminus(i, j, k) if rightward else Zplus(i, j, k)
             pieces.append(SymmetricPiece.pair(base))
-    used = consumption(p)
-    for s in range(1, k + 1):
-        for _ in range(p.b[s - 1] - used[s - 1]):
+    for s, count in enumerate(free, start=1):
+        for _ in range(count):
             pieces.append(SymmetricPiece.pair(M(s, k + 1, k)))
     reach = spec.flag[-1] if spec.flag else 0
     gap = spec.group.n - 2 * reach

@@ -13,9 +13,9 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               form_matrix, group_member, is_two_nilpotent,
                               lie_algebra_basis, lie_algebra_dim,
                               lie_member, matrix_from_json, matrix_from_obj,
-                              matrix_to_json, nullspace, orbit_dimension,
+                              matrix_to_json, membership_dim, orbit_dimension,
                               parabolic_dim, rank, star)
-from nilorbits.linalg import _eliminate
+from nilorbits.linalg import _eliminate, _lie_violation
 from nilorbits.patterns import enumerate_patterns
 
 from conftest import naive_rank, random_rational_matrix
@@ -124,20 +124,6 @@ def test_rank_edge_cases():
     assert rank(Matrix.from_rows([[1, 2, 3]])) == 1
     assert rank(Matrix.from_rows([[1, 2], [2, 4], [3, 6]])) == 1
     assert rank(Matrix.from_rows([[Fraction(1, 2), 1], [1, 2]])) == 1
-
-
-def test_nullspace_property():
-    rng = random.Random(7)
-    for _ in range(30):
-        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        basis = nullspace(m)
-        assert len(basis) == m.cols - rank(m)
-        for vec in basis:
-            image = m @ Matrix.from_rows([[v] for v in vec])
-            assert image.is_zero()
-        if basis:
-            stacked = Matrix.from_rows(list(basis))
-            assert rank(stacked) == len(basis)
 
 
 def test_space_spec_construction_and_blocks():
@@ -321,6 +307,26 @@ def test_lie_member_equals_the_dense_definition(member, data):
     assert lie_member(bad, g) == dense_lie_member(Matrix.unit(g.n, r, c), g)
 
 
+def test_lie_violation_is_the_first_dense_nonzero_entry():
+    # Every unit matrix, and for the smaller groups every sum of two, so
+    # that each entry of transpose(a) F + F a, the diagonal included, is
+    # the first nonzero one for some input.
+    def check(a, g):
+        f = form_matrix(g)
+        dense = (a.transpose() @ f + f @ a).support()
+        assert _lie_violation(a, g) == (dense[0] if dense else None), (g.name, a)
+
+    for g in FORM_GROUPS:
+        units = [Matrix.unit(g.n, r, c)
+                 for r in range(1, g.n + 1) for c in range(1, g.n + 1)]
+        for a in units:
+            check(a, g)
+        if g.n <= 5:
+            for i, a in enumerate(units):
+                for b in units[i + 1:]:
+                    check(a + b.scale(2), g)
+
+
 @deterministic
 @given(st.sampled_from(FORM_GROUPS), st.integers(0, 10 ** 6), st.data())
 def test_group_member_equals_the_dense_definition(g, seed, data):
@@ -380,20 +386,25 @@ def test_rank_equals_naive_elimination(m):
 
 
 @deterministic
-@given(rational_matrices())
-def test_nullspace_vectors_are_unit_on_free_columns(m):
-    basis = nullspace(m)
-    assert len(basis) == m.cols - naive_rank(m)
-    # The free columns are those outside the column span of their left part.
-    free = [c for c in range(m.cols)
-            if naive_rank(m.submatrix(1, m.rows, 1, c + 1)) ==
-            (naive_rank(m.submatrix(1, m.rows, 1, c)) if c else 0)]
-    assert len(free) == len(basis)
-    for f, vec in zip(free, basis):
-        assert all(isinstance(v, Fraction) for v in vec)
-        assert [vec[c] for c in free] == [Fraction(c == f) for c in free]
-        assert all(sum((a * v for a, v in zip(row, vec)), Fraction(0)) == 0
-                   for row in m.entries)
+@given(st.sampled_from(FORM_GROUPS), st.data())
+def test_membership_dim_equals_the_rank_of_the_dense_map(g, data):
+    # Random supports are not closed under taking mates, so an allowed
+    # position whose mate is forbidden must vanish, as the dense rows say.
+    n = g.n
+    allowed = {(r, c) for r in range(1, n + 1) for c in range(1, n + 1)
+               if data.draw(st.booleans())}
+    p = data.draw(st.sampled_from([None] + enumerate_patterns(g.family, g.l, (1,) * g.l)))
+    x = Matrix.zero(n) if p is None else pattern_to_matrix(p, g)
+    f = form_matrix(g)
+    # One row per allowed unit matrix e: the entries of its image under
+    # a -> (transpose(a) F + F a, [a, x]).
+    images = []
+    for r, c in sorted(allowed):
+        e = Matrix.unit(n, r, c)
+        images.append([v for m in (e.transpose() @ f + f @ e, e @ x - x @ e)
+                       for row in m.entries for v in row])
+    expected = len(allowed) - naive_rank(Matrix.from_rows(images))
+    assert membership_dim(g, lambda r, c: (r, c) in allowed, x) == expected
 
 
 @deterministic

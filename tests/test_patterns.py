@@ -58,6 +58,9 @@ def test_pattern_validation_errors():
     for b in ((1.9,), (True,)):
         with pytest.raises(DomainError, match="must be integers"):
             LinkPattern("symplectic", 1, b, ())
+    for k in (True, 1.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            LinkPattern("symplectic", k, (1,), ())
 
 
 def test_consumption_weights_by_kind():

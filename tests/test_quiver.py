@@ -128,6 +128,10 @@ def test_summands_orthogonal_loops_come_doubled():
     p = LinkPattern("orthogonal", 1, (2,), (upper_loop(1),))
     z = Zplus(1, 1, 1)
     assert pattern_to_summands(p, spec) == [(SymmetricPiece((z, z)), 1)]
+    # Two dotted orthogonal loops take 4 from a capacity of 2.
+    over = LinkPattern("orthogonal", 1, (2,), (upper_loop(1), upper_loop(1)))
+    with pytest.raises(DomainError, match="not valid for its capacities"):
+        pattern_to_summands(over, spec)
 
 
 def test_summands_odd_middle_is_single():
