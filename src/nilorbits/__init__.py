@@ -20,9 +20,8 @@ from .correspondence import (MalformedInputError, RankSignature, identify,
 from .quiver import (ARSequence, Cminus, Cplus, Dminus, Dplus, M, Mstar,
                      SkipRecord, Summand, SymmetricPiece, SymmetricRep,
                      Zminus, Zplus, ar_sequences, ar_skipped, catalog,
-                     coefficient_quiver_dot, dimension_vector, dual,
-                     flag_to_representation, pattern_to_summands,
-                     realize_flag, realize_isotropic_flag, symmetric_endo_dim,
+                     dimension_vector, dual, pattern_to_summands, realize_flag,
+                     realize_isotropic_flag, symmetric_endo_dim,
                      total_dimension_vector)
 from .harness import (SuiteConfig, brute_force_count, exp_nilpotent,
                       random_group_element_pair, run_suite)
@@ -48,9 +47,8 @@ __all__ = [
     # quiver
     "ARSequence", "Cminus", "Cplus", "Dminus", "Dplus", "M", "Mstar",
     "SkipRecord", "Summand", "SymmetricPiece", "SymmetricRep", "Zminus",
-    "Zplus", "ar_sequences", "ar_skipped", "catalog", "coefficient_quiver_dot",
-    "dimension_vector", "dual", "flag_to_representation",
-    "pattern_to_summands", "realize_flag", "realize_isotropic_flag",
+    "Zplus", "ar_sequences", "ar_skipped", "catalog", "dimension_vector",
+    "dual", "pattern_to_summands", "realize_flag", "realize_isotropic_flag",
     "symmetric_endo_dim", "total_dimension_vector",
     # harness
     "SuiteConfig", "brute_force_count", "exp_nilpotent",

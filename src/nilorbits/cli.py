@@ -12,8 +12,8 @@ import json
 import sys
 
 from .correspondence import (MalformedInputError, identify, identify_parabolic,
-                             parabolic_representative, pattern_to_matrix,
-                             tex_matrix, tex_pattern, tex_table)
+                             parabolic_representative, tex_matrix, tex_pattern,
+                             tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      matrix_from_json, matrix_to_json, orbit_dimension)
@@ -95,8 +95,7 @@ def _cmd_enumerate(args) -> int:
         # the tex layout pairs every pattern with its representative matrix
         g = _group(args, b)
         spec = SpaceSpec.from_blocks(g, b)
-        rows = [(p, pattern_to_matrix(p, g) if p.is_borel_level and p.k == g.l
-                 else parabolic_representative(p, spec)) for p in pats]
+        rows = [(p, parabolic_representative(p, spec)) for p in pats]
         _emit(args, tex_table(rows))
     else:
         _emit(args, "\n".join(p.text() for p in pats))
@@ -120,10 +119,7 @@ def _cmd_count(args) -> int:
 def _cmd_repr(args) -> int:
     p = pattern_from_json(_read_in(args))
     g = _group(args, p.b)
-    if p.is_borel_level and p.k == g.l:
-        m = pattern_to_matrix(p, g)
-    else:
-        m = parabolic_representative(p, SpaceSpec.from_blocks(g, p.b))
+    m = parabolic_representative(p, SpaceSpec.from_blocks(g, p.b))
     if args.format == "json":
         _emit(args, matrix_to_json(m))
     elif args.format == "tex":

@@ -4,7 +4,8 @@ Forward: each arc of a Borel-level pattern contributes a fixed pair of
 matrix units (one unit for loops); the sum is the orbit representative.
 Backward: the table of ranks of lower-left submatrices is a complete
 invariant of the Borel orbit, and its unit positions (the delta positions)
-decode back to arcs.  Parabolic-level patterns are materialized through a
+are those of the representative, so they decode back to arcs by inverting
+the forward table.  Parabolic-level patterns are materialized through a
 canonical Borel refinement.
 """
 
@@ -12,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                      require_two_nilpotent, star)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
-# to check that its tracer restores rebound names.
+# to check that its tracer restores rebound names (ROADMAP item 6).
 from .linalg import lie_member  # noqa: F401
 from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER,
-                       glue, validate)
+                       _arc_cost, _arc_types, glue, validate)
 
 
 class MalformedInputError(ValueError):
@@ -189,55 +192,47 @@ def rank_signature(x: Matrix) -> RankSignature:
                                   for i in range(1, n + 2)))
 
 
-def _decode_orbit(first: tuple[int, int], n: int, l: int) -> Arc:
-    r, c = first
-    middle = l + 1 if n % 2 == 1 else None
-    if r == middle or c == middle:
-        raise MalformedInputError(f"delta position ({r},{c}) touches the middle index")
-    if r == c:
-        raise MalformedInputError(f"delta position on the diagonal at ({r},{c})")
-    if c == star(r, n):
-        # mirror-fixed: (i, i*) is an upper dotted loop, (i*, i) a lower one
-        if r <= l:
-            return Arc(r, r, dotted=True, loop_variant=LOOP_UPPER)
-        return Arc(c, c, dotted=True, loop_variant=LOOP_LOWER)
-    if r <= l and c <= l:
-        return Arc(c, r, dotted=False)
-    if r <= l < c:
-        return Arc(star(c, n), r, dotted=True)
-    if c <= l < r:
-        return Arc(c, star(r, n), dotted=True)
-    raise MalformedInputError(f"delta position ({r},{c}) has no low partner")
+@lru_cache(maxsize=None)
+def _arcs_by_first_unit(g: GroupKind) -> dict[tuple[int, int], tuple[Arc, frozenset]]:
+    """The representative table inverted: every arc that fits a Borel-level
+    pattern of g (capacity 1 at each endpoint), keyed by the row-major first
+    position of its `_arc_units`, with the set of all its unit positions."""
+    eps = 1 if g.is_symplectic else -1
+    table = {}
+    for arc in _arc_types(g.l):
+        if all(c == 1 for _, c in _arc_cost(arc, g.family)):
+            units = sorted((r, c) for r, c, _ in _arc_units(arc, g.n, eps))
+            table[units[0]] = (arc, frozenset(units))
+    return table
 
 
-def identify(x: Matrix, g: GroupKind) -> LinkPattern:
-    """Borel-level pattern of the orbit of x, decoded from delta positions.
-
-    The delta set of a group member is closed under the mirror pairing
-    (r, c) -> (c*, r*); each mirror orbit decodes to one arc, read off its
-    row-major first position.
-    """
-    require_two_nilpotent(x, g)
-    n, l = g.n, g.l
-    positions = set(rank_signature(x).delta_positions())
-    if any((star(c, n), star(r, n)) not in positions for (r, c) in positions):
-        raise MalformedInputError("delta positions are not mirror-symmetric")
+def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
+    """Borel-level pattern whose representative has exactly these unit
+    positions: walking them in row-major order, each remaining position
+    must start an arc whose units are all still present."""
+    table = _arcs_by_first_unit(g)
+    left = set(positions)
     arcs = []
-    seen = set()
-    for pos in sorted(positions):
-        if pos in seen:
+    for pos in sorted(left):
+        if pos not in left:
             continue
-        r, c = pos
-        mirror = (star(c, n), star(r, n))
-        seen.add(pos)
-        seen.add(mirror)
-        if r > l and c > l:
-            raise MalformedInputError(f"delta position ({r},{c}) has no low partner")
-        arcs.append(_decode_orbit(pos, n, l))
-    pattern = LinkPattern.borel(g.family, l, arcs)
+        entry = table.get(pos)
+        if entry is None or not entry[1] <= left:
+            raise MalformedInputError(f"delta position ({pos[0]},{pos[1]}) "
+                                      f"starts no arc of {g.name}")
+        arcs.append(entry[0])
+        left -= entry[1]
+    pattern = LinkPattern.borel(g.family, g.l, arcs)
     if not validate(pattern):
         raise MalformedInputError("decoded arcs violate the pattern capacity rule")
     return pattern
+
+
+def identify(x: Matrix, g: GroupKind) -> LinkPattern:
+    """Borel-level pattern of the orbit of x: its delta positions are the
+    unit positions of the orbit's representative, decoded by `_decode`."""
+    require_two_nilpotent(x, g)
+    return _decode(rank_signature(x).delta_positions(), g)
 
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:

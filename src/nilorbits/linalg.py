@@ -22,6 +22,7 @@ across the anti-diagonal).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,10 +155,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(tuple(-a for a in row) for row in self.entries))
 
-    def scale(self, s) -> "Matrix":
-        f = _frac(s)
-        return Matrix(tuple(tuple(f * a for a in row) for row in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DomainError("inner dimension mismatch")
@@ -180,11 +177,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def submatrix(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "Matrix":
-        """Rows row_lo..row_hi and columns col_lo..col_hi, 1-based inclusive."""
-        return Matrix(tuple(row[col_lo - 1:col_hi]
-                            for row in self.entries[row_lo - 1:row_hi]))
 
 
 # -- group kinds and flags --------------------------------------------------
@@ -227,10 +219,6 @@ class GroupKind:
     @property
     def is_symplectic(self) -> bool:
         return self.family == SYMPLECTIC
-
-    @property
-    def is_odd_orthogonal(self) -> bool:
-        return self.family == ORTHOGONAL and self.n % 2 == 1
 
     @property
     def name(self) -> str:
@@ -383,15 +371,6 @@ class SpaceSpec:
     @property
     def blocks(self) -> tuple[int, ...]:
         return tuple(d - prev for d, prev in zip(self.flag, (0,) + self.flag[:-1]))
-
-    @property
-    def is_borel(self) -> bool:
-        return self.flag == tuple(range(1, self.group.l + 1))
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether the flag reaches the maximal isotropic dimension l."""
-        return bool(self.flag) and self.flag[-1] == self.group.l
 
     def dimension_vector(self) -> tuple[int, ...]:
         """The palindrome (d_1, ..., d_k, n, d_k, ..., d_1)."""
@@ -567,12 +546,19 @@ def _scalar_to_obj(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _scalar_from_obj(v) -> Fraction:
     if isinstance(v, bool):
         raise DomainError("matrix entries must be rationals")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        # Only the documented "p/q" form: Fraction alone would also take
+        # decimals and exponents, and "1e999999" builds a million-digit int.
+        if not _RATIONAL_LITERAL.fullmatch(v):
+            raise DomainError(f"bad rational literal {v!r}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -605,6 +591,8 @@ def matrix_to_json(m: Matrix) -> str:
 def matrix_from_json(text: str) -> Matrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over 4300 digits,
+        # RecursionError deep nesting
         raise DomainError(f"bad JSON: {exc}") from exc
     return matrix_from_obj(obj)

@@ -326,6 +326,8 @@ def pattern_to_json(p: LinkPattern) -> str:
 def pattern_from_json(text: str) -> LinkPattern:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over 4300 digits,
+        # RecursionError deep nesting
         raise DomainError(f"bad JSON: {exc}") from exc
     return pattern_from_obj(obj)

@@ -4,8 +4,9 @@ Auslander-Reiten sequence catalog.
 
 A(l) is the path algebra of the line quiver 1 -> ... -> l -> omega -> l* ->
 ... -> 1* with a loop alpha at omega, modulo alpha^2 = a_l* a_l = 0, where
-omega = l + 1.  Summands are symbolic (family plus indices); dimension
-vectors and the correspondence table carry everything the rest of the
+omega = l + 1.  Summands are symbolic (family plus indices), and each is
+laid out as one or two strings of boxes; dimension vectors count the boxes,
+and with the correspondence table they carry everything the rest of the
 package needs.  Explicit matrix realizations appear only where endomorphism
 dimensions are computed (flag representations).
 """
@@ -119,36 +120,34 @@ def Zminus(i: int, j: int, l: int) -> Summand:
 DimensionVector = tuple[int, ...]
 
 
-def dimension_vector(s: Summand) -> DimensionVector:
-    """Dimensions over the 2l+1 vertices, laid out 1, ..., l, omega, l*, ..., 1*.
+def _string_rows(s: Summand) -> list[tuple[int, int]]:
+    """The one or two strings of s as inclusive ranges of 0-based slots,
+    laid out 1, ..., l, omega, l*, ..., 1*: the slot of vertex t is t-1, of
+    omega is l, and of t* is 2l+1-t (so omega sits where (l+1)* would).
 
-    The 0-based slot of vertex t is t-1, of omega is l, and of t* is
-    2l+1-t (so omega sits where (l+1)* would).
+    Every slot of a range is one basis vector (a box) of s, and the arrows
+    act along each string.  For the D/C/Z families the two strings meet at
+    omega, where alpha sends one omega box to the other.
     """
-    l = s.l
-    v = [0] * (2 * l + 1)
-
-    def bump(lo: int, hi: int, amount: int):
-        for idx in range(lo, hi + 1):
-            v[idx] += amount
-
-    i, j = s.i, s.j
+    l, i, j = s.l, s.i, s.j
     if s.family == "M":
-        bump(i - 1, j - 1, 1)
-    elif s.family == "M*":
-        bump(2 * l + 1 - j, 2 * l + 1 - i, 1)
-    elif s.family in ("D+", "D-"):
-        bump(i - 1, j - 2, 1)
-        bump(j - 1, l - 1, 2)
-        v[l] += 2
-    elif s.family in ("C+", "C-"):
-        v[l] += 2
-        bump(l + 1, 2 * l + 1 - j, 2)
-        bump(2 * l + 2 - j, 2 * l + 1 - i, 1)
-    else:
-        bump(i - 1, l - 1, 1)
-        v[l] += 2
-        bump(l + 1, 2 * l + 1 - j, 1)
+        return [(i - 1, j - 1)]
+    if s.family == "M*":
+        return [(2 * l + 1 - j, 2 * l + 1 - i)]
+    if s.family in ("D+", "D-"):
+        return [(i - 1, l), (j - 1, l)]
+    if s.family in ("C+", "C-"):
+        return [(l, 2 * l + 1 - i), (l, 2 * l + 1 - j)]
+    return [(i - 1, l), (l, 2 * l + 1 - j)]
+
+
+def dimension_vector(s: Summand) -> DimensionVector:
+    """Dimensions over the 2l+1 vertices in the slot layout of
+    `_string_rows`: the number of boxes of s at each slot."""
+    v = [0] * (2 * s.l + 1)
+    for lo, hi in _string_rows(s):
+        for idx in range(lo, hi + 1):
+            v[idx] += 1
     return tuple(v)
 
 
@@ -290,12 +289,6 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     if gap % 2 == 1:
         pieces.append(SymmetricPiece.single(middle))
     return _collect(pieces)
-
-
-def flag_to_representation(spec: SpaceSpec) -> Multiset:
-    """The flag's own representation (loop acting as zero) in summand form."""
-    empty = LinkPattern(spec.group.family, spec.k, spec.blocks, ())
-    return pattern_to_summands(empty, spec)
 
 
 # -- explicit flag realizations and endomorphism dimensions -------------------
@@ -627,49 +620,3 @@ def multiset_text(ms: Multiset) -> str:
         return "(empty)"
     return " + ".join(f"{mult}*[{piece.text()}]" if mult != 1 else f"[{piece.text()}]"
                       for piece, mult in ms)
-
-
-def _string_rows(s: Summand) -> list[tuple[int, int]]:
-    """Index ranges (0-based slots, inclusive) of the one or two strings
-    whose boxes make up the coefficient quiver of s."""
-    l, i, j = s.l, s.i, s.j
-    if s.family == "M":
-        return [(i - 1, j - 1)]
-    if s.family == "M*":
-        return [(2 * l + 1 - j, 2 * l + 1 - i)]
-    if s.family in ("D+", "D-"):
-        return [(i - 1, l), (j - 1, l)]
-    if s.family in ("C+", "C-"):
-        return [(l, 2 * l + 1 - i), (l, 2 * l + 1 - j)]
-    return [(i - 1, l), (l, 2 * l + 1 - j)]
-
-
-def slot_name(idx: int, l: int) -> str:
-    """Vertex label of 0-based slot idx: 1..l, w, l*..1*."""
-    if idx < l:
-        return str(idx + 1)
-    if idx == l:
-        return "w"
-    return f"{2 * l + 1 - idx}*"
-
-
-def coefficient_quiver_dot(s: Summand) -> str:
-    """Graphviz source of the coefficient quiver: one node per basis box,
-    arrows for the string actions, and the alpha edge joining the two
-    middle boxes of the D/C/Z families."""
-    l = s.l
-    lines = ["digraph coefficient_quiver {", "  rankdir=LR;"]
-    rows = _string_rows(s)
-    omega_boxes = []
-    for rid, (lo, hi) in enumerate(rows):
-        for idx in range(lo, hi + 1):
-            lines.append(f'  r{rid}s{idx} [label="{slot_name(idx, l)}"];')
-            if idx == l:
-                omega_boxes.append(f"r{rid}s{idx}")
-        for idx in range(lo, hi):
-            lines.append(f"  r{rid}s{idx} -> r{rid}s{idx + 1};")
-    if len(omega_boxes) == 2:
-        lines.append(f'  {omega_boxes[0]} -> {omega_boxes[1]} [label="alpha"];')
-    lines.append("}")
-    return "\n".join(lines)
-

@@ -77,7 +77,8 @@ def rank_table_direct(x: Matrix) -> dict:
             if i > n or j == 0:
                 table[(i, j)] = 0
             else:
-                table[(i, j)] = naive_rank(x.submatrix(i, n, 1, j))
+                table[(i, j)] = naive_rank(
+                    Matrix(tuple(row[:j] for row in x.entries[i - 1:])))
     return table
 
 

@@ -177,6 +177,8 @@ def test_verify_respects_group_selection(capsys):
 HOSTILE_JSON = [
     ("identify", '{"rows":2,"cols":2,"entries":5}'),
     ("identify", '{"rows":2,"cols":2,"entries":[5,6]}'),
+    # 30 bytes that would otherwise build a million-digit integer
+    ("identify", '{"rows":2,"cols":2,"entries":[[0,"1e999999"],[0,0]]}'),
     ("repr", '{"kind":"symplectic","k":2,"b":[1,1],"arcs":5}'),
     ("repr", '{"kind":"symplectic","k":2,"b":["a",1],"arcs":[]}'),
     ("repr", '{"kind":"symplectic","k":true,"b":[1],"arcs":[]}'),
@@ -192,6 +194,28 @@ def test_malformed_json_fields_exit_2_with_one_line(tmp_path, capsys, command, t
     assert captured.out == ""
     assert captured.err.startswith(f"nilorbits {command}: ")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+DIGITS, NESTED = "1" * 5000, "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("identify", '{"rows":2,"cols":2,"entries":[[0,%s],[0,0]]}' % DIGITS,
+                 id="identify-5000-digit-entry"),
+    pytest.param("repr", '{"kind":"symplectic","k":%s,"b":[1],"arcs":[]}' % DIGITS,
+                 id="repr-5000-digit-k"),
+    pytest.param("identify", NESTED, id="identify-nested-100000-deep"),
+    pytest.param("repr", NESTED, id="repr-nested-100000-deep"),
+])
+def test_json_that_the_parser_refuses_exits_2_with_one_line(tmp_path, capsys, command, text):
+    # json.loads raises ValueError past 4300 digits and RecursionError on
+    # deep nesting, not JSONDecodeError
+    src = tmp_path / "input.json"
+    src.write_text(text, encoding="utf-8")
+    assert main([command, "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"nilorbits {command}: bad JSON")
+    assert len(captured.err.splitlines()) == 1
 
 
 UNREAD_FLAGS = [

@@ -1,9 +1,11 @@
 import random
+import re
+from math import comb
 
 import pytest
 
-from nilorbits.correspondence import (MalformedInputError,
-                                      _decode_orbit, identify,
+from nilorbits.correspondence import (MalformedInputError, _arcs_by_first_unit,
+                                      _decode, identify,
                                       identify_parabolic,
                                       parabolic_representative,
                                       pattern_to_matrix, rank_signature, refine,
@@ -132,12 +134,37 @@ def test_identify_rejects_non_members():
 
 
 def test_decode_rejects_malformed_positions():
-    with pytest.raises(MalformedInputError, match="middle index"):
-        _decode_orbit((3, 1), 5, 2)
-    with pytest.raises(MalformedInputError, match="diagonal"):
-        _decode_orbit((2, 2), 4, 2)
-    with pytest.raises(MalformedInputError, match="no low partner"):
-        _decode_orbit((4, 3), 4, 2)
+    sp4, o5 = GroupKind.symplectic(4), GroupKind.orthogonal(5)
+    # the middle index, the diagonal, the second unit of 1->2, and the first
+    # unit of 1->2 without its mirror (4,3)
+    for positions, g, first in (({(3, 1)}, o5, "(3,1)"), ({(2, 2)}, sp4, "(2,2)"),
+                                ({(4, 3)}, sp4, "(4,3)"), ({(2, 1)}, sp4, "(2,1)")):
+        with pytest.raises(MalformedInputError, match=re.escape(
+                f"delta position {first} starts no arc of {g.name}")):
+            _decode(positions, g)
+    # 1->2 and 2->1 decode, but vertices 1 and 2 each take two arcs
+    with pytest.raises(MalformedInputError, match="capacity rule"):
+        _decode({(2, 1), (4, 3), (1, 2), (3, 4)}, sp4)
+
+
+def test_decode_table_holds_every_borel_arc():
+    groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 13)])
+    for g in groups:
+        loops = 2 * g.l if g.is_symplectic else 0
+        assert len(_arcs_by_first_unit(g)) == 4 * comb(g.l, 2) + loops, g.name
+
+
+def test_delta_positions_are_the_representative_support():
+    groups = [GroupKind.orthogonal(1)] + list(all_groups(4))
+    for g in groups:
+        spec = SpaceSpec.borel(g)
+        for idx, p in enumerate(borel_patterns(g)):
+            x = pattern_to_matrix(p, g)
+            u, u_inv = random_group_element_pair(g, spec, idx)
+            for y in (x, u @ x @ u_inv):
+                assert set(rank_signature(y).delta_positions()) == set(x.support()), \
+                    (g.name, p.text())
 
 
 def test_refine_worked_example():

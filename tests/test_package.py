@@ -1,12 +1,16 @@
 import ast
 import pathlib
+import re
 import types
 
 import nilorbits
 
 # Imported but not called: perfbench/test_perfbench.py reads it to check that
-# the benchmark's tracer restores rebound names (ROADMAP item 5).
+# the benchmark's tracer restores rebound names (ROADMAP item 6).
 UNUSED_ON_PURPOSE = {("correspondence", "lie_member")}
+
+PACKAGE = pathlib.Path(nilorbits.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_all_is_an_explicit_list_of_resolvable_non_module_names():
@@ -22,7 +26,7 @@ def test_every_imported_name_is_used():
     # The lint step: no linter is a dependency, so unused imports are found
     # by comparing each module's imported names with the names it reads.
     unused = set()
-    for path in pathlib.Path(nilorbits.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -33,3 +37,21 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == UNUSED_ON_PURPOSE
+
+
+def _names_read(path: pathlib.Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_public_name_has_a_user():
+    # The public surface holds only what the package itself, the benchmark,
+    # the acceptance gate or the README uses; a name only unit tests call is
+    # not exported.
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += list((ROOT / "perfbench").glob("*.py"))
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(_names_read, sources))
+    used |= set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text()))
+    assert sorted(set(nilorbits.__all__) - used) == []

@@ -13,12 +13,11 @@ from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (Cminus, Cplus, Dminus, Dplus, M, Mstar, Summand,
                               SymmetricPiece, Zminus, Zplus, ar_sequences,
-                              ar_skipped, catalog, coefficient_quiver_dot,
-                              dimension_vector, dual, flag_to_representation,
+                              ar_skipped, catalog, dimension_vector, dual,
                               multiset_text, multiset_to_json,
                               pattern_to_summands, realize_flag,
-                              realize_isotropic_flag, slot_name,
-                              symmetric_endo_dim, total_dimension_vector)
+                              realize_isotropic_flag, symmetric_endo_dim,
+                              total_dimension_vector)
 
 
 def test_degenerate_names_normalize():
@@ -137,7 +136,7 @@ def test_summands_orthogonal_loops_come_doubled():
 def test_summands_odd_middle_is_single():
     g = GroupKind.orthogonal(5)
     spec = SpaceSpec.borel(g)
-    ms = flag_to_representation(spec)
+    ms = pattern_to_summands(LinkPattern(g.family, spec.k, spec.blocks, ()), spec)
     assert ms == [(SymmetricPiece.pair(M(1, 3, 2)), 1),
                   (SymmetricPiece.pair(M(2, 3, 2)), 1),
                   (SymmetricPiece.single(M(3, 3, 2)), 1)]
@@ -304,24 +303,11 @@ def test_ar_report_lists_sequences_and_skips(capsys):
     assert any("skipped mstar_to_projective" in line for line in lines)
 
 
-def test_coefficient_quiver_node_counts():
-    for s in (M(1, 2, 2), Dplus(1, 1, 2), Zplus(1, 2, 2), Cminus(1, 2, 2)):
-        dot = coefficient_quiver_dot(s)
-        nodes = [line for line in dot.splitlines() if "[label=" in line
-                 and "alpha" not in line]
-        assert len(nodes) == sum(dimension_vector(s)), s.text()
-    assert "alpha" in coefficient_quiver_dot(Zplus(1, 1, 2))
-    assert "alpha" not in coefficient_quiver_dot(M(1, 3, 2))
-
-
-def test_slot_names():
-    assert [slot_name(idx, 2) for idx in range(5)] == ["1", "2", "w", "2*", "1*"]
-
-
 def test_multiset_emitters():
     assert multiset_text([]) == "(empty)"
     g = GroupKind.orthogonal(5)
-    ms = flag_to_representation(SpaceSpec.borel(g))
+    spec = SpaceSpec.borel(g)
+    ms = pattern_to_summands(LinkPattern(g.family, spec.k, spec.blocks, ()), spec)
     assert multiset_text(ms) == ("[M(1,3) (+) M*(1,3)] + [M(2,3) (+) M*(2,3)]"
                                  " + [M(3,3)]")
     obj = json.loads(multiset_to_json(ms))
