@@ -17,12 +17,10 @@ from .correspondence import (MalformedInputError, RankSignature, identify,
                              identify_parabolic, parabolic_representative,
                              pattern_to_matrix, rank_signature, refine,
                              tex_matrix, tex_pattern, tex_table)
-from .quiver import (ARSequence, Cminus, Cplus, Dminus, Dplus, M, Mstar,
-                     SkipRecord, Summand, SymmetricPiece, SymmetricRep,
-                     Zminus, Zplus, ar_sequences, ar_skipped, catalog,
-                     dimension_vector, dual, pattern_to_summands, realize_flag,
-                     realize_isotropic_flag, symmetric_endo_dim,
-                     total_dimension_vector)
+from .quiver import (ARSequence, Summand, SymmetricPiece, SymmetricRep,
+                     ar_sequences, catalog, dimension_vector, dual,
+                     pattern_to_summands, realize_flag, realize_isotropic_flag,
+                     symmetric_endo_dim, total_dimension_vector)
 from .harness import (SuiteConfig, brute_force_count, exp_nilpotent,
                       random_group_element_pair, run_suite)
 
@@ -45,11 +43,10 @@ __all__ = [
     "parabolic_representative", "pattern_to_matrix", "rank_signature",
     "refine", "tex_matrix", "tex_pattern", "tex_table",
     # quiver
-    "ARSequence", "Cminus", "Cplus", "Dminus", "Dplus", "M", "Mstar",
-    "SkipRecord", "Summand", "SymmetricPiece", "SymmetricRep", "Zminus",
-    "Zplus", "ar_sequences", "ar_skipped", "catalog", "dimension_vector",
-    "dual", "pattern_to_summands", "realize_flag", "realize_isotropic_flag",
-    "symmetric_endo_dim", "total_dimension_vector",
+    "ARSequence", "Summand", "SymmetricPiece", "SymmetricRep", "ar_sequences",
+    "catalog", "dimension_vector", "dual", "pattern_to_summands",
+    "realize_flag", "realize_isotropic_flag", "symmetric_endo_dim",
+    "total_dimension_vector",
     # harness
     "SuiteConfig", "brute_force_count", "exp_nilpotent",
     "random_group_element_pair", "run_suite",

@@ -19,7 +19,7 @@ from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      matrix_from_json, matrix_to_json, orbit_dimension)
 from .patterns import (count_borel, enumerate_patterns, pattern_from_json,
                        pattern_to_json)
-from .quiver import (ar_sequences, ar_skipped, multiset_text, multiset_to_json,
+from .quiver import (ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
 _KINDS = {"sp": SYMPLECTIC, "o": ORTHOGONAL}
@@ -169,20 +169,14 @@ def _cmd_ar(args) -> int:
     if args.rank is None:
         raise DomainError("ar needs --rank")
     sequences = ar_sequences(args.rank)
-    skipped = ar_skipped(args.rank)
     if args.format == "json":
         obj = {"rank": args.rank,
                "sequences": [{"left": s.left.text(),
                               "middles": [m.text() for m in s.middles],
-                              "right": s.right.text(), "rule": s.rule}
-                             for s in sequences],
-               "skipped": [{"rule": s.rule, "indices": list(s.indices),
-                            "reason": s.reason} for s in skipped]}
+                              "right": s.right.text()} for s in sequences]}
         _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        lines = [s.text() for s in sequences]
-        lines += [f"skipped {s.rule}{s.indices}: {s.reason}" for s in skipped]
-        _emit(args, "\n".join(lines))
+        _emit(args, "\n".join(s.text() for s in sequences))
     return 0
 
 
@@ -236,7 +230,8 @@ _COMMANDS = {
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
                  ("group", "n", "in", "out"), ("json", "text")),
-    "ar": (_cmd_ar, "Auslander-Reiten sequences for the given rank",
+    "ar": (_cmd_ar, "the Auslander-Reiten sequence ending at each non-projective "
+                    "indecomposable of A(l), one per line",
            ("rank", "out"), ("json", "text")),
     "verify": (_cmd_verify, "run the randomized verification suite",
                ("kinds", "rank", "seed", "out"), ()),

@@ -1,6 +1,6 @@
 """The symmetric-quiver layer: indecomposables of A(l), dimension vectors,
 duality, the pattern <-> summand dictionary, flag representations, and the
-Auslander-Reiten sequence catalog.
+Auslander-Reiten sequences, derived from the strings of A(l).
 
 A(l) is the path algebra of the line quiver 1 -> ... -> l -> omega -> l* ->
 ... -> 1* with a loop alpha at omega, modulo alpha^2 = a_l* a_l = 0, where
@@ -83,38 +83,6 @@ class Summand:
 
     def text(self) -> str:
         return f"{self.family}({self.i},{self.j})"
-
-
-def M(i: int, j: int, l: int) -> Summand:
-    return Summand("M", i, j, l)
-
-
-def Mstar(i: int, j: int, l: int) -> Summand:
-    return Summand("M*", i, j, l)
-
-
-def Dplus(i: int, j: int, l: int) -> Summand:
-    return Summand("D+", i, j, l)
-
-
-def Dminus(i: int, j: int, l: int) -> Summand:
-    return Summand("D-", i, j, l)
-
-
-def Cplus(i: int, j: int, l: int) -> Summand:
-    return Summand("C+", i, j, l)
-
-
-def Cminus(i: int, j: int, l: int) -> Summand:
-    return Summand("C-", i, j, l)
-
-
-def Zplus(i: int, j: int, l: int) -> Summand:
-    return Summand("Z+", i, j, l)
-
-
-def Zminus(i: int, j: int, l: int) -> Summand:
-    return Summand("Z-", i, j, l)
 
 
 DimensionVector = tuple[int, ...]
@@ -261,29 +229,26 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     pieces: list[SymmetricPiece] = []
     for arc in p.arcs:
         if arc.loop_variant == LOOP_UNORIENTED:
-            pieces.append(SymmetricPiece.pair(Dplus(arc.source, arc.source, k)))
+            pieces.append(SymmetricPiece.pair(Summand("D+", arc.source, arc.source, k)))
         elif arc.loop_variant == LOOP_UPPER:
-            z = Zplus(arc.source, arc.source, k)
+            z = Summand("Z+", arc.source, arc.source, k)
             pieces.append(SymmetricPiece.single(z) if symplectic
                           else SymmetricPiece((z, z)))
         elif arc.loop_variant == LOOP_LOWER:
-            z = Zminus(arc.source, arc.source, k)
+            z = Summand("Z-", arc.source, arc.source, k)
             pieces.append(SymmetricPiece.single(z) if symplectic
                           else SymmetricPiece((z, z)))
         else:
             i, j = min(arc.source, arc.target), max(arc.source, arc.target)
             rightward = arc.source < arc.target
-            if not arc.dotted:
-                base = Dminus(i, j, k) if rightward else Dplus(i, j, k)
-            else:
-                base = Zminus(i, j, k) if rightward else Zplus(i, j, k)
-            pieces.append(SymmetricPiece.pair(base))
+            family = ("Z" if arc.dotted else "D") + ("-" if rightward else "+")
+            pieces.append(SymmetricPiece.pair(Summand(family, i, j, k)))
     for s, count in enumerate(free, start=1):
         for _ in range(count):
-            pieces.append(SymmetricPiece.pair(M(s, k + 1, k)))
+            pieces.append(SymmetricPiece.pair(Summand("M", s, k + 1, k)))
     reach = spec.flag[-1] if spec.flag else 0
     gap = spec.group.n - 2 * reach
-    middle = M(k + 1, k + 1, k)
+    middle = Summand("M", k + 1, k + 1, k)
     for _ in range(gap // 2):
         pieces.append(SymmetricPiece.pair(middle))
     if gap % 2 == 1:
@@ -432,6 +397,84 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
 
 
 # -- Auslander-Reiten sequences ------------------------------------------------
+#
+# A(l) is a string algebra without bands (its relations are monomial and alpha
+# is the only cycle), so every indecomposable is a string module.  A walk is
+# the tuple (v_0, d_1, v_1, ..., d_n, v_n) of its slots v_k and letter signs
+# d_k: the letter between v_{k-1} and v_k is direct (+1) when its arrow maps
+# the box at v_{k-1} to the box at v_k, and inverse (-1) otherwise.  A step
+# between two slots is a line arrow, direct when it goes up; a step from omega
+# to omega is alpha.  The empty walk is the zero module.
+
+
+def _path(slots: range) -> tuple[int, ...]:
+    """The walk along consecutive slots of the line."""
+    out = [slots[0]]
+    for u in slots[1:]:
+        out += [u - out[-1], u]
+    return tuple(out)
+
+
+def _walk(s: Summand) -> tuple[int, ...]:
+    """The string of s: its `_string_rows` joined by alpha at omega.
+
+    alpha goes the way `pattern_to_summands` realizes it: branch j to branch
+    i for D+ and C-, i to j for D- and C+, right to left for Z+ and left to
+    right for Z-.
+    """
+    l = s.l
+    (lo, hi), *rest = _string_rows(s)
+    if not rest:
+        return _path(range(lo, hi + 1))
+    first = range(lo, l + 1) if hi == l else range(hi, l - 1, -1)
+    lo, hi = rest[0]
+    second = range(l, hi + 1) if lo == l else range(l, lo - 1, -1)
+    alpha = 1 if s.family in ("D-", "C+", "Z-") else -1
+    return _path(first) + (alpha,) + _path(second)
+
+
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    out = list(w[::-1])
+    out[1::2] = [-d for d in out[1::2]]
+    return tuple(out)
+
+
+def _canonical(w: tuple[int, ...]) -> tuple[int, ...]:
+    return min(w, _inverse(w))
+
+
+def _extensions(w: tuple[int, ...], l: int, sign: int) -> list[tuple[int, ...]]:
+    """The strings that extend w on the right by one letter of the given
+    sign, line arrow first.  A string never backtracks, never passes
+    straight through omega (a_l* a_l = 0) and uses alpha at most once, so
+    it visits omega twice only by way of alpha."""
+    v = w[-1]
+    targets = [u for u in (v + sign, l if v == l else -1) if 0 <= u <= 2 * l]
+    if len(w) > 1:
+        prev = w[-3]
+        targets = [u for u in targets
+                   if not (u == prev != v or (u == v and w[::2].count(l) > 1)
+                           or (v == l and abs(u - prev) == 2))]
+    return [w + (sign, u) for u in targets]
+
+
+def _grow(w: tuple[int, ...], l: int, sign: int) -> tuple[int, ...]:
+    """w followed by the maximal path of letters of one sign."""
+    while ext := _extensions(w, l, sign):
+        w = ext[0]
+    return w
+
+
+def _cohook(w: tuple[int, ...], l: int, skip: int = 0) -> tuple[int, ...]:
+    """C_c: a cohook added on the right of w (one direct letter, then the
+    maximal inverse path) or, if no direct letter fits, the last hook deleted
+    (the last inverse letter and every letter after it).  `skip` passes over
+    the direct letter that the other end of a one-vertex walk has taken."""
+    ext = _extensions(w, l, 1)[skip:]
+    if ext:
+        return _grow(ext[0], l, -1)
+    cut = [k for k in range(1, len(w), 2) if w[k] < 0]
+    return w[:cut[-1]] if cut else ()
 
 
 @dataclass(frozen=True)
@@ -439,160 +482,33 @@ class ARSequence:
     left: Summand
     middles: tuple[Summand, ...]
     right: Summand
-    rule: str
 
     def text(self) -> str:
         mid = " (+) ".join(m.text() for m in self.middles)
         return f"0 -> {self.left.text()} -> {mid} -> {self.right.text()} -> 0"
 
 
-@dataclass(frozen=True)
-class SkipRecord:
-    rule: str
-    indices: tuple[int, ...]
-    reason: str
-
-
-def _ar_rules(l: int):
-    """The source table's sequence families with their literal index guards.
-
-    Each entry: (rule name, list of index tuples, builder).  Builders name
-    summands that the constructor may normalize; an invalid member makes
-    the instance a skip record instead of a sequence.
-    """
-    w = l + 1
-
-    def one(builder):
-        return [()], builder
-
-    rules = [
-        ("m_full", *one(lambda: (M(1, w, l), [Zplus(1, 1, l)], Mstar(1, w, l)))),
-        ("m_to_omega", [(i,) for i in range(2, l + 1)],
-         lambda i: (M(i, w, l), [M(i - 1, w, l), Zplus(i, 1, l)], Zplus(i - 1, 1, l))),
-        ("m_interior", [(i, j) for i in range(2, l + 1) for j in range(i + 1, l + 1)],
-         lambda i, j: (M(i, j, l), [M(i, j - 1, l), M(i - 1, j, l)], M(i - 1, j - 1, l))),
-        ("m_diagonal", [(i,) for i in range(2, l + 1)],
-         lambda i: (M(i, i, l), [M(i - 1, i, l)], M(i - 1, i - 1, l))),
-        ("mstar_top_row", [(j,) for j in range(2, l)],
-         lambda j: (Mstar(1, j, l), [Mstar(2, j, l), Mstar(1, j + 1, l)],
-                    Mstar(2, j + 1, l))),
-        ("mstar_to_projective",
-         *one(lambda: (Mstar(1, l, l), [Mstar(2, l, l), Cminus(1, 1, l)],
-                       Cminus(1, l, l)))),
-        ("mstar_full_first",
-         *one(lambda: (Mstar(1, w, l), [Mstar(2, w, l), Cplus(1, 1, l)],
-                       Cminus(1, 2, l)))),
-        ("mstar_diagonal", [(i,) for i in range(1, l)],
-         lambda i: (Mstar(i, i, l), [Mstar(i, i + 1, l)], Mstar(i + 1, i + 1, l))),
-        ("mstar_last_diagonal",
-         *one(lambda: (Mstar(l, l, l), [Cminus(1, l, l)], Cminus(1, w, l)))),
-        ("socle_omega",
-         *one(lambda: (M(w, w, l), [M(l, w, l), Cplus(1, w, l)], Zplus(l, 1, l)))),
-        ("mstar_full_shift", [(i,) for i in range(2, l)],
-         lambda i: (Mstar(i, w, l), [Mstar(i + 1, w, l), Cplus(1, i, l)],
-                    Cplus(1, i + 1, l))),
-        ("mstar_full_last",
-         *one(lambda: (Mstar(l, w, l), [M(w, w, l), Cplus(1, l, l)], Cplus(1, w, l)))),
-        ("mstar_interior", [(i, j) for i in range(2, l + 1) for j in range(i + 1, l)],
-         lambda i, j: (Mstar(i, j, l), [Mstar(i + 1, j, l), Mstar(i, j + 1, l)],
-                       Mstar(i + 1, j + 1, l))),
-        ("dplus_full_first",
-         *one(lambda: (Dplus(1, w, l), [Dplus(1, l, l), M(w, w, l)], M(l, w, l)))),
-        ("dplus_full_shift", [(i,) for i in range(2, l + 1)],
-         lambda i: (Dplus(i, w, l), [Dplus(i - 1, w, l), Dplus(i, l, l)],
-                    Dplus(i - 1, l, l))),
-        ("dplus_first_row", [(j,) for j in range(2, l + 1)],
-         lambda j: (Dplus(1, j, l), [Dplus(1, j - 1, l), M(j, w, l)], M(j - 1, w, l))),
-        ("dplus_interior", [(i, j) for i in range(2, l + 1) for j in range(i + 1, l + 1)],
-         lambda i, j: (Dplus(i, j, l), [Dplus(i - 1, j, l), Dplus(i, j - 1, l)],
-                       Dplus(i - 1, j - 1, l))),
-        ("dminus_full_first",
-         *one(lambda: (Dminus(1, w, l), [Dminus(1, l, l)], M(l, l, l)))),
-        ("dminus_full_shift", [(i,) for i in range(2, l + 1)],
-         lambda i: (Dminus(i, w, l), [Dminus(i - 1, w, l), Dplus(i, l, l)],
-                    Dminus(i - 1, l, l))),
-        ("dplus_diagonal", [(i,) for i in range(2, w + 1)],
-         lambda i: (Dplus(i, i, l), [Dminus(i - 1, i, l), Dplus(i - 1, i, l)],
-                    Dplus(i - 1, i - 1, l))),
-        ("dminus_first_row", [(j,) for j in range(2, l + 1)],
-         lambda j: (Dminus(1, j, l), [Dminus(1, j - 1, l), M(j, l, l)], M(j - 1, l, l))),
-        ("dminus_interior", [(i, j) for i in range(2, l + 1) for j in range(i + 1, l + 1)],
-         lambda i, j: (Dminus(i, j, l), [Dminus(i - 1, j, l), Dminus(i, j - 1, l)],
-                       Dminus(i - 1, j - 1, l))),
-        ("cplus_full_shift", [(i,) for i in range(1, l)],
-         lambda i: (Cplus(i, w, l), [Cplus(i + 1, w, l), Zplus(l, i, l)],
-                    Zplus(l, i + 1, l))),
-        ("cplus_full_last",
-         *one(lambda: (Cplus(l, w, l), [Cplus(w, w, l), Zplus(l, l, l)],
-                       Dplus(l, w, l)))),
-        ("cplus_interior", [(i, j) for i in range(2, l + 1) for j in range(i, l + 1)],
-         lambda i, j: (Cplus(i, j, l), [Cplus(i + 1, j, l), Cplus(i, j + 1, l)],
-                       Cplus(i + 1, j + 1, l))),
-        ("cminus_full_first",
-         *one(lambda: (Cminus(1, w, l), [Zminus(l, 1, l), Cminus(2, w, l)],
-                       Zminus(l, 2, l)))),
-        ("cminus_full_shift", [(i,) for i in range(1, l + 1)],
-         lambda i: (Cminus(i, w, l), [Zminus(l, i, l), Cminus(i + 1, w, l)],
-                    Zminus(l, i + 1, l))),
-        ("cminus_projective",
-         *one(lambda: (Cminus(1, 1, l), [Cminus(1, 2, l), Cplus(1, 2, l)],
-                       Cplus(2, 2, l)))),
-        ("cminus_interior", [(i, j) for i in range(2, l + 1) for j in range(i, l + 1)],
-         lambda i, j: (Cminus(i, j, l), [Cminus(i + 1, j, l), Cminus(i, j + 1, l)],
-                       Cminus(i + 1, j + 1, l))),
-        ("zplus_first_row", [(j,) for j in range(1, l + 1)],
-         lambda j: (Zplus(1, j, l), [Zplus(1, j + 1, l), Mstar(j, w, l)],
-                    Mstar(j + 1, w, l))),
-        ("zplus_interior", [(i, j) for i in range(2, l + 1) for j in range(1, l + 1)],
-         lambda i, j: (Zplus(i, j, l), [Zplus(i, j + 1, l), Zplus(i - 1, j, l)],
-                       Zplus(i - 1, j + 1, l))),
-        ("zminus_projective", [(i,) for i in range(2, l + 1)],
-         lambda i: (Zminus(i, 1, l), [Zminus(i - 1, 1, l), Zminus(i, 2, l)],
-                    Zminus(i - 1, 2, l))),
-        ("zminus_interior", [(i, j) for i in range(2, l + 1) for j in range(1, l + 1)],
-         lambda i, j: (Zminus(i, j, l), [Zminus(i - 1, j, l), Zminus(i, j + 1, l)],
-                       Zminus(i - 1, j + 1, l))),
-    ]
-    return rules
-
-
-def _ar_build(l: int) -> tuple[list[ARSequence], list[SkipRecord]]:
+def ar_sequences(l: int) -> list[ARSequence]:
+    """The AR sequence 0 -> M(_cC_c) -> M(_cC) (+) M(C_c) -> M(C) -> 0 of
+    every non-projective string C, in catalog order (Butler-Ringel)."""
     if l < 1:
         raise DomainError("AR sequences need rank l >= 1")
-    sequences: list[ARSequence] = []
-    skips: list[SkipRecord] = []
-    seen: set[tuple] = set()
-    for name, instances, builder in _ar_rules(l):
-        for idx in instances:
-            if name == "mstar_to_projective" and l >= 3:
-                # the printed middle is short of the dimension count for
-                # every l >= 3; emitting it would break exactness, so it is
-                # recorded instead of guessed at
-                skips.append(SkipRecord(name, idx,
-                                        "dimension additivity fails for l >= 3"))
-                continue
-            try:
-                left, middles, right = builder(*idx)
-            except DomainError as exc:
-                skips.append(SkipRecord(name, idx, f"invalid member: {exc}"))
-                continue
-            middles = tuple(sorted(middles, key=Summand.key))
-            key = (left, middles, right)
-            if key in seen:
-                continue
-            seen.add(key)
-            sequences.append(ARSequence(left, middles, right, name))
-    return sequences, skips
-
-
-def ar_sequences(l: int) -> list[ARSequence]:
-    """All instantiated AR sequences of A(l), deduplicated, in table order."""
-    return _ar_build(l)[0]
-
-
-def ar_skipped(l: int) -> list[SkipRecord]:
-    """Boundary instances that were recorded instead of instantiated."""
-    return _ar_build(l)[1]
+    names = {_canonical(_walk(s)): s for s in catalog(l)}
+    # P(v) = p^-1 q for the maximal direct paths p and q leaving v
+    projective = {_canonical(_grow(_inverse(_grow((v,), l, 1)), l, 1))
+                  for v in range(2 * l + 1)}
+    out = []
+    for c, s in names.items():
+        if c in projective:
+            continue
+        right = _cohook(c, l)
+        left = _inverse(_cohook(_inverse(c), l, skip=len(c) == 1))
+        # _c(C_c) = (_cC)_c; when C_c is zero only the second form is defined
+        both = _inverse(_cohook(_inverse(right), l)) if right else _cohook(left, l)
+        middles = sorted((names[_canonical(w)] for w in (left, right) if w),
+                         key=Summand.key)
+        out.append(ARSequence(names[_canonical(both)], tuple(middles), s))
+    return out
 
 
 # -- emitters -----------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import Matrix
+from nilorbits.linalg import Matrix, _eliminate
 from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER
 
 
@@ -103,3 +103,106 @@ def borel_valid_direct(kind: str, k: int, arcs) -> bool:
             return False
         seen |= ends
     return True
+
+
+# -- A(l) as a string algebra: strings and an exact Hom oracle ----------------
+#
+# Slots 0..2l hold 1, ..., l, omega, l*, ..., 1*; line arrow s maps slot s to
+# slot s+1 and the loop "alpha" acts at omega = slot l.  The zero relations
+# are alpha alpha and (arrow l) (arrow l-1), which passes through omega.  A
+# walk (v_0, d_1, v_1, ..., d_n, v_n) lists its slots and letter signs, d_k = 1
+# when the arrow of the k-th letter maps the box at v_{k-1} to the box at v_k.
+
+
+def _letters(l):
+    """Every letter of A(l) as (arrow, sign, from slot, to slot)."""
+    arrows = [(s, s, s + 1) for s in range(2 * l)] + [("alpha", l, l)]
+    return ([(a, 1, src, dst) for a, src, dst in arrows]
+            + [(a, -1, dst, src) for a, src, dst in arrows])
+
+
+def _is_zero_path(first, then, l):
+    """Whether the arrow `then` after the arrow `first` is a relation."""
+    return (first, then) in {("alpha", "alpha"), (l - 1, l)}
+
+
+def enumerate_strings(l):
+    """All strings of A(l) up to inversion, by depth-first search over letters.
+
+    A string never backtracks (a letter followed by its inverse) and contains
+    no relation, read forwards along direct letters or backwards along
+    inverse ones.  A(l) has no bands, so the search stops; a string longer
+    than 4l+2 letters would be a band and fails the search.
+    """
+    letters = _letters(l)
+    found = set()
+
+    def grow(walk, last):
+        inverse = tuple(-x if k % 2 else x for k, x in enumerate(reversed(walk)))
+        found.add(min(walk, inverse))
+        assert len(walk) <= 2 * (4 * l + 2) + 1, walk
+        for letter in letters:
+            arrow, sign, src, dst = letter
+            if src != walk[-1]:
+                continue
+            if last is not None:
+                if (arrow, sign) == (last[0], -last[1]):
+                    continue
+                if sign == last[1] == 1 and _is_zero_path(last[0], arrow, l):
+                    continue
+                if sign == last[1] == -1 and _is_zero_path(arrow, last[0], l):
+                    continue
+            grow(walk + (sign, dst), letter)
+
+    for v in range(2 * l + 1):
+        grow((v,), None)
+    return found
+
+
+def string_module(walk, l):
+    """The string module of a walk as (dims, maps): one basis vector per box,
+    and maps[arrow] the matrix from its source slot to its target slot."""
+    slots = walk[::2]
+    dims = [0] * (2 * l + 1)
+    index = []
+    for v in slots:
+        index.append(dims[v])
+        dims[v] += 1
+    maps = {a: [[0] * dims[src] for _ in range(dims[dst])]
+            for a, sign, src, dst in _letters(l) if sign == 1}
+    for k, sign in enumerate(walk[1::2]):
+        a, b = (k, k + 1) if sign == 1 else (k + 1, k)
+        arrow = "alpha" if slots[a] == slots[b] else min(slots[a], slots[b])
+        maps[arrow][index[b]][index[a]] = 1
+    return tuple(dims), maps
+
+
+def hom_dim(x, y):
+    """dim Hom(x, y) of two representations (dims, maps) of A(l) with integer
+    matrices: the solutions f_v of f_dst x_a = y_a f_src over every arrow a,
+    by exact elimination."""
+    (xd, xm), (yd, ym) = x, y
+    offsets = [0]
+    for a, b in zip(xd, yd):
+        offsets.append(offsets[-1] + a * b)
+
+    def var(v, r, c):  # entry (r, c) of f_v: X_v -> Y_v
+        return offsets[v] + r * xd[v] + c
+
+    rows = []
+    for a, xa in xm.items():
+        src, dst = (len(xd) // 2,) * 2 if a == "alpha" else (a, a + 1)
+        ya = ym[a]
+        for p in range(yd[dst]):
+            for q in range(xd[src]):
+                row = {}
+                for r in range(xd[dst]):
+                    if xa[r][q]:
+                        row[var(dst, p, r)] = row.get(var(dst, p, r), 0) + xa[r][q]
+                for r in range(yd[src]):
+                    if ya[p][r]:
+                        row[var(src, r, q)] = row.get(var(src, r, q), 0) - ya[p][r]
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return offsets[-1] - len(_eliminate(rows, offsets[-1]))

@@ -154,11 +154,17 @@ def test_ar_json_and_missing_rank(capsys):
     assert main(["ar", "--rank", "2", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["rank"] == 2
-    assert len(obj["sequences"]) == 28
-    assert len(obj["skipped"]) == 2
-    assert obj["sequences"][0]["left"] == "M(1,3)"
+    assert len(obj["sequences"]) == 31
+    assert set(obj) == {"rank", "sequences"}
+    # the first non-projective is the simple at vertex 1
+    assert obj["sequences"][0] == {"left": "M(2,2)", "middles": ["M(1,2)"],
+                                   "right": "M(1,1)"}
     assert main(["ar"]) == 2
     assert "needs --rank" in capsys.readouterr().err
+    assert main(["ar", "--rank", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("nilorbits ar: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_verify_writes_a_report(tmp_path, capsys):

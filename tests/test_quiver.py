@@ -5,42 +5,44 @@ from itertools import combinations
 import pytest
 
 from nilorbits.cli import main
-from nilorbits.correspondence import pattern_to_matrix
+from nilorbits.correspondence import (parabolic_representative,
+                                      pattern_to_matrix)
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               centralizer_dim_in, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
-from nilorbits.quiver import (Cminus, Cplus, Dminus, Dplus, M, Mstar, Summand,
-                              SymmetricPiece, Zminus, Zplus, ar_sequences,
-                              ar_skipped, catalog, dimension_vector, dual,
+from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
+                              ar_sequences, catalog, dimension_vector, dual,
                               multiset_text, multiset_to_json,
                               pattern_to_summands, realize_flag,
                               realize_isotropic_flag, symmetric_endo_dim,
                               total_dimension_vector)
 
+from conftest import enumerate_strings, hom_dim, string_module
+
 
 def test_degenerate_names_normalize():
-    assert Zplus(1, 3, 2) == Dplus(1, 3, 2)
-    assert Zminus(3, 2, 2) == Cminus(2, 3, 2)
-    assert Zplus(3, 3, 2) == Dplus(3, 3, 2)
-    assert Dminus(2, 2, 3) == Dplus(2, 2, 3)
-    assert Cminus(1, 1, 2) == Cplus(1, 1, 2)
-    assert Cplus(3, 3, 2) == Dplus(3, 3, 2)
-    assert Mstar(3, 3, 2) == M(3, 3, 2)
-    assert Zplus(1, 3, 2).family == "D+"
-    assert Zminus(3, 2, 2).text() == "C-(2,3)"
+    assert Summand("Z+", 1, 3, 2) == Summand("D+", 1, 3, 2)
+    assert Summand("Z-", 3, 2, 2) == Summand("C-", 2, 3, 2)
+    assert Summand("Z+", 3, 3, 2) == Summand("D+", 3, 3, 2)
+    assert Summand("D-", 2, 2, 3) == Summand("D+", 2, 2, 3)
+    assert Summand("C-", 1, 1, 2) == Summand("C+", 1, 1, 2)
+    assert Summand("C+", 3, 3, 2) == Summand("D+", 3, 3, 2)
+    assert Summand("M*", 3, 3, 2) == Summand("M", 3, 3, 2)
+    assert Summand("Z+", 1, 3, 2).family == "D+"
+    assert Summand("Z-", 3, 2, 2).text() == "C-(2,3)"
 
 
 def test_summand_range_errors():
     with pytest.raises(DomainError):
-        M(2, 1, 2)
+        Summand("M", 2, 1, 2)
     with pytest.raises(DomainError):
-        M(1, 5, 3)
+        Summand("M", 1, 5, 3)
     with pytest.raises(DomainError):
-        Zplus(0, 1, 2)
+        Summand("Z+", 0, 1, 2)
     with pytest.raises(DomainError):
-        Dminus(2, 5, 3)
+        Summand("D-", 2, 5, 3)
     with pytest.raises(DomainError):
         Summand("X", 1, 1, 1)
     with pytest.raises(DomainError):
@@ -50,27 +52,27 @@ def test_summand_range_errors():
 def test_dual_is_an_involution_with_known_fixed_points():
     for s in catalog(3):
         assert dual(dual(s)) == s
-    assert dual(M(1, 2, 3)) == Mstar(1, 2, 3)
-    assert dual(Dplus(1, 2, 3)) == Cplus(1, 2, 3)
-    assert dual(Dminus(1, 2, 3)) == Cminus(1, 2, 3)
-    assert dual(Zplus(1, 2, 3)) == Zplus(2, 1, 3)
-    assert dual(M(4, 4, 3)) == M(4, 4, 3)
-    assert dual(Zminus(2, 2, 3)) == Zminus(2, 2, 3)
+    assert dual(Summand("M", 1, 2, 3)) == Summand("M*", 1, 2, 3)
+    assert dual(Summand("D+", 1, 2, 3)) == Summand("C+", 1, 2, 3)
+    assert dual(Summand("D-", 1, 2, 3)) == Summand("C-", 1, 2, 3)
+    assert dual(Summand("Z+", 1, 2, 3)) == Summand("Z+", 2, 1, 3)
+    assert dual(Summand("M", 4, 4, 3)) == Summand("M", 4, 4, 3)
+    assert dual(Summand("Z-", 2, 2, 3)) == Summand("Z-", 2, 2, 3)
     fixed = [s for s in catalog(2) if dual(s) == s]
-    assert fixed == sorted([M(3, 3, 2), Dplus(3, 3, 2), Zplus(1, 1, 2),
-                            Zplus(2, 2, 2), Zminus(1, 1, 2), Zminus(2, 2, 2)],
-                           key=Summand.key)
+    want = [Summand(f, i, i, 2) for f, i in
+            (("M", 3), ("D+", 3), ("Z+", 1), ("Z+", 2), ("Z-", 1), ("Z-", 2))]
+    assert fixed == sorted(want, key=Summand.key)
 
 
 def test_dimension_vectors_frozen():
-    assert dimension_vector(M(2, 3, 2)) == (0, 1, 1, 0, 0)
-    assert dimension_vector(Mstar(2, 3, 2)) == (0, 0, 1, 1, 0)
-    assert dimension_vector(Zplus(1, 1, 2)) == (1, 1, 2, 1, 1)
-    assert dimension_vector(Dplus(1, 1, 2)) == (2, 2, 2, 0, 0)
-    assert dimension_vector(Cplus(1, 1, 2)) == (0, 0, 2, 2, 2)
-    assert dimension_vector(Dminus(1, 3, 2)) == (1, 1, 2, 0, 0)
-    assert SymmetricPiece.pair(Dplus(1, 1, 2)).dimension_vector() == (2, 2, 4, 2, 2)
-    assert SymmetricPiece.pair(M(2, 3, 2)).dimension_vector() == (0, 1, 2, 1, 0)
+    assert dimension_vector(Summand("M", 2, 3, 2)) == (0, 1, 1, 0, 0)
+    assert dimension_vector(Summand("M*", 2, 3, 2)) == (0, 0, 1, 1, 0)
+    assert dimension_vector(Summand("Z+", 1, 1, 2)) == (1, 1, 2, 1, 1)
+    assert dimension_vector(Summand("D+", 1, 1, 2)) == (2, 2, 2, 0, 0)
+    assert dimension_vector(Summand("C+", 1, 1, 2)) == (0, 0, 2, 2, 2)
+    assert dimension_vector(Summand("D-", 1, 3, 2)) == (1, 1, 2, 0, 0)
+    assert SymmetricPiece.pair(Summand("D+", 1, 1, 2)).dimension_vector() == (2, 2, 4, 2, 2)
+    assert SymmetricPiece.pair(Summand("M", 2, 3, 2)).dimension_vector() == (0, 1, 2, 1, 0)
 
 
 def test_dual_reverses_dimension_vectors():
@@ -88,14 +90,14 @@ def test_catalog_sizes_and_order():
 
 def test_symmetric_piece_validation():
     with pytest.raises(DomainError, match="self-dual"):
-        SymmetricPiece.single(M(1, 2, 2))
+        SymmetricPiece.single(Summand("M", 1, 2, 2))
     with pytest.raises(DomainError, match="dual pair"):
-        SymmetricPiece((M(1, 2, 2), M(1, 3, 2)))
+        SymmetricPiece((Summand("M", 1, 2, 2), Summand("M", 1, 3, 2)))
     with pytest.raises(DomainError, match="one or two"):
-        SymmetricPiece((M(3, 3, 2), M(3, 3, 2), M(3, 3, 2)))
-    z = Zplus(1, 1, 1)
+        SymmetricPiece((Summand("M", 3, 3, 2),) * 3)
+    z = Summand("Z+", 1, 1, 1)
     assert SymmetricPiece((z, z)).dimension_vector() == (2, 4, 2)
-    assert SymmetricPiece.pair(M(1, 2, 2)).text() == "M(1,2) (+) M*(1,2)"
+    assert SymmetricPiece.pair(Summand("M", 1, 2, 2)).text() == "M(1,2) (+) M*(1,2)"
 
 
 def test_summands_of_borel_loop_pattern():
@@ -103,8 +105,8 @@ def test_summands_of_borel_loop_pattern():
     spec = SpaceSpec.borel(g)
     p = LinkPattern.borel("symplectic", 2, (upper_loop(1),))
     ms = pattern_to_summands(p, spec)
-    assert ms == [(SymmetricPiece.pair(M(2, 3, 2)), 1),
-                  (SymmetricPiece.single(Zplus(1, 1, 2)), 1)]
+    assert ms == [(SymmetricPiece.pair(Summand("M", 2, 3, 2)), 1),
+                  (SymmetricPiece.single(Summand("Z+", 1, 1, 2)), 1)]
 
 
 def test_summands_worked_example():
@@ -113,10 +115,10 @@ def test_summands_worked_example():
     p = LinkPattern("symplectic", 2, (4, 2),
                     (unoriented_loop(1), upper_loop(1), dotted(1, 2)))
     ms = pattern_to_summands(p, spec)
-    assert ms == [(SymmetricPiece.pair(M(2, 3, 2)), 1),
-                  (SymmetricPiece.pair(Dplus(1, 1, 2)), 1),
-                  (SymmetricPiece.single(Zplus(1, 1, 2)), 1),
-                  (SymmetricPiece.pair(Zminus(1, 2, 2)), 1)]
+    assert ms == [(SymmetricPiece.pair(Summand("M", 2, 3, 2)), 1),
+                  (SymmetricPiece.pair(Summand("D+", 1, 1, 2)), 1),
+                  (SymmetricPiece.single(Summand("Z+", 1, 1, 2)), 1),
+                  (SymmetricPiece.pair(Summand("Z-", 1, 2, 2)), 1)]
     assert total_dimension_vector(ms) == (4, 6, 12, 6, 4)
     assert total_dimension_vector(ms) == spec.dimension_vector()
 
@@ -125,7 +127,7 @@ def test_summands_orthogonal_loops_come_doubled():
     g = GroupKind.orthogonal(4)
     spec = SpaceSpec.from_blocks(g, (2,))
     p = LinkPattern("orthogonal", 1, (2,), (upper_loop(1),))
-    z = Zplus(1, 1, 1)
+    z = Summand("Z+", 1, 1, 1)
     assert pattern_to_summands(p, spec) == [(SymmetricPiece((z, z)), 1)]
     # Two dotted orthogonal loops take 4 from a capacity of 2.
     over = LinkPattern("orthogonal", 1, (2,), (upper_loop(1), upper_loop(1)))
@@ -137,9 +139,9 @@ def test_summands_odd_middle_is_single():
     g = GroupKind.orthogonal(5)
     spec = SpaceSpec.borel(g)
     ms = pattern_to_summands(LinkPattern(g.family, spec.k, spec.blocks, ()), spec)
-    assert ms == [(SymmetricPiece.pair(M(1, 3, 2)), 1),
-                  (SymmetricPiece.pair(M(2, 3, 2)), 1),
-                  (SymmetricPiece.single(M(3, 3, 2)), 1)]
+    assert ms == [(SymmetricPiece.pair(Summand("M", 1, 3, 2)), 1),
+                  (SymmetricPiece.pair(Summand("M", 2, 3, 2)), 1),
+                  (SymmetricPiece.single(Summand("M", 3, 3, 2)), 1)]
 
 
 def test_summands_rejects_mismatches():
@@ -260,11 +262,97 @@ def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
         assert symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec), p.text()
 
 
-def test_ar_counts_and_skips_frozen():
-    assert [len(ar_sequences(l)) for l in (1, 2, 3, 4)] == [12, 28, 53, 89]
-    assert [len(ar_skipped(l)) for l in (1, 2, 3, 4)] == [1, 2, 5, 7]
+def test_ar_sequences_cover_every_non_projective_once():
+    # A(l) has 2l+1 indecomposable projectives, and every other
+    # indecomposable is the right end of exactly one AR sequence.  tau is a
+    # bijection onto the non-injectives, and the injectives are the duals of
+    # the projectives (dual reflects the quiver and dualizes the spaces).
+    for l in range(1, 7):
+        sequences = ar_sequences(l)
+        assert len(sequences) == len(catalog(l)) - (2 * l + 1)
+        rights = [seq.right for seq in sequences]
+        assert len(set(rights)) == len(rights)
+        lefts = [seq.left for seq in sequences]
+        injectives = {dual(s) for s in set(catalog(l)) - set(rights)}
+        assert set(lefts) == set(catalog(l)) - injectives
+        assert len(set(lefts)) == len(lefts)
+    assert [len(ar_sequences(l)) for l in (1, 2, 3, 4)] == [11, 31, 61, 101]
     with pytest.raises(DomainError):
         ar_sequences(0)
+
+
+def test_strings_of_a_l_are_the_catalog():
+    # Every indecomposable of A(l) is a string module, so the strings found by
+    # an independent search, up to inversion, are exactly the catalog's walks.
+    for l in range(1, 7):
+        walks = {_canonical(_walk(s)): s for s in catalog(l)}
+        assert len(walks) == len(catalog(l)) == (5 * l + 2) * (l + 1)
+        assert enumerate_strings(l) == set(walks)
+        for walk, s in walks.items():
+            dims = [0] * (2 * l + 1)
+            for v in walk[::2]:
+                dims[v] += 1
+            assert tuple(dims) == dimension_vector(s), s.text()
+
+
+def test_ar_sequences_satisfy_the_defect_formula():
+    # 0 -> L -> E -> R -> 0 is almost split iff, for every indecomposable X,
+    # dim Hom(X, L) - dim Hom(X, E) + dim Hom(X, R) = [X = R].
+    for l in (1, 2, 3):
+        modules = {s: string_module(_walk(s), l) for s in catalog(l)}
+        homs = {}
+
+        def hom(x, y):
+            if (x, y) not in homs:
+                homs[x, y] = hom_dim(modules[x], modules[y])
+            return homs[x, y]
+
+        for seq in ar_sequences(l):
+            for x in modules:
+                defect = (hom(x, seq.left) - sum(hom(x, m) for m in seq.middles)
+                          + hom(x, seq.right))
+                assert defect == (x == seq.right), (seq.text(), x.text())
+
+
+def flag_module(spec, x):
+    """The A(k) representation of the standard flag with loop x.
+
+    V_s = <e_1..e_{d_s}>, V_omega = Q^n and V_{s*} = V / V_s^perp, whose basis
+    is the images of e_{n+1-d_s}..e_n.  Every space is thus a window of the
+    coordinates of Q^n, and every line arrow (inclusion or projection) keeps
+    the coordinates its two windows share; alpha is x.
+    """
+    n, k = spec.group.n, spec.k
+    dims = spec.flag + (n,) + spec.flag[::-1]
+    lows = [0] * (k + 1) + [n - d for d in spec.flag[::-1]]
+    maps = {s: [[int(lows[s] + c == lows[s + 1] + r) for c in range(dims[s])]
+                for r in range(dims[s + 1])] for s in range(2 * k)}
+    assert all(v.denominator == 1 for row in x.entries for v in row)
+    maps["alpha"] = [[int(v) for v in row] for row in x.entries]
+    return dims, maps
+
+
+@pytest.mark.parametrize("g, blocks", [
+    (GroupKind.symplectic(4), None), (GroupKind.symplectic(6), None),
+    (GroupKind.orthogonal(5), None), (GroupKind.orthogonal(6), None),
+    (GroupKind.orthogonal(7), None), (GroupKind.symplectic(8), (2, 2)),
+    (GroupKind.orthogonal(9), (2, 1, 1)),
+], ids=["sp_4", "sp_6", "o_5", "o_6", "o_7", "sp_8-2,2", "o_9-2,1,1"])
+def test_summands_match_the_flag_representation_by_hom_vectors(g, blocks):
+    # Hom(X, -) over all indecomposables X determines a module (Auslander), so
+    # this pins pattern_to_summands, and the alpha directions of _walk, to the
+    # representation the orbit's representative actually gives.
+    spec = SpaceSpec.borel(g) if blocks is None else SpaceSpec.from_blocks(g, blocks)
+    k = spec.k
+    modules = {s: string_module(_walk(s), k) for s in catalog(k)}
+    homs = {}
+    for p in enumerate_patterns(g.family, k, spec.blocks):
+        rep = flag_module(spec, parabolic_representative(p, spec))
+        parts = [part for piece, mult in pattern_to_summands(p, spec)
+                 for part in piece.parts * mult]
+        for x, mx in modules.items():
+            want = sum(homs.setdefault((x, y), hom_dim(mx, modules[y])) for y in parts)
+            assert hom_dim(mx, rep) == want, (p.text(), x.text())
 
 
 def test_ar_sequences_are_dimension_exact():
@@ -284,23 +372,12 @@ def test_ar_sequences_have_no_duplicates():
         assert len(set(triples)) == len(triples)
 
 
-def test_projective_cover_rule_is_version_dependent():
-    # the rule instantiates cleanly only at l = 2: at l = 1 a middle term is
-    # out of range, and from l = 3 on the dimension count fails
-    assert any(seq.rule == "mstar_to_projective" for seq in ar_sequences(2))
-    skips1 = {s.rule: s.reason for s in ar_skipped(1)}
-    assert "invalid member" in skips1["mstar_to_projective"]
-    for l in (3, 4):
-        skips = {s.rule: s.reason for s in ar_skipped(l)}
-        assert skips["mstar_to_projective"] == "dimension additivity fails for l >= 3"
-
-
 def test_ar_report_lists_sequences_and_skips(capsys):
     assert main(["ar", "--rank", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 53 + 5
-    assert lines[0].startswith("0 -> ")
-    assert any("skipped mstar_to_projective" in line for line in lines)
+    assert len(lines) == 61
+    assert all(line.startswith("0 -> ") and line.endswith(" -> 0") for line in lines)
+    assert not any("skipped" in line for line in lines)
 
 
 def test_multiset_emitters():
