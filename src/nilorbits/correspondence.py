@@ -22,7 +22,7 @@ from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
 # to check that its tracer restores rebound names (ROADMAP item 6).
 from .linalg import lie_member  # noqa: F401
 from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER,
-                       _arc_cost, _arc_types, glue, validate)
+                       _arc_cost, _arc_types, _free_capacity, glue, validate)
 
 
 class MalformedInputError(ValueError):
@@ -53,16 +53,9 @@ def _arc_units(arc: Arc, n: int, eps: int) -> list[tuple[int, int, int]]:
 
 
 def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
-    """Representative matrix of a Borel-level pattern's orbit."""
-    if not p.is_borel_level:
-        raise DomainError("pattern_to_matrix expects capacities (1,...,1); "
-                          "use parabolic_representative for block patterns")
-    if (p.kind == "symplectic") != g.is_symplectic:
-        raise DomainError("pattern kind does not match the group family")
-    if p.k != g.l:
-        raise DomainError(f"pattern has {p.k} vertices but {g.name} has rank {g.l}")
-    if not validate(p):
-        raise DomainError("pattern is not valid for its capacities")
+    """Representative matrix of a Borel-level pattern's orbit (block
+    patterns go through `parabolic_representative`)."""
+    _free_capacity(p, SpaceSpec.borel(g))
     n = g.n
     eps = 1 if g.is_symplectic else -1
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -82,12 +75,7 @@ def refine(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
     arc, a lower dotted loop a dotted rightward arc (the orthogonal case;
     symplectic dotted loops stay loops on a single fresh vertex).
     """
-    if p.b != spec.blocks:
-        raise DomainError("pattern capacities do not match the flag blocks")
-    if (p.kind == "symplectic") != spec.group.is_symplectic:
-        raise DomainError("pattern kind does not match the group family")
-    if not validate(p):
-        raise DomainError("pattern is not valid for its capacities")
+    _free_capacity(p, spec)
     next_free = [d + 1 for d in (0,) + spec.flag[:-1]]
 
     def take(block: int) -> int:

@@ -512,15 +512,15 @@ def parabolic_dim(spec: SpaceSpec) -> int:
     return membership_dim(spec.group, _flag_allows(spec.flag))
 
 
-def centralizer_dim_in(x: Matrix, g: GroupKind, flag: SpaceSpec) -> int:
-    """Dimension of {a in the parabolic of `flag` : a x = x a}."""
-    require_two_nilpotent(x, g)
-    return membership_dim(g, _flag_allows(flag.flag), x)
+def centralizer_dim_in(x: Matrix, spec: SpaceSpec) -> int:
+    """Dimension of {a in the parabolic of `spec` : a x = x a}."""
+    require_two_nilpotent(x, spec.group)
+    return membership_dim(spec.group, _flag_allows(spec.flag), x)
 
 
 def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     """dim(parabolic orbit of x) = dim p - dim centralizer_p(x)."""
-    return parabolic_dim(spec) - centralizer_dim_in(x, spec.group, spec)
+    return parabolic_dim(spec) - centralizer_dim_in(x, spec)
 
 
 def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None = None
@@ -588,11 +588,15 @@ def matrix_to_json(m: Matrix) -> str:
     return json.dumps(matrix_to_obj(m), sort_keys=True, separators=(",", ":"))
 
 
-def matrix_from_json(text: str) -> Matrix:
+def _load_json(text: str):
+    """The decoded JSON value of `text`, refused as a DomainError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers over 4300 digits,
         # RecursionError deep nesting
         raise DomainError(f"bad JSON: {exc}") from exc
-    return matrix_from_obj(obj)
+
+
+def matrix_from_json(text: str) -> Matrix:
+    return matrix_from_obj(_load_json(text))

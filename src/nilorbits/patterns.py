@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _is_int,
-                     _ints)
+                     _ints, _load_json)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -120,10 +120,6 @@ class LinkPattern:
     def borel(kind: str, l: int, arcs: Iterable[Arc] = ()) -> "LinkPattern":
         return LinkPattern(kind, l, (1,) * l, tuple(arcs))
 
-    @property
-    def is_borel_level(self) -> bool:
-        return all(v == 1 for v in self.b)
-
     def key(self) -> tuple:
         return tuple(arc.key() for arc in self.arcs)
 
@@ -154,6 +150,22 @@ def consumption(p: LinkPattern) -> tuple[int, ...]:
 def validate(p: LinkPattern) -> bool:
     """True iff every vertex stays within its capacity."""
     return all(c <= cap for c, cap in zip(consumption(p), p.b))
+
+
+def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> tuple[int, ...]:
+    """Capacity p leaves at each block of `spec`, refusing p unless it
+    indexes an orbit of spec: same family, the flag's blocks, and no block
+    over its capacity."""
+    g = spec.group
+    if (p.kind == SYMPLECTIC) != g.is_symplectic:
+        raise DomainError("pattern kind does not match the group family")
+    if p.b != spec.blocks:
+        raise DomainError(f"pattern capacities {p.b} do not match the flag blocks "
+                          f"{spec.blocks} of {g.name} (rank {g.l})")
+    free = tuple(cap - used for cap, used in zip(p.b, consumption(p)))
+    if any(f < 0 for f in free):
+        raise DomainError("pattern is not valid for its capacities")
+    return free
 
 
 def _arc_types(k: int) -> list[Arc]:
@@ -222,14 +234,10 @@ def glue(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
     becomes an unoriented loop; a dotted arc inside one block becomes dotted
     loops (two for symplectic, weight 1 each; one for orthogonal, weight 2),
     upper for leftward arcs and lower for rightward ones.  Arcs touching a
-    vertex beyond the last flag step are rejected.
+    vertex beyond the last flag step are rejected.  Each block takes the
+    capacity its vertices used, so a valid input glues to a valid pattern.
     """
-    if not p.is_borel_level:
-        raise DomainError("glue expects a Borel-level pattern (all capacities 1)")
-    if not validate(p):
-        raise DomainError("glue expects a valid pattern")
-    if (p.kind == SYMPLECTIC) != spec.group.is_symplectic:
-        raise DomainError("pattern kind does not match the group family")
+    _free_capacity(p, SpaceSpec.borel(spec.group))
     arcs: list[Arc] = []
     for arc in p.arcs:
         s, t = spec.block_of(arc.source), spec.block_of(arc.target)
@@ -245,10 +253,7 @@ def glue(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
             arcs.append(loop)
             if p.kind == SYMPLECTIC:
                 arcs.append(loop)
-    glued = LinkPattern(p.kind, spec.k, spec.blocks, tuple(arcs))
-    if not validate(glued):
-        raise DomainError("glued pattern exceeds a block capacity")
-    return glued
+    return LinkPattern(p.kind, spec.k, spec.blocks, tuple(arcs))
 
 
 def is_nilradical(p: LinkPattern) -> bool:
@@ -324,10 +329,4 @@ def pattern_to_json(p: LinkPattern) -> str:
 
 
 def pattern_from_json(text: str) -> LinkPattern:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integers over 4300 digits,
-        # RecursionError deep nesting
-        raise DomainError(f"bad JSON: {exc}") from exc
-    return pattern_from_obj(obj)
+    return pattern_from_obj(_load_json(text))

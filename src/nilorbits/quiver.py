@@ -20,7 +20,7 @@ from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
                      _eliminate, _frac, _ints, form_matrix, rank,
                      require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
-                       consumption)
+                       _free_capacity)
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
 _FAMILY_ORDER = {f: idx for idx, f in enumerate(FAMILIES)}
@@ -216,14 +216,7 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     one fixed single copy when n is odd).  The total dimension vector is
     always the palindrome of the spec.
     """
-    if p.b != spec.blocks:
-        raise DomainError("pattern capacities do not match the flag blocks")
-    if (p.kind == "symplectic") != spec.group.is_symplectic:
-        raise DomainError("pattern kind does not match the group family")
-    # Capacity left at each block; the pattern is valid iff none is negative.
-    free = [cap - used for cap, used in zip(p.b, consumption(p))]
-    if any(f < 0 for f in free):
-        raise DomainError("pattern is not valid for its capacities")
+    free = _free_capacity(p, spec)
     k = spec.k
     symplectic = spec.group.is_symplectic
     pieces: list[SymmetricPiece] = []
@@ -317,10 +310,11 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
     """
     if not subspaces:
         raise DomainError("need at least one subspace")
+    dims = SpaceSpec(g, tuple(len(base) for base in subspaces)).flag
     exact = [[tuple(_frac(v) for v in vec) for vec in base] for base in subspaces]
     vectors = exact[-1]
     for prev, cur in zip(exact, exact[1:]):
-        if len(prev) >= len(cur) or prev != cur[:len(prev)]:
+        if prev != cur[:len(prev)]:
             raise DomainError("subspace bases must extend each other (prefix nesting)")
     n = g.n
     if any(len(vec) != n for vec in vectors):
@@ -331,9 +325,6 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
     f = form_matrix(g)
     if not (big.transpose() @ f @ big).is_zero():
         raise DomainError("flag is not totally isotropic for the form")
-    dims = tuple(len(b) for b in subspaces)
-    if dims[-1] > g.l:
-        raise DomainError(f"flag step {dims[-1]} exceeds the isotropic bound l={g.l}")
     # The inner arrows are coordinate inclusions by prefix nesting; the last
     # one embeds the largest basis in Q^n.
     arrows = _inclusions(dims[:-1], dims[-1]) + [big]

@@ -182,15 +182,15 @@ def test_centralizer_and_orbit_dimension_frozen():
     g = GroupKind.symplectic(4)
     spec = SpaceSpec.borel(g)
     x = Matrix.unit(4, 1, 4)
-    assert centralizer_dim_in(x, g, spec) == 5
+    assert centralizer_dim_in(x, spec) == 5
     assert orbit_dimension(x, spec) == 1
-    assert centralizer_dim_in(Matrix.zero(4), g, spec) == borel_subalgebra_dim(g)
+    assert centralizer_dim_in(Matrix.zero(4), spec) == borel_subalgebra_dim(g)
     with pytest.raises(DomainError, match="not in sp_4"):
-        centralizer_dim_in(Matrix.unit(4, 1, 2), g, spec)
+        centralizer_dim_in(Matrix.unit(4, 1, 2), spec)
     semisimple = Matrix.from_rows([[1, 0, 0, 0], [0, 2, 0, 0],
                                    [0, 0, -2, 0], [0, 0, 0, -1]])
     with pytest.raises(DomainError, match="2-nilpotent"):
-        centralizer_dim_in(semisimple, g, spec)
+        centralizer_dim_in(semisimple, spec)
 
 
 def test_lie_algebra_basis_spans_and_respects_support():
@@ -365,12 +365,12 @@ def test_refusals_name_the_first_failing_entry():
     spec = SpaceSpec.borel(g)
     with pytest.raises(DomainError,
                        match=r"^matrix not in sp_4: \(transpose\(a\)F \+ Fa\)\[1,4\] != 0$"):
-        centralizer_dim_in(Matrix.identity(4), g, spec)
+        centralizer_dim_in(Matrix.identity(4), spec)
     semisimple = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 0],
                                    [0, 0, -2, 0], [0, 0, 0, 0]])
     with pytest.raises(DomainError,
                        match=r"^matrix is not 2-nilpotent: \(x @ x\)\[2,2\] != 0$"):
-        centralizer_dim_in(semisimple, g, spec)
+        centralizer_dim_in(semisimple, spec)
 
 
 # -- the elimination kernel ------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nilorbits.correspondence import refine
 from nilorbits.linalg import DomainError, GroupKind, SpaceSpec
 from nilorbits.patterns import (Arc, LinkPattern, consumption, count_borel,
                                 dotted, enumerate_patterns, glue, is_nilradical,
@@ -147,6 +148,35 @@ def test_glue_rejects_bad_inputs():
     wrong_kind = LinkPattern.borel("orthogonal", 4, ())
     with pytest.raises(DomainError):
         glue(wrong_kind, spec)
+    wrong_rank = LinkPattern.borel("symplectic", 2, [undotted(1, 2)])
+    with pytest.raises(DomainError, match="rank 4"):
+        glue(wrong_rank, SpaceSpec.from_blocks(g, (2, 2)))
+
+
+def test_glue_sums_consumption_over_blocks_and_inverts_refine():
+    # glue checks only its input: each block takes the capacity its vertices
+    # used, so a pattern that reaches no vertex beyond the flag glues to a
+    # valid one.  Refining a block pattern and gluing it back is the
+    # identity, which ties refine's loop convention to glue's.
+    block_patterns = 0
+    for g in (GroupKind.symplectic(8), GroupKind.orthogonal(8), GroupKind.orthogonal(9)):
+        borel = enumerate_patterns(g.family, g.l, (1,) * g.l)
+        for k in range(g.l + 1):
+            for flag in itertools.combinations(range(1, g.l + 1), k):
+                spec = SpaceSpec(g, flag)
+                reach = flag[-1] if flag else 0
+                for p in borel:
+                    used = consumption(p)
+                    if any(used[reach:]):
+                        with pytest.raises(DomainError, match="beyond"):
+                            glue(p, spec)
+                        continue
+                    assert consumption(glue(p, spec)) == tuple(
+                        sum(used[lo:hi]) for lo, hi in zip((0,) + flag, flag))
+                for q in enumerate_patterns(g.family, spec.k, spec.blocks):
+                    assert glue(refine(q, spec), spec) == q, (g.name, flag, q.text())
+                    block_patterns += 1
+    assert block_patterns == 1957
 
 
 def test_nilradical_counts_rank_two():

@@ -178,6 +178,9 @@ def test_realize_isotropic_flag_validates_bases():
     g = GroupKind.orthogonal(4)
     with pytest.raises(DomainError, match="at least one"):
         realize_isotropic_flag(g, [])
+    for empty_step in ([[]], [[], [[1, 0, 0, 0]]]):
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            realize_isotropic_flag(g, empty_step)
     with pytest.raises(DomainError, match="prefix nesting"):
         realize_isotropic_flag(g, [[[1, 0, 0, 0]],
                                    [[0, 1, 0, 0], [1, 0, 0, 0]]])
@@ -241,7 +244,7 @@ def test_endo_dim_with_loop_matches_centralizer():
             for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
                 x = pattern_to_matrix(p, g)
                 rep = realize_flag(spec, loop=x)
-                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec)
+                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, spec)
                         ), (spec.flag, p.text())
 
 
@@ -259,7 +262,7 @@ def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
         x = pattern_to_matrix(p, g)
         u, u_inv = random_group_element_pair(g, spec, 300 + idx)
         rep = realize_flag(spec, loop=u @ x @ u_inv)
-        assert symmetric_endo_dim(rep) == centralizer_dim_in(x, g, spec), p.text()
+        assert symmetric_endo_dim(rep) == centralizer_dim_in(x, spec), p.text()
 
 
 def test_ar_sequences_cover_every_non_projective_once():
