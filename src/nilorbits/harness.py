@@ -141,14 +141,33 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
 # -- the verification suite ----------------------------------------------------
 
 
+_CHECKS = ("counts", "separation", "conjugation", "dimensions", "nilradical")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
+    """What `run_suite` checks.  A config that would check nothing or that
+    the suite cannot run is refused on construction."""
+
     kinds: tuple[str, ...] = (SYMPLECTIC, ORTHOGONAL)
     max_rank: int = 3
     seed: int = 0
     conjugations: int = 5
-    checks: tuple[str, ...] = ("counts", "separation", "conjugation",
-                               "dimensions", "nilradical")
+    checks: tuple[str, ...] = _CHECKS
+
+    def __post_init__(self):
+        _ints((self.max_rank, self.seed, self.conjugations),
+              "suite max_rank, seed and conjugations")
+        for what, values, known in (("kinds", self.kinds, (SYMPLECTIC, ORTHOGONAL)),
+                                    ("checks", self.checks, _CHECKS)):
+            if not values or any(v not in known for v in values):
+                raise DomainError(f"suite {what} must be among {', '.join(known)}, "
+                                  f"got {values!r}")
+        if self.max_rank < 0 or self.conjugations < 1:
+            raise DomainError("suite needs max_rank >= 0 and conjugations >= 1, got "
+                              f"{self.max_rank} and {self.conjugations}")
+        if self.max_rank == 0 and "counts" not in self.checks:
+            raise DomainError("at max_rank 0 only the counts family checks anything")
 
 
 def _group_for(kind: str, l: int) -> GroupKind:
@@ -185,6 +204,7 @@ def run_suite(config: SuiteConfig) -> dict:
             if l == 0:
                 continue
             g = _group_for(kind, l)
+            spec = SpaceSpec.borel(g)
             reps = [(p, pattern_to_matrix(p, g)) for p in pats]
             if "separation" in config.checks:
                 sigs = {rank_signature(x).table for _, x in reps}
@@ -193,7 +213,6 @@ def run_suite(config: SuiteConfig) -> dict:
                 record(f"separation/{tag}", {"kind": kind, "l": l}, ok,
                        f"{len(reps)} orbits")
             if "conjugation" in config.checks:
-                spec = SpaceSpec.borel(g)
                 bad = 0
                 for idx, (p, x) in enumerate(reps):
                     for c in range(config.conjugations):
@@ -205,7 +224,6 @@ def run_suite(config: SuiteConfig) -> dict:
                                               "per_pattern": config.conjugations},
                        bad == 0, f"failures={bad}")
             if "dimensions" in config.checks:
-                spec = SpaceSpec.borel(g)
                 want = spec.dimension_vector()
                 ok = all(total_dimension_vector(pattern_to_summands(p, spec)) == want
                          for p in pats)

@@ -10,9 +10,10 @@ quiver layer's stabilizer dimensions all sit on it.  Every defining form is
 anti-diagonal with entries +-1, so a member of the Lie algebra is fixed by
 half of its entries: each position determines its mate across the
 anti-diagonal up to a sign.  The membership test reads these mate pairs
-entry by entry instead of multiplying by the Gram matrix, and the
-membership solvers and algebra bases work in mate-pair coordinates, so the
-only rows they eliminate are those of the commutant condition.
+entry by entry, and the membership solvers, the algebra bases and the
+quiver layer's stabilizers work in mate-pair coordinates, so no row states
+the form condition.  One row builder states every A f - f B = 0 that is
+eliminated: [a, x] = 0, and the arrows and loop of a flag representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -353,7 +354,9 @@ class SpaceSpec:
             raise DomainError(f"flag step {d[-1]} exceeds the isotropic bound l={self.group.l}")
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def borel(g: GroupKind) -> "SpaceSpec":
+        # Frozen, so one spec per group is shared by every caller.
         return SpaceSpec(g, tuple(range(1, g.l + 1)))
 
     @staticmethod
@@ -444,46 +447,50 @@ def _flag_allows(flag: tuple[int, ...]) -> Callable[[int, int], bool]:
     return allowed
 
 
-def _constraint_rows(g: GroupKind, allowed: Callable[[int, int], bool],
-                     x: Matrix | None = None
-                     ) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
-    """Coordinates of the members of g supported on `allowed` positions, and
-    sparse integer rows over them stating [a, x] = 0 (none when x is None).
+def _coordinates(g: GroupKind, allowed: Callable[[int, int], bool]
+                 ) -> tuple[int, dict]:
+    """The number of mate-pair coordinates of the members of g supported on
+    `allowed` positions, and a member as a block of them (`_intertwiner_rows`).
 
     A coordinate is a `_mates` entry whose position and mate are both
-    allowed, named by the row-major later one: a is 1 there and `sign` at
-    the mate.  A pair with a forbidden position is zero, and so is a
-    self-mated position of sign -1.
+    allowed, numbered in `_mates` order and named by the row-major later one:
+    a is 1 there and `sign` at the mate.  A pair with a forbidden position is
+    zero, and so is a self-mated position of sign -1.
     """
-    def is_coordinate(r, c, mr, mc, sign):
+    count, entry = 0, {}
+    for r, c, mr, mc, sign in _mates(g):
         later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
-        return later and allowed(r + 1, c + 1) and allowed(mr + 1, mc + 1)
+        if later and allowed(r + 1, c + 1) and allowed(mr + 1, mc + 1):
+            entry[mr, mc] = (count, sign)
+            entry[r, c] = (count, 1)
+            count += 1
+    return count, entry
 
-    coords = [m for m in _mates(g) if is_coordinate(*m)]
-    rows: list[dict[int, int]] = []
-    if x is not None:
-        # The entry of a at each position, as (coordinate, coefficient).
-        entry = {}
-        for i, (r, c, mr, mc, sign) in enumerate(coords):
-            entry[mr, mc] = (i, sign)
-            entry[r, c] = (i, 1)
-        # [a, x] = 0 is unchanged by scaling x, so x is cleared to integers once.
-        xi = _cleared(x)[0]
-        in_row = [[(r, v) for r, v in enumerate(row) if v] for row in xi]
-        in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*xi)]
-        for p in range(g.n):
-            for q in range(g.n):
-                # ([a, x])_{pq} = sum_r a_{pr} x_{rq} - x_{pr} a_{rq}
-                row: dict[int, int] = {}
-                for pos, v in ([((p, r), v) for r, v in in_col[q]]
-                               + [((r, q), -v) for r, v in in_row[p]]):
-                    if pos in entry:
-                        i, sign = entry[pos]
-                        row[i] = row.get(i, 0) + sign * v
-                row = {i: v for i, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return coords, rows
+
+def _intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:
+    """Sparse integer rows stating A_head f - f A_tail = 0.
+
+    A block of unknowns maps each 0-based position of its matrix to
+    (unknown, coefficient); a missing position is zero.  The condition is
+    homogeneous in f, so f is cleared to integers once.
+    """
+    fi = _cleared(f)[0]
+    in_row = [[(r, v) for r, v in enumerate(row) if v] for row in fi]
+    in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*fi)]
+    rows = []
+    for p in range(f.rows):
+        for q in range(f.cols):
+            # entry (p, q): sum_r A_head[p][r] f[r][q] - f[p][r] A_tail[r][q]
+            row: dict[int, int] = {}
+            for block, pos, v in ([(head, (p, r), v) for r, v in in_col[q]]
+                                  + [(tail, (r, q), -v) for r, v in in_row[p]]):
+                if pos in block:
+                    i, coef = block[pos]
+                    row[i] = row.get(i, 0) + coef * v
+            row = {i: v for i, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
 
 
 def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
@@ -493,8 +500,9 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     `allowed` is a predicate on 1-based (row, col); forbidden positions are
     treated as hard zeros.  Pass x=None to drop the commutant condition.
     """
-    coords, rows = _constraint_rows(g, allowed, x)
-    return len(coords) - len(_eliminate(rows, len(coords)))
+    count, entry = _coordinates(g, allowed)
+    rows = _intertwiner_rows(x, entry, entry) if x is not None else []
+    return count - len(_eliminate(rows, count))
 
 
 def lie_algebra_dim(g: GroupKind) -> int:
@@ -526,17 +534,13 @@ def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
 def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None = None
                       ) -> list[Matrix]:
     """Basis of the members of g supported on `allowed` positions: one per
-    coordinate of `_constraint_rows`, in its order, with 1 at the coordinate's
-    position and its sign at the mate."""
+    mate-pair coordinate, in `_coordinates` order, written from its block."""
     n = g.n
-    coords, _ = _constraint_rows(g, allowed or (lambda r, c: True))
-    basis = []
-    for r, c, mr, mc, sign in coords:
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[mr][mc] = Fraction(sign)
-        m[r][c] = Fraction(1)
-        basis.append(Matrix.from_rows(m))
-    return basis
+    count, entry = _coordinates(g, allowed or (lambda r, c: True))
+    basis = [[[Fraction(0)] * n for _ in range(n)] for _ in range(count)]
+    for (r, c), (i, coef) in entry.items():
+        basis[i][r][c] = Fraction(coef)
+    return [Matrix.from_rows(m) for m in basis]
 
 
 # -- JSON ---------------------------------------------------------------------

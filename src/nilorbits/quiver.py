@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
-                     _eliminate, _frac, _ints, form_matrix, rank,
-                     require_two_nilpotent)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
+                     _eliminate, _frac, _intertwiner_rows, _ints, form_matrix,
+                     rank, require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        _free_capacity)
 
@@ -337,53 +337,29 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     representation: blocks A_1, ..., A_k, A_omega intertwining every arrow
     and the loop, with A_omega in the Lie algebra of the form.
 
-    Accepts a SymmetricRep or a SpaceSpec (standard flag realization).
+    A_1, ..., A_k are dense and A_omega is in mate-pair coordinates, so the
+    form holds by construction.  Accepts a SymmetricRep or a SpaceSpec
+    (standard flag realization).
     """
     if isinstance(rep, SpaceSpec):
         rep = realize_flag(rep)
     elif not isinstance(rep, SymmetricRep):
         raise DomainError("expected a SymmetricRep or a SpaceSpec")
 
-    n = rep.group.n
-    omega = len(rep.dims) + 1
-    # unknown blocks A_1..A_k, then A_omega, each row-major
-    side = rep.dims + (n,)
-    offsets = [0]
-    for d in side:
-        offsets.append(offsets[-1] + d * d)
-    total = offsets[-1]
-    rows: list[dict[int, int]] = []
-
-    def emit(terms):
-        # terms: ((space, r, c), coef) with spaces numbered 1..omega
-        row: dict[int, int] = {}
-        for (space, r, c), coef in terms:
-            idx = offsets[space - 1] + r * side[space - 1] + c
-            row[idx] = row.get(idx, 0) + coef
-        row = {idx: v for idx, v in row.items() if v}
-        if row:
-            rows.append(row)
-
-    def intertwine(fmat: Matrix, tail: int, head: int):
-        # A_head @ f - f @ A_tail = 0.  It is homogeneous in f, so f is
-        # cleared to integers once and every row is integral.
-        fe = _cleared(fmat)[0]
-        for a in range(fmat.rows):
-            for b in range(fmat.cols):
-                emit([((head, a, c), fe[c][b]) for c in range(fmat.rows) if fe[c][b]]
-                     + [((tail, c, b), -fe[a][c]) for c in range(fmat.cols) if fe[a][c]])
-
-    # a_s: V_s -> V_{s+1}, with V_{k+1} the middle space
-    for s, arrow in enumerate(rep.arrows, start=1):
-        intertwine(arrow, s, s + 1)
-    intertwine(rep.loop, omega, omega)
-    # form condition on the middle space: transpose(A) F + F A = 0
-    fe = _cleared(form_matrix(rep.group))[0]
-    for a in range(n):
-        for b in range(n):
-            emit([((omega, c, a), fe[c][b]) for c in range(n) if fe[c][b]]
-                 + [((omega, c, b), fe[a][c]) for c in range(n) if fe[a][c]])
-
+    # unknown blocks A_1..A_k, each dense and row-major, then A_omega
+    blocks, total = [], 0
+    for d in rep.dims:
+        blocks.append({(r, c): (total + r * d + c, 1)
+                       for r in range(d) for c in range(d)})
+        total += d * d
+    count, entry = _coordinates(rep.group, lambda r, c: True)
+    blocks.append({pos: (total + i, coef) for pos, (i, coef) in entry.items()})
+    total += count
+    # a_s: V_s -> V_{s+1}, with V_{k+1} the middle space, then the loop
+    rows = []
+    for s, arrow in enumerate(rep.arrows):
+        rows += _intertwiner_rows(arrow, blocks[s + 1], blocks[s])
+    rows += _intertwiner_rows(rep.loop, blocks[-1], blocks[-1])
     return total - len(_eliminate(rows, total))
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbits.cli import main
+from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.linalg import GroupKind, Matrix, SpaceSpec, matrix_to_json
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
@@ -180,6 +185,15 @@ def test_verify_respects_group_selection(capsys):
     assert capsys.readouterr().out == "verify: 6/6 checks passed\n"
 
 
+def test_verify_refuses_a_negative_rank(capsys):
+    # it once reported "verify: 0/0 checks passed" and exited 0
+    assert main(["verify", "--rank", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nilorbits verify: suite needs max_rank >= 0 and "
+                            "conjugations >= 1, got -1 and 5\n")
+
+
 HOSTILE_JSON = [
     ("identify", '{"rows":2,"cols":2,"entries":5}'),
     ("identify", '{"rows":2,"cols":2,"entries":[5,6]}'),
@@ -245,3 +259,89 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "usage: nilorbits" in captured.err
+
+
+# -- the exit-code contract under fuzzing --------------------------------------
+
+# Every integer is small, so k and b stay <= 4 and no input builds a large
+# matrix; the hostile sizes have their own tests above.
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 4)
+          | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+          | st.sampled_from(["1/2", "-3", "1/0", "symplectic", "orthogonal",
+                             "upper", "lower", "unoriented"]))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(
+        ["rows", "cols", "entries", "kind", "k", "b", "arcs", "from", "to",
+         "dotted", "loop"]), kids, max_size=4),
+    max_leaves=10)
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in (value.values() if isinstance(value, dict) else value):
+            yield from _containers(child)
+
+
+@st.composite
+def one_field_mutations(draw, valid):
+    """A valid input with one field of one of its objects or lists replaced
+    by an arbitrary JSON value, deleted, or added."""
+    obj = copy.deepcopy(draw(st.sampled_from(valid)))
+    target = draw(st.sampled_from(list(_containers(obj))))
+    keys = sorted(target) + ["extra"] if isinstance(target, dict) else range(len(target) + 1)
+    key = draw(st.sampled_from(keys))
+    if isinstance(target, list) and key == len(target):
+        target.append(draw(JSON_VALUES))
+    elif draw(st.booleans()):
+        target[key] = draw(JSON_VALUES)
+    elif key in (target if isinstance(target, dict) else range(len(target))):
+        del target[key]
+    return obj
+
+
+def _patterns():
+    for kind, b in (("symplectic", (1, 1)), ("symplectic", (2, 1)),
+                    ("orthogonal", (1, 1)), ("orthogonal", (1, 2))):
+        yield from enumerate_patterns(kind, len(b), b)[::3]
+
+
+VALID_PATTERNS = [json.loads(pattern_to_json(p)) for p in _patterns()]
+VALID_MATRICES = [json.loads(matrix_to_json(pattern_to_matrix(p, g)))
+                  for g in (GroupKind.symplectic(4), GroupKind.orthogonal(5))
+                  for p in enumerate_patterns(g.family, g.l, (1,) * g.l)]
+PATTERN_FLAGS = [["--group", "sp"], ["--group", "sp", "--n", "6"],
+                 ["--group", "o", "--n", "4"], ["--group", "o", "--n", "5"]]
+FUZZED = {
+    "identify": (VALID_MATRICES, [["--group", "sp"], ["--group", "o"],
+                                  ["--group", "sp", "--blocks", "1,1"],
+                                  ["--group", "o", "--blocks", "2"]]),
+    "repr": (VALID_PATTERNS, PATTERN_FLAGS),
+    "summands": (VALID_PATTERNS, PATTERN_FLAGS),
+}
+
+
+def run_cli(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_fuzzed_inputs_keep_the_exit_code_contract(command, data):
+    valid, flag_sets = FUZZED[command]
+    value = data.draw(JSON_VALUES | one_field_mutations(valid))
+    argv = [command, *data.draw(st.sampled_from(flag_sets))]
+    code, out, err = run_cli(argv, json.dumps(value))
+    assert code in (0, 2), (argv, value)
+    if code == 2:
+        assert out == "" and err.startswith(f"nilorbits {command}: ")
+        assert len(err.splitlines()) == 1, err
+    else:
+        assert out and err == ""
+    assert "Traceback" not in err

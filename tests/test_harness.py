@@ -98,6 +98,30 @@ def test_suite_respects_the_configured_subsets():
     assert report["config"]["max_rank"] == 1
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"checks": ("count",)}, "suite checks must be among"),
+    ({"checks": ()}, "suite checks must be among"),
+    ({"kinds": ()}, "suite kinds must be"),
+    ({"kinds": ("sp",)}, "suite kinds must be"),
+    ({"kinds": ("symplectic", "unitary")}, "suite kinds must be"),
+    ({"max_rank": -1}, r"max_rank >= 0 .* got -1 and 5"),
+    ({"max_rank": 0, "checks": ("separation",)}, "only the counts family"),
+    ({"conjugations": 0}, r"conjugations >= 1, got 3 and 0"),
+    ({"conjugations": -3}, r"conjugations >= 1, got 3 and -3"),
+    ({"max_rank": 2.0}, "must be integers"),
+])
+def test_suite_refuses_configs_that_check_nothing_or_crash(fields, match):
+    # Each of these once ran to a 0/0 "passed" report or a run with no
+    # conjugation, or raised a bare KeyError or TypeError.
+    with pytest.raises(DomainError, match=match):
+        run_suite(SuiteConfig(**fields))
+
+
+def test_smallest_suite_configs_still_run():
+    report = run_suite(SuiteConfig(max_rank=0, checks=("counts",), conjugations=1))
+    assert report["summary"] == {"total": 2, "failed": 0}
+
+
 def scaled(m: Matrix, f: Fraction) -> Matrix:
     return Matrix.from_rows([[f * v for v in row] for row in m.entries])
 

@@ -146,6 +146,12 @@ def test_space_spec_construction_and_blocks():
         SpaceSpec(g, (5,))
 
 
+def test_borel_spec_is_built_once_per_group():
+    # pattern_to_matrix and glue ask for it on every call
+    assert SpaceSpec.borel(GroupKind.symplectic(8)) is SpaceSpec.borel(GroupKind.symplectic(8))
+    assert SpaceSpec.borel(GroupKind.orthogonal(8)) != SpaceSpec.borel(GroupKind.symplectic(8))
+
+
 @pytest.mark.parametrize("build", [
     lambda g: SpaceSpec(g, (1.7,)),
     lambda g: SpaceSpec(g, (True, 2)),

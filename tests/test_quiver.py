@@ -9,7 +9,7 @@ from nilorbits.correspondence import (parabolic_representative,
                                       pattern_to_matrix)
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              centralizer_dim_in, parabolic_dim)
+                              centralizer_dim_in, group_member, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
@@ -263,6 +263,47 @@ def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
         u, u_inv = random_group_element_pair(g, spec, 300 + idx)
         rep = realize_flag(spec, loop=u @ x @ u_inv)
         assert symmetric_endo_dim(rep) == centralizer_dim_in(x, spec), p.text()
+
+
+def levi(g: GroupKind, a, b) -> Matrix:
+    """diag(a, [1], J b^T J), the middle 1 only for odd n.  With b = a^-1
+    this is a Levi element h of the Borel flag, and levi(g, b, a) is h^-1."""
+    l, n = g.l, g.n
+    rows = [[1 if p == q == l else 0 for q in range(n)] for p in range(n)]
+    for i in range(l):
+        for j in range(l):
+            rows[i][j] = a[i][j]
+            rows[n - l + i][n - l + j] = b[l - 1 - j][l - 1 - i]
+    return Matrix.from_rows(rows)
+
+
+# unimodular integer A, each with its inverse
+LEVI_FACTORS = [
+    ([[2, 1, 0], [1, 1, 0], [0, 1, 1]], [[1, -1, 0], [-1, 2, 0], [1, -2, 1]]),
+    ([[1, 0, 0], [-1, 1, 0], [2, 3, 1]], [[1, 0, 0], [1, 1, 0], [-5, -3, 1]]),
+]
+
+
+@pytest.mark.parametrize("g", [GroupKind.symplectic(6), GroupKind.orthogonal(6),
+                               GroupKind.orthogonal(7)], ids=lambda g: g.name)
+def test_endo_dim_on_levi_conjugated_flags_matches_centralizer(g):
+    # The flag h e_1 c ... with loop h x h^-1 is the standard one moved by h,
+    # so its stabilizer has the standard dimension.  Its last arrow is not a
+    # coordinate inclusion, so the arrow rows mix the mate-pair coordinates
+    # of A_omega.
+    for a, a_inv in LEVI_FACTORS:
+        h, h_inv = levi(g, a, a_inv), levi(g, a_inv, a)
+        assert h @ h_inv == Matrix.identity(g.n) and group_member(h, g)
+        columns = [list(col) for col in h.transpose().entries]
+        for flag in ((1, g.l), (g.l,)):
+            spec = SpaceSpec(g, flag)
+            for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
+                x = pattern_to_matrix(p, g)
+                rep = realize_isotropic_flag(g, [columns[:d] for d in flag],
+                                             loop=h @ x @ h_inv)
+                assert rep.arrows[-1] != realize_flag(spec).arrows[-1]
+                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, spec)
+                        ), (flag, p.text())
 
 
 def test_ar_sequences_cover_every_non_projective_once():
