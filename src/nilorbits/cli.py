@@ -8,8 +8,12 @@ input (with a one-line diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from itertools import chain, islice
+from typing import Iterator
 
 from .correspondence import (MalformedInputError, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern,
@@ -17,8 +21,7 @@ from .correspondence import (MalformedInputError, identify, identify_parabolic,
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      matrix_from_json, matrix_to_json, orbit_dimension)
-from .patterns import (count_borel, enumerate_patterns, pattern_from_json,
-                       pattern_to_json)
+from .patterns import _search, count_borel, pattern_from_json, pattern_to_json
 from .quiver import (ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
@@ -65,12 +68,30 @@ def _read_in(args) -> str:
     return sys.stdin.read()
 
 
-def _emit(args, text: str):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing, or stdout."""
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
+
+
+def _emit(args, text: str):
+    with _output(args) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
+
+
+# Lines per write when streaming: few writes, and memory bounded by one batch.
+_BATCH = 512
+
+
+def _stream(args, lines: Iterator[str]):
+    """Write each line with a newline, in batches of `_BATCH` lines."""
+    with _output(args) as out:
+        while batch := list(islice(lines, _BATCH)):
+            out.write("\n".join(batch) + "\n")
 
 
 def _matrix_text(m) -> str:
@@ -83,14 +104,13 @@ def _matrix_text(m) -> str:
 
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
-    pats = enumerate_patterns(kind, k, b)
+    pats = _search(kind, k, b)   # refuses a bad level before anything is written
     if args.format == "json":
-        _emit(args, "\n".join(pattern_to_json(p) for p in pats))
+        _stream(args, map(pattern_to_json, pats))
     elif args.format == "csv":
-        lines = ["index,arcs"]
-        lines += [f"{i},{';'.join(a.text() for a in p.arcs)}"
-                  for i, p in enumerate(pats, start=1)]
-        _emit(args, "\n".join(lines))
+        rows = (f"{i},{';'.join(a.text() for a in p.arcs)}"
+                for i, p in enumerate(pats, start=1))
+        _stream(args, chain(["index,arcs"], rows))
     elif args.format == "tex":
         # the tex layout pairs every pattern with its representative matrix
         g = _group(args, b)
@@ -98,7 +118,7 @@ def _cmd_enumerate(args) -> int:
         rows = [(p, parabolic_representative(p, spec)) for p in pats]
         _emit(args, tex_table(rows))
     else:
-        _emit(args, "\n".join(p.text() for p in pats))
+        _stream(args, (p.text() for p in pats))
     return 0
 
 
@@ -107,7 +127,7 @@ def _cmd_count(args) -> int:
     if all(v == 1 for v in b):
         value, method = count_borel(kind, k), "recurrence"
     else:
-        value, method = len(enumerate_patterns(kind, k, b)), "enumeration"
+        value, method = sum(1 for _ in _search(kind, k, b)), "enumeration"
     if args.format == "json":
         _emit(args, json.dumps({"count": value, "method": method},
                                sort_keys=True, separators=(",", ":")))
@@ -261,6 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, MalformedInputError) as exc:
         print(f"nilorbits {args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`nilorbits enumerate | head`): stop
+        # quietly.  Point stdout at devnull so that flushing what is still
+        # buffered at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _is_int,
                      _ints, _load_json)
@@ -67,6 +68,12 @@ class Arc:
         if self.loop_variant == LOOP_LOWER:
             return f"lloop({self.source})"
         return f"{self.source}{'..>' if self.dotted else '->'}{self.target}"
+
+    @cached_property
+    def _json(self) -> str:
+        """The arc's `pattern_to_json` fragment, kept on the instance: the
+        search emits the same few arc objects in every pattern."""
+        return _dumps(_arc_to_obj(self))
 
 
 def undotted(source: int, target: int) -> Arc:
@@ -179,6 +186,69 @@ def _arc_types(k: int) -> list[Arc]:
     return types
 
 
+def _trusted(kind: str, k: int, b: tuple[int, ...], arcs: tuple[Arc, ...]) -> LinkPattern:
+    """A LinkPattern built without `__post_init__`, for arcs the caller
+    already holds valid and in canonical order.  The fields are set in
+    declaration order, as `__init__` sets them, so instances keep sharing
+    one dict key table."""
+    p = object.__new__(LinkPattern)
+    object.__setattr__(p, "kind", kind)
+    object.__setattr__(p, "k", k)
+    object.__setattr__(p, "b", b)
+    object.__setattr__(p, "arcs", arcs)
+    return p
+
+
+def _search(kind: str, k: int, b: Sequence[int]) -> Iterator[LinkPattern]:
+    """All valid patterns of the level, streamed in canonical order.
+
+    The level is checked here, before the first pattern is asked for.  The
+    walk takes arc types in `Arc.key` order with a non-decreasing index and
+    takes a type only while every vertex it touches has the capacity, so each
+    arc tuple it emits is valid and sorted, and it emits each multiset once,
+    lexicographically on the canonical arc encoding.
+    """
+    b = LinkPattern(kind, k, tuple(b), ()).b
+    types = _arc_types(k)
+    # (u, cu, v, cv): take cu at u and cv at v (0-based); a loop has cv = 0
+    costs = []
+    for t in types:
+        (u, cu), *rest = _arc_cost(t, kind)
+        v, cv = rest[0] if rest else (u, 0)
+        costs.append((u - 1, cu, v - 1, cv))
+    return _walk(kind, k, b, types, costs)
+
+
+def _walk(kind, k, b, types, costs) -> Iterator[LinkPattern]:
+    # pre-order depth-first walk, the stack holding the chosen type indices
+    residual = list(b)
+    chosen: list[Arc] = []
+    stack: list[int] = []
+    yield _trusted(kind, k, b, ())
+    t, end = 0, len(types)
+    while True:
+        while t < end:
+            u, cu, v, cv = costs[t]
+            if residual[u] >= cu and residual[v] >= cv:
+                break
+            t += 1
+        else:
+            if not stack:
+                return
+            t = stack.pop()
+            chosen.pop()
+            u, cu, v, cv = costs[t]
+            residual[u] += cu
+            residual[v] += cv
+            t += 1
+            continue
+        residual[u] -= cu
+        residual[v] -= cv
+        stack.append(t)
+        chosen.append(types[t])
+        yield _trusted(kind, k, b, tuple(chosen))
+
+
 def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]:
     """All valid patterns, without duplicates, in canonical order.
 
@@ -186,28 +256,7 @@ def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]
     capacities, so invalid candidates are never generated; the emission
     order is lexicographic on the canonical arc encoding.
     """
-    base = LinkPattern(kind, k, tuple(b), ())
-    types = _arc_types(k)
-    costs = [_arc_cost(t, kind) for t in types]
-    residual = list(base.b)
-    chosen: list[Arc] = []
-    out: list[LinkPattern] = []
-
-    def extend(start: int):
-        out.append(LinkPattern(kind, k, base.b, tuple(chosen)))
-        for t in range(start, len(types)):
-            cost = costs[t]
-            if all(residual[v - 1] >= c for v, c in cost):
-                for v, c in cost:
-                    residual[v - 1] -= c
-                chosen.append(types[t])
-                extend(t)
-                chosen.pop()
-                for v, c in cost:
-                    residual[v - 1] += c
-
-    extend(0)
-    return out
+    return list(_search(kind, k, b))
 
 
 def count_borel(kind: str, l: int) -> int:
@@ -323,9 +372,22 @@ def pattern_from_obj(obj) -> LinkPattern:
     return LinkPattern(obj["kind"], obj["k"], tuple(obj["b"]), arcs)
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=256)
+def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
+    # the object without its opening brace: under sort_keys "arcs" comes first
+    return _dumps({"b": list(b), "k": k, "kind": kind})[1:]
+
+
 def pattern_to_json(p: LinkPattern) -> str:
-    """Canonical byte-stable serialization (arcs in canonical order)."""
-    return json.dumps(pattern_to_obj(p), sort_keys=True, separators=(",", ":"))
+    """Canonical byte-stable serialization (arcs in canonical order): the
+    `json.dumps(pattern_to_obj(p), sort_keys=True, separators=(",", ":"))`
+    bytes, joined from cached per-arc and per-level fragments."""
+    return ('{"arcs":[' + ",".join([a._json for a in p.arcs]) + "],"
+            + _level_json(p.kind, p.k, p.b))
 
 
 def pattern_from_json(text: str) -> LinkPattern:

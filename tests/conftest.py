@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import Matrix, _eliminate
+from nilorbits.linalg import Matrix, _eliminate, form_matrix
 from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER
 
 
@@ -65,6 +65,30 @@ def naive_rank(m: Matrix) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def flag_positions(n: int, flag) -> list[tuple[int, int]]:
+    """1-based (r, c) where a matrix may be nonzero and still keep every
+    span(e_1, ..., e_d) of the standard isotropic flag and of its perps
+    (d and n - d for each step d)."""
+    cuts = set(flag) | {n - d for d in flag}
+    return [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)
+            if not any(c <= d < r for d in cuts)]
+
+
+def dense_commutant_dim(g, positions, x: Matrix) -> int:
+    """Dimension of the matrices a of g's Lie algebra supported on
+    `positions` (1-based) with [a, x] = 0, from dense rows: each unit matrix
+    e of a position maps to the entries of (transpose(e) F + F e, e x - x e),
+    built with `form_matrix` and Matrix products, and the dimension is the
+    number of positions less `naive_rank` of those images."""
+    n, f = g.n, form_matrix(g)
+    images = []
+    for r, c in sorted(positions):
+        e = Matrix.unit(n, r, c)
+        images.append([v for m in (e.transpose() @ f + f @ e, e @ x - x @ e)
+                       for row in m.entries for v in row])
+    return len(images) - naive_rank(Matrix.from_rows(images)) if images else 0
 
 
 def rank_table_direct(x: Matrix) -> dict:

@@ -2,11 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nilorbits
 from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.linalg import GroupKind, Matrix, SpaceSpec, matrix_to_json
@@ -53,6 +59,70 @@ def test_enumerate_csv_header_and_rows(capsys):
     assert lines[1] == "1,"
     assert len(lines) == 14
     assert any(line.endswith(",uloop(1);uloop(2)") for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_enumerate_writes_the_same_bytes_to_out_and_stdout(tmp_path, capsys, fmt):
+    argv = ["enumerate", "--group", "sp", "--blocks", "2,1,2", "--format", fmt]
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    out = tmp_path / "patterns.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == streamed.encode("utf-8")
+    assert streamed.count("\n") == len(enumerate_patterns("symplectic", 3, (2, 1, 2))) + (
+        fmt == "csv")
+
+
+def test_enumerate_refuses_a_bad_level_before_opening_out(tmp_path, capsys):
+    out = tmp_path / "kept.txt"
+    out.write_text("keep me\n")
+    assert main(["enumerate", "--rank", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("nilorbits enumerate: ")
+    assert out.read_text() == "keep me\n"
+
+
+class _Discard(io.TextIOBase):
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+def test_enumerate_streams_in_bounded_memory(monkeypatch):
+    # sp l=6 is 13,029 lines: holding the patterns and one joined string
+    # peaks at about 8 MB under tracemalloc, one streamed batch at 0.5 MB.
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    argv = ["enumerate", "--group", "sp", "--rank", "6", "--format", "json"]
+    main(argv[:4] + ["2"] + argv[5:])   # fill the per-level caches first
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_enumerate_into_a_closed_pipe_exits_quietly():
+    # `nilorbits enumerate ... | head -n 1`: the reader leaves after one line
+    # and the rest of the output meets a broken pipe.
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilorbits.cli", "enumerate", "--group", "sp",
+         "--rank", "6", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == b""
+    assert json.loads(first)["arcs"] == []
 
 
 def test_repr_of_the_empty_pattern_is_zero(tmp_path, capsys):

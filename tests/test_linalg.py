@@ -18,7 +18,7 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
 from nilorbits.linalg import _eliminate, _lie_violation
 from nilorbits.patterns import enumerate_patterns
 
-from conftest import naive_rank, random_rational_matrix
+from conftest import dense_commutant_dim, naive_rank, random_rational_matrix
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -407,16 +407,8 @@ def test_membership_dim_equals_the_rank_of_the_dense_map(g, data):
                if data.draw(st.booleans())}
     p = data.draw(st.sampled_from([None] + enumerate_patterns(g.family, g.l, (1,) * g.l)))
     x = Matrix.zero(n) if p is None else pattern_to_matrix(p, g)
-    f = form_matrix(g)
-    # One row per allowed unit matrix e: the entries of its image under
-    # a -> (transpose(a) F + F a, [a, x]).
-    images = []
-    for r, c in sorted(allowed):
-        e = Matrix.unit(n, r, c)
-        images.append([v for m in (e.transpose() @ f + f @ e, e @ x - x @ e)
-                       for row in m.entries for v in row])
-    expected = len(allowed) - naive_rank(Matrix.from_rows(images))
-    assert membership_dim(g, lambda r, c: (r, c) in allowed, x) == expected
+    assert (membership_dim(g, lambda r, c: (r, c) in allowed, x)
+            == dense_commutant_dim(g, allowed, x))
 
 
 @deterministic

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -9,8 +10,8 @@ from nilorbits.patterns import (Arc, LinkPattern, consumption, count_borel,
                                 dotted, enumerate_patterns, glue, is_nilradical,
                                 lower_loop, pattern_from_json, pattern_from_obj,
                                 pattern_to_json, strip_orientation, undotted,
-                                unoriented_loop, upper_loop, validate,
-                                _arc_types)
+                                pattern_to_obj, unoriented_loop, upper_loop,
+                                validate, _arc_types, _search)
 
 from conftest import borel_valid_direct
 
@@ -92,6 +93,38 @@ def test_enumerate_counts_match_recurrence():
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             assert all(validate(p) for p in pats)
+
+
+TRUSTED_LEVELS = ([(kind, (1,) * l) for kind in ("symplectic", "orthogonal")
+                   for l in range(6)]
+                  + [(kind, b) for kind in ("symplectic", "orthogonal")
+                     for b in ((2, 1), (1, 2, 3), (2, 2, 3), (3, 3))])
+
+
+@pytest.mark.parametrize("kind, b", TRUSTED_LEVELS,
+                         ids=[f"{kind}-{b}" for kind, b in TRUSTED_LEVELS])
+def test_search_emits_what_the_validating_constructor_builds(kind, b):
+    # The search skips __post_init__, so it must build each pattern exactly
+    # as the constructor would: valid, arcs sorted, one per multiset, and
+    # with the instance dict the constructor gives (a dict filled after
+    # construction loses the shared key table and doubles in size).
+    pats = list(_search(kind, len(b), b))
+    for p in pats:
+        assert p == LinkPattern(kind, len(b), b, p.arcs), p.text()
+        assert validate(p), p.text()
+    keys = [p.key() for p in pats]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    if set(b) <= {1}:
+        assert len(pats) == count_borel(kind, len(b))
+    reference = LinkPattern(kind, len(b), b, pats[-1].arcs)
+    assert sys.getsizeof(pats[-1].__dict__) == sys.getsizeof(reference.__dict__)
+
+
+def test_search_refuses_a_bad_level_before_the_first_pattern():
+    for kind, k, b in (("hermitian", 1, (1,)), ("symplectic", 2, (1,)),
+                       ("symplectic", -1, ()), ("symplectic", 1, (0,))):
+        with pytest.raises(DomainError):
+            _search(kind, k, b)
 
 
 def test_count_borel_spec_sequences():
@@ -208,6 +241,25 @@ def test_pattern_json_round_trip_and_canonical_bytes():
     obj = json.loads(text)
     assert obj["kind"] == "symplectic"
     assert obj["arcs"][1]["loop"] == "upper"
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_pattern_json_is_the_sorted_compact_dump(kind):
+    # pattern_to_json joins cached fragments; it must stay byte for byte the
+    # plain dump, for every arc type alone and in every small pattern.
+    def plain(p):
+        return json.dumps(pattern_to_obj(p), sort_keys=True, separators=(",", ":"))
+    for k in range(5):
+        b = (2,) * k
+        for arc in _arc_types(k):
+            for p in (LinkPattern(kind, k, b, (arc,)),
+                      LinkPattern(kind, k, b, (Arc(arc.source, arc.target,
+                                                   arc.dotted, arc.loop_variant),) * 2)):
+                assert pattern_to_json(p) == plain(p)
+        for p in enumerate_patterns(kind, k, (1,) * k):
+            assert pattern_to_json(p) == plain(p)
+    p = LinkPattern(kind, 2, (3, 1), (undotted(1, 2), unoriented_loop(1)))
+    assert pattern_to_json(p) == plain(p)
 
 
 def test_pattern_json_rejects_malformed():

@@ -19,7 +19,8 @@ from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
                               realize_isotropic_flag, symmetric_endo_dim,
                               total_dimension_vector)
 
-from conftest import enumerate_strings, hom_dim, string_module
+from conftest import (dense_commutant_dim, enumerate_strings, flag_positions,
+                      hom_dim, string_module)
 
 
 def test_degenerate_names_normalize():
@@ -246,6 +247,20 @@ def test_endo_dim_with_loop_matches_centralizer():
                 rep = realize_flag(spec, loop=x)
                 assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, spec)
                         ), (spec.flag, p.text())
+
+
+@pytest.mark.parametrize("g", [GroupKind.symplectic(6), GroupKind.orthogonal(6),
+                               GroupKind.orthogonal(7)], ids=lambda g: g.name)
+def test_endo_dim_with_loop_matches_the_dense_stabilizer(g):
+    # centralizer_dim_in shares the solver's sparse row builder, so a sign
+    # slip there (A f + f B for A f - f B) would move both sides alike.  The
+    # dense oracle writes transpose(a) F + F a = 0 and [a, x] = 0 itself.
+    for flag in dict.fromkeys((SpaceSpec.borel(g).flag, (1, g.l))):
+        spec, positions = SpaceSpec(g, flag), flag_positions(g.n, flag)
+        for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
+            x = pattern_to_matrix(p, g)
+            assert (symmetric_endo_dim(realize_flag(spec, loop=x))
+                    == dense_commutant_dim(g, positions, x)), (flag, p.text())
 
 
 def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
