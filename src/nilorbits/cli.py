@@ -102,6 +102,11 @@ def _matrix_text(m) -> str:
                      for r in range(1, m.rows + 1))
 
 
+# Patterns `enumerate --format tex` accepts: its table is built whole in memory
+# (a peak RSS near 25 MB at sp l=5, 2,043 patterns; near 90 MB at sp l=6, 13,029).
+_TEX_MAX_PATTERNS = 5000
+
+
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
     pats = _search(kind, k, b)   # refuses a bad level before anything is written
@@ -113,6 +118,11 @@ def _cmd_enumerate(args) -> int:
         _stream(args, chain(["index,arcs"], rows))
     elif args.format == "tex":
         # the tex layout pairs every pattern with its representative matrix
+        past_bound = islice(_search(kind, k, b), _TEX_MAX_PATTERNS, None)
+        if next(past_bound, None) is not None:
+            raise DomainError(f"--format tex builds its whole table in memory and "
+                              f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
+                              f"has more (json, csv and text stream any level)")
         g = _group(args, b)
         spec = SpaceSpec.from_blocks(g, b)
         rows = [(p, parabolic_representative(p, spec)) for p in pats]
@@ -240,7 +250,8 @@ _OPTIONS = {
 
 # name: (handler, help, options read, --format choices emitted)
 _COMMANDS = {
-    "enumerate": (_cmd_enumerate, "list all valid patterns at the given level",
+    "enumerate": (_cmd_enumerate, "list all valid patterns at the given level "
+                                  f"(--format tex: at most {_TEX_MAX_PATTERNS} patterns)",
                   ("group", "n", "rank", "blocks", "out"), ("json", "csv", "tex", "text")),
     "count": (_cmd_count, "count patterns (recurrence at Borel level, else enumeration)",
               ("group", "n", "rank", "blocks", "out"), ("json", "text")),
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "in symplectic and orthogonal Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options, formats) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         for option in options:
             flags, kwargs = _OPTIONS[option]
             p.add_argument(*flags, **kwargs)

@@ -1,10 +1,25 @@
 """Randomized verification drivers and independent counting oracles.
 
-Random group elements are built constructively: a diagonal torus part with
-small integer eigenvalues times the exponential of a random strictly upper
-triangular algebra member.  Both factors satisfy the form condition exactly,
-the exponential is a finite sum, and inverses stay rational, so every check
-downstream is zero-tolerance.
+Group elements come in two exact forms, both seeded:
+
+- Root-group words (`_root_word`), which `run_suite` conjugates by: a
+  diagonal torus part with small integer eigenvalues and one factor
+  exp(tN) = I + tN + t^2 N^2 / 2 per root element N of a parabolic
+  subalgebra, with a small integer t.  `_word_act` applies a word to a
+  matrix as sparse row and column operations, so the element and its
+  inverse are never formed.  The root elements of a coarser flag include
+  its Levi roots, so the words of a `SpaceSpec` give conjugates by its
+  parabolic subgroup.
+- Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
+  times the exponential of a random strictly upper triangular algebra
+  member, a finite sum.  They are the dense reference the words are tested
+  against.
+
+Each factor satisfies the form condition exactly and inverses stay
+rational, so every check downstream is zero-tolerance.
+
+`brute_force_count` counts patterns by filtering raw arc multisets, apart
+from the enumerator and the recurrence it is checked against.
 
 Randomness comes from random.Random (the stdlib Mersenne Twister), seeded
 explicitly everywhere: identical seeds give identical trajectories.
@@ -12,7 +27,6 @@ explicitly everywhere: identical seeds give identical trajectories.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
@@ -22,7 +36,8 @@ from math import factorial
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _ints, group_member, lie_algebra_basis)
+                     SpaceSpec, _flag_allows, _ints, lie_algebra_basis,
+                     lie_member)
 from .patterns import count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -55,30 +70,53 @@ def exp_nilpotent(s: Matrix) -> Matrix:
     return Matrix(tuple(rows))
 
 
+def _torus_diagonal(g: GroupKind, rng: random.Random) -> list[Fraction]:
+    """The diagonal of a random torus member diag(t_1..t_l, [1], 1/t_l..1/t_1)
+    with t_i in {±1, ±2, ±3}."""
+    ts = [Fraction(rng.choice([1, 2, 3]) * rng.choice([1, -1])) for _ in range(g.l)]
+    return ts + ([Fraction(1)] if g.n % 2 else []) + [1 / t for t in reversed(ts)]
+
+
 def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random diagonal group member diag(t_1..t_l, [1], 1/t_l..1/t_1)
-    with t_i in {±1, ±2, ±3}, together with its inverse."""
-    l, n = g.l, g.n
-    ts = [Fraction(rng.choice([1, 2, 3]) * rng.choice([1, -1])) for _ in range(l)]
-    diag = ts + ([Fraction(1)] if n % 2 else []) + [1 / t for t in reversed(ts)]
+    """A random diagonal group member (`_torus_diagonal`) and its inverse."""
+    n = g.n
+    diag = _torus_diagonal(g, rng)
     mk = lambda vals: Matrix.from_rows([[vals[p] if p == q else 0 for q in range(n)]
                                         for p in range(n)])
     return mk(diag), mk([1 / v for v in diag])
 
 
+Entries = tuple[tuple[int, int, Fraction], ...]
+
+
+def _entries(m: Matrix) -> Entries:
+    """Nonzero 0-based entries (p, q, value) of m."""
+    return tuple((p, q, v) for p, row in enumerate(m.entries)
+                 for q, v in enumerate(row) if v)
+
+
 @lru_cache(maxsize=None)
-def _upper_basis(g: GroupKind) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
-    """Nonzero 0-based entries (p, q, value) of each strictly upper basis
-    element of the algebra of g."""
-    return tuple(tuple((p, q, v) for p, row in enumerate(b.entries)
-                       for q, v in enumerate(row) if v)
-                 for b in lie_algebra_basis(g, lambda r, c: r < c))
+def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
+    """(N, N^2) as `_entries` for each off-diagonal basis element N of the
+    parabolic subalgebra of `spec`, in `lie_algebra_basis` order.
+
+    N is a root element: its support is strictly upper (the nilradical of
+    the Borel) or strictly lower (the Levi roots a coarser flag allows).
+    N^3 = 0, and N^2 != 0 only for the o_{2l+1} roots through the middle
+    index, so exp(tN) = I + tN + t^2 N^2 / 2.
+    """
+    roots = []
+    for b in lie_algebra_basis(spec.group, _flag_allows(spec.flag)):
+        first = _entries(b)
+        if all(p != q for p, q, _ in first):
+            roots.append((first, _entries(b @ b)))
+    return tuple(roots)
 
 
 def _unipotent(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
     n = g.n
     acc = [[Fraction(0)] * n for _ in range(n)]
-    for support in _upper_basis(g):
+    for support, _ in _root_elements(SpaceSpec.borel(g)):
         coef = rng.randint(-2, 2)
         if coef:
             for p, q, v in support:
@@ -99,12 +137,85 @@ def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
     return t @ e, e_inv @ t_inv
 
 
+Word = tuple[list[Fraction], list[tuple[int, Entries, Entries]]]
+
+
+def _root_word(spec: SpaceSpec, seed: int) -> Word:
+    """A seeded member u = T f_m ... f_1 of the parabolic group of `spec`, as
+    a word: the torus diagonal of T (`_torus_diagonal`) and the factors
+    f_i = exp(t_i N_i) over the `_root_elements` N_i, each with an integer
+    t_i in [-2, 2], as (t_i, N_i, N_i^2).  Factors with t_i = 0 are dropped.
+
+    Every factor and T lie in the group, so u does; these are the Chevalley
+    generators of the group (Steinberg, Lectures on Chevalley groups, 1967).
+    """
+    rng = random.Random(seed)
+    diag = _torus_diagonal(spec.group, rng)
+    factors = []
+    for first, second in _root_elements(spec):
+        t = rng.randint(-2, 2)
+        if t:
+            factors.append((t, first, second))
+    return diag, factors
+
+
+def _row_ops(y: list[list[Fraction]], terms: list[tuple[int, int, Fraction]]):
+    """y <- (I + M) y for M with entries `terms`: row p gains c times row q,
+    every row read before any is written."""
+    updates = [(p, j, c * v) for p, q, c in terms for j, v in enumerate(y[q]) if v]
+    for p, j, v in updates:
+        y[p][j] += v
+
+
+def _col_ops(y: list[list[Fraction]], terms: list[tuple[int, int, Fraction]]):
+    """y <- y (I + M) for M with entries `terms`: column q gains c times
+    column p, every column read before any is written."""
+    updates = [(i, q, c * row[p]) for p, q, c in terms for i, row in enumerate(y)
+               if row[p]]
+    for i, q, v in updates:
+        y[i][q] += v
+
+
+def _word_act(word: Word, x: Matrix, conjugate: bool = True) -> Matrix:
+    """u x u^{-1} for the member u of a `_root_word`, or u x when `conjugate`
+    is False, by sparse row and column operations: u and u^{-1} are never
+    formed.  Each factor f = I + tN + t^2 N^2 / 2 acts on the rows, then
+    f^{-1} = I - tN + t^2 N^2 / 2 on the columns, and T last, as the scale
+    d_p / d_q of entry (p, q)."""
+    diag, factors = word
+    y = [list(row) for row in x.entries]
+    for t, first, second in factors:
+        half = Fraction(t * t, 2)
+        squared = [(p, q, half * v) for p, q, v in second]
+        _row_ops(y, [(p, q, t * v) for p, q, v in first] + squared)
+        if conjugate:
+            _col_ops(y, [(p, q, -t * v) for p, q, v in first] + squared)
+    return Matrix(tuple(tuple(v * d / diag[q] if conjugate else v * d
+                              for q, v in enumerate(row))
+                        for d, row in zip(diag, y)))
+
+
+def _packed_sums(packed: list[int], caps: list[int], start: int) -> list[int]:
+    """start + sum_i m_i packed[i] for every choice 0 <= m_i <= caps[i]."""
+    sums = [start]
+    for step, cap in zip(packed, caps):
+        sums = [s + m * step for s in sums for m in range(cap + 1)]
+    return sums
+
+
 def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
     """Count valid patterns by raw multiset filtering, independently of the
     tree enumerator: choose a multiplicity for every arc type up to the
     obvious capacity cap, then keep the choices whose per-vertex cost fits.
 
     Refuses when the raw product space exceeds 10^7 choices.
+
+    Every raw choice is tested against every vertex, packed: a cost vector
+    is one int with a bit field per vertex, and field v starts at
+    guard - 1 - b_v, so it reaches its guard bit exactly when the use of v
+    exceeds b_v.  The arc types are split in two halves of about sqrt(raw)
+    choices each, and a pair of half sums (a, c) is a valid choice exactly
+    when (a + c) has no guard bit set.
     """
     if kind not in (SYMPLECTIC, ORTHOGONAL):
         raise DomainError(f"unknown pattern kind {kind!r}")
@@ -126,16 +237,26 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
         raw *= cap + 1
         if raw > 10 ** 7:
             raise DomainError("raw search space exceeds 10^7; refusing")
-    count = 0
-    for mults in itertools.product(*(range(cap + 1) for cap in caps)):
-        used = [0] * (k + 1)
-        for mult, cost in zip(mults, costs):
-            if mult:
-                for v, c in cost.items():
-                    used[v] += mult * c
-        if all(used[v] <= b[v - 1] for v in range(1, k + 1)):
-            count += 1
-    return count
+    # Field v has h bits below its guard and starts at 2^h - 1 - b_v.  With
+    # 2^h > b_v and 2^h > the most v can be used, it never carries into the
+    # next field, and its guard is set exactly when the use exceeds b_v.
+    most = [0] * (k + 1)
+    for cost, cap in zip(costs, caps):
+        for v, c in cost.items():
+            most[v] += cap * c
+    h = max((max(most[v], b[v - 1] + 1) for v in range(1, k + 1)),
+            default=1).bit_length()
+    shift = {v: (v - 1) * (h + 1) for v in range(1, k + 1)}
+    guard = sum(1 << (shift[v] + h) for v in shift)
+    start = sum(((1 << h) - 1 - b[v - 1]) << shift[v] for v in shift)
+    packed = [sum(c << shift[v] for v, c in cost.items()) for cost in costs]
+    split, size = 0, 1
+    while split < len(caps) and size * size < raw:
+        size *= caps[split] + 1
+        split += 1
+    low = _packed_sums(packed[:split], caps[:split], start)
+    high = _packed_sums(packed[split:], caps[split:], 0)
+    return sum(1 for a in low for c in high if not (a + c) & guard)
 
 
 # -- the verification suite ----------------------------------------------------
@@ -178,7 +299,16 @@ def _group_for(kind: str, l: int) -> GroupKind:
 
 def run_suite(config: SuiteConfig) -> dict:
     """Run the configured check families; the report is a plain dict whose
-    JSON form is byte-identical across runs with equal config."""
+    JSON form is byte-identical across runs with equal config.
+
+    For each kind and rank l <= max_rank: counts (enumeration against the
+    recurrence and `brute_force_count`), separation (rank signatures are
+    distinct and `identify` inverts each representative), conjugation
+    (`identify` is unchanged by `conjugations` seeded Borel root-group words
+    per pattern, and the conjugate stays in the algebra), dimensions (the
+    summands total the flag's dimension vector) and nilradical (strict upper
+    triangularity against `is_nilradical`).
+    """
     items: list[dict] = []
 
     def record(test_id: str, params: dict, ok: bool, details: str = ""):
@@ -217,8 +347,8 @@ def run_suite(config: SuiteConfig) -> dict:
                 for idx, (p, x) in enumerate(reps):
                     for c in range(config.conjugations):
                         seed = config.seed * 1000003 + idx * 101 + c
-                        u, u_inv = random_group_element_pair(g, spec, seed)
-                        if not group_member(u, g) or identify(u @ x @ u_inv, g) != p:
+                        y = _word_act(_root_word(spec, seed), x)
+                        if not lie_member(y, g) or identify(y, g) != p:
                             bad += 1
                 record(f"conjugation/{tag}", {"kind": kind, "l": l,
                                               "per_pattern": config.conjugations},

@@ -41,6 +41,10 @@ class Arc:
     loop_variant: str = LOOP_NONE
 
     def __post_init__(self):
+        if not (_is_int(self.source) and _is_int(self.target)
+                and isinstance(self.dotted, bool) and isinstance(self.loop_variant, str)):
+            raise DomainError("arc fields have the wrong types: endpoints are integers, "
+                              "dotted a bool, the loop variant a string")
         if self.loop_variant not in _LOOP_CODE:
             raise DomainError(f"unknown loop variant {self.loop_variant!r}")
         if (self.source == self.target) != (self.loop_variant != LOOP_NONE):
@@ -347,12 +351,8 @@ def _arc_to_obj(arc: Arc) -> dict:
 def _arc_from_obj(obj) -> Arc:
     if not isinstance(obj, dict) or not {"from", "to", "dotted"} <= set(obj):
         raise DomainError("arc object needs keys from, to, dotted")
-    source, target, dot = obj["from"], obj["to"], obj["dotted"]
-    variant = obj.get("loop", LOOP_NONE)
-    if (not _is_int(source) or not _is_int(target) or not isinstance(dot, bool)
-            or not isinstance(variant, str)):
-        raise DomainError("arc fields have the wrong types")
-    return Arc(source, target, dotted=dot, loop_variant=variant)
+    return Arc(obj["from"], obj["to"], dotted=obj["dotted"],
+               loop_variant=obj.get("loop", LOOP_NONE))
 
 
 def pattern_to_obj(p: LinkPattern) -> dict:

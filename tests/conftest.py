@@ -1,5 +1,7 @@
 """Shared frozen tables and independent oracles for the test suite."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -127,6 +129,36 @@ def borel_valid_direct(kind: str, k: int, arcs) -> bool:
             return False
         seen |= ends
     return True
+
+
+def raw_arc_costs(kind: str, k: int, b) -> tuple[list[dict], list[int]]:
+    """Per-vertex cost of every arc type of a level and its capacity cap:
+    dotted loops weigh 1 (symplectic) or 2 (orthogonal), unoriented loops
+    2, and an arc between two vertices 1 at each end."""
+    w = 1 if kind == "symplectic" else 2
+    costs = []
+    for i in range(1, k + 1):
+        costs += [{i: w}, {i: w}, {i: 2}]
+        for j in range(i + 1, k + 1):
+            costs += [{i: 1, j: 1}] * 4   # i->j, j->i, dotted both ways
+    caps = [min(b[v - 1] // c for v, c in cost.items()) for cost in costs]
+    return costs, caps
+
+
+def raw_filter_count(kind: str, k: int, b) -> int:
+    """Valid patterns counted one raw multiset at a time: every choice of a
+    multiplicity up to its cap for each arc type, kept when the use of each
+    vertex fits its capacity."""
+    costs, caps = raw_arc_costs(kind, k, b)
+    columns = [(b[v - 1], [cost.get(v, 0) for cost in costs]) for v in range(1, k + 1)]
+    count = 0
+    for mults in itertools.product(*(range(cap + 1) for cap in caps)):
+        for capacity, column in columns:
+            if sum(map(operator.mul, mults, column)) > capacity:
+                break
+        else:
+            count += 1
+    return count
 
 
 # -- A(l) as a string algebra: strings and an exact Hom oracle ----------------

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -82,6 +83,25 @@ def test_enumerate_refuses_a_bad_level_before_opening_out(tmp_path, capsys):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("nilorbits enumerate: ")
     assert out.read_text() == "keep me\n"
+
+
+def test_enumerate_tex_refuses_levels_past_its_bound(tmp_path, capsys):
+    out = tmp_path / "kept.tex"
+    out.write_text("keep me\n")
+    # sp l=6 has 13,029 patterns, over the 5000 a tex table may hold
+    assert main(["enumerate", "--group", "sp", "--rank", "6", "--format", "tex",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("nilorbits enumerate: --format tex ")
+    assert "at most 5000 patterns" in captured.err
+    assert out.read_text() == "keep me\n"
+    with pytest.raises(SystemExit):
+        main(["enumerate", "--help"])
+    assert "--format tex: at most 5000 patterns" in " ".join(capsys.readouterr().out.split())
+    # a level within the bound still gets its whole table
+    assert main(["enumerate", "--group", "sp", "--rank", "2", "--format", "tex"]) == 0
+    assert capsys.readouterr().out.count("\\end{pmatrix}") == 13
 
 
 class _Discard(io.TextIOBase):
@@ -250,6 +270,17 @@ def test_verify_writes_a_report(tmp_path, capsys):
     assert report["summary"] == {"total": 12, "failed": 0}
 
 
+def test_verify_rank_3_report_is_pinned(tmp_path, capsys):
+    # Every check of the report is deterministic in its config, so its bytes
+    # are pinned: a change to what verify checks or how it words a result
+    # shows here.
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--rank", "3", "--out", str(report_path)]) == 0
+    assert capsys.readouterr().out == "verify: 32/32 checks passed\n"
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+        "d6d10e43417518c3b7523ae604ffc4554bd255560f3b68cf127cf2582e732b38")
+
+
 def test_verify_respects_group_selection(capsys):
     assert main(["verify", "--group", "sp", "--rank", "1"]) == 0
     assert capsys.readouterr().out == "verify: 6/6 checks passed\n"
@@ -272,6 +303,10 @@ HOSTILE_JSON = [
     ("repr", '{"kind":"symplectic","k":2,"b":[1,1],"arcs":5}'),
     ("repr", '{"kind":"symplectic","k":2,"b":["a",1],"arcs":[]}'),
     ("repr", '{"kind":"symplectic","k":true,"b":[1],"arcs":[]}'),
+    ("repr", '{"kind":"symplectic","k":2,"b":[1,1],'
+             '"arcs":[{"from":1.0,"to":2,"dotted":false}]}'),
+    ("summands", '{"kind":"symplectic","k":2,"b":[1,1],'
+                 '"arcs":[{"from":1,"to":2,"dotted":1}]}'),
 ]
 
 

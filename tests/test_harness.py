@@ -1,14 +1,21 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from conftest import raw_arc_costs, raw_filter_count
 from hypothesis import given, settings, strategies as st
 
-from nilorbits.correspondence import rank_signature
-from nilorbits.harness import (SuiteConfig, brute_force_count, exp_nilpotent,
+from nilorbits.correspondence import (identify, identify_parabolic,
+                                      parabolic_representative, pattern_to_matrix,
+                                      rank_signature)
+from nilorbits.harness import (SuiteConfig, _root_word, _word_act,
+                               brute_force_count, exp_nilpotent,
                                random_group_element_pair, run_suite,
                                suite_report_json)
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              group_member, lie_algebra_basis, matrix_from_obj)
+                              group_member, lie_algebra_basis, lie_member,
+                              matrix_from_obj)
 from nilorbits.patterns import enumerate_patterns
 
 
@@ -64,6 +71,31 @@ def test_brute_force_count_agrees_with_the_enumerator():
     for kind in ("symplectic", "orthogonal"):
         assert (brute_force_count(kind, 2, (2, 1))
                 == len(enumerate_patterns(kind, 2, (2, 1))))
+
+
+RAW_FILTER_LEVELS = ([b for k in range(3) for b in itertools.product((1, 2), repeat=k)]
+                     + [(1, 1, 1), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_packed_count_equals_the_raw_filter(kind):
+    for b in RAW_FILTER_LEVELS:
+        assert brute_force_count(kind, len(b), b) == raw_filter_count(kind, len(b), b), b
+
+
+def test_brute_force_count_refuses_exactly_the_raw_spaces_over_ten_million():
+    refused = []
+    for kind in ("symplectic", "orthogonal"):
+        for k in range(1, 5):
+            for b in itertools.combinations_with_replacement(range(1, 5), k):
+                raw = math.prod(cap + 1 for cap in raw_arc_costs(kind, k, b)[1])
+                if raw > 10 ** 7:
+                    refused.append((kind, b))
+                    with pytest.raises(DomainError, match="exceeds 10\\^7; refusing"):
+                        brute_force_count(kind, k, b)
+    assert ("orthogonal", (1, 3, 4)) in refused
+    # the largest raw space under the bound, 4,915,200 choices, still counts
+    assert brute_force_count("symplectic", 3, (1, 1, 4)) == 710
 
 
 def test_brute_force_count_refuses_large_spaces():
@@ -180,3 +212,68 @@ def test_random_pairs_are_frozen():
     for g, (u, u_inv) in frozen.items():
         got = random_group_element_pair(g, SpaceSpec.borel(g), 5)
         assert got == (as_matrix(u), as_matrix(u_inv))
+
+
+# -- root-group words -----------------------------------------------------------
+
+
+def dense_word(word, n: int) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for a `_root_word`, as dense products of `exp_nilpotent`
+    factors and the torus."""
+    diag, factors = word
+    u = u_inv = Matrix.identity(n)
+    for t, first, _ in factors:
+        rows = [[0] * n for _ in range(n)]
+        for p, q, v in first:
+            rows[p][q] = t * v
+        s = Matrix.from_rows(rows)
+        u, u_inv = exp_nilpotent(s) @ u, u_inv @ exp_nilpotent(-s)
+    torus = lambda vals: Matrix.from_rows([[vals[p] if p == q else 0 for q in range(n)]
+                                           for p in range(n)])
+    return torus(diag) @ u, u_inv @ torus([1 / d for d in diag])
+
+
+def every_flag(g: GroupKind):
+    return [SpaceSpec(g, flag) for r in range(g.l + 1)
+            for flag in itertools.combinations(range(1, g.l + 1), r)]
+
+
+WORD_GROUPS = [GroupKind.symplectic(4), GroupKind.symplectic(6), GroupKind.orthogonal(5),
+               GroupKind.orthogonal(6), GroupKind.orthogonal(7)]
+
+
+@pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
+def test_root_words_match_their_dense_products(g):
+    pats = enumerate_patterns(g.family, g.l, (1,) * g.l)
+    # the Borel, a maximal parabolic and the whole group, whose words hold
+    # every lower root
+    for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
+        for seed in range(3):
+            word = _root_word(spec, seed)
+            u, u_inv = dense_word(word, g.n)
+            assert _word_act(word, Matrix.identity(g.n), conjugate=False) == u
+            assert group_member(u, g) and u @ u_inv == Matrix.identity(g.n)
+            if spec.flag == tuple(range(1, g.l + 1)):
+                assert u.is_upper_triangular()
+            x = pattern_to_matrix(pats[7 * seed % len(pats)], g)
+            assert _word_act(word, x) == u @ x @ u_inv
+
+
+def test_root_words_are_seeded():
+    spec = SpaceSpec.borel(GroupKind.orthogonal(7))
+    assert _root_word(spec, 4) == _root_word(spec, 4)
+    assert _root_word(spec, 4) != _root_word(spec, 5)
+
+
+@pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
+def test_parabolic_orbits_are_constant_under_levi_and_unipotent_words(g):
+    moved = 0
+    for spec in every_flag(g):
+        for seed, p in enumerate(enumerate_patterns(g.family, spec.k, spec.blocks)):
+            x = parabolic_representative(p, spec)
+            y = _word_act(_root_word(spec, seed), x)
+            assert lie_member(y, g)
+            assert identify_parabolic(y, spec) == p, (spec.flag, p.text())
+            moved += identify(y, g) != identify(x, g)
+    # the Levi roots leave the Borel orbit of some representative
+    assert moved > 0

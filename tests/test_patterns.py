@@ -29,6 +29,26 @@ def test_arc_validation():
         Arc(1, 1, dotted=True, loop_variant="sideways")
 
 
+@pytest.mark.parametrize("fields", [
+    (1.0, 2), (1, 2.0), (True, 2), (1, 2, 1), (1, 2, None), (1, 1, True, ["upper"]),
+])
+def test_arc_refuses_fields_of_the_wrong_type(fields):
+    # Arc(1.0, 2) was once built; pattern_to_json wrote "from":1.0, and
+    # validate raised a bare TypeError.
+    with pytest.raises(DomainError, match="arc fields have the wrong types"):
+        Arc(*fields)
+
+
+@pytest.mark.parametrize("arc", ['{"from":1.0,"to":2,"dotted":false}',
+                                 '{"from":1,"to":true,"dotted":false}',
+                                 '{"from":1,"to":2,"dotted":0}',
+                                 '{"from":1,"to":1,"dotted":true,"loop":1}'])
+def test_pattern_json_refuses_arc_fields_of_the_wrong_type(arc):
+    text = '{"kind":"symplectic","k":2,"b":[1,1],"arcs":[' + arc + ']}'
+    with pytest.raises(DomainError, match="arc fields have the wrong types"):
+        pattern_from_json(text)
+
+
 def test_arc_text_and_keys():
     assert undotted(1, 2).text() == "1->2"
     assert dotted(2, 1).text() == "2..>1"
