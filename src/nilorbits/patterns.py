@@ -310,7 +310,12 @@ def glue(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
 
 
 def is_nilradical(p: LinkPattern) -> bool:
-    """True iff every non-loop arc points leftward and every dotted loop is upper."""
+    """True iff every non-loop arc points leftward and every dotted loop is
+    upper.  The rule holds at the Borel level only, so a pattern with a
+    capacity other than 1 is refused."""
+    if any(cap != 1 for cap in p.b):
+        raise DomainError(f"is_nilradical decides Borel patterns only (capacities 1), "
+                          f"got capacities {p.b}")
     for arc in p.arcs:
         if arc.loop_variant == LOOP_LOWER:
             return False

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _eliminate, _frac, _intertwiner_rows, _ints, form_matrix,
-                     rank, require_two_nilpotent)
+                     _eliminate, _frac, _intertwiner_rows, _ints, _is_int,
+                     form_matrix, rank, require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        _free_capacity)
 
@@ -43,6 +44,9 @@ class Summand:
 
     def __post_init__(self):
         fam, i, j, l = self.family, self.i, self.j, self.l
+        if not (isinstance(fam, str) and _is_int(i) and _is_int(j) and _is_int(l)):
+            raise DomainError("summand fields have the wrong types: the family is a "
+                              "string, i, j and l are integers")
         if fam not in _FAMILY_ORDER:
             raise DomainError(f"unknown summand family {fam!r}")
         if l < 0:
@@ -192,19 +196,30 @@ class SymmetricPiece:
 Multiset = list[tuple[SymmetricPiece, int]]
 
 
-def _collect(pieces: list[SymmetricPiece]) -> Multiset:
-    counts: dict[SymmetricPiece, int] = {}
-    for piece in pieces:
-        counts[piece] = counts.get(piece, 0) + 1
-    return sorted(counts.items(), key=lambda item: item[0].key())
-
-
 def total_dimension_vector(ms: Multiset) -> DimensionVector:
     if not ms:
         return ()
     vecs = [piece.dimension_vector() for piece, _ in ms]
     return tuple(sum(v[idx] * mult for v, (_, mult) in zip(vecs, ms))
                  for idx in range(len(vecs[0])))
+
+
+# A piece is one summand alone, the orthogonal (z, z) loop, or a dual pair.
+_SINGLE, _DOUBLED, _PAIR = range(3)
+# Room for many levels at once: the sp_12 Borel level has 78 pieces, and
+# every flag of sp_12, o_12 and o_13 together has 261.
+_PIECE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_PIECE_CACHE_SIZE)
+def _piece(family: str, i: int, j: int, k: int,
+           shape: int) -> tuple[tuple, SymmetricPiece]:
+    """The piece of a summand in one shape, with its sort key, built once:
+    pieces are frozen, so every multiset may share them."""
+    s = Summand(family, i, j, k)
+    piece = SymmetricPiece((s,) if shape == _SINGLE else
+                           (s, s) if shape == _DOUBLED else (s, dual(s)))
+    return piece.key(), piece
 
 
 def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
@@ -214,39 +229,42 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     block s gives free copies of M_{s,omega} (+) M*_{s,omega}; the middle
     space beyond the flag is padded with M_{omega,omega} pieces (paired, and
     one fixed single copy when n is odd).  The total dimension vector is
-    always the palindrome of the spec.
+    always the palindrome of the spec.  Each piece is built once per level
+    and shared by every multiset that holds it (pieces are immutable); the
+    list is new on every call.
     """
     free = _free_capacity(p, spec)
     k = spec.k
-    symplectic = spec.group.is_symplectic
-    pieces: list[SymmetricPiece] = []
+    loop = _SINGLE if spec.group.is_symplectic else _DOUBLED
+    counts: dict[tuple, int] = {}
+    pieces: dict[tuple, SymmetricPiece] = {}
+
+    def add(family: str, i: int, j: int, shape: int, mult: int = 1) -> None:
+        key, piece = _piece(family, i, j, k, shape)
+        pieces[key] = piece
+        counts[key] = counts.get(key, 0) + mult
+
     for arc in p.arcs:
         if arc.loop_variant == LOOP_UNORIENTED:
-            pieces.append(SymmetricPiece.pair(Summand("D+", arc.source, arc.source, k)))
+            add("D+", arc.source, arc.source, _PAIR)
         elif arc.loop_variant == LOOP_UPPER:
-            z = Summand("Z+", arc.source, arc.source, k)
-            pieces.append(SymmetricPiece.single(z) if symplectic
-                          else SymmetricPiece((z, z)))
+            add("Z+", arc.source, arc.source, loop)
         elif arc.loop_variant == LOOP_LOWER:
-            z = Summand("Z-", arc.source, arc.source, k)
-            pieces.append(SymmetricPiece.single(z) if symplectic
-                          else SymmetricPiece((z, z)))
+            add("Z-", arc.source, arc.source, loop)
         else:
             i, j = min(arc.source, arc.target), max(arc.source, arc.target)
             rightward = arc.source < arc.target
-            family = ("Z" if arc.dotted else "D") + ("-" if rightward else "+")
-            pieces.append(SymmetricPiece.pair(Summand(family, i, j, k)))
+            add(("Z" if arc.dotted else "D") + ("-" if rightward else "+"), i, j, _PAIR)
     for s, count in enumerate(free, start=1):
-        for _ in range(count):
-            pieces.append(SymmetricPiece.pair(Summand("M", s, k + 1, k)))
+        if count:
+            add("M", s, k + 1, _PAIR, count)
     reach = spec.flag[-1] if spec.flag else 0
     gap = spec.group.n - 2 * reach
-    middle = Summand("M", k + 1, k + 1, k)
-    for _ in range(gap // 2):
-        pieces.append(SymmetricPiece.pair(middle))
+    if gap >= 2:
+        add("M", k + 1, k + 1, _PAIR, gap // 2)
     if gap % 2 == 1:
-        pieces.append(SymmetricPiece.single(middle))
-    return _collect(pieces)
+        add("M", k + 1, k + 1, _SINGLE)
+    return [(pieces[key], counts[key]) for key in sorted(counts)]
 
 
 # -- explicit flag realizations and endomorphism dimensions -------------------

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from nilorbits.linalg import Matrix, _eliminate, form_matrix
-from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER
+from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, consumption
+from nilorbits.quiver import Summand, SymmetricPiece
 
 
 def unit(n, r, c, v=1):
@@ -159,6 +160,42 @@ def raw_filter_count(kind: str, k: int, b) -> int:
         else:
             count += 1
     return count
+
+
+def reference_summands(p, spec):
+    """The summand multiset of a valid block pattern, one fresh piece per arc
+    and per copy: a pair D+(v,v) per unoriented loop, Z+(v,v) or Z-(v,v)
+    per dotted loop (single for sp, doubled for o), D or Z (- rightward,
+    + leftward) per arc between two vertices, one M(s,omega) pair per unit
+    of capacity left at block s, and M(omega,omega) pairs with one single
+    for odd n over the middle space.  Equal pieces are counted by hashing
+    and the result is sorted by piece key."""
+    k = spec.k
+    symplectic = spec.group.is_symplectic
+    pieces = []
+    for arc in p.arcs:
+        if arc.loop_variant == LOOP_UNORIENTED:
+            pieces.append(SymmetricPiece.pair(Summand("D+", arc.source, arc.source, k)))
+        elif arc.is_loop:
+            z = Summand("Z+" if arc.loop_variant == LOOP_UPPER else "Z-",
+                        arc.source, arc.source, k)
+            pieces.append(SymmetricPiece.single(z) if symplectic
+                          else SymmetricPiece((z, z)))
+        else:
+            i, j = sorted((arc.source, arc.target))
+            family = ("Z" if arc.dotted else "D") + ("-" if arc.source < arc.target else "+")
+            pieces.append(SymmetricPiece.pair(Summand(family, i, j, k)))
+    for s, (cap, used) in enumerate(zip(spec.blocks, consumption(p)), start=1):
+        pieces += [SymmetricPiece.pair(Summand("M", s, k + 1, k)) for _ in range(cap - used)]
+    gap = spec.group.n - 2 * (spec.flag[-1] if spec.flag else 0)
+    middle = Summand("M", k + 1, k + 1, k)
+    pieces += [SymmetricPiece.pair(middle) for _ in range(gap // 2)]
+    if gap % 2:
+        pieces.append(SymmetricPiece.single(middle))
+    counts = {}
+    for piece in pieces:
+        counts[piece] = counts.get(piece, 0) + 1
+    return sorted(counts.items(), key=lambda item: item[0].key())
 
 
 # -- A(l) as a string algebra: strings and an exact Hom oracle ----------------

@@ -241,6 +241,19 @@ def test_nilradical_counts_rank_two():
     assert len({strip_orientation(p) for p in orth}) == 3
 
 
+def test_is_nilradical_refuses_block_patterns():
+    # The Borel rule over-counts at the parabolic level (27 of the 95 sp_8
+    # (2, 2) orbits instead of 20), so it answers only for capacities 1.
+    block = enumerate_patterns("symplectic", 2, (2, 2))
+    assert len(block) == 95
+    for p in block:
+        with pytest.raises(DomainError, match="Borel patterns only"):
+            is_nilradical(p)
+    with pytest.raises(DomainError, match="Borel patterns only"):
+        is_nilradical(LinkPattern("orthogonal", 2, (1, 3), ()))
+    assert is_nilradical(LinkPattern.borel("symplectic", 2, (undotted(2, 1),)))
+
+
 def test_strip_orientation_is_idempotent_projection():
     for kind in ("symplectic", "orthogonal"):
         for p in enumerate_patterns(kind, 3, (1, 1, 1)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
                               total_dimension_vector)
 
 from conftest import (dense_commutant_dim, enumerate_strings, flag_positions,
-                      hom_dim, string_module)
+                      hom_dim, reference_summands, string_module)
 
 
 def test_degenerate_names_normalize():
@@ -48,6 +49,15 @@ def test_summand_range_errors():
         Summand("X", 1, 1, 1)
     with pytest.raises(DomainError):
         Summand("M", 1, 1, -1)
+
+
+@pytest.mark.parametrize("fields", [
+    ("M", True, 2, 2), ("M", 1.0, 2, 2), ("M", "1", 2, 2), ("M", 1, 2.0, 2),
+    ("M", 1, 2, False), ("M", 1, 2, 2.0), (None, 1, 2, 2), (["M"], 1, 2, 2),
+], ids=repr)
+def test_summand_refuses_fields_of_the_wrong_type(fields):
+    with pytest.raises(DomainError, match="wrong types"):
+        Summand(*fields)
 
 
 def test_dual_is_an_involution_with_known_fixed_points():
@@ -163,6 +173,43 @@ def test_totals_are_palindromic_for_every_borel_pattern():
             assert want == want[::-1]
             for p in enumerate_patterns(g.family, l, (1,) * l):
                 assert total_dimension_vector(pattern_to_summands(p, spec)) == want
+
+
+# SHA-256 of multiset_to_json, one line per pattern, over every flag of
+# sp_2..sp_8 and o_1..o_9 (empty flags included), frozen from the
+# construction with one fresh piece per arc and per copy.
+SUMMANDS_DIGEST = "6edfd83910af9262beea6bda40abea32993c40261a3e2dd3a3e790d4c540890a"
+
+
+def test_summands_match_the_fresh_reference_on_every_flag():
+    digest, seen = hashlib.sha256(), 0
+    for g in ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 10)]):
+        for k in range(g.l + 1):
+            for flag in combinations(range(1, g.l + 1), k):
+                spec = SpaceSpec(g, flag)
+                for p in enumerate_patterns(g.family, spec.k, spec.blocks):
+                    ms = pattern_to_summands(p, spec)
+                    assert ms == reference_summands(p, spec), (g.name, flag, p.text())
+                    digest.update(multiset_to_json(ms).encode() + b"\n")
+                    seen += 1
+    assert seen == 2266
+    assert digest.hexdigest() == SUMMANDS_DIGEST
+
+
+def test_summands_share_pieces_but_return_a_fresh_list():
+    # every branch at once: an arc, an unoriented loop, a free copy at
+    # block 1 and the single middle piece of odd n
+    g = GroupKind.orthogonal(11)
+    spec = SpaceSpec.from_blocks(g, (2, 3))
+    p = LinkPattern(g.family, 2, (2, 3), (dotted(2, 1), unoriented_loop(2)))
+    first = pattern_to_summands(p, spec)
+    want = list(first)
+    first[0] = (first[0][0], 99)
+    first.append(first[0])
+    second = pattern_to_summands(p, spec)
+    assert second == want == reference_summands(p, spec)
+    assert all(a is b for (a, _), (b, _) in zip(second, want))
 
 
 def test_realize_flag_validates_the_loop():
