@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
                      require_two_nilpotent, star)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 6).
@@ -127,38 +128,42 @@ class RankSignature:
 
     def delta_positions(self) -> tuple[tuple[int, int], ...]:
         """Positions where the second difference of the table is 1."""
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                d = (self.rank(i, j) - self.rank(i + 1, j)
-                     - self.rank(i, j - 1) + self.rank(i + 1, j - 1))
-                if d:
-                    out.append((i, j))
-        return tuple(out)
+        t = self.table
+        return tuple((i, j)
+                     for i, (upper, lower) in enumerate(zip(t, t[1:]), start=1)
+                     for j in range(1, self.n + 1)
+                     if upper[j] - lower[j] - upper[j - 1] + lower[j - 1])
 
 
 def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     # Reduce with the operations that preserve every lower-left rank: adding
-    # a lower row to an upper one and adding a left column to a right one.
-    # Columns are processed left to right, the pivot is the bottom-most
-    # nonzero; afterwards each nonzero column holds a single unit.  This is
-    # not linalg's elimination kernel: that one swaps rows and eliminates
-    # downward, which would destroy the lower-left ranks read off here.
+    # a lower row to an upper one, scaling a row and adding a left column to
+    # a right one.  Columns are processed left to right, the pivot is the
+    # bottom-most nonzero; afterwards each nonzero column holds a single
+    # unit.  This is not linalg's elimination kernel: that one swaps rows
+    # and eliminates downward, which would destroy the lower-left ranks read
+    # off here.  It runs on the cleared integer rows of x: an upper row i
+    # becomes lead a_i - a_i[c] a_r, a nonzero multiple of itself plus a
+    # multiple of a lower row, and is divided by its content to keep the
+    # entries small.
     n = x.rows
-    a = [list(row) for row in x.entries]
+    a = _cleared(x)[0]
     pivots: list[tuple[int, int]] = []
     for c in range(n):
-        r = next((i for i in range(n - 1, -1, -1) if a[i][c] != 0), None)
+        r = next((i for i in range(n - 1, -1, -1) if a[i][c]), None)
         if r is None:
             continue
-        lead = a[r][c]
+        below = a[r]
+        lead = below[c]
         for i in range(r):
-            if a[i][c] != 0:
-                f = a[i][c] / lead
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        # Column c is now lead * e_r, so clearing row r right of it with
-        # column operations changes no other entry.
-        a[r][c + 1:] = [0] * (n - c - 1)
+            f = a[i][c]
+            if f:
+                row = [lead * v - f * w for v, w in zip(a[i], below)]
+                content = gcd(*row)
+                a[i] = [v // content for v in row] if content > 1 else row
+        # Column c is now a multiple of e_r, so clearing row r right of it
+        # with column operations changes no other entry.
+        below[c + 1:] = [0] * (n - c - 1)
         pivots.append((r + 1, c + 1))
     return pivots
 
@@ -169,15 +174,18 @@ def rank_signature(x: Matrix) -> RankSignature:
     if not x.is_square:
         raise DomainError("rank signature needs a square matrix")
     n = x.rows
-    pivots = _pivot_positions(x)
-    table = [[0] * (n + 1) for _ in range(n + 2)]
-    # r(i, j) counts pivots with row >= i and col <= j.
+    # r(i, j) counts pivots with row >= i and col <= j; no two pivots share
+    # a row, so going up one row adds at most one pivot to the counts.
+    pivot_col = dict(_pivot_positions(x))
+    counts = [0] * (n + 1)
+    table = [tuple(counts)]
     for i in range(n, 0, -1):
-        in_rows = [c for (r, c) in pivots if r >= i]
-        for j in range(1, n + 1):
-            table[i][j] = sum(1 for c in in_rows if c <= j)
-    return RankSignature(n, tuple(tuple(table[i][j] for j in range(n + 1))
-                                  for i in range(1, n + 2)))
+        c = pivot_col.get(i)
+        if c is not None:
+            for j in range(c, n + 1):
+                counts[j] += 1
+        table.append(tuple(counts))
+    return RankSignature(n, tuple(reversed(table)))
 
 
 @lru_cache(maxsize=None)

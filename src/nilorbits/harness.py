@@ -6,10 +6,11 @@ Group elements come in two exact forms, both seeded:
   diagonal torus part with small integer eigenvalues and one factor
   exp(tN) = I + tN + t^2 N^2 / 2 per root element N of a parabolic
   subalgebra, with a small integer t.  `_word_act` applies a word to a
-  matrix as sparse row and column operations, so the element and its
-  inverse are never formed.  The root elements of a coarser flag include
-  its Levi roots, so the words of a `SpaceSpec` give conjugates by its
-  parabolic subgroup.
+  matrix as sparse row and column operations on its integer rows, over
+  one running denominator, so the element and its inverse are never
+  formed and no Fraction arithmetic is done.  The root elements of a
+  coarser flag include its Levi roots, so the words of a `SpaceSpec` give
+  conjugates by its parabolic subgroup.
 - Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
   times the exponential of a random strictly upper triangular algebra
   member, a finite sum.  They are the dense reference the words are tested
@@ -32,12 +33,12 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _flag_allows, _ints, lie_algebra_basis,
-                     lie_member)
+                     SpaceSpec, _cleared, _flag_allows, _ints,
+                     lie_algebra_basis, lie_member)
 from .patterns import count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -86,12 +87,12 @@ def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
     return mk(diag), mk([1 / v for v in diag])
 
 
-Entries = tuple[tuple[int, int, Fraction], ...]
+Entries = tuple[tuple[int, int, int], ...]
 
 
 def _entries(m: Matrix) -> Entries:
-    """Nonzero 0-based entries (p, q, value) of m."""
-    return tuple((p, q, v) for p, row in enumerate(m.entries)
+    """Nonzero 0-based entries (p, q, value) of an integer matrix m."""
+    return tuple((p, q, v.numerator) for p, row in enumerate(m.entries)
                  for q, v in enumerate(row) if v)
 
 
@@ -100,10 +101,10 @@ def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
     """(N, N^2) as `_entries` for each off-diagonal basis element N of the
     parabolic subalgebra of `spec`, in `lie_algebra_basis` order.
 
-    N is a root element: its support is strictly upper (the nilradical of
-    the Borel) or strictly lower (the Levi roots a coarser flag allows).
-    N^3 = 0, and N^2 != 0 only for the o_{2l+1} roots through the middle
-    index, so exp(tN) = I + tN + t^2 N^2 / 2.
+    N is a root element: its entries are +-1 and its support is strictly
+    upper (the nilradical of the Borel) or strictly lower (the Levi roots a
+    coarser flag allows).  N^3 = 0, and N^2 != 0 only for the o_{2l+1}
+    roots through the middle index, so exp(tN) = I + tN + t^2 N^2 / 2.
     """
     roots = []
     for b in lie_algebra_basis(spec.group, _flag_allows(spec.flag)):
@@ -159,21 +160,28 @@ def _root_word(spec: SpaceSpec, seed: int) -> Word:
     return diag, factors
 
 
-def _row_ops(y: list[list[Fraction]], terms: list[tuple[int, int, Fraction]]):
-    """y <- (I + M) y for M with entries `terms`: row p gains c times row q,
-    every row read before any is written."""
-    updates = [(p, j, c * v) for p, q, c in terms for j, v in enumerate(y[q]) if v]
-    for p, j, v in updates:
-        y[p][j] += v
+def _row_ops(y: list[list[int]], terms: list[tuple[int, int, int]], scale: int):
+    """y <- scale y + M y for M with integer entries `terms`: row p gains c
+    times row q, every row read before any is written."""
+    gains = [(p, c, y[q]) for p, q, c in terms]
+    if scale != 1:
+        y[:] = [[scale * v for v in row] for row in y]
+    # Rows are replaced, never written in place, so each gain reads the
+    # row as it was before the step.
+    for p, c, row in gains:
+        y[p] = [a + c * b for a, b in zip(y[p], row)]
 
 
-def _col_ops(y: list[list[Fraction]], terms: list[tuple[int, int, Fraction]]):
-    """y <- y (I + M) for M with entries `terms`: column q gains c times
-    column p, every column read before any is written."""
-    updates = [(i, q, c * row[p]) for p, q, c in terms for i, row in enumerate(y)
-               if row[p]]
-    for i, q, v in updates:
-        y[i][q] += v
+def _col_ops(y: list[list[int]], terms: list[tuple[int, int, int]], scale: int):
+    """y <- scale y + y M for M with integer entries `terms`: column q
+    gains c times column p, every column read before any is written."""
+    gains = [(q, c, [row[p] for row in y]) for p, q, c in terms]
+    if scale != 1:
+        y[:] = [[scale * v for v in row] for row in y]
+    for q, c, col in gains:
+        for row, v in zip(y, col):
+            if v:
+                row[q] += c * v
 
 
 def _word_act(word: Word, x: Matrix, conjugate: bool = True) -> Matrix:
@@ -181,18 +189,38 @@ def _word_act(word: Word, x: Matrix, conjugate: bool = True) -> Matrix:
     is False, by sparse row and column operations: u and u^{-1} are never
     formed.  Each factor f = I + tN + t^2 N^2 / 2 acts on the rows, then
     f^{-1} = I - tN + t^2 N^2 / 2 on the columns, and T last, as the scale
-    d_p / d_q of entry (p, q)."""
+    d_p / d_q of entry (p, q).
+
+    The operations run on integer rows over one running denominator, and a
+    Fraction is built only for each nonzero entry of the result.  When
+    t^2 N^2 / 2 is not integral (t odd, N through the middle index of
+    o_{2l+1}), the side acts by 2f or 2f^{-1} and the denominator doubles.
+    T acts by integer row multipliers L_b d_p and column multipliers
+    L_a / d_q, with L_b and L_a the lcm of the denominators and of the
+    numerators of its diagonal.
+    """
     diag, factors = word
-    y = [list(row) for row in x.entries]
+    sides = ((_row_ops, 1), (_col_ops, -1)) if conjugate else ((_row_ops, 1),)
+    y, den = _cleared(x)
     for t, first, second in factors:
-        half = Fraction(t * t, 2)
-        squared = [(p, q, half * v) for p, q, v in second]
-        _row_ops(y, [(p, q, t * v) for p, q, v in first] + squared)
-        if conjugate:
-            _col_ops(y, [(p, q, -t * v) for p, q, v in first] + squared)
-    return Matrix(tuple(tuple(v * d / diag[q] if conjugate else v * d
-                              for q, v in enumerate(row))
-                        for d, row in zip(diag, y)))
+        for ops, sign in sides:
+            s = sign * t
+            scale = 2 if second and s % 2 else 1
+            den *= scale
+            ops(y, [(p, q, scale * s * v) for p, q, v in first]
+                + [(p, q, scale * s * s * v // 2) for p, q, v in second], scale)
+    lb = lcm(*(d.denominator for d in diag))
+    row_scale = [lb // d.denominator * d.numerator for d in diag]
+    col_scale = [1] * len(diag)
+    den *= lb
+    if conjugate:
+        la = lcm(*(d.numerator for d in diag))
+        col_scale = [la // d.numerator * d.denominator for d in diag]
+        den *= la
+    zero = Fraction(0)
+    return Matrix(tuple(tuple(Fraction(v * r * c, den) if v else zero
+                              for v, c in zip(row, col_scale))
+                        for r, row in zip(row_scale, y)))
 
 
 def _packed_sums(packed: list[int], caps: list[int], start: int) -> list[int]:

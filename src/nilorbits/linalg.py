@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -162,7 +162,7 @@ class Matrix:
         # Accumulate numerators in plain ints over each operand's shared
         # denominator; one Fraction is built per nonzero output entry.
         left, da = _cleared(self)
-        right, db = _cleared(other)
+        right, db = (left, da) if other is self else _cleared(other)
         right_support = [[(j, b) for j, b in enumerate(row) if b] for row in right]
         den = da * db
         zero = Fraction(0)
@@ -339,7 +339,8 @@ class SpaceSpec:
     The flag step d_s is the dimension of the s-th subspace; the stabilizer
     of the standard flag <e_1..e_{d_1}> c ... c <e_1..e_{d_k}> is the
     parabolic subgroup the spec describes.  blocks is the block vector
-    (d_1, d_2 - d_1, ..., d_k - d_{k-1}).
+    (d_1, d_2 - d_1, ..., d_k - d_{k-1}), built once per spec: every
+    pattern check reads it.
     """
 
     group: GroupKind
@@ -371,7 +372,7 @@ class SpaceSpec:
     def k(self) -> int:
         return len(self.flag)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[int, ...]:
         return tuple(d - prev for d, prev in zip(self.flag, (0,) + self.flag[:-1]))
 

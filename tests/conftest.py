@@ -70,6 +70,58 @@ def naive_rank(m: Matrix) -> int:
     return rank
 
 
+def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
+    """Lower-left-rank-preserving pivots of a square matrix over Fractions:
+    columns left to right, the bottom-most nonzero is the pivot, upper rows
+    lose a multiple of it and its row is cleared right of it.  The oracle
+    for the integer `correspondence._pivot_positions`."""
+    n = x.rows
+    a = [list(row) for row in x.entries]
+    pivots = []
+    for c in range(n):
+        r = next((i for i in range(n - 1, -1, -1) if a[i][c] != 0), None)
+        if r is None:
+            continue
+        lead = a[r][c]
+        for i in range(r):
+            if a[i][c] != 0:
+                f = a[i][c] / lead
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        a[r][c + 1:] = [0] * (n - c - 1)
+        pivots.append((r + 1, c + 1))
+    return pivots
+
+
+def reference_word_act(word, x: Matrix, conjugate: bool = True) -> Matrix:
+    """u x u^-1 (or u x) for a `harness._root_word`, by row and column
+    operations over Fractions: each factor I + tN + t^2 N^2 / 2 on the rows,
+    its inverse I - tN + t^2 N^2 / 2 on the columns, then the torus scale
+    d_p / d_q.  The oracle for the integer `harness._word_act`."""
+    diag, factors = word
+    y = [list(row) for row in x.entries]
+
+    def act(terms, on_rows):
+        # every row (column) is read before any is written
+        if on_rows:
+            updates = [(p, j, c * v) for p, q, c in terms
+                       for j, v in enumerate(y[q]) if v]
+        else:
+            updates = [(i, q, c * row[p]) for p, q, c in terms
+                       for i, row in enumerate(y) if row[p]]
+        for i, j, v in updates:
+            y[i][j] += v
+
+    for t, first, second in factors:
+        half = Fraction(t * t, 2)
+        squared = [(p, q, half * v) for p, q, v in second]
+        act([(p, q, t * v) for p, q, v in first] + squared, True)
+        if conjugate:
+            act([(p, q, -t * v) for p, q, v in first] + squared, False)
+    return Matrix(tuple(tuple(v * d / diag[q] if conjugate else v * d
+                              for q, v in enumerate(row))
+                        for d, row in zip(diag, y)))
+
+
 def flag_positions(n: int, flag) -> list[tuple[int, int]]:
     """1-based (r, c) where a matrix may be nonzero and still keep every
     span(e_1, ..., e_d) of the standard isotropic flag and of its perps

@@ -1,22 +1,24 @@
 import random
 import re
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import (MalformedInputError, _arcs_by_first_unit,
-                                      _decode, identify,
+                                      _decode, _pivot_positions, identify,
                                       identify_parabolic,
                                       parabolic_representative,
                                       pattern_to_matrix, rank_signature, refine,
                                       tex_matrix, tex_pattern, tex_table)
-from nilorbits.harness import random_group_element_pair
+from nilorbits.harness import _root_word, _word_act, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               is_two_nilpotent, lie_member)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 undotted, unoriented_loop, upper_loop)
 
-from conftest import random_rational_matrix, rank_table_direct
+from conftest import random_rational_matrix, rank_table_direct, reference_pivot_positions
 
 
 def all_groups(max_l):
@@ -89,6 +91,54 @@ def test_rank_signature_matches_submatrix_ranks(sp4_table, o4_table):
                 assert sig.rank(i, j) == direct[(i, j)], (i, j)
 
 
+# Zeros, small rationals and rationals with up to 30-digit numerators and
+# denominators, mixed in one matrix.
+entries = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
+                    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                              st.integers(1, 10 ** 30)))
+
+
+@st.composite
+def square_rationals(draw):
+    """Square matrices up to 7x7 whose rows are fresh, zero, or a rational
+    multiple of an earlier row, so that lower-left ranks drop."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            c = draw(st.one_of(st.just(Fraction(1)), entries.filter(bool)))
+            rows.append([c * v for v in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n)
+        else:
+            rows.append([draw(entries) for _ in range(n)])
+    return Matrix(tuple(map(tuple, rows)))
+
+
+integer_route = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@integer_route
+@given(square_rationals())
+def test_integer_pivots_equal_the_fraction_oracle(x):
+    assert _pivot_positions(x) == reference_pivot_positions(x)
+
+
+@integer_route
+@given(square_rationals())
+def test_rank_signature_equals_direct_submatrix_ranks(x):
+    n = x.rows
+    direct = rank_table_direct(x)
+    sig = rank_signature(x)
+    assert sig.table == tuple(tuple(direct[i, j] for j in range(n + 1))
+                              for i in range(1, n + 2))
+    assert sig.delta_positions() == tuple(
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+        if direct[i, j] - direct[i + 1, j] - direct[i, j - 1] + direct[i + 1, j - 1])
+
+
 def test_rank_signature_indexing_bounds():
     sig = rank_signature(Matrix.zero(3))
     with pytest.raises(DomainError):
@@ -113,6 +163,18 @@ def test_rank_signature_constant_on_orbits():
             for c in range(3):
                 u, u_inv = random_group_element_pair(g, spec, 31 * idx + c)
                 assert rank_signature(u @ x @ u_inv) == base, (g.name, p.text())
+
+
+def test_identify_ignores_a_large_denominator_scalar():
+    # Scaling keeps every lower-left rank, so the cleared rows of c y and y
+    # must give the same pattern however large the content they carry.
+    c = Fraction(-(10 ** 29 + 7), 3 * 10 ** 29 + 1)
+    for g in (GroupKind.symplectic(6), GroupKind.orthogonal(7)):
+        spec = SpaceSpec.borel(g)
+        for idx, p in enumerate(borel_patterns(g)):
+            y = _word_act(_root_word(spec, idx), pattern_to_matrix(p, g))
+            scaled = Matrix(tuple(tuple(c * v for v in row) for row in y.entries))
+            assert identify(scaled, g) == identify(y, g) == p, (g.name, p.text())
 
 
 def test_identify_round_trip():

@@ -1,9 +1,10 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import raw_arc_costs, raw_filter_count
+from conftest import raw_arc_costs, raw_filter_count, reference_word_act
 from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import (identify, identify_parabolic,
@@ -257,6 +258,27 @@ def test_root_words_match_their_dense_products(g):
                 assert u.is_upper_triangular()
             x = pattern_to_matrix(pats[7 * seed % len(pats)], g)
             assert _word_act(word, x) == u @ x @ u_inv
+
+
+@pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
+def test_word_act_equals_the_fraction_oracle(g):
+    # Rational inputs outside the algebra, with zeros and denominators up to
+    # 30 digits; on o_{2l+1} some words hold an odd t on a middle root, where
+    # the integer rows are doubled.
+    rng = random.Random(g.n)
+    odd_middle = 0
+    for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
+        for seed in range(6):
+            word = _root_word(spec, seed)
+            odd_middle += sum(1 for t, _, second in word[1] if second and t % 2)
+            dens = (1, 2, 6, rng.randint(1, 10 ** 30))
+            x = Matrix.from_rows([[Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                   for _ in range(g.n)] for _ in range(g.n)])
+            assert not lie_member(x, g)
+            for conjugate in (True, False):
+                got = _word_act(word, x, conjugate)
+                assert repr(got) == repr(reference_word_act(word, x, conjugate))
+    assert (odd_middle > 0) == (g.n % 2 == 1)
 
 
 def test_root_words_are_seeded():

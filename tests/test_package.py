@@ -39,6 +39,20 @@ def test_every_imported_name_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def test_no_floats():
+    # The package is exact: no float or imaginary literal and no use of the
+    # name float anywhere in its source, found like the unused imports.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            literal = (isinstance(node, ast.Constant)
+                       and isinstance(node.value, (float, complex)))
+            named = isinstance(node, ast.Name) and node.id == "float"
+            if literal or named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _names_read(path: pathlib.Path) -> set[str]:
     tree = ast.parse(path.read_text())
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
