@@ -12,7 +12,6 @@ canonical Borel refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable
@@ -59,11 +58,11 @@ def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
     _free_capacity(p, SpaceSpec.borel(g))
     n = g.n
     eps = 1 if g.is_symplectic else -1
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for arc in p.arcs:
         for (r, c, coef) in _arc_units(arc, n, eps):
             rows[r - 1][c - 1] += coef
-    return Matrix.from_rows(rows)
+    return Matrix._from_ints(rows, 1)
 
 
 def refine(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:

@@ -2,8 +2,12 @@
 
 Everything downstream (pattern representatives, rank signatures, orbit
 dimensions) reduces to exact linear algebra over Q, so this module has no
-floating point anywhere: entries are fractions.Fraction, and products run
-on integer rows cleared to one shared denominator per operand.  There is one
+floating point anywhere: entries are fractions.Fraction.  Each matrix is
+cleared at most once, to integer rows over one shared denominator, and the
+result is cached on it (`Matrix._ints`); a matrix built from integer rows
+(a product, a pattern representative, a root-group conjugate) starts with
+that cache filled.  Products, rank, the 2-nilpotency test and the row
+builder read the cache; the form check reads the entries.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
 integer rows; rank, the membership and centralizer dimensions and the
 quiver layer's stabilizer dimensions all sit on it.  Every defining form is
@@ -27,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 
@@ -56,11 +60,36 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
+# A matrix whose entries need a common denominator longer than this is
+# refused rather than cleared: every integer row of it would carry that many
+# bits, and a product or an elimination would run for minutes.
+_MAX_DENOMINATOR_BITS = 1 << 16
+
+
+def _check_denominator(den: int):
+    if den.bit_length() > _MAX_DENOMINATOR_BITS:
+        raise DomainError(f"matrix entries need a common denominator of over "
+                          f"{_MAX_DENOMINATOR_BITS} bits; refusing")
+
+
 def _cleared(m: "Matrix") -> tuple[list[list[int]], int]:
-    """Integer rows and the lcm d of all denominators, with m = rows / d."""
-    den = lcm(*{v.denominator for row in m.entries for v in row})
-    return [[v.numerator * (den // v.denominator) for v in row]
-            for row in m.entries], den
+    """Integer rows and the lcm d of all denominators, with m = rows / d, as
+    fresh lists a caller may change (a copy of `Matrix._ints`)."""
+    rows, den = m._ints
+    return [list(row) for row in rows], den
+
+
+def _products(left, right, cols: int):
+    """The integer rows of left @ right, one at a time, for integer rows
+    `left` and `right` (`cols` columns): zero entries of both are skipped."""
+    right_support = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+    for row in left:
+        acc = [0] * cols
+        for a, support in zip(row, right_support):
+            if a:
+                for j, b in support:
+                    acc[j] += a * b
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -80,6 +109,23 @@ class Matrix:
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> "Matrix":
         return Matrix(tuple(tuple(_frac(v) for v in row) for row in rows))
+
+    @staticmethod
+    def _from_ints(rows, den: int) -> "Matrix":
+        """The matrix rows / den for integer rows and den > 0, with `_ints`
+        filled.  Rows and den are divided by their common gcd first, which
+        leaves den the lcm of the entry denominators: the cache is what
+        clearing the entries would give."""
+        common = gcd(den, *(v for row in rows for v in row)) if den != 1 else 1
+        if common > 1:
+            rows = [[v // common for v in row] for row in rows]
+            den //= common
+        _check_denominator(den)
+        zero = Fraction(0)
+        m = Matrix(tuple(tuple(Fraction(v, den) if v else zero for v in row)
+                         for row in rows))
+        m.__dict__["_ints"] = tuple(map(tuple, rows)), den
+        return m
 
     @staticmethod
     def zero(rows: int, cols: int | None = None) -> "Matrix":
@@ -122,6 +168,20 @@ class Matrix:
             raise DomainError(f"position ({r},{c}) outside {self.rows}x{self.cols}")
         return self.entries[r - 1][c - 1]
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den): the integer rows over the lcm den of the entry
+        denominators, with self = rows / den.  The one place a matrix is
+        cleared from its entries; computed once per matrix.  The lcm only
+        grows, so it is refused as soon as it passes the bound."""
+        den = 1
+        for d in {v.denominator for row in self.entries for v in row}:
+            if den % d:
+                den = lcm(den, d)
+                _check_denominator(den)
+        return tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                     for row in self.entries), den
+
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 
@@ -161,20 +221,9 @@ class Matrix:
             raise DomainError("inner dimension mismatch")
         # Accumulate numerators in plain ints over each operand's shared
         # denominator; one Fraction is built per nonzero output entry.
-        left, da = _cleared(self)
-        right, db = (left, da) if other is self else _cleared(other)
-        right_support = [[(j, b) for j, b in enumerate(row) if b] for row in right]
-        den = da * db
-        zero = Fraction(0)
-        out = []
-        for row in left:
-            acc = [0] * other.cols
-            for a, support in zip(row, right_support):
-                if a:
-                    for j, b in support:
-                        acc[j] += a * b
-            out.append(tuple(Fraction(v, den) if v else zero for v in acc))
-        return Matrix(tuple(out))
+        left, da = self._ints
+        right, db = other._ints
+        return Matrix._from_ints(list(_products(left, right, other.cols)), da * db)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)) if self.entries else ())
@@ -280,7 +329,9 @@ def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
     Entry (p, q) vanishes iff the position (p*, q) and its mate agree up to
     their sign (see `_mates`), so each entry is decided without a product.
     The matrix is symmetric or skew, so its first nonzero entry lies on or
-    above the diagonal, and only those entries are read.
+    above the diagonal, and only those entries are read.  They are compared
+    as reduced fractions, numerator and denominator, and never cleared: a
+    non-member is refused however large its denominators are.
     """
     _require_shape(a, g)
     n, mates, e = g.n, _mates(g), a.entries
@@ -288,7 +339,7 @@ def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
         r = n - 1 - p
         for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
             x, y = e[mr][mc], e[r][q]
-            if (x != y) if sign > 0 else (x != -y):
+            if x.denominator != y.denominator or x.numerator != sign * y.numerator:
                 return p + 1, q + 1
     return None
 
@@ -310,11 +361,23 @@ def group_member(u: Matrix, g: GroupKind) -> bool:
                for q, v in enumerate(row))
 
 
+def _square_violation(a: Matrix) -> tuple[int, int] | None:
+    """First 1-based (row, col), row-major, where a @ a is nonzero, or None.
+    The integer rows of the product are built one at a time, up to the
+    first nonzero one."""
+    rows = a._ints[0]
+    for p, row in enumerate(_products(rows, rows, a.cols), start=1):
+        for q, v in enumerate(row, start=1):
+            if v:
+                return p, q
+    return None
+
+
 def is_two_nilpotent(a: Matrix) -> bool:
     """True iff a @ a = 0 exactly."""
     if not a.is_square:
         raise DomainError("nilpotency test needs a square matrix")
-    return (a @ a).is_zero()
+    return _square_violation(a) is None
 
 
 def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
@@ -328,7 +391,7 @@ def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
         raise DomainError(f"{what} not in {g.name}: "
                           f"(transpose(a)F + Fa)[{r},{c}] != 0")
     if not is_two_nilpotent(x):
-        r, c = (x @ x).support()[0]
+        r, c = _square_violation(x)
         raise DomainError(f"{what} is not 2-nilpotent: (x @ x)[{r},{c}] != 0")
 
 
@@ -434,7 +497,7 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[int]:
 
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in _cleared(m)[0]]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m._ints[0]]
     return len(_eliminate(rows, m.cols))
 
 
@@ -473,9 +536,9 @@ def _intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]
 
     A block of unknowns maps each 0-based position of its matrix to
     (unknown, coefficient); a missing position is zero.  The condition is
-    homogeneous in f, so f is cleared to integers once.
+    homogeneous in f, so it reads the integer rows of f.
     """
-    fi = _cleared(f)[0]
+    fi = f._ints[0]
     in_row = [[(r, v) for r, v in enumerate(row) if v] for row in fi]
     in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*fi)]
     rows = []

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import Matrix, _eliminate, form_matrix
+from nilorbits.linalg import Matrix, _eliminate, _mates, _require_shape, form_matrix
 from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, consumption
 from nilorbits.quiver import Summand, SymmetricPiece
 
@@ -49,6 +49,37 @@ def o4_table():
         "{1..>2}": u(3, 1) - u(4, 2),
         "{2..>1}": u(1, 3) - u(2, 4),
     }
+
+
+@pytest.fixture
+def clearings(monkeypatch):
+    """The matrices cleared from their entries while the test runs: each
+    fresh computation of `Matrix._ints` appends its matrix."""
+    prop = Matrix.__dict__["_ints"]
+    clear, seen = prop.func, []
+
+    def counted(m):
+        seen.append(m)
+        return clear(m)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return seen
+
+
+def reference_lie_violation(a: Matrix, g) -> tuple[int, int] | None:
+    """First 1-based (row, col), row-major, where transpose(a) F + F a is
+    nonzero, found by Fraction comparisons of each entry read with its mate:
+    the oracle for `linalg._lie_violation`, which compares numerators and
+    denominators instead."""
+    _require_shape(a, g)
+    n, mates, e = g.n, _mates(g), a.entries
+    for p in range(n):
+        r = n - 1 - p
+        for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
+            x, y = e[mr][mc], e[r][q]
+            if (x != y) if sign > 0 else (x != -y):
+                return p + 1, q + 1
+    return None
 
 
 def naive_rank(m: Matrix) -> int:

@@ -3,10 +3,12 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 import nilorbits
 from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
-from nilorbits.linalg import GroupKind, Matrix, SpaceSpec, matrix_to_json
+from nilorbits.harness import random_group_element_pair
+from nilorbits.linalg import (GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
+                              matrix_to_json)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
                                 unoriented_loop, upper_loop)
@@ -213,6 +217,68 @@ def test_identify_refusals_name_the_failing_entry(tmp_path, capsys):
         src.write_text(matrix_to_json(x), encoding="utf-8")
         assert main(["identify", "--group", "sp", "--in", str(src)]) == 2
         assert capsys.readouterr().err == f"nilorbits identify: {want}\n"
+
+
+@pytest.mark.parametrize("blocks", [[], ["--blocks", "1,2"]])
+def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
+    # `identify` and `orbit_dimension` both gate the input, and the rank
+    # signature and the commutant rows both read its integer rows.
+    g = GroupKind.symplectic(6)
+    p = enumerate_patterns(g.family, g.l, (1,) * g.l)[40]
+    u, u_inv = random_group_element_pair(g, SpaceSpec.borel(g), 3)
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(u @ pattern_to_matrix(p, g) @ u_inv)))
+    clearings.clear()
+    assert main(["identify", "--group", "sp", *blocks, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pattern"]
+    assert len(clearings) == 1
+
+
+def _coprime_denominators(count: int) -> list[int]:
+    # m k + 1 for k = 1..count with count! dividing m: a common prime of two
+    # of them would divide their difference's multiple j - i <= count, hence
+    # m, and then not m k + 1.  Each has about 4,000 digits.
+    m = math.factorial(count) * 10 ** (3990 - len(str(math.factorial(count))))
+    return [m * k + 1 for k in range(1, count + 1)]
+
+
+def _spread_member(g: GroupKind, extra: tuple[int, int] | None = None) -> Matrix:
+    """A member of g with one 4,000-digit denominator per algebra coordinate,
+    all coprime, and optionally one more at the 1-based position `extra`."""
+    basis = lie_algebra_basis(g)
+    dens = _coprime_denominators(len(basis) + 1)
+    rows = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for b, d in zip(basis, dens):
+        for r, c in b.support():
+            rows[r - 1][c - 1] = b.entry(r, c) / d
+    if extra is not None:
+        rows[extra[0] - 1][extra[1] - 1] += Fraction(1, dens[-1])
+    return Matrix.from_rows(rows)
+
+
+def _identify_in_a_subprocess(group: str, x: Matrix) -> subprocess.CompletedProcess:
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "nilorbits.cli", "identify",
+                           "--group", group], input=matrix_to_json(x),
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_identify_refuses_a_member_with_huge_coprime_denominators():
+    # Clearing it would need a denominator of 55 x 13,000 bits: the product
+    # x @ x and the rank signature on such rows would run for minutes.
+    proc = _identify_in_a_subprocess("sp", _spread_member(GroupKind.symplectic(10)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("nilorbits identify: matrix entries need a common "
+                           "denominator of over 65536 bits; refusing\n")
+
+
+def test_identify_refuses_a_non_member_with_huge_denominators_by_its_form():
+    # The only failing entry is the last one the form check reads, and the
+    # check compares entries without clearing them.
+    proc = _identify_in_a_subprocess("o", _spread_member(GroupKind.orthogonal(20), (1, 20)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("nilorbits identify: matrix not in o_20: "
+                           "(transpose(a)F + Fa)[20,20] != 0\n")
 
 
 def test_repr_identify_round_trip(tmp_path, capsys):

@@ -281,6 +281,48 @@ def test_word_act_equals_the_fraction_oracle(g):
     assert (odd_middle > 0) == (g.n % 2 == 1)
 
 
+CACHE_GROUPS = ([GroupKind.symplectic(2 * l) for l in range(1, 5)]
+                + [GroupKind.orthogonal(2 * l + 1) for l in range(1, 5)])
+
+
+@pytest.mark.parametrize("g", CACHE_GROUPS, ids=lambda g: g.name)
+def test_seeded_integer_rows_equal_a_fresh_clearing(g):
+    # Every matrix built from integer rows carries its `_ints` from the
+    # start; it must be what clearing its entries gives, bit for bit.
+    spec = SpaceSpec.borel(g)
+    u, u_inv = random_group_element_pair(g, spec, g.n)
+    made = [u, u_inv]
+    for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
+        x = pattern_to_matrix(p, g)
+        word = _root_word(spec, seed)
+        y = _word_act(word, x)
+        made += [x, y, _word_act(word, x, conjugate=False), x @ y, y @ x, y @ y,
+                 u @ x @ u_inv]
+    for m in made:
+        assert "_ints" in m.__dict__
+        assert m._ints == Matrix(m.entries)._ints
+
+
+def test_identify_reuses_the_integer_rows_of_a_conjugate(clearings):
+    g = GroupKind.orthogonal(7)
+    spec = SpaceSpec.borel(g)
+    pats = enumerate_patterns(g.family, g.l, (1,) * g.l)
+    conjugates = [_word_act(_root_word(spec, seed), pattern_to_matrix(p, g))
+                  for seed, p in enumerate(pats)]
+    clearings.clear()
+    assert [identify(y, g) for y in conjugates] == pats
+    assert clearings == []
+
+
+def test_a_conjugate_outside_the_algebra_is_a_recorded_failure(monkeypatch):
+    monkeypatch.setattr("nilorbits.harness._word_act",
+                        lambda word, x: x + Matrix.identity(x.rows))
+    report = run_suite(SuiteConfig(max_rank=2, conjugations=2, checks=("conjugation",)))
+    assert report["summary"] == {"total": 4, "failed": 4}
+    details = sorted(item["details"] for item in report["items"])
+    assert details == ["failures=10", "failures=2", "failures=26", "failures=6"]
+
+
 def test_root_words_are_seeded():
     spec = SpaceSpec.borel(GroupKind.orthogonal(7))
     assert _root_word(spec, 4) == _root_word(spec, 4)

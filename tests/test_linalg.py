@@ -15,10 +15,12 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               lie_member, matrix_from_json, matrix_from_obj,
                               matrix_to_json, membership_dim, orbit_dimension,
                               parabolic_dim, rank, star)
-from nilorbits.linalg import _eliminate, _lie_violation
+from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
+                              _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
-from conftest import dense_commutant_dim, naive_rank, random_rational_matrix
+from conftest import (dense_commutant_dim, naive_rank, random_rational_matrix,
+                      reference_lie_violation)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -377,6 +379,116 @@ def test_refusals_name_the_first_failing_entry():
     with pytest.raises(DomainError,
                        match=r"^matrix is not 2-nilpotent: \(x @ x\)\[2,2\] != 0$"):
         centralizer_dim_in(semisimple, spec)
+
+
+# -- the cleared integer rows ---------------------------------------------------
+
+
+def test_cleared_rows_are_a_copy_of_the_cache():
+    m = Matrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
+    for made in (m, m @ Matrix.identity(2)):
+        rows, den = _cleared(made)
+        assert (rows, den) == ([[3, 0], [18, -4]], 6)
+        rows[0][0] = 99
+        rows[1].append(5)
+        rows.append([1])
+        assert made._ints == (((3, 0), (18, -4)), 6)
+        assert made.entries == m.entries
+        assert _cleared(made) == ([[3, 0], [18, -4]], 6)
+
+
+def test_products_reduce_their_seeded_denominator():
+    # (1/2)(2) over the operands' denominators 2 * 1 is 2/2, cached as 1/1.
+    half = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    two = Matrix.from_rows([[2, 0], [0, 2]])
+    product = half @ two
+    assert product == Matrix.identity(2)
+    assert product._ints == Matrix.identity(2)._ints == (((1, 0), (0, 1)), 1)
+    assert (Matrix.zero(2) @ half)._ints == (((0, 0), (0, 0)), 1)
+
+
+def test_denominators_past_the_bound_are_refused():
+    bits = _MAX_DENOMINATOR_BITS
+    assert Matrix.from_rows([[Fraction(1, 2 ** (bits - 1))]])._ints[1] == 2 ** (bits - 1)
+    with pytest.raises(DomainError, match="denominator"):
+        Matrix.from_rows([[Fraction(1, 2 ** bits)]])._ints
+    # Each entry is under the bound; their common denominator is not.
+    three = 3 ** (bits // 2)
+    wide = Matrix.from_rows([[Fraction(1, 2 ** (bits // 2)), Fraction(1, three)]])
+    assert max(v.denominator.bit_length() for v in wide.entries[0]) < bits
+    with pytest.raises(DomainError, match="denominator"):
+        is_two_nilpotent(Matrix.from_rows([wide.entries[0], [0, 0]]))
+    # A product whose reduced denominator passes the bound is refused too.
+    with pytest.raises(DomainError, match="denominator"):
+        Matrix.from_rows([[Fraction(1, 2 ** (bits // 2 + 1))]]) @ \
+            Matrix.from_rows([[Fraction(1, 3 ** (bits // 2))]])
+
+
+# Mixed signs, zeros and denominators of up to 30 digits.
+wide_rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30) | st.integers(-3, 3),
+                           st.integers(1, 10 ** 30) | st.sampled_from((1, 2, 3)))
+
+SMALL_GROUPS = FORM_GROUPS + (GroupKind.symplectic(2), GroupKind.orthogonal(2),
+                              GroupKind.orthogonal(3))
+
+
+@st.composite
+def wide_algebra_members(draw):
+    """x - F^T x^T F (see `algebra_members`) for x with `wide_rationals`."""
+    g = draw(st.sampled_from(SMALL_GROUPS))
+    x = Matrix(tuple(tuple(draw(wide_rationals) for _ in range(g.n)) for _ in range(g.n)))
+    f = form_matrix(g)
+    return g, x - f.transpose() @ x.transpose() @ f
+
+
+def replace(m: Matrix, r: int, c: int, value: Fraction) -> Matrix:
+    """m with the 0-based entry (r, c) set to value."""
+    return Matrix(tuple(tuple(value if (p, q) == (r, c) else v
+                              for q, v in enumerate(row))
+                        for p, row in enumerate(m.entries)))
+
+
+@deterministic
+@given(wide_algebra_members(), st.data())
+def test_lie_violation_equals_the_fraction_oracle(member, data):
+    # Members, then up to three entries replaced by a sign flip, a value
+    # with the same numerator or the same denominator, or any value.
+    g, a = member
+    assert _lie_violation(a, g) is None and reference_lie_violation(a, g) is None
+    for _ in range(data.draw(st.integers(1, 3))):
+        r, c = (data.draw(st.integers(0, g.n - 1)) for _ in range(2))
+        v = a.entries[r][c]
+        a = replace(a, r, c, data.draw(st.sampled_from(
+            (-v, Fraction(v.numerator, v.denominator + 1), v + 1)) | wide_rationals))
+        assert _lie_violation(a, g) == reference_lie_violation(a, g)
+
+
+@st.composite
+def square_zero_conjugates(draw):
+    """[[0, B], [0, 0]] conjugated by up to four transvections I + c e_ij
+    (inverse I - c e_ij), with `wide_rationals`: x @ x = 0.  Half of them
+    get one entry changed, after which x @ x is mostly nonzero."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    x = Matrix(tuple(tuple(draw(wide_rationals) if p < k <= q else Fraction(0)
+                           for q in range(n)) for p in range(n)))
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        e = Matrix.unit(n, i, j, draw(wide_rationals))
+        one = Matrix.identity(n)
+        x = naive_product(naive_product(one + e, x), one - e)
+    if draw(st.booleans()):
+        r, c = (draw(st.integers(0, n - 1)) for _ in range(2))
+        x = replace(x, r, c, draw(wide_rationals))
+    return x
+
+
+@deterministic
+@given(square_zero_conjugates())
+def test_is_two_nilpotent_equals_the_dense_square(x):
+    support = naive_product(x, x).support()
+    assert is_two_nilpotent(x) == (not support)
+    assert _square_violation(x) == (support[0] if support else None)
 
 
 # -- the elimination kernel ------------------------------------------------------
