@@ -226,7 +226,8 @@ def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
     g = GroupKind.symplectic(6)
     p = enumerate_patterns(g.family, g.l, (1,) * g.l)[40]
     u, u_inv = random_group_element_pair(g, SpaceSpec.borel(g), 3)
-    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(u @ pattern_to_matrix(p, g) @ u_inv)))
+    y = u @ pattern_to_matrix(p, g) @ u_inv
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(y)))
     clearings.clear()
     assert main(["identify", "--group", "sp", *blocks, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["pattern"]
@@ -234,9 +235,9 @@ def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
 
 
 def _coprime_denominators(count: int) -> list[int]:
-    # m k + 1 for k = 1..count with count! dividing m: a common prime of two
-    # of them would divide their difference's multiple j - i <= count, hence
-    # m, and then not m k + 1.  Each has about 4,000 digits.
+    # m k + 1 for k = 1..count with count! dividing m.  A prime dividing
+    # m i + 1 and m j + 1 divides j (m i + 1) - i (m j + 1) = j - i <= count,
+    # hence m, so it cannot divide m i + 1.  Each has about 4,000 digits.
     m = math.factorial(count) * 10 ** (3990 - len(str(math.factorial(count))))
     return [m * k + 1 for k in range(1, count + 1)]
 
