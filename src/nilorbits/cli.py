@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from itertools import chain, islice
 from typing import Iterator
 
-from .correspondence import (MalformedInputError, identify, identify_parabolic,
-                             parabolic_representative, tex_matrix, tex_pattern,
-                             tex_table)
+from .correspondence import (identify, identify_parabolic, parabolic_representative,
+                             tex_matrix, tex_pattern, tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     matrix_from_json, matrix_to_json, orbit_dimension)
-from .patterns import _search, count_borel, pattern_from_json, pattern_to_json
+                     _dumps, matrix_from_json, matrix_to_json, orbit_dimension)
+from .patterns import (_search, count_borel, pattern_from_json, pattern_to_json,
+                       pattern_to_obj)
 from .quiver import (ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
@@ -39,22 +38,25 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
 
 
 def _level(args) -> tuple[str, int, tuple[int, ...]]:
-    """(kind, k, b) for the combinatorial commands."""
-    kind = _KINDS[args.group]
+    """(kind, k, b) for the combinatorial commands, refused when --n is
+    given and the level's flag does not fit the group of that size."""
     if args.blocks:
         b = _parse_blocks(args.blocks)
-        return kind, len(b), b
-    if args.rank is not None:
-        return kind, args.rank, (1,) * args.rank
+        k = len(b)
+    elif args.rank is not None or args.n is not None:
+        k = args.rank if args.rank is not None else args.n // 2
+        b = (1,) * k
+    else:
+        raise DomainError("need --rank, --n, or --blocks")
     if args.n is not None:
-        return kind, args.n // 2, (1,) * (args.n // 2)
-    raise DomainError("need --rank, --n, or --blocks")
+        SpaceSpec.from_blocks(_group(args, b), b)
+    return _KINDS[args.group], k, b
 
 
 def _group(args, b: tuple[int, ...]) -> GroupKind:
     """The matrix group for commands that produce or consume matrices."""
     if args.group == "sp":
-        return GroupKind.symplectic(args.n if args.n else 2 * sum(b))
+        return GroupKind.symplectic(args.n if args.n is not None else 2 * sum(b))
     if args.n is None:
         raise DomainError("orthogonal groups need an explicit --n "
                           "(the rank does not determine n)")
@@ -118,13 +120,12 @@ def _cmd_enumerate(args) -> int:
         _stream(args, chain(["index,arcs"], rows))
     elif args.format == "tex":
         # the tex layout pairs every pattern with its representative matrix
-        past_bound = islice(_search(kind, k, b), _TEX_MAX_PATTERNS, None)
-        if next(past_bound, None) is not None:
+        pats = list(islice(pats, _TEX_MAX_PATTERNS + 1))
+        if len(pats) > _TEX_MAX_PATTERNS:
             raise DomainError(f"--format tex builds its whole table in memory and "
                               f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
                               f"has more (json, csv and text stream any level)")
-        g = _group(args, b)
-        spec = SpaceSpec.from_blocks(g, b)
+        spec = SpaceSpec.from_blocks(_group(args, b), b)
         rows = [(p, parabolic_representative(p, spec)) for p in pats]
         _emit(args, tex_table(rows))
     else:
@@ -139,8 +140,7 @@ def _cmd_count(args) -> int:
     else:
         value, method = sum(1 for _ in _search(kind, k, b)), "enumeration"
     if args.format == "json":
-        _emit(args, json.dumps({"count": value, "method": method},
-                               sort_keys=True, separators=(",", ":")))
+        _emit(args, _dumps({"count": value, "method": method}))
     else:
         _emit(args, f"{value} ({method})")
     return 0
@@ -173,9 +173,7 @@ def _cmd_identify(args) -> int:
         p = identify(x, g)
     dim = orbit_dimension(x, spec)
     if args.format == "json":
-        obj = json.loads(pattern_to_json(p))
-        _emit(args, json.dumps({"pattern": obj, "orbit_dimension": dim},
-                               sort_keys=True, separators=(",", ":")))
+        _emit(args, _dumps({"pattern": pattern_to_obj(p), "orbit_dimension": dim}))
     elif args.format == "tex":
         _emit(args, f"${tex_pattern(p)}$ % orbit dimension {dim}")
     else:
@@ -189,7 +187,7 @@ def _cmd_summands(args) -> int:
     spec = SpaceSpec.from_blocks(g, p.b)
     ms = pattern_to_summands(p, spec)
     if args.format == "json":
-        _emit(args, multiset_to_json(ms, spec.k))
+        _emit(args, multiset_to_json(ms))
     else:
         _emit(args, multiset_text(ms))
     return 0
@@ -204,7 +202,7 @@ def _cmd_ar(args) -> int:
                "sequences": [{"left": s.left.text(),
                               "middles": [m.text() for m in s.middles],
                               "right": s.right.text()} for s in sequences]}
-        _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        _emit(args, _dumps(obj))
     else:
         _emit(args, "\n".join(s.text() for s in sequences))
     return 0
@@ -285,11 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: every in-process call of `main` parses with the same tree.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (DomainError, MalformedInputError) as exc:
+    except DomainError as exc:
         print(f"nilorbits {args.command}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -12,7 +12,7 @@ canonical Borel refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -25,8 +25,9 @@ from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER
                        _arc_cost, _arc_types, _free_capacity, glue, validate)
 
 
-class MalformedInputError(ValueError):
-    """Input data is structurally inconsistent (not just outside a domain)."""
+class MalformedInputError(DomainError):
+    """Input data is structurally inconsistent (not just outside a domain);
+    a DomainError, so one handler refuses every bad input."""
 
 
 def _arc_units(arc: Arc, n: int, eps: int) -> list[tuple[int, int, int]]:
@@ -112,26 +113,26 @@ def parabolic_representative(p: LinkPattern, spec: SpaceSpec) -> Matrix:
 @dataclass(frozen=True)
 class RankSignature:
     """Ranks of all lower-left submatrices: r(i, j) = rank of rows i..n,
-    columns 1..j.  The table is stored for i = 1..n+1 and j = 0..n, so the
-    zero boundaries are explicit.  Equality of signatures is equality of
-    Borel orbits for 2-nilpotent members of a fixed group.
+    columns 1..j, held as its delta positions, the 1-based (i, j) in
+    row-major order where the second difference of the table is 1.
+    Equality of signatures is equality of Borel orbits for 2-nilpotent
+    members of a fixed group.
     """
 
     n: int
-    table: tuple[tuple[int, ...], ...]
+    deltas: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """r(i, j) for i = 1..n+1 and j = 0..n, so the zero boundaries are
+        explicit: the number of delta positions in rows >= i, columns <= j."""
+        return tuple(tuple(sum(r >= i and c <= j for r, c in self.deltas)
+                           for j in range(self.n + 1)) for i in range(1, self.n + 2))
 
     def rank(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n + 1 and 0 <= j <= self.n):
             raise DomainError(f"rank table index ({i},{j}) out of range")
         return self.table[i - 1][j]
-
-    def delta_positions(self) -> tuple[tuple[int, int], ...]:
-        """Positions where the second difference of the table is 1."""
-        t = self.table
-        return tuple((i, j)
-                     for i, (upper, lower) in enumerate(zip(t, t[1:]), start=1)
-                     for j in range(1, self.n + 1)
-                     if upper[j] - lower[j] - upper[j - 1] + lower[j - 1])
 
 
 def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
@@ -169,22 +170,11 @@ def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
 
 def rank_signature(x: Matrix) -> RankSignature:
     """Exact lower-left rank table, invariant under upper-triangular
-    conjugation (and independent left/right upper-triangular scaling)."""
+    conjugation (and independent left/right upper-triangular scaling).  The
+    pivots of the reduction are its delta positions."""
     if not x.is_square:
         raise DomainError("rank signature needs a square matrix")
-    n = x.rows
-    # r(i, j) counts pivots with row >= i and col <= j; no two pivots share
-    # a row, so going up one row adds at most one pivot to the counts.
-    pivot_col = dict(_pivot_positions(x))
-    counts = [0] * (n + 1)
-    table = [tuple(counts)]
-    for i in range(n, 0, -1):
-        c = pivot_col.get(i)
-        if c is not None:
-            for j in range(c, n + 1):
-                counts[j] += 1
-        table.append(tuple(counts))
-    return RankSignature(n, tuple(reversed(table)))
+    return RankSignature(x.rows, tuple(sorted(_pivot_positions(x))))
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +217,7 @@ def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     """Borel-level pattern of the orbit of x: its delta positions are the
     unit positions of the orbit's representative, decoded by `_decode`."""
     require_two_nilpotent(x, g)
-    return _decode(rank_signature(x).delta_positions(), g)
+    return _decode(rank_signature(x).deltas, g)
 
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:

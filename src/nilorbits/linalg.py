@@ -249,6 +249,8 @@ class GroupKind:
     def __post_init__(self):
         if self.family not in (SYMPLECTIC, ORTHOGONAL):
             raise DomainError(f"unknown family {self.family!r}")
+        if not _is_int(self.n):
+            raise DomainError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DomainError("n must be positive")
         if self.family == SYMPLECTIC and self.n % 2 != 0:
@@ -570,13 +572,13 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
 
 
 def lie_algebra_dim(g: GroupKind) -> int:
-    """Dimension of {a : lie_member(a, g)}, solved exactly."""
-    return membership_dim(g, lambda r, c: True)
+    """Dimension of {a : lie_member(a, g)}: the parabolic of the empty flag."""
+    return parabolic_dim(SpaceSpec(g, ()))
 
 
 def borel_subalgebra_dim(g: GroupKind) -> int:
-    """Dimension of the upper-triangular members of g, solved exactly."""
-    return membership_dim(g, lambda r, c: r <= c)
+    """Dimension of the upper-triangular members of g: the Borel parabolic."""
+    return parabolic_dim(SpaceSpec.borel(g))
 
 
 def parabolic_dim(spec: SpaceSpec) -> int:
@@ -653,7 +655,13 @@ def matrix_from_obj(obj) -> Matrix:
 
 
 def matrix_to_json(m: Matrix) -> str:
-    return json.dumps(matrix_to_obj(m), sort_keys=True, separators=(",", ":"))
+    return _dumps(matrix_to_obj(m))
+
+
+def _dumps(obj) -> str:
+    """The canonical, byte-stable JSON text of `obj`: sorted keys, no spaces.
+    Every JSON the package writes goes through here."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _load_json(text: str):

@@ -10,13 +10,12 @@ ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _is_int,
-                     _ints, _load_json)
+from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _dumps,
+                     _is_int, _ints, _load_json)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -265,6 +264,8 @@ def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]
 
 def count_borel(kind: str, l: int) -> int:
     """Borel-level pattern count by the two-term recurrences (exact ints)."""
+    if not _is_int(l):
+        raise DomainError(f"l must be an integer, got {l!r}")
     if l < 0:
         raise DomainError("l must be nonnegative")
     if kind == SYMPLECTIC:
@@ -309,38 +310,33 @@ def glue(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
     return LinkPattern(p.kind, spec.k, spec.blocks, tuple(arcs))
 
 
+def _leftward(arc: Arc) -> Arc:
+    """The nilradical orientation of an arc: a non-loop arc drawn from its
+    larger endpoint, a dotted loop upper, an unoriented loop as it is."""
+    if arc.loop_variant == LOOP_LOWER:
+        return upper_loop(arc.source)
+    if arc.source < arc.target:
+        return Arc(arc.target, arc.source, dotted=arc.dotted)
+    return arc
+
+
 def is_nilradical(p: LinkPattern) -> bool:
-    """True iff every non-loop arc points leftward and every dotted loop is
-    upper.  The rule holds at the Borel level only, so a pattern with a
-    capacity other than 1 is refused."""
+    """True iff every arc already has its `_leftward` orientation.  The rule
+    holds at the Borel level only, so a pattern with a capacity other than 1
+    is refused."""
     if any(cap != 1 for cap in p.b):
         raise DomainError(f"is_nilradical decides Borel patterns only (capacities 1), "
                           f"got capacities {p.b}")
-    for arc in p.arcs:
-        if arc.loop_variant == LOOP_LOWER:
-            return False
-        if not arc.is_loop and arc.source < arc.target:
-            return False
-    return True
+    return all(_leftward(arc) == arc for arc in p.arcs)
 
 
 def strip_orientation(p: LinkPattern) -> LinkPattern:
-    """Forget orientations: the canonical representative points leftward.
+    """Forget orientations: every arc takes its `_leftward` orientation.
 
-    Non-loop arcs are redrawn with the larger endpoint as source, dotted
-    loops become upper; the result is the nilradical-form pattern of p's
-    class, and two patterns merge iff they differ only by orientation.
+    The result is the nilradical-form pattern of p's class, and two patterns
+    merge iff they differ only by orientation.
     """
-    arcs = []
-    for arc in p.arcs:
-        if arc.loop_variant == LOOP_LOWER:
-            arcs.append(upper_loop(arc.source))
-        elif not arc.is_loop:
-            lo, hi = min(arc.source, arc.target), max(arc.source, arc.target)
-            arcs.append(Arc(hi, lo, dotted=arc.dotted))
-        else:
-            arcs.append(arc)
-    return LinkPattern(p.kind, p.k, p.b, tuple(arcs))
+    return LinkPattern(p.kind, p.k, p.b, tuple(map(_leftward, p.arcs)))
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -377,10 +373,6 @@ def pattern_from_obj(obj) -> LinkPattern:
     return LinkPattern(obj["kind"], obj["k"], tuple(obj["b"]), arcs)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 @lru_cache(maxsize=256)
 def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
     # the object without its opening brace: under sort_keys "arcs" comes first
@@ -389,8 +381,8 @@ def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
 
 def pattern_to_json(p: LinkPattern) -> str:
     """Canonical byte-stable serialization (arcs in canonical order): the
-    `json.dumps(pattern_to_obj(p), sort_keys=True, separators=(",", ":"))`
-    bytes, joined from cached per-arc and per-level fragments."""
+    `_dumps(pattern_to_obj(p))` bytes, joined from cached per-arc and
+    per-level fragments."""
     return ('{"arcs":[' + ",".join([a._json for a in p.arcs]) + "],"
             + _level_json(p.kind, p.k, p.b))
 

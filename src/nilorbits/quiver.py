@@ -13,13 +13,12 @@ dimensions are computed (flag representations).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _eliminate, _frac, _intertwiner_rows, _ints, _is_int,
-                     form_matrix, rank, require_two_nilpotent)
+                     _dumps, _eliminate, _frac, _intertwiner_rows, _ints,
+                     _is_int, form_matrix, rank, require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        _free_capacity)
 
@@ -503,17 +502,16 @@ def summand_to_obj(s: Summand) -> dict:
     return {"family": s.family, "i": s.i, "j": s.j}
 
 
-def multiset_to_obj(ms: Multiset, rank_: int | None = None) -> dict:
-    if rank_ is None:
-        rank_ = ms[0][0].parts[0].l if ms else 0
-    return {"rank": rank_,
+def multiset_to_obj(ms: Multiset) -> dict:
+    """The multiset with the rank l of A(l), which its pieces carry: a
+    `pattern_to_summands` multiset is never empty."""
+    return {"rank": ms[0][0].parts[0].l,
             "pieces": [{"parts": [summand_to_obj(p) for p in piece.parts],
                         "mult": mult} for piece, mult in ms]}
 
 
-def multiset_to_json(ms: Multiset, rank_: int | None = None) -> str:
-    return json.dumps(multiset_to_obj(ms, rank_), sort_keys=True,
-                      separators=(",", ":"))
+def multiset_to_json(ms: Multiset) -> str:
+    return _dumps(multiset_to_obj(ms))
 
 
 def multiset_text(ms: Multiset) -> str:

@@ -89,6 +89,22 @@ def test_enumerate_refuses_a_bad_level_before_opening_out(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
+LEVELS_OUTSIDE_N = [["--group", "sp", "--n", "7"],
+                    ["--rank", "3", "--n", "4"],
+                    ["--group", "o", "--blocks", "2,1", "--n", "5"]]
+
+
+@pytest.mark.parametrize("command, fmt", [("count", "json"), ("count", "text"),
+                                          ("enumerate", "json"), ("enumerate", "csv"),
+                                          ("enumerate", "tex"), ("enumerate", "text")])
+@pytest.mark.parametrize("level", LEVELS_OUTSIDE_N)
+def test_a_level_that_does_not_fit_n_exits_2_in_every_format(capsys, level, command, fmt):
+    assert main([command, *level, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"nilorbits {command}: ")
+
+
 def test_enumerate_tex_refuses_levels_past_its_bound(tmp_path, capsys):
     out = tmp_path / "kept.tex"
     out.write_text("keep me\n")
@@ -309,7 +325,7 @@ def test_summands_of_the_worked_example(tmp_path, capsys):
     got = capsys.readouterr().out.strip()
     g = GroupKind.symplectic(12)
     spec = SpaceSpec.from_blocks(g, (4, 2))
-    assert got == multiset_to_json(pattern_to_summands(p, spec), 2)
+    assert got == multiset_to_json(pattern_to_summands(p, spec))
 
 
 def test_ar_json_and_missing_rank(capsys):

@@ -134,7 +134,7 @@ def test_rank_signature_equals_direct_submatrix_ranks(x):
     sig = rank_signature(x)
     assert sig.table == tuple(tuple(direct[i, j] for j in range(n + 1))
                               for i in range(1, n + 2))
-    assert sig.delta_positions() == tuple(
+    assert sig.deltas == tuple(
         (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
         if direct[i, j] - direct[i + 1, j] - direct[i, j - 1] + direct[i + 1, j - 1])
 
@@ -148,10 +148,10 @@ def test_rank_signature_indexing_bounds():
 
 
 def test_delta_positions_frozen(sp4_table):
-    assert rank_signature(Matrix.zero(4)).delta_positions() == ()
-    assert rank_signature(sp4_table["{1->2}"]).delta_positions() == ((2, 1), (4, 3))
-    assert rank_signature(sp4_table["{uloop(1)}"]).delta_positions() == ((1, 4),)
-    assert rank_signature(sp4_table["{1..>2}"]).delta_positions() == ((3, 1), (4, 2))
+    assert rank_signature(Matrix.zero(4)).deltas == ()
+    assert rank_signature(sp4_table["{1->2}"]).deltas == ((2, 1), (4, 3))
+    assert rank_signature(sp4_table["{uloop(1)}"]).deltas == ((1, 4),)
+    assert rank_signature(sp4_table["{1..>2}"]).deltas == ((3, 1), (4, 2))
 
 
 def test_rank_signature_constant_on_orbits():
@@ -225,7 +225,7 @@ def test_delta_positions_are_the_representative_support():
             x = pattern_to_matrix(p, g)
             u, u_inv = random_group_element_pair(g, spec, idx)
             for y in (x, u @ x @ u_inv):
-                assert set(rank_signature(y).delta_positions()) == set(x.support()), \
+                assert set(rank_signature(y).deltas) == set(x.support()), \
                     (g.name, p.text())
 
 

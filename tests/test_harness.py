@@ -54,6 +54,10 @@ def test_random_pair_checks_the_spec():
     other = SpaceSpec.borel(GroupKind.symplectic(6))
     with pytest.raises(DomainError, match="different group"):
         random_group_element_pair(g, other, 0)
+    # the unipotent part is always Borel, so a coarser flag is refused
+    for coarser in (SpaceSpec(g, ()), SpaceSpec.from_blocks(g, (2,))):
+        with pytest.raises(DomainError, match="not the Borel flag"):
+            random_group_element_pair(g, coarser, 0)
 
 
 def test_signature_survives_fifty_conjugations():

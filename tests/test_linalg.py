@@ -79,6 +79,11 @@ def test_group_kind_validation():
         GroupKind.symplectic(5)
     with pytest.raises(DomainError):
         GroupKind("unitary", 4)
+    for n in (4.0, True, "4"):
+        with pytest.raises(DomainError, match="integer"):
+            GroupKind("symplectic", n)
+    with pytest.raises(DomainError, match="integer"):
+        GroupKind("orthogonal", True)
     assert GroupKind.symplectic(4).name == "sp_4"
     assert GroupKind.orthogonal(5).name == "o_5"
     assert GroupKind.orthogonal(5).l == 2

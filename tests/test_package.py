@@ -69,3 +69,31 @@ def test_every_public_name_has_a_user():
     used = set().union(*map(_names_read, sources))
     used |= set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text()))
     assert sorted(set(nilorbits.__all__) - used) == []
+
+
+def _json_dumps_calls(node: ast.AST) -> int:
+    return sum(1 for call in ast.walk(node)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "dumps" and isinstance(call.func.value, ast.Name)
+               and call.func.value.id == "json")
+
+
+def test_one_json_encoder_and_one_input_error_root():
+    # Every JSON the package writes is canonical because one function,
+    # linalg._dumps, writes it: json.dumps is called there and nowhere else,
+    # and only linalg imports json.
+    total, calls, importers = 0, [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += _json_dumps_calls(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                importers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                importers.add(path.stem)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [(path.stem, node.name)] * _json_dumps_calls(node)
+    assert total == 1 and calls == [("linalg", "_dumps")]
+    assert importers == {"linalg"}
+    # Callers catch DomainError alone: a malformed input is one of them.
+    assert issubclass(nilorbits.MalformedInputError, nilorbits.DomainError)

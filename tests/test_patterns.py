@@ -154,6 +154,9 @@ def test_count_borel_spec_sequences():
         count_borel("symplectic", -1)
     with pytest.raises(DomainError):
         count_borel("special", 2)
+    for l in (2.5, 2.0, True):
+        with pytest.raises(DomainError, match="integer"):
+            count_borel("symplectic", l)
 
 
 def test_enumerate_single_block_capacities():
