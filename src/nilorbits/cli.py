@@ -37,9 +37,19 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return blocks
 
 
+def _p_orbit_flag(g: GroupKind, b: tuple[int, ...]) -> SpaceSpec:
+    """The flag of blocks b in g, refused unless it reaches l: below l it has
+    more P-orbits than patterns on b, and the pattern layer lacks the rest."""
+    spec = SpaceSpec.from_blocks(g, b)
+    if sum(b) < g.l:
+        raise DomainError(f"flag steps end at {sum(b)}, below l={g.l} of {g.name}: block "
+                          f"patterns index the P-orbits only of a flag that reaches l")
+    return spec
+
+
 def _level(args) -> tuple[str, int, tuple[int, ...]]:
     """(kind, k, b) for the combinatorial commands, refused when --n is
-    given and the level's flag does not fit the group of that size."""
+    given and the level's flag does not end at l of the group of that size."""
     if args.blocks:
         b = _parse_blocks(args.blocks)
         k = len(b)
@@ -49,7 +59,7 @@ def _level(args) -> tuple[str, int, tuple[int, ...]]:
     else:
         raise DomainError("need --rank, --n, or --blocks")
     if args.n is not None:
-        SpaceSpec.from_blocks(_group(args, b), b)
+        _p_orbit_flag(_group(args, b), b)
     return _KINDS[args.group], k, b
 
 
@@ -166,7 +176,7 @@ def _cmd_identify(args) -> int:
     g = GroupKind(_KINDS[args.group], x.rows)
     blocks = _parse_blocks(args.blocks) if args.blocks else None
     if blocks:
-        spec = SpaceSpec.from_blocks(g, blocks)
+        spec = _p_orbit_flag(g, blocks)
         p = identify_parabolic(x, spec)
     else:
         spec = SpaceSpec.borel(g)
@@ -246,16 +256,19 @@ _OPTIONS = {
                              help="output file (default: stdout)")),
 }
 
+_REACH_L = "; with --n, the blocks must sum to l = n // 2"   # see _p_orbit_flag
 # name: (handler, help, options read, --format choices emitted)
 _COMMANDS = {
-    "enumerate": (_cmd_enumerate, "list all valid patterns at the given level "
-                                  f"(--format tex: at most {_TEX_MAX_PATTERNS} patterns)",
+    "enumerate": (_cmd_enumerate, "list all valid patterns at the given level (--format "
+                                  f"tex: at most {_TEX_MAX_PATTERNS} patterns){_REACH_L}",
                   ("group", "n", "rank", "blocks", "out"), ("json", "csv", "tex", "text")),
-    "count": (_cmd_count, "count patterns (recurrence at Borel level, else enumeration)",
+    "count": (_cmd_count, "count patterns (recurrence at Borel level, else enumeration)"
+                          + _REACH_L,
               ("group", "n", "rank", "blocks", "out"), ("json", "text")),
     "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix",
              ("group", "n", "in", "out"), ("json", "tex", "text")),
-    "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern",
+    "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern; "
+                                "--blocks must sum to l = n // 2",
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
                  ("group", "n", "in", "out"), ("json", "text")),

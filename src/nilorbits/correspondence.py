@@ -5,18 +5,18 @@ matrix units (one unit for loops); the sum is the orbit representative.
 Backward: the table of ranks of lower-left submatrices is a complete
 invariant of the Borel orbit, and its unit positions (the delta positions)
 are those of the representative, so they decode back to arcs by inverting
-the forward table.  Parabolic-level patterns are materialized through a
-canonical Borel refinement.
+the forward table.  The delta positions are the pivots of linalg's one
+elimination kernel, run on the rows bottom-up.  Parabolic-level patterns
+are materialized through a canonical Borel refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _cleared,
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
                      require_two_nilpotent, star)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 6).
@@ -135,46 +135,18 @@ class RankSignature:
         return self.table[i - 1][j]
 
 
-def _pivot_positions(x: Matrix) -> list[tuple[int, int]]:
-    # Reduce with the operations that preserve every lower-left rank: adding
-    # a lower row to an upper one, scaling a row and adding a left column to
-    # a right one.  Columns are processed left to right, the pivot is the
-    # bottom-most nonzero; afterwards each nonzero column holds a single
-    # unit.  This is not linalg's elimination kernel: that one swaps rows
-    # and eliminates downward, which would destroy the lower-left ranks read
-    # off here.  It runs on the cleared integer rows of x: an upper row i
-    # becomes lead a_i - a_i[c] a_r, a nonzero multiple of itself plus a
-    # multiple of a lower row, and is divided by its content to keep the
-    # entries small.
-    n = x.rows
-    a = _cleared(x)[0]
-    pivots: list[tuple[int, int]] = []
-    for c in range(n):
-        r = next((i for i in range(n - 1, -1, -1) if a[i][c]), None)
-        if r is None:
-            continue
-        below = a[r]
-        lead = below[c]
-        for i in range(r):
-            f = a[i][c]
-            if f:
-                row = [lead * v - f * w for v, w in zip(a[i], below)]
-                content = gcd(*row)
-                a[i] = [v // content for v in row] if content > 1 else row
-        # Column c is now a multiple of e_r, so clearing row r right of it
-        # with column operations changes no other entry.
-        below[c + 1:] = [0] * (n - c - 1)
-        pivots.append((r + 1, c + 1))
-    return pivots
-
-
 def rank_signature(x: Matrix) -> RankSignature:
     """Exact lower-left rank table, invariant under upper-triangular
-    conjugation (and independent left/right upper-triangular scaling).  The
-    pivots of the reduction are its delta positions."""
+    conjugation (and independent left/right upper-triangular scaling).
+    `_eliminate` takes the rows bottom-up, so a row is only scaled and loses
+    multiples of lower rows, which keeps every lower-left rank; the pivot
+    rows lead in distinct columns and the rest vanish, so the pivots are
+    the delta positions."""
     if not x.is_square:
         raise DomainError("rank signature needs a square matrix")
-    return RankSignature(x.rows, tuple(sorted(_pivot_positions(x))))
+    n = x.rows
+    rows = [{j: v for j, v in enumerate(row) if v} for row in reversed(x._ints[0])]
+    return RankSignature(n, tuple(sorted((n - s, c + 1) for s, c in _eliminate(rows, n))))
 
 
 @lru_cache(maxsize=None)

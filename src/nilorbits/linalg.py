@@ -9,11 +9,14 @@ result is cached on it (`Matrix._ints`); a matrix built from integer rows
 that cache filled.  Products, rank, the 2-nilpotency test and the row
 builder read the cache; the form check reads the entries.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
-integer rows; rank, the membership and centralizer dimensions and the
-quiver layer's stabilizer dimensions all sit on it.  Every defining form is
-anti-diagonal with entries +-1, so a member of the Lie algebra is fixed by
-half of its entries: each position determines its mate across the
-anti-diagonal up to a sign.  The membership test reads these mate pairs
+integer rows that never swaps rows: a column's pivot is the first row, in
+the order given, that holds it.  Rank, the membership and centralizer
+dimensions and the quiver layer's stabilizer dimensions all sit on it, and
+so do rank signatures: handed a matrix's rows bottom-up, it returns the
+delta positions as its pivots.  Every defining form is anti-diagonal with
+entries +-1, so a member of the Lie algebra is fixed by half of its
+entries: each position determines its mate across the anti-diagonal up to
+a sign.  The membership test reads these mate pairs
 entry by entry, and the membership solvers, the algebra bases and the
 quiver layer's stabilizers work in mate-pair coordinates, so no row states
 the form condition.  One row builder states every A f - f B = 0 that is
@@ -388,12 +391,14 @@ def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
     The DomainError names `what` and the first failing entry, row-major:
     of transpose(x) F + F x, then of x @ x.
     """
+    # `lie_member` gates here for the benchmark's tracer test: a non-member
+    # is read twice.
     if not lie_member(x, g):
         r, c = _lie_violation(x, g)
         raise DomainError(f"{what} not in {g.name}: "
                           f"(transpose(a)F + Fa)[{r},{c}] != 0")
-    if not is_two_nilpotent(x):
-        r, c = _square_violation(x)
+    if bad := _square_violation(x):   # x is square: the form check read its shape
+        r, c = bad
         raise DomainError(f"{what} is not 2-nilpotent: (x @ x)[{r},{c}] != 0")
 
 
@@ -456,30 +461,29 @@ class SpaceSpec:
 # -- the elimination kernel ----------------------------------------------------
 
 
-def _eliminate(rows: list[dict[int, int]], cols: int) -> list[int]:
+def _eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
     """Fraction-free (one-step Bareiss) forward elimination, in place.
 
     `rows` are sparse integer rows {column: nonzero entry} over columns
-    0..cols-1.  Returns the pivot columns; on return rows[s] is the pivot
-    row of the s-th of them, zero left of it, and any later row is empty.
-    Every remaining row is updated at every step, so dividing by the
-    previous pivot is exact (Sylvester's identity) and the entries stay
-    integral and of modest size.
+    0..cols-1.  The pivot of column c is the first remaining row, in the
+    order given, that holds c: rows are never swapped, and a row only loses
+    multiples of rows before it.  Returns (input row index, column) for each
+    pivot and leaves the pivot rows in `rows`, in pivot order.  Every
+    remaining row is updated at every step, so dividing by the previous
+    pivot is exact (Sylvester's identity) and the entries stay integral.
     """
-    pivots: list[int] = []
+    pivots: list[tuple[int, int]] = []
+    tops = []
+    live = list(enumerate(rows))
     prev = 1
     for c in range(cols):
-        r = len(pivots)
-        # The sparsest row holding column c as pivot keeps fill-in low.
-        piv = min((i for i in range(r, len(rows)) if c in rows[i]),
-                  key=lambda i: len(rows[i]), default=None)
-        if piv is None:
+        at = next((s for s, (_, row) in enumerate(live) if c in row), None)
+        if at is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
+        i, top = live.pop(at)
         lead = top[c]
         rest = []
-        for row in rows[r + 1:]:
+        for k, row in live:
             head = row.pop(c, 0)
             if head:
                 acc = {j: lead * v for j, v in row.items()}
@@ -490,10 +494,12 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[int]:
             elif lead != prev:
                 row = {j: lead * v // prev for j, v in row.items()}
             if row:
-                rest.append(row)
-        rows[r + 1:] = rest
-        pivots.append(c)
+                rest.append((k, row))
+        live = rest
+        pivots.append((i, c))
+        tops.append(top)
         prev = lead
+    rows[:] = tops
     return pivots
 
 
@@ -568,6 +574,7 @@ def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
     """
     count, entry = _coordinates(g, allowed)
     rows = _intertwiner_rows(x, entry, entry) if x is not None else []
+    rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
     return count - len(_eliminate(rows, count))
 
 

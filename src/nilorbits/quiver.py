@@ -377,6 +377,7 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     for s, arrow in enumerate(rep.arrows):
         rows += _intertwiner_rows(arrow, blocks[s + 1], blocks[s])
     rows += _intertwiner_rows(rep.loop, blocks[-1], blocks[-1])
+    rows.sort(key=len)   # sparsest first, as in `membership_dim`
     return total - len(_eliminate(rows, total))
 
 

@@ -101,11 +101,29 @@ def naive_rank(m: Matrix) -> int:
     return rank
 
 
+def reference_first_row_pivots(rows, cols: int) -> list[tuple[int, int]]:
+    """(input row index, column) pivots of Fraction elimination that never
+    swaps rows: column c's pivot is the first remaining row, in input
+    order, holding c, and every other remaining row loses a multiple of it.
+    The oracle for `linalg._eliminate`."""
+    live = [(i, [Fraction(v) for v in row]) for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(cols):
+        at = next((s for s, (_, row) in enumerate(live) if row[c] != 0), None)
+        if at is None:
+            continue
+        i, top = live.pop(at)
+        live = [(k, [v - row[c] / top[c] * w for v, w in zip(row, top)])
+                for k, row in live]
+        pivots.append((i, c))
+    return pivots
+
+
 def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     """Lower-left-rank-preserving pivots of a square matrix over Fractions:
     columns left to right, the bottom-most nonzero is the pivot, upper rows
     lose a multiple of it and its row is cleared right of it.  The oracle
-    for the integer `correspondence._pivot_positions`."""
+    for the delta positions of `correspondence.rank_signature`."""
     n = x.rows
     a = [list(row) for row in x.entries]
     pivots = []

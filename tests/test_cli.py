@@ -105,6 +105,56 @@ def test_a_level_that_does_not_fit_n_exits_2_in_every_format(capsys, level, comm
     assert captured.err.startswith(f"nilorbits {command}: ")
 
 
+# Flags that stop below l have more P-orbits than patterns on their blocks:
+# sp_6 has 20 orbits for the flag (2), not 7; o_6 has 8, not 4; sp_6 has 38
+# for (1, 2), not 13.  E_{3,4} is in sp_6; plain `identify` decodes it.
+BELOW_L = [["count", "--group", "sp", "--n", "6", "--blocks", "2"],
+           ["count", "--group", "o", "--n", "6", "--blocks", "2"],
+           ["count", "--group", "sp", "--n", "6", "--rank", "2"],
+           ["enumerate", "--group", "sp", "--n", "6", "--blocks", "2"],
+           ["identify", "--group", "sp", "--n", "6", "--blocks", "2"]]
+
+
+@pytest.mark.parametrize("argv", BELOW_L)
+def test_a_flag_below_l_is_not_read_as_p_orbits(argv):
+    code, out, err = run_cli(argv, matrix_to_json(Matrix.unit(6, 3, 4)))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"nilorbits {argv[0]}: ") and "below l=3 of " in err
+
+
+def test_enumerate_below_l_creates_no_out_file(tmp_path, capsys):
+    out = tmp_path / "patterns.json"
+    assert main(["enumerate", "--group", "o", "--n", "7", "--blocks", "1,1",
+                 "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+SP_BLOCK_2 = ('{"arcs":[{"dotted":false,"from":1,"loop":"unoriented","to":1}],'
+              '"b":[2],"k":1,"kind":"symplectic"}')
+O_BLOCK_2 = ('{"arcs":[{"dotted":true,"from":1,"loop":"lower","to":1}],'
+             '"b":[2],"k":1,"kind":"orthogonal"}')
+
+
+@pytest.mark.parametrize("argv, pattern, want", [
+    (["repr", "--group", "sp", "--n", "6"], SP_BLOCK_2,
+     "0 1 0 0 0  0\n" + "0 0 0 0 0  0\n" * 3 + "0 0 0 0 0 -1\n0 0 0 0 0  0\n"),
+    (["summands", "--group", "sp", "--n", "6"], SP_BLOCK_2,
+     "[M(2,2) (+) M(2,2)] + [D+(1,1) (+) C+(1,1)]\n"),
+    (["repr", "--group", "o", "--n", "7", "--format", "json"], O_BLOCK_2,
+     '{"cols":7,"entries":[' + "[0,0,0,0,0,0,0]," * 5
+     + '[1,0,0,0,0,0,0],[0,-1,0,0,0,0,0]],"rows":7}\n'),
+    (["summands", "--group", "o", "--n", "7", "--format", "json"], O_BLOCK_2,
+     '{"pieces":[{"mult":1,"parts":[{"family":"M","i":2,"j":2}]},'
+     '{"mult":1,"parts":[{"family":"M","i":2,"j":2},{"family":"M","i":2,"j":2}]},'
+     '{"mult":1,"parts":[{"family":"Z-","i":1,"j":1},{"family":"Z-","i":1,"j":1}]}],'
+     '"rank":1}\n'),
+])
+def test_repr_and_summands_still_answer_below_l(argv, pattern, want):
+    # Each orbit these name exists, so they answer; only the list of the
+    # orbits of such a flag is incomplete.
+    assert run_cli(argv, pattern) == (0, want, "")
+
+
 def test_enumerate_tex_refuses_levels_past_its_bound(tmp_path, capsys):
     out = tmp_path / "kept.tex"
     out.write_text("keep me\n")

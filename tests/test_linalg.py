@@ -20,7 +20,7 @@ from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
 from nilorbits.patterns import enumerate_patterns
 
 from conftest import (dense_commutant_dim, naive_rank, random_rational_matrix,
-                      reference_lie_violation)
+                      reference_first_row_pivots, reference_lie_violation)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -541,7 +541,40 @@ def test_kernel_pivots_are_leading_minors(rows):
               * prod(row[j] for row, j in zip(rows, s)) for s in permutations(range(n)))
     assert (len(pivots) == n) == (det != 0)
     if det:
-        assert abs(work[-1][pivots[-1]]) == abs(det)
+        assert abs(work[-1][pivots[-1][1]]) == abs(det)
+
+
+@st.composite
+def integer_row_lists(draw):
+    # Non-square, with zero rows and repeated (scaled) rows mixed in.
+    cols = draw(st.integers(1, 6))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("random", "zero", "repeat")), max_size=7)):
+        if kind == "repeat" and rows:
+            scale = draw(st.sampled_from((1, -1, 2, -3)))
+            rows.append([scale * v for v in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([0] * cols)
+        else:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)))
+    return rows, cols
+
+
+@deterministic
+@given(integer_row_lists(), st.randoms(use_true_random=False))
+def test_kernel_pivots_equal_the_first_row_fraction_oracle(case, rnd):
+    rows, cols = case
+    work = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots = _eliminate(work, cols)
+    assert pivots == reference_first_row_pivots(rows, cols)
+    # the pivot rows stay, in pivot order, each zero left of its column
+    assert len(work) == len(pivots)
+    assert all(min(row) == c and row[c] for row, (_, c) in zip(work, pivots))
+    # the rank does not depend on the order the rows come in
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    again = [{j: v for j, v in enumerate(row) if v} for row in shuffled]
+    assert len(_eliminate(again, cols)) == len(pivots) == naive_rank(Matrix.from_rows(rows))
 
 
 def test_orbit_dimension_is_invariant_under_borel_conjugation():

@@ -97,3 +97,25 @@ def test_one_json_encoder_and_one_input_error_root():
     assert importers == {"linalg"}
     # Callers catch DomainError alone: a malformed input is one of them.
     assert issubclass(nilorbits.MalformedInputError, nilorbits.DomainError)
+
+
+def test_one_elimination_kernel_and_one_gcd_importer():
+    # Rank, the two dimension solvers and the rank signature all eliminate
+    # through linalg._eliminate: it is defined once, each of them calls it,
+    # and only linalg imports gcd, so no module reduces rows on its own.
+    defined, callers, importers = [], set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_eliminate":
+                    defined.append(path.stem)
+                if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "_eliminate" for call in ast.walk(node)):
+                    callers.add(node.name)
+            if (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(a.name == "gcd" for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "gcd"):
+                importers.add(path.stem)
+    assert defined == ["linalg"]
+    assert {"rank", "membership_dim", "symmetric_endo_dim", "rank_signature"} <= callers
+    assert importers == {"linalg"}
