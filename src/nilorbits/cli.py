@@ -37,12 +37,13 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return blocks
 
 
-def _p_orbit_flag(g: GroupKind, b: tuple[int, ...]) -> SpaceSpec:
-    """The flag of blocks b in g, refused unless it reaches l: below l it has
-    more P-orbits than patterns on b, and the pattern layer lacks the rest."""
-    spec = SpaceSpec.from_blocks(g, b)
-    if sum(b) < g.l:
-        raise DomainError(f"flag steps end at {sum(b)}, below l={g.l} of {g.name}: block "
+def _p_orbit_flag(spec: SpaceSpec) -> SpaceSpec:
+    """`spec`, refused unless its flag reaches l: below l it has more
+    P-orbits than patterns on its blocks, and the pattern layer lacks the
+    rest."""
+    g, end = spec.group, sum(spec.blocks)
+    if end < g.l:
+        raise DomainError(f"flag steps end at {end}, below l={g.l} of {g.name}: block "
                           f"patterns index the P-orbits only of a flag that reaches l")
     return spec
 
@@ -59,18 +60,21 @@ def _level(args) -> tuple[str, int, tuple[int, ...]]:
     else:
         raise DomainError("need --rank, --n, or --blocks")
     if args.n is not None:
-        _p_orbit_flag(_group(args, b), b)
+        _p_orbit_flag(_spec(args, b))
     return _KINDS[args.group], k, b
 
 
-def _group(args, b: tuple[int, ...]) -> GroupKind:
-    """The matrix group for commands that produce or consume matrices."""
+def _spec(args, b: tuple[int, ...]) -> SpaceSpec:
+    """The flag of blocks b in the matrix group of the command line, for
+    commands that produce or consume matrices."""
     if args.group == "sp":
-        return GroupKind.symplectic(args.n if args.n is not None else 2 * sum(b))
-    if args.n is None:
+        g = GroupKind.symplectic(args.n if args.n is not None else 2 * sum(b))
+    elif args.n is None:
         raise DomainError("orthogonal groups need an explicit --n "
                           "(the rank does not determine n)")
-    return GroupKind.orthogonal(args.n)
+    else:
+        g = GroupKind.orthogonal(args.n)
+    return SpaceSpec.from_blocks(g, b)
 
 
 def _read_in(args) -> str:
@@ -135,7 +139,7 @@ def _cmd_enumerate(args) -> int:
             raise DomainError(f"--format tex builds its whole table in memory and "
                               f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
                               f"has more (json, csv and text stream any level)")
-        spec = SpaceSpec.from_blocks(_group(args, b), b)
+        spec = _spec(args, b)
         rows = [(p, parabolic_representative(p, spec)) for p in pats]
         _emit(args, tex_table(rows))
     else:
@@ -158,8 +162,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_repr(args) -> int:
     p = pattern_from_json(_read_in(args))
-    g = _group(args, p.b)
-    m = parabolic_representative(p, SpaceSpec.from_blocks(g, p.b))
+    m = parabolic_representative(p, _spec(args, p.b))
     if args.format == "json":
         _emit(args, matrix_to_json(m))
     elif args.format == "tex":
@@ -176,7 +179,7 @@ def _cmd_identify(args) -> int:
     g = GroupKind(_KINDS[args.group], x.rows)
     blocks = _parse_blocks(args.blocks) if args.blocks else None
     if blocks:
-        spec = _p_orbit_flag(g, blocks)
+        spec = _p_orbit_flag(SpaceSpec.from_blocks(g, blocks))
         p = identify_parabolic(x, spec)
     else:
         spec = SpaceSpec.borel(g)
@@ -193,9 +196,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_summands(args) -> int:
     p = pattern_from_json(_read_in(args))
-    g = _group(args, p.b)
-    spec = SpaceSpec.from_blocks(g, p.b)
-    ms = pattern_to_summands(p, spec)
+    ms = pattern_to_summands(p, _spec(args, p.b))
     if args.format == "json":
         _emit(args, multiset_to_json(ms))
     else:

@@ -19,7 +19,7 @@ from typing import Iterable
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
                      require_two_nilpotent, star)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
-# to check that its tracer restores rebound names (ROADMAP item 6).
+# to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
 from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER,
                        _arc_cost, _arc_types, _free_capacity, glue, validate)

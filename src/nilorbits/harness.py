@@ -36,8 +36,7 @@ from math import factorial, lcm
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _cleared, _dumps, _flag_allows, _ints,
-                     lie_algebra_basis)
+                     SpaceSpec, _cleared, _dumps, _ints, lie_algebra_basis)
 from .patterns import count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -106,7 +105,7 @@ def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
     roots through the middle index, so exp(tN) = I + tN + t^2 N^2 / 2.
     """
     roots = []
-    for b in lie_algebra_basis(spec.group, _flag_allows(spec.flag)):
+    for b in lie_algebra_basis(spec.group, spec.flag):
         first = _entries(b)
         if all(p != q for p, q, _ in first):
             roots.append((first, _entries(b @ b)))
@@ -313,6 +312,8 @@ class SuiteConfig:
             if not values or any(v not in known for v in values):
                 raise DomainError(f"suite {what} must be among {', '.join(known)}, "
                                   f"got {values!r}")
+            if len(set(values)) != len(values):
+                raise DomainError(f"suite {what} must not repeat, got {values!r}")
         if self.max_rank < 0 or self.conjugations < 1:
             raise DomainError("suite needs max_rank >= 0 and conjugations >= 1, got "
                               f"{self.max_rank} and {self.conjugations}")

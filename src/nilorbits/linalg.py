@@ -10,17 +10,17 @@ that cache filled.  Products, rank, the 2-nilpotency test and the row
 builder read the cache; the form check reads the entries.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
 integer rows that never swaps rows: a column's pivot is the first row, in
-the order given, that holds it.  Rank, the membership and centralizer
-dimensions and the quiver layer's stabilizer dimensions all sit on it, and
-so do rank signatures: handed a matrix's rows bottom-up, it returns the
-delta positions as its pivots.  Every defining form is anti-diagonal with
-entries +-1, so a member of the Lie algebra is fixed by half of its
-entries: each position determines its mate across the anti-diagonal up to
-a sign.  The membership test reads these mate pairs
-entry by entry, and the membership solvers, the algebra bases and the
-quiver layer's stabilizers work in mate-pair coordinates, so no row states
-the form condition.  One row builder states every A f - f B = 0 that is
-eliminated: [a, x] = 0, and the arrows and loop of a flag representation.
+the order given, that holds it.  Rank, orbit dimensions, the quiver
+layer's stabilizer dimensions and rank signatures (the matrix's rows
+handed bottom-up give the delta positions as pivots) all sit on it.  Every
+defining form is anti-diagonal with entries +-1, so each position of a
+member of the Lie algebra fixes its mate across the anti-diagonal up to a
+sign.  The membership test reads these mate pairs entry by entry; the
+parabolic subalgebras, their bases and the quiver layer's stabilizers work
+in mate-pair coordinates, so no row states the form condition, and dim p
+is the count of p's coordinates.  One row builder states every
+A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the orbit
+dimension, and the arrows and loop of a flag representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -509,30 +509,26 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(rows, m.cols))
 
 
-# -- dimensions of membership subspaces --------------------------------------
+# -- parabolic subalgebras and orbit dimensions ------------------------------
 
 
-def _flag_allows(flag: tuple[int, ...]) -> Callable[[int, int], bool]:
-    # Entry (r, c) kills flag invariance iff some step d has c <= d < r.
-    def allowed(r: int, c: int) -> bool:
-        return not any(c <= d < r for d in flag)
-    return allowed
+def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
+    """The number of mate-pair coordinates of the parabolic subalgebra p of
+    `spec`, and a member of p as a block of them (`_intertwiner_rows`).
 
-
-def _coordinates(g: GroupKind, allowed: Callable[[int, int], bool]
-                 ) -> tuple[int, dict]:
-    """The number of mate-pair coordinates of the members of g supported on
-    `allowed` positions, and a member as a block of them (`_intertwiner_rows`).
-
-    A coordinate is a `_mates` entry whose position and mate are both
-    allowed, numbered in `_mates` order and named by the row-major later one:
-    a is 1 there and `sign` at the mate.  A pair with a forbidden position is
-    zero, and so is a self-mated position of sign -1.
+    Entry (r, c) breaks the flag iff some step d has c <= d < r (1-based).
+    A coordinate is a `_mates` entry whose position and mate both keep the
+    flag, numbered in `_mates` order and named by the row-major later one:
+    a is 1 there and `sign` at the mate.  A pair with a position that breaks
+    the flag is zero, and so is a self-mated position of sign -1.
     """
+    def keeps(r: int, c: int) -> bool:   # 0-based: no step d has c < d <= r
+        return not any(c < d <= r for d in spec.flag)
+
     count, entry = 0, {}
-    for r, c, mr, mc, sign in _mates(g):
+    for r, c, mr, mc, sign in _mates(spec.group):
         later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
-        if later and allowed(r + 1, c + 1) and allowed(mr + 1, mc + 1):
+        if later and keeps(r, c) and keeps(mr, mc):
             entry[mr, mc] = (count, sign)
             entry[r, c] = (count, 1)
             count += 1
@@ -565,19 +561,6 @@ def _intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]
     return rows
 
 
-def membership_dim(g: GroupKind, allowed: Callable[[int, int], bool],
-                   x: Matrix | None = None) -> int:
-    """Dimension of {a in g : a supported on allowed positions, [a, x] = 0}.
-
-    `allowed` is a predicate on 1-based (row, col); forbidden positions are
-    treated as hard zeros.  Pass x=None to drop the commutant condition.
-    """
-    count, entry = _coordinates(g, allowed)
-    rows = _intertwiner_rows(x, entry, entry) if x is not None else []
-    rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
-    return count - len(_eliminate(rows, count))
-
-
 def lie_algebra_dim(g: GroupKind) -> int:
     """Dimension of {a : lie_member(a, g)}: the parabolic of the empty flag."""
     return parabolic_dim(SpaceSpec(g, ()))
@@ -590,26 +573,25 @@ def borel_subalgebra_dim(g: GroupKind) -> int:
 
 def parabolic_dim(spec: SpaceSpec) -> int:
     """Dimension of the flag-stabilizing members of the algebra."""
-    return membership_dim(spec.group, _flag_allows(spec.flag))
-
-
-def centralizer_dim_in(x: Matrix, spec: SpaceSpec) -> int:
-    """Dimension of {a in the parabolic of `spec` : a x = x a}."""
-    require_two_nilpotent(x, spec.group)
-    return membership_dim(spec.group, _flag_allows(spec.flag), x)
+    return _coordinates(spec)[0]
 
 
 def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
-    """dim(parabolic orbit of x) = dim p - dim centralizer_p(x)."""
-    return parabolic_dim(spec) - centralizer_dim_in(x, spec)
+    """dim(parabolic orbit of x) = dim p - dim centralizer_p(x): the rank of
+    a |-> [a, x] on the coordinates of p."""
+    require_two_nilpotent(x, spec.group)
+    count, entry = _coordinates(spec)
+    rows = _intertwiner_rows(x, entry, entry)
+    rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
+    return len(_eliminate(rows, count))
 
 
-def lie_algebra_basis(g: GroupKind, allowed: Callable[[int, int], bool] | None = None
-                      ) -> list[Matrix]:
-    """Basis of the members of g supported on `allowed` positions: one per
-    mate-pair coordinate, in `_coordinates` order, written from its block."""
+def lie_algebra_basis(g: GroupKind, flag: Sequence[int] = ()) -> list[Matrix]:
+    """Basis of the members of g that stabilize `flag` (every member for the
+    empty flag): one per mate-pair coordinate, in `_coordinates` order,
+    written from its block."""
     n = g.n
-    count, entry = _coordinates(g, allowed or (lambda r, c: True))
+    count, entry = _coordinates(SpaceSpec(g, flag))
     basis = [[[Fraction(0)] * n for _ in range(n)] for _ in range(count)]
     for (r, c), (i, coef) in entry.items():
         basis[i][r][c] = Fraction(coef)
@@ -658,6 +640,8 @@ def matrix_from_obj(obj) -> Matrix:
         raise DomainError("matrix entries must be a list of rows")
     if len(entries) != obj["rows"] or any(len(row) != obj["cols"] for row in entries):
         raise DomainError("matrix entries do not match the declared shape")
+    if not entries and obj["cols"]:   # a Matrix has as many columns as its first row
+        raise DomainError(f"a matrix with no rows has no columns, got cols {obj['cols']}")
     return Matrix(tuple(tuple(_scalar_from_obj(v) for v in row) for row in entries))
 
 

@@ -369,7 +369,7 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
         blocks.append({(r, c): (total + r * d + c, 1)
                        for r in range(d) for c in range(d)})
         total += d * d
-    count, entry = _coordinates(rep.group, lambda r, c: True)
+    count, entry = _coordinates(SpaceSpec(rep.group, ()))
     blocks.append({pos: (total + i, coef) for pos, (i, coef) in entry.items()})
     total += count
     # a_s: V_s -> V_{s+1}, with V_{k+1} the middle space, then the loop
@@ -377,7 +377,7 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     for s, arrow in enumerate(rep.arrows):
         rows += _intertwiner_rows(arrow, blocks[s + 1], blocks[s])
     rows += _intertwiner_rows(rep.loop, blocks[-1], blocks[-1])
-    rows.sort(key=len)   # sparsest first, as in `membership_dim`
+    rows.sort(key=len)   # sparsest first, as in `orbit_dimension`
     return total - len(_eliminate(rows, total))
 
 

@@ -146,10 +146,13 @@ def test_suite_respects_the_configured_subsets():
     ({"conjugations": 0}, r"conjugations >= 1, got 3 and 0"),
     ({"conjugations": -3}, r"conjugations >= 1, got 3 and -3"),
     ({"max_rank": 2.0}, "must be integers"),
+    ({"kinds": ("symplectic", "symplectic"), "max_rank": 1}, "suite kinds must not repeat"),
+    ({"checks": ("counts", "dimensions", "counts")}, "suite checks must not repeat"),
 ])
 def test_suite_refuses_configs_that_check_nothing_or_crash(fields, match):
     # Each of these once ran to a 0/0 "passed" report or a run with no
-    # conjugation, or raised a bare KeyError or TypeError.
+    # conjugation, or raised a bare KeyError or TypeError, or ran a family
+    # twice and listed each of its test ids twice.
     with pytest.raises(DomainError, match=match):
         run_suite(SuiteConfig(**fields))
 
@@ -174,7 +177,8 @@ def power_series_exp(s: Matrix) -> Matrix:
     return out
 
 
-UPPER_BASES = {g: lie_algebra_basis(g, lambda r, c: r < c)
+UPPER_BASES = {g: [b for b in lie_algebra_basis(g, SpaceSpec.borel(g).flag)
+                   if b.is_upper_triangular(strict=True)]
                for g in (GroupKind.symplectic(6), GroupKind.orthogonal(6),
                          GroupKind.orthogonal(7))}
 

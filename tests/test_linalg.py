@@ -9,18 +9,18 @@ from hypothesis import given, settings, strategies as st
 from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              borel_subalgebra_dim, centralizer_dim_in,
-                              form_matrix, group_member, is_two_nilpotent,
-                              lie_algebra_basis, lie_algebra_dim,
-                              lie_member, matrix_from_json, matrix_from_obj,
-                              matrix_to_json, membership_dim, orbit_dimension,
+                              borel_subalgebra_dim, form_matrix, group_member,
+                              is_two_nilpotent, lie_algebra_basis,
+                              lie_algebra_dim, lie_member, matrix_from_json,
+                              matrix_from_obj, matrix_to_json, orbit_dimension,
                               parabolic_dim, rank, star)
 from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
                               _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
-from conftest import (dense_commutant_dim, naive_rank, random_rational_matrix,
-                      reference_first_row_pivots, reference_lie_violation)
+from conftest import (dense_commutant_dim, flag_positions, naive_rank,
+                      random_rational_matrix, reference_first_row_pivots,
+                      reference_lie_violation)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -195,15 +195,15 @@ def test_centralizer_and_orbit_dimension_frozen():
     g = GroupKind.symplectic(4)
     spec = SpaceSpec.borel(g)
     x = Matrix.unit(4, 1, 4)
-    assert centralizer_dim_in(x, spec) == 5
+    assert parabolic_dim(spec) - orbit_dimension(x, spec) == 5
     assert orbit_dimension(x, spec) == 1
-    assert centralizer_dim_in(Matrix.zero(4), spec) == borel_subalgebra_dim(g)
+    assert orbit_dimension(Matrix.zero(4), spec) == 0
     with pytest.raises(DomainError, match="not in sp_4"):
-        centralizer_dim_in(Matrix.unit(4, 1, 2), spec)
+        orbit_dimension(Matrix.unit(4, 1, 2), spec)
     semisimple = Matrix.from_rows([[1, 0, 0, 0], [0, 2, 0, 0],
                                    [0, 0, -2, 0], [0, 0, 0, -1]])
     with pytest.raises(DomainError, match="2-nilpotent"):
-        centralizer_dim_in(semisimple, spec)
+        orbit_dimension(semisimple, spec)
 
 
 def test_lie_algebra_basis_spans_and_respects_support():
@@ -212,9 +212,10 @@ def test_lie_algebra_basis_spans_and_respects_support():
         basis = lie_algebra_basis(g)
         assert len(basis) == lie_algebra_dim(g)
         assert all(lie_member(b, g) for b in basis)
-        upper = lie_algebra_basis(g, lambda r, c: r < c)
-        assert all(b.is_upper_triangular(strict=True) for b in upper)
-        assert all(lie_member(b, g) for b in upper)
+        borel = lie_algebra_basis(g, SpaceSpec.borel(g).flag)
+        assert len(borel) == borel_subalgebra_dim(g)
+        assert all(b.is_upper_triangular() and lie_member(b, g) for b in borel)
+        upper = [b for b in borel if b.is_upper_triangular(strict=True)]
         assert len(upper) == borel_subalgebra_dim(g) - g.l
 
 
@@ -245,6 +246,11 @@ def test_matrix_json_rejects_malformed():
             matrix_from_obj({"rows": 1, "cols": 1, "entries": [[literal]]})
     with pytest.raises(DomainError):
         matrix_from_obj([[1]])
+    # A Matrix has as many columns as its first row: 0x5 would come back 0x0.
+    for cols in (5, -3):
+        with pytest.raises(DomainError, match="no rows has no columns"):
+            matrix_from_obj({"rows": 0, "cols": cols, "entries": []})
+    assert matrix_from_obj({"rows": 0, "cols": 0, "entries": []}) == Matrix(())
 
 
 # -- the integer product kernel and the structural form checks ----------------
@@ -378,12 +384,12 @@ def test_refusals_name_the_first_failing_entry():
     spec = SpaceSpec.borel(g)
     with pytest.raises(DomainError,
                        match=r"^matrix not in sp_4: \(transpose\(a\)F \+ Fa\)\[1,4\] != 0$"):
-        centralizer_dim_in(Matrix.identity(4), spec)
+        orbit_dimension(Matrix.identity(4), spec)
     semisimple = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 0],
                                    [0, 0, -2, 0], [0, 0, 0, 0]])
     with pytest.raises(DomainError,
                        match=r"^matrix is not 2-nilpotent: \(x @ x\)\[2,2\] != 0$"):
-        centralizer_dim_in(semisimple, spec)
+        orbit_dimension(semisimple, spec)
 
 
 # -- the cleared integer rows ---------------------------------------------------
@@ -515,16 +521,18 @@ def test_rank_equals_naive_elimination(m):
 
 @deterministic
 @given(st.sampled_from(FORM_GROUPS), st.data())
-def test_membership_dim_equals_the_rank_of_the_dense_map(g, data):
-    # Random supports are not closed under taking mates, so an allowed
-    # position whose mate is forbidden must vanish, as the dense rows say.
+def test_parabolic_and_centralizer_dims_equal_the_rank_of_the_dense_map(g, data):
+    # The coordinates test the flag on a position and on its mate: in sp_4
+    # with flag (1), (4,2) keeps the flag and its mate (3,1) does not.  The
+    # dense oracle also cuts at the perps n - d and states the form itself.
     n = g.n
-    allowed = {(r, c) for r in range(1, n + 1) for c in range(1, n + 1)
-               if data.draw(st.booleans())}
+    flag = tuple(sorted(data.draw(st.sets(st.integers(1, g.l)))))
+    spec, positions = SpaceSpec(g, flag), flag_positions(n, flag)
     p = data.draw(st.sampled_from([None] + enumerate_patterns(g.family, g.l, (1,) * g.l)))
     x = Matrix.zero(n) if p is None else pattern_to_matrix(p, g)
-    assert (membership_dim(g, lambda r, c: (r, c) in allowed, x)
-            == dense_commutant_dim(g, allowed, x))
+    assert parabolic_dim(spec) == dense_commutant_dim(g, positions, Matrix.zero(n))
+    assert (parabolic_dim(spec) - orbit_dimension(x, spec)
+            == dense_commutant_dim(g, positions, x))
 
 
 @deterministic

@@ -6,7 +6,7 @@ import types
 import nilorbits
 
 # Imported but not called: perfbench/test_perfbench.py reads it to check that
-# the benchmark's tracer restores rebound names (ROADMAP item 6).
+# the benchmark's tracer restores rebound names (ROADMAP item 1).
 UNUSED_ON_PURPOSE = {("correspondence", "lie_member")}
 
 PACKAGE = pathlib.Path(nilorbits.__file__).parent
@@ -99,23 +99,37 @@ def test_one_json_encoder_and_one_input_error_root():
     assert issubclass(nilorbits.MalformedInputError, nilorbits.DomainError)
 
 
+def _calls(node, name: str) -> int:
+    return sum(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == name for call in ast.walk(node))
+
+
 def test_one_elimination_kernel_and_one_gcd_importer():
     # Rank, the two dimension solvers and the rank signature all eliminate
     # through linalg._eliminate: it is defined once, each of them calls it,
     # and only linalg imports gcd, so no module reduces rows on its own.
-    defined, callers, importers = [], set(), set()
+    # The flag rule is stated once too, in linalg._coordinates: the parabolic
+    # dimension is its count, and an orbit dimension is one elimination on it.
+    defined = {"_eliminate": [], "_coordinates": []}
+    callers = {name: {} for name in defined}
+    importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
-                if node.name == "_eliminate":
-                    defined.append(path.stem)
-                if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                       and call.func.id == "_eliminate" for call in ast.walk(node)):
-                    callers.add(node.name)
+                if node.name in defined:
+                    defined[node.name].append(path.stem)
+                for name, found in callers.items():
+                    if count := _calls(node, name):
+                        found[node.name] = count
             if (isinstance(node, ast.ImportFrom) and node.module == "math"
                     and any(a.name == "gcd" for a in node.names)
                     or isinstance(node, ast.Attribute) and node.attr == "gcd"):
                 importers.add(path.stem)
-    assert defined == ["linalg"]
-    assert {"rank", "membership_dim", "symmetric_endo_dim", "rank_signature"} <= callers
+    assert defined == {"_eliminate": ["linalg"], "_coordinates": ["linalg"]}
+    assert {"rank", "orbit_dimension", "symmetric_endo_dim",
+            "rank_signature"} <= set(callers["_eliminate"])
+    assert "parabolic_dim" not in callers["_eliminate"]
+    assert callers["_coordinates"] == {"parabolic_dim": 1, "orbit_dimension": 1,
+                                       "lie_algebra_basis": 1, "symmetric_endo_dim": 1}
+    assert callers["_eliminate"]["orbit_dimension"] == 1
     assert importers == {"linalg"}

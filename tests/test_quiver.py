@@ -10,7 +10,7 @@ from nilorbits.correspondence import (parabolic_representative,
                                       pattern_to_matrix)
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              centralizer_dim_in, group_member, parabolic_dim)
+                              group_member, orbit_dimension, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
@@ -292,14 +292,14 @@ def test_endo_dim_with_loop_matches_centralizer():
             for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
                 x = pattern_to_matrix(p, g)
                 rep = realize_flag(spec, loop=x)
-                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, spec)
+                assert (symmetric_endo_dim(rep) == parabolic_dim(spec) - orbit_dimension(x, spec)
                         ), (spec.flag, p.text())
 
 
 @pytest.mark.parametrize("g", [GroupKind.symplectic(6), GroupKind.orthogonal(6),
                                GroupKind.orthogonal(7)], ids=lambda g: g.name)
 def test_endo_dim_with_loop_matches_the_dense_stabilizer(g):
-    # centralizer_dim_in shares the solver's sparse row builder, so a sign
+    # orbit_dimension shares the solver's sparse row builder, so a sign
     # slip there (A f + f B for A f - f B) would move both sides alike.  The
     # dense oracle writes transpose(a) F + F a = 0 and [a, x] = 0 itself.
     for flag in dict.fromkeys((SpaceSpec.borel(g).flag, (1, g.l))):
@@ -324,7 +324,7 @@ def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
         x = pattern_to_matrix(p, g)
         u, u_inv = random_group_element_pair(g, spec, 300 + idx)
         rep = realize_flag(spec, loop=u @ x @ u_inv)
-        assert symmetric_endo_dim(rep) == centralizer_dim_in(x, spec), p.text()
+        assert symmetric_endo_dim(rep) == parabolic_dim(spec) - orbit_dimension(x, spec), p.text()
 
 
 def levi(g: GroupKind, a, b) -> Matrix:
@@ -364,7 +364,7 @@ def test_endo_dim_on_levi_conjugated_flags_matches_centralizer(g):
                 rep = realize_isotropic_flag(g, [columns[:d] for d in flag],
                                              loop=h @ x @ h_inv)
                 assert rep.arrows[-1] != realize_flag(spec).arrows[-1]
-                assert (symmetric_endo_dim(rep) == centralizer_dim_in(x, spec)
+                assert (symmetric_endo_dim(rep) == parabolic_dim(spec) - orbit_dimension(x, spec)
                         ), (flag, p.text())
 
 
