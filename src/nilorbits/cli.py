@@ -18,63 +18,68 @@ from .correspondence import (identify, identify_parabolic, parabolic_representat
                              tex_matrix, tex_pattern, tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _dumps, matrix_from_json, matrix_to_json, orbit_dimension)
+                     _SHORT, _dumps, matrix_from_json, matrix_to_json, orbit_dimension)
 from .patterns import (_search, count_borel, pattern_from_json, pattern_to_json,
                        pattern_to_obj)
 from .quiver import (ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
-_KINDS = {"sp": SYMPLECTIC, "o": ORTHOGONAL}
+_KINDS = {short: kind for kind, short in _SHORT.items()}   # --group value -> family
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
-    try:
-        blocks = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise DomainError(f"bad block list {text!r}; expected integers like 2,1,1")
-    if not blocks or any(b < 1 for b in blocks):
+    blocks = tuple(map(int, parts))
+    if any(b < 1 for b in blocks):
         raise DomainError("blocks must be positive integers")
     return blocks
 
 
-def _p_orbit_flag(spec: SpaceSpec) -> SpaceSpec:
-    """`spec`, refused unless its flag reaches l: below l it has more
-    P-orbits than patterns on its blocks, and the pattern layer lacks the
-    rest."""
-    g, end = spec.group, sum(spec.blocks)
+def _flag_ends_at_l(g: GroupKind, end: int) -> None:
+    """Refuse flag steps that end anywhere but at l of g: past l no flag is
+    isotropic, and below l a flag has more P-orbits than patterns on its
+    blocks, which the pattern layer lacks."""
+    if end > g.l:
+        raise DomainError(f"flag step {end} exceeds the isotropic bound l={g.l} of {g.name}")
     if end < g.l:
         raise DomainError(f"flag steps end at {end}, below l={g.l} of {g.name}: block "
                           f"patterns index the P-orbits only of a flag that reaches l")
-    return spec
 
 
-def _level(args) -> tuple[str, int, tuple[int, ...]]:
+def _level(args) -> tuple[str, int, tuple[int, ...] | None]:
     """(kind, k, b) for the combinatorial commands, refused when --n is
-    given and the level's flag does not end at l of the group of that size."""
+    given and the level's flag does not end at l of the group of that size.
+    b is None at the Borel level (k blocks of 1), whose flag reaches l by
+    construction, so no block tuple is built for it."""
     if args.blocks:
         b = _parse_blocks(args.blocks)
         k = len(b)
     elif args.rank is not None or args.n is not None:
+        b = None
         k = args.rank if args.rank is not None else args.n // 2
-        b = (1,) * k
     else:
         raise DomainError("need --rank, --n, or --blocks")
     if args.n is not None:
-        _p_orbit_flag(_spec(args, b))
+        _flag_ends_at_l(_group(args, k), sum(b) if b else k)
     return _KINDS[args.group], k, b
+
+
+def _group(args, l: int) -> GroupKind:
+    """The matrix group of the command line; sp without --n is sp_2l."""
+    if args.group == "sp":
+        return GroupKind.symplectic(args.n if args.n is not None else 2 * l)
+    if args.n is None:
+        raise DomainError("orthogonal groups need an explicit --n "
+                          "(the rank does not determine n)")
+    return GroupKind.orthogonal(args.n)
 
 
 def _spec(args, b: tuple[int, ...]) -> SpaceSpec:
     """The flag of blocks b in the matrix group of the command line, for
     commands that produce or consume matrices."""
-    if args.group == "sp":
-        g = GroupKind.symplectic(args.n if args.n is not None else 2 * sum(b))
-    elif args.n is None:
-        raise DomainError("orthogonal groups need an explicit --n "
-                          "(the rank does not determine n)")
-    else:
-        g = GroupKind.orthogonal(args.n)
-    return SpaceSpec.from_blocks(g, b)
+    return SpaceSpec.from_blocks(_group(args, sum(b)), b)
 
 
 def _read_in(args) -> str:
@@ -125,6 +130,7 @@ _TEX_MAX_PATTERNS = 5000
 
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
+    b = b or (1,) * k
     pats = _search(kind, k, b)   # refuses a bad level before anything is written
     if args.format == "json":
         _stream(args, map(pattern_to_json, pats))
@@ -149,7 +155,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     kind, k, b = _level(args)
-    if all(v == 1 for v in b):
+    if b is None or all(v == 1 for v in b):
         value, method = count_borel(kind, k), "recurrence"
     else:
         value, method = sum(1 for _ in _search(kind, k, b)), "enumeration"
@@ -179,7 +185,8 @@ def _cmd_identify(args) -> int:
     g = GroupKind(_KINDS[args.group], x.rows)
     blocks = _parse_blocks(args.blocks) if args.blocks else None
     if blocks:
-        spec = _p_orbit_flag(SpaceSpec.from_blocks(g, blocks))
+        _flag_ends_at_l(g, sum(blocks))
+        spec = SpaceSpec.from_blocks(g, blocks)
         p = identify_parabolic(x, spec)
     else:
         spec = SpaceSpec.borel(g)
@@ -241,9 +248,9 @@ def _cmd_verify(args) -> int:
 # Every option a subcommand may declare, keyed by the name used in _COMMANDS.
 # "kinds" is verify's --group: without it, both families are verified.
 _OPTIONS = {
-    "group": (("--group",), dict(choices=("sp", "o"), default="sp",
+    "group": (("--group",), dict(choices=tuple(_KINDS), default="sp",
                                  help="group family: sp (symplectic) or o (orthogonal)")),
-    "kinds": (("--group",), dict(choices=("sp", "o"), default=None,
+    "kinds": (("--group",), dict(choices=tuple(_KINDS), default=None,
                                  help="group family to verify (default: both)")),
     "n": (("--n",), dict(type=int, default=None, help="matrix size n")),
     "rank": (("--rank",), dict(type=int, default=None,
@@ -257,7 +264,7 @@ _OPTIONS = {
                              help="output file (default: stdout)")),
 }
 
-_REACH_L = "; with --n, the blocks must sum to l = n // 2"   # see _p_orbit_flag
+_REACH_L = "; with --n, the blocks must sum to l = n // 2"   # see _flag_ends_at_l
 # name: (handler, help, options read, --format choices emitted)
 _COMMANDS = {
     "enumerate": (_cmd_enumerate, "list all valid patterns at the given level (--format "

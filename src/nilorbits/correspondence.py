@@ -30,12 +30,12 @@ class MalformedInputError(DomainError):
     a DomainError, so one handler refuses every bad input."""
 
 
-def _arc_units(arc: Arc, n: int, eps: int) -> list[tuple[int, int, int]]:
-    """Matrix units (row, col, coefficient) contributed by one arc.
-
-    eps is +1 symplectic, -1 orthogonal (the sign difference in the dotted
-    rows of the two representative tables).
+def _arc_units(arc: Arc, g: GroupKind) -> list[tuple[int, int, int]]:
+    """Matrix units (row, col, coefficient) contributed by one arc to a
+    representative in g.  eps is +1 symplectic, -1 orthogonal: the sign
+    difference in the dotted rows of the two representative tables.
     """
+    n, eps = g.n, 1 if g.is_symplectic else -1
     if arc.loop_variant == LOOP_UPPER:
         return [(arc.source, star(arc.source, n), 1)]
     if arc.loop_variant == LOOP_LOWER:
@@ -58,10 +58,9 @@ def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
     patterns go through `parabolic_representative`)."""
     _free_capacity(p, SpaceSpec.borel(g))
     n = g.n
-    eps = 1 if g.is_symplectic else -1
     rows = [[0] * n for _ in range(n)]
     for arc in p.arcs:
-        for (r, c, coef) in _arc_units(arc, n, eps):
+        for (r, c, coef) in _arc_units(arc, g):
             rows[r - 1][c - 1] += coef
     return Matrix._from_ints(rows, 1)
 
@@ -154,11 +153,10 @@ def _arcs_by_first_unit(g: GroupKind) -> dict[tuple[int, int], tuple[Arc, frozen
     """The representative table inverted: every arc that fits a Borel-level
     pattern of g (capacity 1 at each endpoint), keyed by the row-major first
     position of its `_arc_units`, with the set of all its unit positions."""
-    eps = 1 if g.is_symplectic else -1
     table = {}
     for arc in _arc_types(g.l):
         if all(c == 1 for _, c in _arc_cost(arc, g.family)):
-            units = sorted((r, c) for r, c, _ in _arc_units(arc, g.n, eps))
+            units = sorted((r, c) for r, c, _ in _arc_units(arc, g))
             table[units[0]] = (arc, frozenset(units))
     return table
 

@@ -36,7 +36,7 @@ from math import factorial, lcm
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _cleared, _dumps, _ints, lie_algebra_basis)
+                     SpaceSpec, _SHORT, _cleared, _dumps, _ints, lie_algebra_basis)
 from .patterns import count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -346,10 +346,9 @@ def run_suite(config: SuiteConfig) -> dict:
         items.append({"test_id": test_id, "params": params,
                       "status": "pass" if ok else "fail", "details": details})
 
-    short = {SYMPLECTIC: "sp", ORTHOGONAL: "o"}
     for kind in config.kinds:
         for l in range(config.max_rank + 1):
-            tag = f"{short[kind]}/l={l}"
+            tag = f"{_SHORT[kind]}/l={l}"
             pats = enumerate_patterns(kind, l, (1,) * l)
             if "counts" in config.checks:
                 rec = count_borel(kind, l)

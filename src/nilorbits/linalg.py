@@ -236,6 +236,8 @@ class Matrix:
 
 SYMPLECTIC = "symplectic"
 ORTHOGONAL = "orthogonal"
+# The short family names: the CLI's --group values and the prefix of group names.
+_SHORT = {SYMPLECTIC: "sp", ORTHOGONAL: "o"}
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ class GroupKind:
 
     @property
     def name(self) -> str:
-        return ("sp_" if self.is_symplectic else "o_") + str(self.n)
+        return f"{_SHORT[self.family]}_{self.n}"
 
 
 def star(p: int, n: int) -> int:

@@ -262,8 +262,17 @@ def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]
     return list(_search(kind, k, b))
 
 
+# Python's default limit on int-to-decimal conversion: a longer count could
+# be neither printed nor written as JSON (sp passes it at l = 2406, o at 2417).
+_MAX_COUNT_DIGITS = 4300
+_COUNT_BOUND = 10 ** _MAX_COUNT_DIGITS
+
+
 def count_borel(kind: str, l: int) -> int:
-    """Borel-level pattern count by the two-term recurrences (exact ints)."""
+    """Borel-level pattern count by the two-term recurrences (exact ints).
+    The counts grow with l, so a count past `_MAX_COUNT_DIGITS` digits is
+    refused as soon as the recurrence reaches one: every l is answered or
+    refused after at most a few thousand steps."""
     if not _is_int(l):
         raise DomainError(f"l must be an integer, got {l!r}")
     if l < 0:
@@ -278,6 +287,9 @@ def count_borel(kind: str, l: int) -> int:
         return prev
     for m in range(2, l + 1):
         prev, cur = cur, (3 if kind == SYMPLECTIC else 1) * cur + 4 * (m - 1) * prev
+        if cur >= _COUNT_BOUND:
+            raise DomainError(f"the {kind} pattern count at l={l} has more than "
+                              f"{_MAX_COUNT_DIGITS} digits; refusing")
     return cur
 
 

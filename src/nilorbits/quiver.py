@@ -5,8 +5,8 @@ Auslander-Reiten sequences, derived from the strings of A(l).
 A(l) is the path algebra of the line quiver 1 -> ... -> l -> omega -> l* ->
 ... -> 1* with a loop alpha at omega, modulo alpha^2 = a_l* a_l = 0, where
 omega = l + 1.  Summands are symbolic (family plus indices), and each is
-laid out as one or two strings of boxes; dimension vectors count the boxes,
-and with the correspondence table they carry everything the rest of the
+its string (`_walk`); its dimension vector counts the string's slots, and
+with the correspondence table they carry everything the rest of the
 package needs.  Explicit matrix realizations appear only where endomorphism
 dimensions are computed (flag representations).
 """
@@ -51,23 +51,17 @@ class Summand:
         if l < 0:
             raise DomainError("quiver rank must be nonnegative")
         omega = l + 1
-        while True:
-            if fam in ("Z+", "Z-") and j == omega:
-                fam = "D" + fam[1]
-                continue
-            if fam in ("Z+", "Z-") and i == omega:
-                fam, i, j = "C" + fam[1], j, omega
-                continue
-            if fam in ("D-", "C-") and i == j:
-                fam = fam[0] + "+"
-                continue
-            if fam == "C+" and (i, j) == (omega, omega):
-                fam = "D+"
-                continue
-            if fam == "M*" and (i, j) == (omega, omega):
-                fam = "M"
-                continue
-            break
+        # One pass in this order: what a rule makes is canonical or the input
+        # of a later rule (Z-(w,w) -> D-(w,w) -> D+(w,w), C-(w,w) -> C+(w,w)
+        # -> D+(w,w)), never of an earlier one.
+        if fam in ("Z+", "Z-") and j == omega:
+            fam = "D" + fam[1]
+        elif fam in ("Z+", "Z-") and i == omega:
+            fam, i, j = "C" + fam[1], j, i
+        if fam in ("D-", "C-") and i == j:
+            fam = fam[0] + "+"
+        if (i, j) == (omega, omega):
+            fam = {"C+": "D+", "M*": "M"}.get(fam, fam)
         if fam in ("Z+", "Z-"):
             if not (1 <= i <= l and 1 <= j <= l):
                 raise DomainError(f"{fam} indices ({i},{j}) outside 1..{l}")
@@ -91,34 +85,49 @@ class Summand:
 DimensionVector = tuple[int, ...]
 
 
-def _string_rows(s: Summand) -> list[tuple[int, int]]:
-    """The one or two strings of s as inclusive ranges of 0-based slots,
-    laid out 1, ..., l, omega, l*, ..., 1*: the slot of vertex t is t-1, of
+# A(l) is a string algebra without bands (its relations are monomial and alpha
+# is the only cycle), so every indecomposable is a string module.  A walk is
+# the tuple (v_0, d_1, v_1, ..., d_n, v_n) of its slots v_k and letter signs
+# d_k: the letter between v_{k-1} and v_k is direct (+1) when its arrow maps
+# the box at v_{k-1} to the box at v_k, and inverse (-1) otherwise.  A step
+# between two slots is a line arrow, direct when it goes up; a step from omega
+# to omega is alpha.  The empty walk is the zero module.
+
+
+def _path(slots: range) -> tuple[int, ...]:
+    """The walk along consecutive slots of the line."""
+    out = [slots[0]]
+    for u in slots[1:]:
+        out += [u - out[-1], u]
+    return tuple(out)
+
+
+def _walk(s: Summand) -> tuple[int, ...]:
+    """The string of s over the slots 0..2l: the slot of vertex t is t-1, of
     omega is l, and of t* is 2l+1-t (so omega sits where (l+1)* would).
 
-    Every slot of a range is one basis vector (a box) of s, and the arrows
-    act along each string.  For the D/C/Z families the two strings meet at
-    omega, where alpha sends one omega box to the other.
+    M and M* are paths along the line.  D, C and Z have two branches that
+    meet at omega, where alpha joins them: it goes the way
+    `pattern_to_summands` realizes it, branch j to branch i for D+ and C-,
+    i to j for D- and C+, right to left for Z+ and left to right for Z-.
     """
-    l, i, j = s.l, s.i, s.j
-    if s.family == "M":
-        return [(i - 1, j - 1)]
-    if s.family == "M*":
-        return [(2 * l + 1 - j, 2 * l + 1 - i)]
-    if s.family in ("D+", "D-"):
-        return [(i - 1, l), (j - 1, l)]
-    if s.family in ("C+", "C-"):
-        return [(l, 2 * l + 1 - i), (l, 2 * l + 1 - j)]
-    return [(i - 1, l), (l, 2 * l + 1 - j)]
+    fam, i, j, l = s.family, s.i, s.j, s.l
+    if fam == "M":
+        return _path(range(i - 1, j))
+    if fam == "M*":
+        return _path(range(2 * l + 1 - j, 2 * l + 2 - i))
+    first = range(2 * l + 1 - i, l - 1, -1) if fam[0] == "C" else range(i - 1, l + 1)
+    second = range(l, j - 2, -1) if fam[0] == "D" else range(l, 2 * l + 2 - j)
+    alpha = 1 if fam in ("D-", "C+", "Z-") else -1
+    return _path(first) + (alpha,) + _path(second)
 
 
 def dimension_vector(s: Summand) -> DimensionVector:
-    """Dimensions over the 2l+1 vertices in the slot layout of
-    `_string_rows`: the number of boxes of s at each slot."""
+    """Dimensions over the 2l+1 slots of `_walk`: the number of times the
+    string of s visits each slot, so a two-branch string counts omega twice."""
     v = [0] * (2 * s.l + 1)
-    for lo, hi in _string_rows(s):
-        for idx in range(lo, hi + 1):
-            v[idx] += 1
+    for slot in _walk(s)[::2]:
+        v[slot] += 1
     return tuple(v)
 
 
@@ -382,40 +391,6 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
 
 
 # -- Auslander-Reiten sequences ------------------------------------------------
-#
-# A(l) is a string algebra without bands (its relations are monomial and alpha
-# is the only cycle), so every indecomposable is a string module.  A walk is
-# the tuple (v_0, d_1, v_1, ..., d_n, v_n) of its slots v_k and letter signs
-# d_k: the letter between v_{k-1} and v_k is direct (+1) when its arrow maps
-# the box at v_{k-1} to the box at v_k, and inverse (-1) otherwise.  A step
-# between two slots is a line arrow, direct when it goes up; a step from omega
-# to omega is alpha.  The empty walk is the zero module.
-
-
-def _path(slots: range) -> tuple[int, ...]:
-    """The walk along consecutive slots of the line."""
-    out = [slots[0]]
-    for u in slots[1:]:
-        out += [u - out[-1], u]
-    return tuple(out)
-
-
-def _walk(s: Summand) -> tuple[int, ...]:
-    """The string of s: its `_string_rows` joined by alpha at omega.
-
-    alpha goes the way `pattern_to_summands` realizes it: branch j to branch
-    i for D+ and C-, i to j for D- and C+, right to left for Z+ and left to
-    right for Z-.
-    """
-    l = s.l
-    (lo, hi), *rest = _string_rows(s)
-    if not rest:
-        return _path(range(lo, hi + 1))
-    first = range(lo, l + 1) if hi == l else range(hi, l - 1, -1)
-    lo, hi = rest[0]
-    second = range(l, hi + 1) if lo == l else range(l, lo - 1, -1)
-    alpha = 1 if s.family in ("D-", "C+", "Z-") else -1
-    return _path(first) + (alpha,) + _path(second)
 
 
 def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -48,6 +48,49 @@ def test_count_needs_a_level(capsys):
     assert err.startswith("nilorbits count:")
 
 
+# The last Borel levels whose counts print under Python's 4,300-digit limit:
+# both counts have exactly 4,300 digits.
+@pytest.mark.parametrize("group, last", [("sp", 2405), ("o", 2416)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_refuses_a_count_past_the_digit_limit(capsys, group, last, fmt):
+    assert main(["count", "--group", group, "--rank", str(last), "--format", fmt]) == 0
+    digits = sum(ch.isdigit() for ch in capsys.readouterr().out)
+    assert digits == 4300
+    assert main(["count", "--group", group, "--rank", str(last + 1), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("nilorbits count: ") and "4300 digits" in captured.err
+
+
+def _capped(limit_bytes):
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    return cap
+
+
+@pytest.mark.parametrize("level", [["--rank", "200000"], ["--rank", "1000000000"],
+                                   ["--group", "o", "--n", "2000000000"]])
+def test_count_refuses_huge_borel_levels_in_bounded_time_and_memory(level):
+    # a Borel level builds no block tuple, and the recurrence stops at the
+    # digit limit: a 1e9-long tuple alone would need about 8 GB
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli", "count", *level],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_capped(1 << 30))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "4300 digits" in proc.stderr
+
+
+@pytest.mark.parametrize("blocks", ["1_0", "٢", " 2,+1", "2,1 ", "+2", "2,,1"])
+def test_blocks_are_ascii_digit_lists(capsys, blocks):
+    assert main(["count", "--group", "sp", "--blocks", blocks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("nilorbits count: ")
+
+
 def test_enumerate_json_lines_round_trip(capsys):
     assert main(["enumerate", "--group", "o", "--n", "4",
                  "--format", "json"]) == 0

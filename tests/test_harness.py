@@ -202,8 +202,9 @@ def test_exp_nilpotent_inverts_and_matches_the_power_series(s):
 
 
 def test_random_pairs_are_frozen():
-    # Seeded trajectories feed the byte-stable verify report, so a change to
-    # how (u, u^-1) is computed must reproduce these exactly.
+    # The seeded pairs are the dense reference: acceptance criterion 05 and
+    # the benchmark's classify inputs conjugate by them, so a change to how
+    # (u, u^-1) is computed must reproduce these exactly.
     frozen = {
         GroupKind.symplectic(4): (
             [[-3, -3, 0, -7], [0, -3, 6, -6], [0, 0, "-1/3", "1/3"],

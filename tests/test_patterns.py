@@ -159,6 +159,14 @@ def test_count_borel_spec_sequences():
             count_borel("symplectic", l)
 
 
+def test_count_borel_refuses_counts_past_the_digit_limit():
+    for kind, last in (("symplectic", 2405), ("orthogonal", 2416)):
+        assert len(str(count_borel(kind, last))) == 4300
+        for l in (last + 1, 10 ** 9):
+            with pytest.raises(DomainError, match="more than 4300 digits"):
+                count_borel(kind, l)
+
+
 def test_enumerate_single_block_capacities():
     # one vertex of capacity 2: loop multisets only
     assert len(enumerate_patterns("symplectic", 1, (2,))) == 7

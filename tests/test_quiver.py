@@ -13,7 +13,7 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               group_member, orbit_dimension, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
-from nilorbits.quiver import (Summand, SymmetricPiece, _canonical, _walk,
+from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, _canonical, _walk,
                               ar_sequences, catalog, dimension_vector, dual,
                               multiset_text, multiset_to_json,
                               pattern_to_summands, realize_flag,
@@ -34,6 +34,25 @@ def test_degenerate_names_normalize():
     assert Summand("M*", 3, 3, 2) == Summand("M", 3, 3, 2)
     assert Summand("Z+", 1, 3, 2).family == "D+"
     assert Summand("Z-", 3, 2, 2).text() == "C-(2,3)"
+
+
+def test_every_accepted_name_is_canonical_and_in_the_catalog():
+    # the whole index box around 1..omega, every family, l <= 4: a name that
+    # normalizes at all lands on a fixed point of the rules, in the catalog
+    accepted = 0
+    for l in range(5):
+        names = set(catalog(l))
+        for family in FAMILIES:
+            for i in range(-1, l + 4):
+                for j in range(-1, l + 4):
+                    try:
+                        s = Summand(family, i, j, l)
+                    except DomainError:
+                        continue
+                    accepted += 1
+                    assert Summand(s.family, s.i, s.j, s.l) == s, (family, i, j, l)
+                    assert s in names, (family, i, j, l)
+    assert accepted == 320
 
 
 def test_summand_range_errors():
