@@ -11,7 +11,7 @@ import argparse
 import contextlib
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterator
 
 from .correspondence import (identify, identify_parabolic, parabolic_representative,
@@ -130,8 +130,8 @@ _TEX_MAX_PATTERNS = 5000
 
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
-    b = b or (1,) * k
-    pats = _search(kind, k, b)   # refuses a bad level before anything is written
+    # refuses a bad level before anything is written or a Borel block tuple built
+    pats = _search(kind, k, b or repeat(1, k))
     if args.format == "json":
         _stream(args, map(pattern_to_json, pats))
     elif args.format == "csv":
@@ -144,8 +144,8 @@ def _cmd_enumerate(args) -> int:
         if len(pats) > _TEX_MAX_PATTERNS:
             raise DomainError(f"--format tex builds its whole table in memory and "
                               f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
-                              f"has more (json, csv and text stream any level)")
-        spec = _spec(args, b)
+                              f"has more (json, csv and text stream it)")
+        spec = _spec(args, pats[0].b)   # the empty pattern comes first
         rows = [(p, parabolic_representative(p, spec)) for p in pats]
         _emit(args, tex_table(rows))
     else:

@@ -37,7 +37,7 @@ from math import factorial, lcm
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, _SHORT, _cleared, _dumps, _ints, lie_algebra_basis)
-from .patterns import count_borel, enumerate_patterns, is_nilradical
+from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
 
@@ -185,10 +185,10 @@ def _col_ops(y: list[list[int]], terms: list[tuple[int, int, int]], scale: int):
                 row[q] += c * v
 
 
-def _word_act(word: Word, x: Matrix, conjugate: bool = True) -> Matrix:
-    """u x u^{-1} for the member u of a `_root_word`, or u x when `conjugate`
-    is False, by sparse row and column operations: u and u^{-1} are never
-    formed.  Each factor f = I + tN + t^2 N^2 / 2 acts on the rows, then
+def _word_act(word: Word, x: Matrix) -> Matrix:
+    """u x u^{-1} for the member u of a `_root_word`, by sparse row and
+    column operations: u and u^{-1} are never formed.  Each factor
+    f = I + tN + t^2 N^2 / 2 acts on the rows, then
     f^{-1} = I - tN + t^2 N^2 / 2 on the columns, and T last, as the scale
     d_p / d_q of entry (p, q).
 
@@ -202,25 +202,19 @@ def _word_act(word: Word, x: Matrix, conjugate: bool = True) -> Matrix:
     numerators of its diagonal.
     """
     diag, factors = word
-    sides = ((_row_ops, 1), (_col_ops, -1)) if conjugate else ((_row_ops, 1),)
     y, den = _cleared(x)
     for t, first, second in factors:
-        for ops, sign in sides:
-            s = sign * t
+        for ops, s in ((_row_ops, t), (_col_ops, -t)):
             scale = 2 if second and s % 2 else 1
             den *= scale
             ops(y, [(p, q, scale * s * v) for p, q, v in first]
                 + [(p, q, scale * s * s * v // 2) for p, q, v in second], scale)
     lb = lcm(*(d.denominator for d in diag))
+    la = lcm(*(d.numerator for d in diag))
     row_scale = [lb // d.denominator * d.numerator for d in diag]
-    col_scale = [1] * len(diag)
-    den *= lb
-    if conjugate:
-        la = lcm(*(d.numerator for d in diag))
-        col_scale = [la // d.numerator * d.denominator for d in diag]
-        den *= la
+    col_scale = [la // d.numerator * d.denominator for d in diag]
     return Matrix._from_ints([[v * r * c for v, c in zip(row, col_scale)]
-                              for r, row in zip(row_scale, y)], den)
+                              for r, row in zip(row_scale, y)], den * lb * la)
 
 
 def _packed_sums(packed: list[int], caps: list[int], start: int) -> list[int]:
@@ -245,11 +239,7 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
     choices each, and a pair of half sums (a, c) is a valid choice exactly
     when (a + c) has no guard bit set.
     """
-    if kind not in (SYMPLECTIC, ORTHOGONAL):
-        raise DomainError(f"unknown pattern kind {kind!r}")
-    b = _ints(b, "block capacities")
-    if len(b) != k or any(v < 1 for v in b):
-        raise DomainError("block vector must list a positive capacity per vertex")
+    b = LinkPattern(kind, k, tuple(b), ()).b   # the one level gate, as in `_search`
     w = 1 if kind == SYMPLECTIC else 2
     costs: list[dict[int, int]] = []
     for i in range(1, k + 1):

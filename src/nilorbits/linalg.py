@@ -20,7 +20,7 @@ parabolic subalgebras, their bases and the quiver layer's stabilizers work
 in mate-pair coordinates, so no row states the form condition, and dim p
 is the count of p's coordinates.  One row builder states every
 A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the orbit
-dimension, and the arrows and loop of a flag representation.
+dimension, and the basis and loop of a flag representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -514,23 +514,26 @@ def rank(m: Matrix) -> int:
 # -- parabolic subalgebras and orbit dimensions ------------------------------
 
 
+def _keeps(flag: Sequence[int], r: int, c: int) -> bool:
+    """The flag rule: True iff the 0-based entry (r, c) keeps every step of
+    `flag`, that is no step d has c < d <= r (1-based: c <= d < r)."""
+    return not any(c < d <= r for d in flag)
+
+
 def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
     """The number of mate-pair coordinates of the parabolic subalgebra p of
     `spec`, and a member of p as a block of them (`_intertwiner_rows`).
 
-    Entry (r, c) breaks the flag iff some step d has c <= d < r (1-based).
     A coordinate is a `_mates` entry whose position and mate both keep the
-    flag, numbered in `_mates` order and named by the row-major later one:
-    a is 1 there and `sign` at the mate.  A pair with a position that breaks
-    the flag is zero, and so is a self-mated position of sign -1.
+    flag (`_keeps`), numbered in `_mates` order and named by the row-major
+    later one: a is 1 there and `sign` at the mate.  A pair with a position
+    that breaks the flag is zero, and so is a self-mated position of sign -1.
     """
-    def keeps(r: int, c: int) -> bool:   # 0-based: no step d has c < d <= r
-        return not any(c < d <= r for d in spec.flag)
-
+    flag = spec.flag
     count, entry = 0, {}
     for r, c, mr, mc, sign in _mates(spec.group):
         later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
-        if later and keeps(r, c) and keeps(mr, mc):
+        if later and _keeps(flag, r, c) and _keeps(flag, mr, mc):
             entry[mr, mc] = (count, sign)
             entry[r, c] = (count, 1)
             count += 1

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _dumps, _eliminate, _frac, _intertwiner_rows, _ints,
-                     _is_int, form_matrix, rank, require_two_nilpotent)
+                     _dumps, _eliminate, _frac, _intertwiner_rows, _is_int,
+                     _keeps, form_matrix, rank, require_two_nilpotent)
 from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
                        _free_capacity)
 
@@ -280,50 +280,47 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
 
 @dataclass(frozen=True)
 class SymmetricRep:
-    """An explicit symmetric representation of A(k) built from a flag.
+    """An explicit symmetric representation of A(k) built from a totally
+    isotropic flag of `spec`'s shape.
 
-    Spaces are Q^{d_1}, ..., Q^{d_k} and the middle space Q^n; `arrows`
-    holds the k inclusion matrices (the last one landing in the middle
-    space) and `loop` the alpha action on the middle space.  The starred
-    spaces are not stored, because each is the dual of an unstarred one, so
-    a symmetric endomorphism is fixed by its blocks on V_1, ..., V_k and
-    V_omega and its starred conditions are transposes of the unstarred ones.
+    V_s is spanned by the first d_s columns of `basis` (n x d_k), so the
+    inner arrows are the inclusions V_s -> V_{s+1} and the last one embeds
+    V_k in the middle space Q^n; `loop` is the alpha action on Q^n.  The
+    starred spaces are not stored, because each is the dual of an unstarred
+    one.  Every instance is checked on construction: an independent,
+    totally isotropic basis and a 2-nilpotent loop in the algebra.
     """
 
-    group: GroupKind
-    dims: tuple[int, ...]
-    arrows: tuple[Matrix, ...]
+    spec: SpaceSpec
+    basis: Matrix
     loop: Matrix
 
     def __post_init__(self):
-        d = _ints(self.dims, "flag dimensions")
-        object.__setattr__(self, "dims", d)
-        if len(self.arrows) != len(d):
-            raise DomainError("need one arrow per flag step")
-        n = self.group.n
-        for s, (a, rows) in enumerate(zip(self.arrows, d[1:] + (n,)), start=1):
-            if (a.rows, a.cols) != (rows, d[s - 1]):
-                raise DomainError(f"arrow {s} has shape {a.rows}x{a.cols}, "
-                                  f"expected {rows}x{d[s - 1]}")
+        if not (isinstance(self.spec, SpaceSpec) and isinstance(self.basis, Matrix)
+                and isinstance(self.loop, Matrix)):
+            raise DomainError("a SymmetricRep holds a SpaceSpec, a basis Matrix and "
+                              "a loop Matrix")
+        g, basis = self.spec.group, self.basis
+        n, d = g.n, self.spec.flag[-1] if self.spec.flag else 0
+        if (basis.rows, basis.cols) != (n, d):
+            raise DomainError(f"basis has shape {basis.rows}x{basis.cols}, "
+                              f"expected {n}x{d}")
+        if d:   # the empty flag's n x 0 basis transposes to 0 x 0: nothing to check
+            if rank(basis) != d:
+                raise DomainError("basis vectors are linearly dependent")
+            if not (basis.transpose() @ form_matrix(g) @ basis).is_zero():
+                raise DomainError("flag is not totally isotropic for the form")
         if (self.loop.rows, self.loop.cols) != (n, n):
             raise DomainError("loop must act on the middle space")
-        require_two_nilpotent(self.loop, self.group, "loop")
-
-
-def _inclusions(dims: tuple[int, ...], n: int) -> list[Matrix]:
-    """Coordinate inclusions [I; 0] of each Q^{d_s} into the next space,
-    the last one into Q^n."""
-    return [Matrix.from_rows([[1 if p == q else 0 for q in range(cols)]
-                              for p in range(rows)])
-            for cols, rows in zip(dims, dims[1:] + (n,))]
+        require_two_nilpotent(self.loop, g, "loop")
 
 
 def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:
-    """Standard-basis realization of the standard isotropic flag: every
-    arrow is a coordinate inclusion [I; 0]."""
-    n = spec.group.n
-    return SymmetricRep(spec.group, spec.flag, tuple(_inclusions(spec.flag, n)),
-                        loop if loop is not None else Matrix.zero(n))
+    """Standard-basis realization of the standard isotropic flag: the
+    basis is [I; 0]."""
+    n, d = spec.group.n, spec.flag[-1] if spec.flag else 0
+    basis = Matrix(tuple(row[:d] for row in Matrix.identity(n).entries))
+    return SymmetricRep(spec, basis, loop if loop is not None else Matrix.zero(n))
 
 
 def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
@@ -336,26 +333,16 @@ def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],
     """
     if not subspaces:
         raise DomainError("need at least one subspace")
-    dims = SpaceSpec(g, tuple(len(base) for base in subspaces)).flag
+    spec = SpaceSpec(g, tuple(len(base) for base in subspaces))
     exact = [[tuple(_frac(v) for v in vec) for vec in base] for base in subspaces]
-    vectors = exact[-1]
     for prev, cur in zip(exact, exact[1:]):
         if prev != cur[:len(prev)]:
             raise DomainError("subspace bases must extend each other (prefix nesting)")
-    n = g.n
-    if any(len(vec) != n for vec in vectors):
-        raise DomainError(f"basis vectors must have length {n}")
-    big = Matrix.from_rows([[vec[p] for vec in vectors] for p in range(n)])
-    if rank(big) != len(vectors):
-        raise DomainError("basis vectors are linearly dependent")
-    f = form_matrix(g)
-    if not (big.transpose() @ f @ big).is_zero():
-        raise DomainError("flag is not totally isotropic for the form")
-    # The inner arrows are coordinate inclusions by prefix nesting; the last
-    # one embeds the largest basis in Q^n.
-    arrows = _inclusions(dims[:-1], dims[-1]) + [big]
-    return SymmetricRep(g, dims, tuple(arrows), loop if loop is not None
-                        else Matrix.zero(n))
+    vectors = exact[-1]
+    if any(len(vec) != g.n for vec in vectors):
+        raise DomainError(f"basis vectors must have length {g.n}")
+    return SymmetricRep(spec, Matrix(tuple(zip(*vectors))),
+                        loop if loop is not None else Matrix.zero(g.n))
 
 
 def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
@@ -363,30 +350,25 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     representation: blocks A_1, ..., A_k, A_omega intertwining every arrow
     and the loop, with A_omega in the Lie algebra of the form.
 
-    A_1, ..., A_k are dense and A_omega is in mate-pair coordinates, so the
-    form holds by construction.  Accepts a SymmetricRep or a SpaceSpec
-    (standard flag realization).
+    The inner arrows are inclusions, so A_s is the restriction of A_k to
+    V_s, and A_k maps each V_s into itself: the unknowns are A_k on the
+    positions that keep the flag (`_keeps`) and A_omega in mate-pair
+    coordinates, where the form holds by construction.  Accepts a
+    SymmetricRep or a SpaceSpec (standard flag realization).
     """
     if isinstance(rep, SpaceSpec):
         rep = realize_flag(rep)
     elif not isinstance(rep, SymmetricRep):
         raise DomainError("expected a SymmetricRep or a SpaceSpec")
-
-    # unknown blocks A_1..A_k, each dense and row-major, then A_omega
-    blocks, total = [], 0
-    for d in rep.dims:
-        blocks.append({(r, c): (total + r * d + c, 1)
-                       for r in range(d) for c in range(d)})
-        total += d * d
-    count, entry = _coordinates(SpaceSpec(rep.group, ()))
-    blocks.append({pos: (total + i, coef) for pos, (i, coef) in entry.items()})
-    total += count
-    # a_s: V_s -> V_{s+1}, with V_{k+1} the middle space, then the loop
-    rows = []
-    for s, arrow in enumerate(rep.arrows):
-        rows += _intertwiner_rows(arrow, blocks[s + 1], blocks[s])
-    rows += _intertwiner_rows(rep.loop, blocks[-1], blocks[-1])
+    flag, d = rep.spec.flag, rep.basis.cols
+    kept = [(r, c) for r in range(d) for c in range(d) if _keeps(flag, r, c)]
+    top = {pos: (i, 1) for i, pos in enumerate(kept)}
+    count, entry = _coordinates(SpaceSpec(rep.spec.group, ()))
+    middle = {pos: (len(kept) + i, coef) for pos, (i, coef) in entry.items()}
+    rows = (_intertwiner_rows(rep.basis, middle, top)
+            + _intertwiner_rows(rep.loop, middle, middle))
     rows.sort(key=len)   # sparsest first, as in `orbit_dimension`
+    total = len(kept) + count
     return total - len(_eliminate(rows, total))
 
 

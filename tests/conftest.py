@@ -141,8 +141,8 @@ def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     return pivots
 
 
-def reference_word_act(word, x: Matrix, conjugate: bool = True) -> Matrix:
-    """u x u^-1 (or u x) for a `harness._root_word`, by row and column
+def reference_word_act(word, x: Matrix) -> Matrix:
+    """u x u^-1 for a `harness._root_word`, by row and column
     operations over Fractions: each factor I + tN + t^2 N^2 / 2 on the rows,
     its inverse I - tN + t^2 N^2 / 2 on the columns, then the torus scale
     d_p / d_q.  The oracle for the integer `harness._word_act`."""
@@ -164,10 +164,8 @@ def reference_word_act(word, x: Matrix, conjugate: bool = True) -> Matrix:
         half = Fraction(t * t, 2)
         squared = [(p, q, half * v) for p, q, v in second]
         act([(p, q, t * v) for p, q, v in first] + squared, True)
-        if conjugate:
-            act([(p, q, -t * v) for p, q, v in first] + squared, False)
-    return Matrix(tuple(tuple(v * d / diag[q] if conjugate else v * d
-                              for q, v in enumerate(row))
+        act([(p, q, -t * v) for p, q, v in first] + squared, False)
+    return Matrix(tuple(tuple(v * d / diag[q] for q, v in enumerate(row))
                         for d, row in zip(diag, y)))
 
 

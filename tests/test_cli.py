@@ -83,6 +83,21 @@ def test_count_refuses_huge_borel_levels_in_bounded_time_and_memory(level):
     assert len(proc.stderr.splitlines()) == 1 and "4300 digits" in proc.stderr
 
 
+@pytest.mark.parametrize("level", [["--rank", "3000"], ["--rank", "1000000000"],
+                                   ["--group", "o", "--n", "2000000000"],
+                                   ["--blocks", ",".join(["1"] * 224)]])
+def test_enumerate_refuses_huge_levels_in_bounded_time_and_memory(level):
+    # the arc-type table is O(k^2): at k = 3000 it alone would need about
+    # 3 GB, and a Borel block tuple of 1e9 entries about 8 GB
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli", "enumerate", *level],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_capped(1 << 30))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "arc types" in proc.stderr
+
+
 @pytest.mark.parametrize("blocks", ["1_0", "٢", " 2,+1", "2,1 ", "+2", "2,,1"])
 def test_blocks_are_ascii_digit_lists(capsys, blocks):
     assert main(["count", "--group", "sp", "--blocks", blocks]) == 2

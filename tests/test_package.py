@@ -108,9 +108,12 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     # Rank, the two dimension solvers and the rank signature all eliminate
     # through linalg._eliminate: it is defined once, each of them calls it,
     # and only linalg imports gcd, so no module reduces rows on its own.
-    # The flag rule is stated once too, in linalg._coordinates: the parabolic
-    # dimension is its count, and an orbit dimension is one elimination on it.
-    defined = {"_eliminate": [], "_coordinates": []}
+    # The flag rule is stated once too, in linalg._keeps: the parabolic's
+    # coordinates keep the flag by it, and so do the stabilizer's unknowns
+    # on V_k, which `symmetric_endo_dim` solves on with A_omega alone from
+    # the basis rows and the loop rows.  No inclusion arrows are built.
+    defined = {"_eliminate": [], "_coordinates": [], "_keeps": [],
+               "_intertwiner_rows": [], "_inclusions": []}
     callers = {name: {} for name in defined}
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -125,11 +128,15 @@ def test_one_elimination_kernel_and_one_gcd_importer():
                     and any(a.name == "gcd" for a in node.names)
                     or isinstance(node, ast.Attribute) and node.attr == "gcd"):
                 importers.add(path.stem)
-    assert defined == {"_eliminate": ["linalg"], "_coordinates": ["linalg"]}
+    assert defined == {"_eliminate": ["linalg"], "_coordinates": ["linalg"],
+                       "_keeps": ["linalg"], "_intertwiner_rows": ["linalg"],
+                       "_inclusions": []}
     assert {"rank", "orbit_dimension", "symmetric_endo_dim",
             "rank_signature"} <= set(callers["_eliminate"])
     assert "parabolic_dim" not in callers["_eliminate"]
     assert callers["_coordinates"] == {"parabolic_dim": 1, "orbit_dimension": 1,
                                        "lie_algebra_basis": 1, "symmetric_endo_dim": 1}
+    assert set(callers["_keeps"]) == {"_coordinates", "symmetric_endo_dim"}
+    assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
     assert callers["_eliminate"]["orbit_dimension"] == 1
     assert importers == {"linalg"}

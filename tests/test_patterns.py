@@ -322,3 +322,11 @@ def test_pattern_json_rejects_malformed():
         pattern_from_obj({"kind": "symplectic", "k": 2, "b": [1, 1],
                           "arcs": [{"from": 1, "to": 2, "dotted": False,
                                     "loop": "upper"}]})
+
+
+def test_search_refuses_a_level_past_the_arc_type_bound():
+    # 2k^2 + k types: k = 223 has 99,681, k = 224 has 100,576
+    assert next(_search("symplectic", 223, (1,) * 223)).arcs == ()
+    with pytest.raises(DomainError, match="100,576 arc types"):
+        _search("orthogonal", 224, (1,) * 224)
+

@@ -13,7 +13,8 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               group_member, orbit_dimension, parabolic_dim)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
-from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, _canonical, _walk,
+from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
+                              _canonical, _walk,
                               ar_sequences, catalog, dimension_vector, dual,
                               multiset_text, multiset_to_json,
                               pattern_to_summands, realize_flag,
@@ -263,6 +264,33 @@ def test_realize_isotropic_flag_validates_bases():
         realize_isotropic_flag(g, [[[0.1, 0, 0, 0]]])
 
 
+def test_symmetric_rep_is_always_an_isotropic_flag():
+    # The checks live on the representation itself, so one built directly
+    # is refused exactly as `realize_isotropic_flag` refuses its bases.
+    g = GroupKind.orthogonal(4)
+    spec, zero = SpaceSpec(g, (1, 2)), Matrix.zero(4)
+    rep = SymmetricRep(spec, Matrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]]), zero)
+    assert rep == realize_flag(spec)
+    refused = [("dependent", Matrix.from_rows([[1, 2], [0, 0], [0, 0], [0, 0]]), zero),
+               # B(e1, e4) = 1 for the anti-diagonal form
+               ("isotropic", Matrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 1]]), zero),
+               ("shape 4x1, expected 4x2", Matrix.from_rows([[1], [0], [0], [0]]), zero),
+               ("shape 2x4, expected 4x2", Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]]),
+                zero),
+               ("not 2-nilpotent", rep.basis,
+                Matrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]])),
+               ("middle space", rep.basis, Matrix.zero(3)),
+               ("basis Matrix", [[1, 0], [0, 1], [0, 0], [0, 0]], zero),
+               ("loop Matrix", rep.basis, None)]
+    for message, basis, loop in refused:
+        with pytest.raises(DomainError, match=message):
+            SymmetricRep(spec, basis, loop)
+    # the empty flag has an n x 0 basis, whose transpose is 0 x 0
+    empty = SymmetricRep(SpaceSpec(g, ()), Matrix.zero(4, 0), zero)
+    assert (empty.basis.rows, empty.basis.cols) == (4, 0)
+    assert symmetric_endo_dim(empty) == parabolic_dim(SpaceSpec(g, ())) == 6
+
+
 def test_symmetric_endo_dims_frozen():
     sp4 = SpaceSpec.borel(GroupKind.symplectic(4))
     o4 = SpaceSpec.borel(GroupKind.orthogonal(4))
@@ -382,7 +410,7 @@ def test_endo_dim_on_levi_conjugated_flags_matches_centralizer(g):
                 x = pattern_to_matrix(p, g)
                 rep = realize_isotropic_flag(g, [columns[:d] for d in flag],
                                              loop=h @ x @ h_inv)
-                assert rep.arrows[-1] != realize_flag(spec).arrows[-1]
+                assert rep.basis != realize_flag(spec).basis
                 assert (symmetric_endo_dim(rep) == parabolic_dim(spec) - orbit_dimension(x, spec)
                         ), (flag, p.text())
 
