@@ -18,7 +18,8 @@ from .correspondence import (identify, identify_parabolic, parabolic_representat
                              tex_matrix, tex_pattern, tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _SHORT, _dumps, matrix_from_json, matrix_to_json, orbit_dimension)
+                     _SHORT, _dumps, matrix_from_json, matrix_to_json, orbit_dimension,
+                     require_two_nilpotent)
 from .patterns import (_search, count_borel, pattern_from_json, pattern_to_json,
                        pattern_to_obj)
 from .quiver import (ar_sequences, multiset_text, multiset_to_json,
@@ -191,7 +192,11 @@ def _cmd_identify(args) -> int:
     else:
         spec = SpaceSpec.borel(g)
         p = identify(x, g)
-    dim = orbit_dimension(x, spec)
+    # refused here as well as inside `identify`: the solve below no longer reads x
+    require_two_nilpotent(x, g)
+    # x is in the P-orbit of p's representative, and the orbit dimension is
+    # constant on a P-orbit: solve on the 0/+-1 representative, not on x
+    dim = orbit_dimension(parabolic_representative(p, spec), spec)
     if args.format == "json":
         _emit(args, _dumps({"pattern": pattern_to_obj(p), "orbit_dimension": dim}))
     elif args.format == "tex":
@@ -275,8 +280,9 @@ _COMMANDS = {
               ("group", "n", "rank", "blocks", "out"), ("json", "text")),
     "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix",
              ("group", "n", "in", "out"), ("json", "tex", "text")),
-    "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern; "
-                                "--blocks must sum to l = n // 2",
+    "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern "
+                                "and the orbit dimension, solved on the decoded orbit's "
+                                "representative; --blocks must sum to l = n // 2",
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
                  ("group", "n", "in", "out"), ("json", "text")),

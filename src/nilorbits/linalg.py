@@ -97,15 +97,26 @@ def _products(left, right, cols: int):
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with Fraction entries (internal storage 0-based)."""
+    """Immutable dense matrix with Fraction entries (internal storage 0-based).
+
+    `cols` is read off the rows when there are any, and refused if it
+    disagrees with them; a matrix with no rows carries it (0 by default).
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    cols: int | None = None
 
     def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise DomainError("ragged rows")
+        width = (len(self.entries[0]) if self.entries
+                 else 0 if self.cols is None else self.cols)
+        if not _is_int(width) or width < 0:
+            raise DomainError(f"column count must be a non-negative integer, got {width!r}")
+        if any(len(row) != width for row in self.entries):
+            raise DomainError("ragged rows")
+        if self.cols is None:
+            object.__setattr__(self, "cols", width)
+        elif self.cols != width:
+            raise DomainError(f"{self.cols} columns declared, rows have {width}")
 
     # -- construction ------------------------------------------------------
 
@@ -114,11 +125,11 @@ class Matrix:
         return Matrix(tuple(tuple(_frac(v) for v in row) for row in rows))
 
     @staticmethod
-    def _from_ints(rows, den: int) -> "Matrix":
+    def _from_ints(rows, den: int, cols: int | None = None) -> "Matrix":
         """The matrix rows / den for integer rows and den > 0, with `_ints`
-        filled.  Rows and den are divided by their common gcd first, which
-        leaves den the lcm of the entry denominators: the cache is what
-        clearing the entries would give."""
+        filled (`cols` as in the constructor).  Rows and den are divided by
+        their common gcd first, which leaves den the lcm of the entry
+        denominators: the cache is what clearing the entries would give."""
         common = gcd(den, *(v for row in rows for v in row)) if den != 1 else 1
         if common > 1:
             rows = [[v // common for v in row] for row in rows]
@@ -126,7 +137,7 @@ class Matrix:
         _check_denominator(den)
         zero = Fraction(0)
         m = Matrix(tuple(tuple(Fraction(v, den) if v else zero for v in row)
-                         for row in rows))
+                         for row in rows), cols)
         m.__dict__["_ints"] = tuple(map(tuple, rows)), den
         return m
 
@@ -134,7 +145,7 @@ class Matrix:
     def zero(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
         z = Fraction(0)
-        return Matrix(tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix(tuple(tuple(z for _ in range(cols)) for _ in range(rows)), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -156,10 +167,6 @@ class Matrix:
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     @property
     def is_square(self) -> bool:
@@ -209,15 +216,15 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+                            for ra, rb in zip(self.entries, other.entries)), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+                            for ra, rb in zip(self.entries, other.entries)), self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return Matrix(tuple(tuple(-a for a in row) for row in self.entries), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -226,10 +233,14 @@ class Matrix:
         # denominator; one Fraction is built per nonzero output entry.
         left, da = self._ints
         right, db = other._ints
-        return Matrix._from_ints(list(_products(left, right, other.cols)), da * db)
+        return Matrix._from_ints(list(_products(left, right, other.cols)), da * db,
+                                 other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)) if self.entries else ())
+        # zip reads no columns of a matrix without rows: its transpose has
+        # `cols` empty rows
+        return Matrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols,
+                      self.rows)
 
 
 # -- group kinds and flags --------------------------------------------------
@@ -645,7 +656,7 @@ def matrix_from_obj(obj) -> Matrix:
         raise DomainError("matrix entries must be a list of rows")
     if len(entries) != obj["rows"] or any(len(row) != obj["cols"] for row in entries):
         raise DomainError("matrix entries do not match the declared shape")
-    if not entries and obj["cols"]:   # a Matrix has as many columns as its first row
+    if not entries and obj["cols"]:   # every command reads a square matrix
         raise DomainError(f"a matrix with no rows has no columns, got cols {obj['cols']}")
     return Matrix(tuple(tuple(_scalar_from_obj(v) for v in row) for row in entries))
 

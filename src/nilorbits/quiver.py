@@ -305,11 +305,10 @@ class SymmetricRep:
         if (basis.rows, basis.cols) != (n, d):
             raise DomainError(f"basis has shape {basis.rows}x{basis.cols}, "
                               f"expected {n}x{d}")
-        if d:   # the empty flag's n x 0 basis transposes to 0 x 0: nothing to check
-            if rank(basis) != d:
-                raise DomainError("basis vectors are linearly dependent")
-            if not (basis.transpose() @ form_matrix(g) @ basis).is_zero():
-                raise DomainError("flag is not totally isotropic for the form")
+        if rank(basis) != d:
+            raise DomainError("basis vectors are linearly dependent")
+        if not (basis.transpose() @ form_matrix(g) @ basis).is_zero():
+            raise DomainError("flag is not totally isotropic for the form")
         if (self.loop.rows, self.loop.cols) != (n, n):
             raise DomainError("loop must act on the middle space")
         require_two_nilpotent(self.loop, g, "loop")

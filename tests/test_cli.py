@@ -16,15 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilorbits
+from nilorbits import cli
 from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
-                              matrix_to_json)
+                              matrix_to_json, orbit_dimension)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import multiset_to_json, pattern_to_summands
+
+from conftest import reference_lie_violation
 
 
 def test_count_borel_uses_the_recurrence(capsys):
@@ -345,8 +348,10 @@ def test_identify_refusals_name_the_failing_entry(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocks", [[], ["--blocks", "1,2"]])
 def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
-    # `identify` and `orbit_dimension` both gate the input, and the rank
-    # signature and the commutant rows both read its integer rows.
+    # `identify` and the CLI's own `require_two_nilpotent` both gate the
+    # input, and the rank signature and the x @ x test both read its integer
+    # rows; `orbit_dimension` reads the decoded pattern's representative,
+    # whose rows are built as integers, not the input's.
     g = GroupKind.symplectic(6)
     p = enumerate_patterns(g.family, g.l, (1,) * g.l)[40]
     u, u_inv = random_group_element_pair(g, SpaceSpec.borel(g), 3)
@@ -356,6 +361,80 @@ def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
     assert main(["identify", "--group", "sp", *blocks, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["pattern"]
     assert len(clearings) == 1
+
+
+def _group(short: str, n: int) -> GroupKind:
+    return GroupKind.symplectic(n) if short == "sp" else GroupKind.orthogonal(n)
+
+
+def _spread(items: list, count: int) -> list:
+    """`count` items spread evenly over `items`."""
+    return [items[(2 * i + 1) * len(items) // (2 * count)] for i in range(count)]
+
+
+def _conjugates(g: GroupKind, count: int | None = None):
+    """(pattern, conjugated representative): every Borel pattern of g, or
+    `count` spread evenly, each conjugated by its own seeded Borel element."""
+    pats = enumerate_patterns(g.family, g.l, (1,) * g.l)
+    for seed, p in enumerate(pats if count is None else _spread(pats, count)):
+        u, u_inv = random_group_element_pair(g, SpaceSpec.borel(g), seed)
+        yield p, u @ pattern_to_matrix(p, g) @ u_inv
+
+
+# (group, n, patterns: all or an even spread, one flag that reaches l)
+ORACLE_GROUPS = [("sp", 6, None, (1, 2)), ("o", 6, None, (2, 1)), ("o", 7, None, (1, 2)),
+                 ("sp", 10, 5, (2, 3)), ("o", 11, 5, (3, 2))]
+
+
+@pytest.mark.parametrize("short, n, count, flag", ORACLE_GROUPS)
+@pytest.mark.parametrize("full_flag", [False, True])
+def test_identify_reports_the_orbit_dimension_of_its_input(short, n, count, flag, full_flag,
+                                                          capsys, monkeypatch):
+    # The CLI solves on the decoded pattern's representative; the oracle
+    # solves on the conjugated input itself.
+    g = _group(short, n)
+    spec = SpaceSpec.from_blocks(g, flag) if full_flag else SpaceSpec.borel(g)
+    blocks = ["--blocks", ",".join(map(str, flag))] if full_flag else []
+    for p, y in _conjugates(g, count):
+        monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(y)))
+        assert main(["identify", "--group", short, *blocks, "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["orbit_dimension"]
+        assert got == orbit_dimension(y, spec), (g.name, flag, full_flag, p.text())
+
+
+def _first_square_entry(x: Matrix) -> tuple[int, int]:
+    """First 1-based (row, col), row-major, where x @ x is nonzero, from
+    Fraction sums."""
+    n = x.rows
+    return next((r + 1, c + 1) for r in range(n) for c in range(n)
+                if sum(x.entries[r][k] * x.entries[k][c] for k in range(n)))
+
+
+@pytest.mark.parametrize("short, n, flag", [("sp", 6, (1, 2)), ("o", 7, (1, 2)),
+                                            ("sp", 10, (2, 3)), ("o", 11, (3, 2))])
+@pytest.mark.parametrize("full_flag", [False, True])
+def test_identify_gates_its_input_without_the_decoder(short, n, flag, full_flag,
+                                                     capsys, monkeypatch):
+    # The CLI gates the input itself, not only through `identify`: with
+    # decoders that check nothing, a form-breaking input and one with
+    # x @ x != 0 are still refused, naming the first failing entry.
+    g = _group(short, n)
+    monkeypatch.setattr(cli, "identify", lambda x, g: LinkPattern.borel(g.family, g.l))
+    monkeypatch.setattr(cli, "identify_parabolic",
+                        lambda x, spec: LinkPattern(g.family, spec.k, spec.blocks, ()))
+    blocks = ["--blocks", ",".join(map(str, flag))] if full_flag else []
+    (_, y), = _conjugates(g, 1)
+    off_form = y + Matrix.unit(n, 1, 1)   # a_11 = -a_nn no longer holds
+    not_square_zero = off_form - Matrix.unit(n, n, n)
+    assert reference_lie_violation(not_square_zero, g) is None
+    r, c = reference_lie_violation(off_form, g)
+    s, t = _first_square_entry(not_square_zero)
+    for x, want in ((off_form, f"matrix not in {g.name}: (transpose(a)F + Fa)[{r},{c}] != 0"),
+                    (not_square_zero, f"matrix is not 2-nilpotent: (x @ x)[{s},{t}] != 0")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(x)))
+        assert main(["identify", "--group", short, *blocks, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"nilorbits identify: {want}\n")
 
 
 def _coprime_denominators(count: int) -> list[int]:

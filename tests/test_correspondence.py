@@ -14,8 +14,8 @@ from nilorbits.correspondence import (MalformedInputError, _arcs_by_first_unit,
                                       tex_matrix, tex_pattern, tex_table)
 from nilorbits.harness import _root_word, _word_act, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              is_two_nilpotent, lie_member)
-from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
+                              is_two_nilpotent, lie_member, orbit_dimension)
+from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns, glue,
                                 undotted, unoriented_loop, upper_loop)
 
 from conftest import random_rational_matrix, rank_table_direct, reference_pivot_positions
@@ -266,6 +266,25 @@ def test_identify_parabolic_round_trips_every_flag():
                 assert identify_parabolic(x, spec) == p, (g.name, blocks, p.text())
                 seen += 1
         assert seen == totals[g.name]
+
+
+# sp_4..sp_8 and o_4..o_9: every flag of each that reaches l
+REPRESENTATIVE_GROUPS = [GroupKind.symplectic(n) for n in (4, 6, 8)] + [
+    GroupKind.orthogonal(n) for n in range(4, 10)]
+
+
+@pytest.mark.parametrize("g", REPRESENTATIVE_GROUPS, ids=lambda g: g.name)
+def test_the_glued_representative_has_the_borel_representative_orbit_dimension(g):
+    # The Borel representative lies in the P-orbit that its glued pattern
+    # indexes, and the orbit dimension is constant on a P-orbit, so solving
+    # on either representative gives the same dimension: CLI `identify`
+    # reports the one of the decoded pattern's representative.
+    for blocks in compositions(g.l):
+        spec = SpaceSpec.from_blocks(g, blocks)
+        for p in borel_patterns(g):
+            want = orbit_dimension(pattern_to_matrix(p, g), spec)
+            got = orbit_dimension(parabolic_representative(glue(p, spec), spec), spec)
+            assert got == want, (g.name, blocks, p.text())
 
 
 def test_tex_emitters():

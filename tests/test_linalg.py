@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -56,6 +56,33 @@ def test_arithmetic_and_submatrix():
     rows_2_3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1]])
     cols_1_2 = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
     assert rows_2_3 @ big @ cols_1_2 == Matrix.from_rows([[4, 5], [7, 8]])
+
+
+def test_matrices_without_rows_or_columns_keep_their_shapes():
+    # A matrix with no rows carries its column count, so transposes,
+    # products, sums and negation of empty shapes come out the right size.
+    for rows, inner, cols in product(range(3), repeat=3):
+        a, b = Matrix.zero(rows, inner), Matrix.zero(inner, cols)
+        assert (a.rows, a.cols) == (rows, inner)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (inner, rows) and t.transpose() == a
+        ab = a @ b
+        assert (ab.rows, ab.cols) == (rows, cols) and ab == Matrix.zero(rows, cols)
+        for same in (a + a, a - a, -a):
+            assert (same.rows, same.cols) == (rows, inner)
+    assert Matrix.zero(4, 0) @ Matrix.zero(4, 0).transpose() == Matrix.zero(4)
+    assert Matrix.zero(0, 3) != Matrix.zero(0) == Matrix(())
+    assert Matrix((), 3) == Matrix.zero(0, 3)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        Matrix.zero(0, 3) + Matrix.zero(0, 2)
+    with pytest.raises(DomainError, match="inner dimension mismatch"):
+        Matrix.zero(4, 0) @ Matrix.zero(4, 0)
+    # the column count agrees with the rows, and is a non-negative integer
+    with pytest.raises(DomainError, match="3 columns declared, rows have 2"):
+        Matrix(((Fraction(1), Fraction(2)),), 3)
+    for bad in (-1, True, False, "2"):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            Matrix((), bad)
 
 
 def test_forms_symmetry():
@@ -246,7 +273,7 @@ def test_matrix_json_rejects_malformed():
             matrix_from_obj({"rows": 1, "cols": 1, "entries": [[literal]]})
     with pytest.raises(DomainError):
         matrix_from_obj([[1]])
-    # A Matrix has as many columns as its first row: 0x5 would come back 0x0.
+    # Every command reads a square matrix: no rows, no columns.
     for cols in (5, -3):
         with pytest.raises(DomainError, match="no rows has no columns"):
             matrix_from_obj({"rows": 0, "cols": cols, "entries": []})

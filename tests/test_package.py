@@ -140,3 +140,19 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
     assert callers["_eliminate"]["orbit_dimension"] == 1
     assert importers == {"linalg"}
+
+
+def test_cli_identify_solves_on_the_decoded_representative():
+    # The orbit dimension is constant on a P-orbit, so CLI `identify` solves
+    # it on the representative of the pattern it decoded, never on the
+    # conjugated input, whose cleared rows grow under elimination.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handler = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_cmd_identify")
+    solves = [call for call in ast.walk(handler) if isinstance(call, ast.Call)
+              and isinstance(call.func, ast.Name) and call.func.id == "orbit_dimension"]
+    assert len(solves) == 1
+    (point, _), keywords = solves[0].args, solves[0].keywords
+    assert keywords == []
+    assert isinstance(point, ast.Call) and isinstance(point.func, ast.Name)
+    assert point.func.id == "parabolic_representative"

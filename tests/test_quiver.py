@@ -5,12 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from nilorbits import quiver
 from nilorbits.cli import main
 from nilorbits.correspondence import (parabolic_representative,
                                       pattern_to_matrix)
 from nilorbits.harness import random_group_element_pair
-from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              group_member, orbit_dimension, parabolic_dim)
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_matrix,
+                              group_member, orbit_dimension, parabolic_dim, rank)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
@@ -285,10 +286,31 @@ def test_symmetric_rep_is_always_an_isotropic_flag():
     for message, basis, loop in refused:
         with pytest.raises(DomainError, match=message):
             SymmetricRep(spec, basis, loop)
-    # the empty flag has an n x 0 basis, whose transpose is 0 x 0
+    # the empty flag has an n x 0 basis, which passes the same checks
     empty = SymmetricRep(SpaceSpec(g, ()), Matrix.zero(4, 0), zero)
     assert (empty.basis.rows, empty.basis.cols) == (4, 0)
     assert symmetric_endo_dim(empty) == parabolic_dim(SpaceSpec(g, ())) == 6
+
+
+def test_the_empty_flag_goes_through_the_rank_and_isotropy_checks(monkeypatch):
+    # An n x 0 basis keeps its shape through the transpose and the products,
+    # so the empty flag is checked like every other flag, not skipped.
+    checked = []
+    monkeypatch.setattr(quiver, "rank", lambda m: checked.append(("rank", m)) or rank(m))
+    monkeypatch.setattr(quiver, "form_matrix",
+                        lambda g: checked.append(("form", g)) or form_matrix(g))
+    for g in (GroupKind.symplectic(4), GroupKind.orthogonal(4), GroupKind.orthogonal(5)):
+        spec = SpaceSpec(g, ())
+        checked.clear()
+        rep = realize_flag(spec)
+        assert checked == [("rank", Matrix.zero(g.n, 0)), ("form", g)]
+        assert (rep.basis.rows, rep.basis.cols) == (g.n, 0)
+        assert rep == SymmetricRep(spec, Matrix.zero(g.n, 0), Matrix.zero(g.n))
+        assert symmetric_endo_dim(rep) == parabolic_dim(spec)
+        with pytest.raises(DomainError, match=f"shape {g.n - 1}x0, expected {g.n}x0"):
+            SymmetricRep(spec, Matrix.zero(g.n - 1, 0), Matrix.zero(g.n))
+        with pytest.raises(DomainError, match="loop is not 2-nilpotent"):
+            realize_flag(spec, Matrix.unit(g.n, 1, 1) - Matrix.unit(g.n, g.n, g.n))
 
 
 def test_symmetric_endo_dims_frozen():
