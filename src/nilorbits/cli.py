@@ -22,7 +22,7 @@ from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      require_two_nilpotent)
 from .patterns import (_search, count_borel, pattern_from_json, pattern_to_json,
                        pattern_to_obj)
-from .quiver import (ar_sequences, multiset_text, multiset_to_json,
+from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
 _KINDS = {short: kind for kind, short in _SHORT.items()}   # --group value -> family
@@ -287,7 +287,7 @@ _COMMANDS = {
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
                  ("group", "n", "in", "out"), ("json", "text")),
     "ar": (_cmd_ar, "the Auslander-Reiten sequence ending at each non-projective "
-                    "indecomposable of A(l), one per line",
+                    f"indecomposable of A(l), one per line (--rank at most {_MAX_AR_RANK})",
            ("rank", "out"), ("json", "text")),
     "verify": (_cmd_verify, "run the randomized verification suite",
                ("kinds", "rank", "seed", "out"), ()),

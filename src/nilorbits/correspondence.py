@@ -1,11 +1,12 @@
 """The two-way bridge between link patterns and 2-nilpotent matrices.
 
-Forward: each arc of a Borel-level pattern contributes a fixed pair of
-matrix units (one unit for loops); the sum is the orbit representative.
-Backward: the table of ranks of lower-left submatrices is a complete
-invariant of the Borel orbit, and its unit positions (the delta positions)
-are those of the representative, so they decode back to arcs by inverting
-the forward table.  The delta positions are the pivots of linalg's one
+Forward: an arc of a Borel-level pattern is a mate pair of `linalg._mates`
+folded under the duality (r, c) -> (c*, r*) (`_arc_table`), and the
+representative is 1 at each arc's earlier position and its `_mates` sign at
+the mate.  Backward: the table of ranks of lower-left submatrices is a
+complete invariant of the Borel orbit, and its unit positions (the delta
+positions) are those of the representative, so each is looked up in the
+same table.  The delta positions are the pivots of linalg's one
 elimination kernel, run on the rows bottom-up.  Parabolic-level patterns
 are materialized through a canonical Borel refinement.
 """
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
-                     require_two_nilpotent, star)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate, _mates,
+                     require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
-from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER,
-                       _arc_cost, _arc_types, _free_capacity, glue, validate)
+from .patterns import (Arc, LinkPattern, LOOP_LOWER, LOOP_NONE, LOOP_UNORIENTED,
+                       LOOP_UPPER, _free_capacity, glue, validate)
 
 
 class MalformedInputError(DomainError):
@@ -30,38 +31,42 @@ class MalformedInputError(DomainError):
     a DomainError, so one handler refuses every bad input."""
 
 
-def _arc_units(arc: Arc, g: GroupKind) -> list[tuple[int, int, int]]:
-    """Matrix units (row, col, coefficient) contributed by one arc to a
-    representative in g.  eps is +1 symplectic, -1 orthogonal: the sign
-    difference in the dotted rows of the two representative tables.
+@lru_cache(maxsize=None)
+def _arc_table(g: GroupKind) -> dict:
+    """Maps every arc that fits a Borel-level pattern of g, and the 1-based
+    earlier position of its mate pair, to (arc, position, mate, sign).
+
+    The duality (r, c) -> (c*, r*) folds the pair onto one arc: its ends are
+    min(r, r*) and min(c, c*); it is dotted iff exactly one of r, c is
+    starred, and leftward (an upper loop) iff r < c.  A self-mated position
+    is a loop only where its sign is +1, as in `_coordinates`; the diagonal
+    and the middle index of o_2l+1 hold no arc.
     """
-    n, eps = g.n, 1 if g.is_symplectic else -1
-    if arc.loop_variant == LOOP_UPPER:
-        return [(arc.source, star(arc.source, n), 1)]
-    if arc.loop_variant == LOOP_LOWER:
-        return [(star(arc.source, n), arc.source, 1)]
-    if arc.loop_variant == LOOP_UNORIENTED:
-        raise DomainError("unoriented loops have no Borel-level matrix form")
-    i, j = min(arc.source, arc.target), max(arc.source, arc.target)
-    rightward = arc.source < arc.target
-    if not arc.dotted:
-        if rightward:
-            return [(j, i, 1), (star(i, n), star(j, n), -1)]
-        return [(i, j, 1), (star(j, n), star(i, n), -1)]
-    if rightward:
-        return [(star(j, n), i, 1), (star(i, n), j, eps)]
-    return [(i, star(j, n), 1), (j, star(i, n), eps)]
+    table = {}
+    for r, c, cs, rs, sign in _mates(g):   # 0-based (r, c) and its mate (c*, r*)
+        earlier = (r, c) < (cs, rs) or (r, c) == (cs, rs) and sign > 0
+        if not earlier or r == c or r == rs or c == cs:
+            continue
+        lo, hi = sorted((min(r, rs) + 1, min(c, cs) + 1))
+        dotted = (r > rs) != (c > cs)
+        if r < c:
+            arc = Arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
+        else:
+            arc = Arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
+        table[arc] = table[r + 1, c + 1] = (arc, (r + 1, c + 1), (cs + 1, rs + 1), sign)
+    return table
 
 
 def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
     """Representative matrix of a Borel-level pattern's orbit (block
     patterns go through `parabolic_representative`)."""
     _free_capacity(p, SpaceSpec.borel(g))
-    n = g.n
+    table, n = _arc_table(g), g.n
     rows = [[0] * n for _ in range(n)]
     for arc in p.arcs:
-        for (r, c, coef) in _arc_units(arc, g):
-            rows[r - 1][c - 1] += coef
+        _, (r, c), (mr, mc), sign = table[arc]
+        rows[mr - 1][mc - 1] = sign
+        rows[r - 1][c - 1] = 1
     return Matrix._from_ints(rows, 1)
 
 
@@ -148,35 +153,23 @@ def rank_signature(x: Matrix) -> RankSignature:
     return RankSignature(n, tuple(sorted((n - s, c + 1) for s, c in _eliminate(rows, n))))
 
 
-@lru_cache(maxsize=None)
-def _arcs_by_first_unit(g: GroupKind) -> dict[tuple[int, int], tuple[Arc, frozenset]]:
-    """The representative table inverted: every arc that fits a Borel-level
-    pattern of g (capacity 1 at each endpoint), keyed by the row-major first
-    position of its `_arc_units`, with the set of all its unit positions."""
-    table = {}
-    for arc in _arc_types(g.l):
-        if all(c == 1 for _, c in _arc_cost(arc, g.family)):
-            units = sorted((r, c) for r, c, _ in _arc_units(arc, g))
-            table[units[0]] = (arc, frozenset(units))
-    return table
-
-
 def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
     """Borel-level pattern whose representative has exactly these unit
     positions: walking them in row-major order, each remaining position
-    must start an arc whose units are all still present."""
-    table = _arcs_by_first_unit(g)
+    must be the earlier position of an arc (`_arc_table`) whose mate is
+    still present."""
+    table = _arc_table(g)
     left = set(positions)
     arcs = []
     for pos in sorted(left):
         if pos not in left:
             continue
         entry = table.get(pos)
-        if entry is None or not entry[1] <= left:
+        if entry is None or entry[2] not in left:
             raise MalformedInputError(f"delta position ({pos[0]},{pos[1]}) "
                                       f"starts no arc of {g.name}")
         arcs.append(entry[0])
-        left -= entry[1]
+        left -= {pos, entry[2]}
     pattern = LinkPattern.borel(g.family, g.l, arcs)
     if not validate(pattern):
         raise MalformedInputError("decoded arcs violate the pattern capacity rule")

@@ -293,11 +293,6 @@ class GroupKind:
         return f"{_SHORT[self.family]}_{self.n}"
 
 
-def star(p: int, n: int) -> int:
-    """The mirrored index p* = n + 1 - p."""
-    return n + 1 - p
-
-
 @lru_cache(maxsize=None)
 def _form_signs(g: GroupKind) -> tuple[int, ...]:
     """The defining form is anti-diagonal: F[p][n-1-p] = signs[p] (0-based).

@@ -193,6 +193,55 @@ def dense_commutant_dim(g, positions, x: Matrix) -> int:
     return len(images) - naive_rank(Matrix.from_rows(images)) if images else 0
 
 
+def reference_arc_units(arc, g) -> dict[tuple[int, int], int]:
+    """The paper's representative table: the 1-based matrix units
+    {(row, col): coefficient} one arc of a Borel-level pattern contributes
+    to its orbit's representative in g, stated case by case.  eps is +1
+    symplectic, -1 orthogonal: the sign difference in the dotted rows of
+    the two tables.  Unoriented loops have no Borel-level form."""
+    n, eps = g.n, 1 if g.is_symplectic else -1
+    star = lambda p: n + 1 - p
+    if arc.loop_variant == LOOP_UPPER:
+        return {(arc.source, star(arc.source)): 1}
+    if arc.loop_variant == LOOP_LOWER:
+        return {(star(arc.source), arc.source): 1}
+    assert arc.loop_variant != LOOP_UNORIENTED
+    i, j = min(arc.source, arc.target), max(arc.source, arc.target)
+    rightward = arc.source < arc.target
+    if not arc.dotted:
+        if rightward:
+            return {(j, i): 1, (star(i), star(j)): -1}
+        return {(i, j): 1, (star(j), star(i)): -1}
+    if rightward:
+        return {(star(j), i): 1, (star(i), j): eps}
+    return {(i, star(j)): 1, (j, star(i)): eps}
+
+
+def self_dual_link_patterns(n: int, loops: bool):
+    """Every oriented link pattern of gl_n fixed by the duality
+    (r, c) -> (c*, r*), as a frozenset of 1-based positions (r, c) with
+    r != c in which each index occurs at most once; an anti-diagonal
+    position (its own dual) only when `loops`.  Found from the matrix side
+    alone: the smallest free index is either unused, and then so is its
+    mirror, or in one position whose dual orbit is taken whole."""
+    star = lambda p: n + 1 - p
+
+    def grow(free, chosen):
+        if not free:
+            yield chosen
+            return
+        i = min(free)
+        yield from grow(free - {i, star(i)}, chosen)
+        for j in sorted(free - {i}):
+            for r, c in ((i, j), (j, i)):
+                orbit = {(r, c), (star(c), star(r))}
+                used = {r, c, star(r), star(c)}
+                if len(used) == 2 * len(orbit) and (loops or len(orbit) == 2):
+                    yield from grow(free - used, chosen | orbit)
+
+    yield from grow(frozenset(range(1, n + 1)), frozenset())
+
+
 def rank_table_direct(x: Matrix) -> dict:
     """Rank of every lower-left submatrix (rows i..n, cols 1..j) computed
     one submatrix at a time; the oracle for rank signatures."""

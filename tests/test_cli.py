@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilorbits
-from nilorbits import cli
+from nilorbits import cli, quiver
 from nilorbits.cli import main
 from nilorbits.correspondence import pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
@@ -25,7 +25,7 @@ from nilorbits.linalg import (GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
                                 unoriented_loop, upper_loop)
-from nilorbits.quiver import multiset_to_json, pattern_to_summands
+from nilorbits.quiver import _MAX_AR_RANK, multiset_to_json, pattern_to_summands
 
 from conftest import reference_lie_violation
 
@@ -530,6 +530,18 @@ def test_ar_json_and_missing_rank(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("nilorbits ar: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_ar_refuses_a_rank_over_its_bound_before_the_catalog(capsys, monkeypatch):
+    # The catalog of A(l) grows as l^2 strings of length O(l): rank 200 took
+    # 924 MB, and a larger rank died with MemoryError (exit 1).
+    monkeypatch.setattr(quiver, "catalog", lambda l: pytest.fail("catalog built"))
+    assert main(["ar", "--rank", "100000", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nilorbits ar: AR sequences need rank "
+                            f"1 <= l <= {_MAX_AR_RANK}, got 100000\n")
+    assert f"--rank at most {_MAX_AR_RANK}" in cli._COMMANDS["ar"][1]
 
 
 def test_verify_writes_a_report(tmp_path, capsys):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbits.correspondence import (MalformedInputError, _arcs_by_first_unit,
+from nilorbits.correspondence import (MalformedInputError, _arc_table,
                                       _decode, identify,
                                       identify_parabolic,
                                       parabolic_representative,
@@ -15,10 +15,12 @@ from nilorbits.correspondence import (MalformedInputError, _arcs_by_first_unit,
 from nilorbits.harness import _root_word, _word_act, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               is_two_nilpotent, lie_member, orbit_dimension)
-from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns, glue,
-                                undotted, unoriented_loop, upper_loop)
+from nilorbits.patterns import (Arc, LinkPattern, count_borel, dotted,
+                                enumerate_patterns, glue, undotted,
+                                unoriented_loop, upper_loop, validate)
 
-from conftest import random_rational_matrix, rank_table_direct, reference_pivot_positions
+from conftest import (random_rational_matrix, rank_table_direct, reference_arc_units,
+                      reference_pivot_positions, self_dual_link_patterns)
 
 
 def all_groups(max_l):
@@ -209,12 +211,41 @@ def test_decode_rejects_malformed_positions():
         _decode({(2, 1), (4, 3), (1, 2), (3, 4)}, sp4)
 
 
-def test_decode_table_holds_every_borel_arc():
+def test_arc_table_is_the_reference_representative_table():
+    # `_arc_table` reads every arc and every sign off `_mates`; the
+    # reference table states them case by case.  The table holds each arc
+    # that fits a Borel pattern once, and the same entry under its earlier
+    # position.
     groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
-              + [GroupKind.orthogonal(n) for n in range(1, 13)])
+              + [GroupKind.orthogonal(n) for n in range(1, 14)])
     for g in groups:
+        table = _arc_table(g)
+        arcs = [key for key in table if isinstance(key, Arc)]
         loops = 2 * g.l if g.is_symplectic else 0
-        assert len(_arcs_by_first_unit(g)) == 4 * comb(g.l, 2) + loops, g.name
+        assert len(arcs) == 4 * comb(g.l, 2) + loops, g.name
+        assert len(table) == 2 * len(arcs)
+        for arc in arcs:
+            assert validate(LinkPattern.borel(g.family, g.l, [arc]))
+            entry = table[arc]
+            _, pos, mate, sign = entry
+            assert entry[0] == arc and table[pos] is entry and pos <= mate
+            assert {mate: sign, pos: 1} == reference_arc_units(arc, g), (g.name, arc)
+
+
+def test_borel_patterns_are_the_self_dual_type_a_link_patterns():
+    # The fold as a bijection: every self-dual oriented link pattern of gl_n
+    # (no anti-diagonal position in o, where a loop cannot fit) decodes, and
+    # its decoded pattern's representative has exactly its positions.  There
+    # are as many as Borel patterns, so every orbit is reached once.
+    groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
+              + [GroupKind.orthogonal(n) for n in range(3, 14)])
+    for g in groups:
+        found = 0
+        for positions in self_dual_link_patterns(g.n, g.is_symplectic):
+            p = _decode(positions, g)
+            assert set(pattern_to_matrix(p, g).support()) == positions, (g.name, p.text())
+            found += 1
+        assert found == count_borel(g.family, g.l), g.name
 
 
 def test_delta_positions_are_the_representative_support():

@@ -13,7 +13,7 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               is_two_nilpotent, lie_algebra_basis,
                               lie_algebra_dim, lie_member, matrix_from_json,
                               matrix_from_obj, matrix_to_json, orbit_dimension,
-                              parabolic_dim, rank, star)
+                              parabolic_dim, rank)
 from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
                               _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
@@ -92,13 +92,6 @@ def test_forms_symmetry():
     assert o.transpose() == o
     assert o == Matrix.from_rows([[1 if p + q == 4 else 0 for q in range(5)]
                                   for p in range(5)])
-
-
-def test_star_is_an_involution():
-    for n in (3, 4, 7):
-        for p in range(1, n + 1):
-            assert star(star(p, n), n) == p
-    assert star(1, 4) == 4 and star(2, 4) == 3
 
 
 def test_group_kind_validation():

@@ -142,6 +142,29 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     assert importers == {"linalg"}
 
 
+def test_one_arc_table_read_off_the_mates():
+    # The arc <-> matrix-unit dictionary is stated once: correspondence's
+    # _arc_table folds linalg._mates, and both directions of the
+    # correspondence read it, so the representative's signs are the form's.
+    # Only the pattern layer walks arc types and their capacity costs.
+    defined, callers = [], {name: set() for name in
+                            ("_arc_table", "_mates", "_arc_types", "_arc_cost")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_arc_table":
+                    defined.append(path.stem)
+                for name, found in callers.items():
+                    if _calls(node, name):
+                        found.add((path.stem, node.name))
+    assert defined == ["correspondence"]
+    assert callers["_arc_table"] == {("correspondence", "pattern_to_matrix"),
+                                     ("correspondence", "_decode")}
+    assert ("correspondence", "_arc_table") in callers["_mates"]
+    assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
+    assert "eps" not in _names_read(PACKAGE / "correspondence.py")
+
+
 def test_cli_identify_solves_on_the_decoded_representative():
     # The orbit dimension is constant on a P-orbit, so CLI `identify` solves
     # it on the representative of the pattern it decoded, never on the

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 
 import pytest
@@ -250,6 +251,30 @@ def test_nilradical_counts_rank_two():
     assert sum(1 for p in orth if is_nilradical(p)) == 3
     assert len({strip_orientation(p) for p in sympl}) == 6
     assert len({strip_orientation(p) for p in orth}) == 3
+
+
+def test_borel_counts_have_closed_forms():
+    # A Borel pattern pairs 2m of its l points by m arcs, each dotted or not
+    # and oriented either way, and leaves every other point free or, in sp
+    # only, on an upper or a lower loop: a = 3 states in sp and 1 in o, so
+    # the EGF is exp(a x + 2 x^2).
+    def double_factorial(k):
+        return 1 if k <= 0 else k * double_factorial(k - 2)
+
+    for kind, a in (("symplectic", 3), ("orthogonal", 1)):
+        for l in range(41):
+            closed = sum(math.comb(l, 2 * m) * double_factorial(2 * m - 1) * 4 ** m
+                         * a ** (l - 2 * m) for m in range(l // 2 + 1))
+            assert count_borel(kind, l) == closed, (kind, l)
+    # Borel nilradical counts: a_l = c a_(l-1) + 2 (l-1) a_(l-2), a_0 = 1.
+    for kind, c, want in (("symplectic", 2, [2, 6, 20, 76, 312, 1384]),
+                          ("orthogonal", 1, [1, 3, 7, 25, 81, 331])):
+        counts = [1, c]
+        for l in range(2, 7):
+            counts.append(c * counts[-1] + 2 * (l - 1) * counts[-2])
+        assert counts[1:] == want
+        assert [sum(map(is_nilradical, enumerate_patterns(kind, l, (1,) * l)))
+                for l in range(1, 7)] == want, kind
 
 
 def test_is_nilradical_refuses_block_patterns():
