@@ -11,17 +11,17 @@ import argparse
 import contextlib
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from typing import Iterator
 
-from .correspondence import (identify, identify_parabolic, parabolic_representative,
-                             tex_matrix, tex_pattern, tex_table)
+from .correspondence import (_MAX_TABLE_N, identify, identify_parabolic,
+                             parabolic_representative, tex_matrix, tex_pattern, tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      _SHORT, _dumps, matrix_from_json, matrix_to_json, orbit_dimension,
                      require_two_nilpotent)
-from .patterns import (_search, count_borel, pattern_from_json, pattern_to_json,
-                       pattern_to_obj)
+from .patterns import (_arcs_text, _csv_row, _json_line, _level_json, _patterns, _search,
+                       count_borel, pattern_from_json, pattern_to_obj)
 from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
@@ -132,26 +132,29 @@ _TEX_MAX_PATTERNS = 5000
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
     # refuses a bad level before anything is written or a Borel block tuple built
-    pats = _search(kind, k, b or repeat(1, k))
+    b, found = _search(kind, k, b or repeat(1, k))
     if args.format == "json":
-        _stream(args, map(pattern_to_json, pats))
+        _stream(args, map(_json_line, found, repeat(_level_json(kind, k, b))))
     elif args.format == "csv":
-        rows = (f"{i},{';'.join(a.text() for a in p.arcs)}"
-                for i, p in enumerate(pats, start=1))
-        _stream(args, chain(["index,arcs"], rows))
+        _stream(args, chain(["index,arcs"], starmap(_csv_row, enumerate(found, start=1))))
     elif args.format == "tex":
-        # the tex layout pairs every pattern with its representative matrix
-        pats = list(islice(pats, _TEX_MAX_PATTERNS + 1))
-        if len(pats) > _TEX_MAX_PATTERNS:
-            raise DomainError(f"--format tex builds its whole table in memory and "
-                              f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
-                              f"has more (json, csv and text stream it)")
-        spec = _spec(args, pats[0].b)   # the empty pattern comes first
-        rows = [(p, parabolic_representative(p, spec)) for p in pats]
-        _emit(args, tex_table(rows))
+        _emit(args, _tex_enumeration(args, kind, k, b, found))
     else:
-        _stream(args, (p.text() for p in pats))
+        _stream(args, map(_arcs_text, found))
     return 0
+
+
+def _tex_enumeration(args, kind: str, k: int, b: tuple[int, ...], found) -> str:
+    """The tex table of the level: it pairs every pattern with its
+    representative matrix, so it is built whole in memory."""
+    found = list(islice(found, _TEX_MAX_PATTERNS + 1))
+    if len(found) > _TEX_MAX_PATTERNS:
+        raise DomainError(f"--format tex builds its whole table in memory and "
+                          f"takes at most {_TEX_MAX_PATTERNS} patterns; this level "
+                          f"has more (json, csv and text stream it)")
+    spec = _spec(args, b)
+    return tex_table([(p, parabolic_representative(p, spec))
+                      for p in _patterns(kind, k, b, found)])
 
 
 def _cmd_count(args) -> int:
@@ -159,7 +162,7 @@ def _cmd_count(args) -> int:
     if b is None or all(v == 1 for v in b):
         value, method = count_borel(kind, k), "recurrence"
     else:
-        value, method = sum(1 for _ in _search(kind, k, b)), "enumeration"
+        value, method = sum(1 for _ in _search(kind, k, b)[1]), "enumeration"
     if args.format == "json":
         _emit(args, _dumps({"count": value, "method": method}))
     else:
@@ -278,11 +281,13 @@ _COMMANDS = {
     "count": (_cmd_count, "count patterns (recurrence at Borel level, else enumeration)"
                           + _REACH_L,
               ("group", "n", "rank", "blocks", "out"), ("json", "text")),
-    "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix",
+    "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix "
+                        f"(n at most {_MAX_TABLE_N})",
              ("group", "n", "in", "out"), ("json", "tex", "text")),
     "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern "
                                 "and the orbit dimension, solved on the decoded orbit's "
-                                "representative; --blocks must sum to l = n // 2",
+                                f"representative (n at most {_MAX_TABLE_N}); --blocks "
+                                "must sum to l = n // 2",
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",
                  ("group", "n", "in", "out"), ("json", "text")),

@@ -31,6 +31,13 @@ class MalformedInputError(DomainError):
     a DomainError, so one handler refuses every bad input."""
 
 
+# `_arc_table` reads all n^2 entries of `_mates` and keys about n^2 / 2 arcs:
+# CLI `repr` of the empty pattern at n = 1000 peaks near 500 MB and takes 6 s
+# on a 2-core VM (Python 3.11), and n = 1400 near 1 GB.  A larger group is
+# refused before either table is built.
+_MAX_TABLE_N = 1000
+
+
 @lru_cache(maxsize=None)
 def _arc_table(g: GroupKind) -> dict:
     """Maps every arc that fits a Borel-level pattern of g, and the 1-based
@@ -42,6 +49,9 @@ def _arc_table(g: GroupKind) -> dict:
     is a loop only where its sign is +1, as in `_coordinates`; the diagonal
     and the middle index of o_2l+1 hold no arc.
     """
+    if g.n > _MAX_TABLE_N:
+        raise DomainError(f"{g.name}: the arc <-> matrix table is built for "
+                          f"n <= {_MAX_TABLE_N} only")
     table = {}
     for r, c, cs, rs, sign in _mates(g):   # 0-based (r, c) and its mate (c*, r*)
         earlier = (r, c) < (cs, rs) or (r, c) == (cs, rs) and sign > 0
@@ -179,6 +189,7 @@ def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
 def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     """Borel-level pattern of the orbit of x: its delta positions are the
     unit positions of the orbit's representative, decoded by `_decode`."""
+    _arc_table(g)   # first: past its bound, refused before the gate builds `_mates`
     require_two_nilpotent(x, g)
     return _decode(rank_signature(x).deltas, g)
 

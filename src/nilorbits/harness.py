@@ -239,7 +239,7 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
     choices each, and a pair of half sums (a, c) is a valid choice exactly
     when (a + c) has no guard bit set.
     """
-    b = LinkPattern(kind, k, tuple(b), ()).b   # the one level gate, as in `_search`
+    b = LinkPattern(kind, k, tuple(b), ()).b   # kind and capacities, checked as `_search` does
     w = 1 if kind == SYMPLECTIC else 2
     costs: list[dict[int, int]] = []
     for i in range(1, k + 1):

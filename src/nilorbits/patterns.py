@@ -134,7 +134,17 @@ class LinkPattern:
         return tuple(arc.key() for arc in self.arcs)
 
     def text(self) -> str:
-        return "{" + ", ".join(arc.text() for arc in self.arcs) + "}" if self.arcs else "{}"
+        return _arcs_text(self.arcs)
+
+
+def _arcs_text(arcs: tuple[Arc, ...]) -> str:
+    """`LinkPattern.text` of the pattern with these arcs."""
+    return "{" + ", ".join([a.text() for a in arcs]) + "}"
+
+
+def _csv_row(index: int, arcs: tuple[Arc, ...]) -> str:
+    """The CLI's csv row of the pattern with these arcs."""
+    return f"{index}," + ";".join([a.text() for a in arcs])
 
 
 def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
@@ -208,15 +218,15 @@ def _trusted(kind: str, k: int, b: tuple[int, ...], arcs: tuple[Arc, ...]) -> Li
 _MAX_ARC_TYPES = 100_000
 
 
-def _search(kind: str, k: int, b: Iterable[int]) -> Iterator[LinkPattern]:
-    """All valid patterns of the level, streamed in canonical order.
+def _search(kind: str, k: int,
+            b: Iterable[int]) -> tuple[tuple[int, ...], Iterator[tuple[Arc, ...]]]:
+    """The checked capacities of the level and the arc tuple of each of its
+    valid patterns, streamed in canonical order.
 
-    The level is checked here, before the first pattern is asked for: its
-    arc-type count first, so that `b` may be a lazy iterable.  The
-    walk takes arc types in `Arc.key` order with a non-decreasing index and
-    takes a type only while every vertex it touches has the capacity, so each
-    arc tuple it emits is valid and sorted, and it emits each multiset once,
-    lexicographically on the canonical arc encoding.
+    The level is checked here, before the first tuple is asked for: its
+    arc-type count first, so that `b` may be a lazy iterable.  The tuples
+    are bare: `enumerate_patterns` makes them patterns, and the CLI writes
+    or counts them as they are.
     """
     if _is_int(k) and k * (2 * k + 1) > _MAX_ARC_TYPES:
         raise DomainError(f"level k={k} has {k * (2 * k + 1):,} arc types, over the "
@@ -229,15 +239,19 @@ def _search(kind: str, k: int, b: Iterable[int]) -> Iterator[LinkPattern]:
         (u, cu), *rest = _arc_cost(t, kind)
         v, cv = rest[0] if rest else (u, 0)
         costs.append((u - 1, cu, v - 1, cv))
-    return _walk(kind, k, b, types, costs)
+    return b, _walk(b, types, costs)
 
 
-def _walk(kind, k, b, types, costs) -> Iterator[LinkPattern]:
-    # pre-order depth-first walk, the stack holding the chosen type indices
+def _walk(b, types, costs) -> Iterator[tuple[Arc, ...]]:
+    """Pre-order depth-first walk over the arc types in `Arc.key` order with
+    a non-decreasing index, taking a type only while every vertex it touches
+    has the capacity: each tuple it yields is valid and sorted, and it
+    yields each multiset once, lexicographically on the canonical arc
+    encoding."""
     residual = list(b)
     chosen: list[Arc] = []
-    stack: list[int] = []
-    yield _trusted(kind, k, b, ())
+    stack: list[int] = []   # the chosen type indices
+    yield ()
     t, end = 0, len(types)
     while True:
         while t < end:
@@ -259,7 +273,13 @@ def _walk(kind, k, b, types, costs) -> Iterator[LinkPattern]:
         residual[v] -= cv
         stack.append(t)
         chosen.append(types[t])
-        yield _trusted(kind, k, b, tuple(chosen))
+        yield tuple(chosen)
+
+
+def _patterns(kind: str, k: int, b: tuple[int, ...],
+              found: Iterable[tuple[Arc, ...]]) -> list[LinkPattern]:
+    """The patterns of arc tuples `_search` found at the level (kind, k, b)."""
+    return [_trusted(kind, k, b, arcs) for arcs in found]
 
 
 def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]:
@@ -269,7 +289,8 @@ def enumerate_patterns(kind: str, k: int, b: Sequence[int]) -> list[LinkPattern]
     capacities, so invalid candidates are never generated; the emission
     order is lexicographic on the canonical arc encoding.
     """
-    return list(_search(kind, k, b))
+    b, found = _search(kind, k, b)
+    return _patterns(kind, k, b, found)
 
 
 # Python's default limit on int-to-decimal conversion: a longer count could
@@ -401,12 +422,17 @@ def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
     return _dumps({"b": list(b), "k": k, "kind": kind})[1:]
 
 
+def _json_line(arcs: tuple[Arc, ...], level_json: str) -> str:
+    """`pattern_to_json` of the pattern with these arcs at the level whose
+    `_level_json` is given."""
+    return '{"arcs":[' + ",".join([a._json for a in arcs]) + "]," + level_json
+
+
 def pattern_to_json(p: LinkPattern) -> str:
     """Canonical byte-stable serialization (arcs in canonical order): the
     `_dumps(pattern_to_obj(p))` bytes, joined from cached per-arc and
     per-level fragments."""
-    return ('{"arcs":[' + ",".join([a._json for a in p.arcs]) + "],"
-            + _level_json(p.kind, p.k, p.b))
+    return _json_line(p.arcs, _level_json(p.kind, p.k, p.b))
 
 
 def pattern_from_json(text: str) -> LinkPattern:

@@ -1,5 +1,6 @@
 """Shared frozen tables and independent oracles for the test suite."""
 
+import functools
 import itertools
 import operator
 import random
@@ -308,6 +309,28 @@ def raw_filter_count(kind: str, k: int, b) -> int:
         else:
             count += 1
     return count
+
+
+def residual_count(kind: str, k: int, b) -> int:
+    """Valid patterns counted by multiplicity per arc type over the capacity
+    each vertex has left, memoized on (type, residual capacities): it
+    answers the levels whose raw space `raw_filter_count` and
+    `brute_force_count` cannot take."""
+    costs, caps = raw_arc_costs(kind, k, b)
+
+    @functools.lru_cache(maxsize=None)
+    def count(t: int, residual: tuple) -> int:
+        if t == len(costs):
+            return 1
+        total = 0
+        for m in range(caps[t] + 1):
+            left = tuple(r - m * costs[t].get(v, 0) for v, r in enumerate(residual, start=1))
+            if min(left) < 0:
+                break
+            total += count(t + 1, left)
+        return total
+
+    return count(0, tuple(b))
 
 
 def reference_summands(p, spec):

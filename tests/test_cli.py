@@ -18,16 +18,16 @@ from hypothesis import given, settings, strategies as st
 import nilorbits
 from nilorbits import cli, quiver
 from nilorbits.cli import main
-from nilorbits.correspondence import pattern_to_matrix
-from nilorbits.harness import random_group_element_pair
-from nilorbits.linalg import (GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
+from nilorbits.correspondence import _MAX_TABLE_N, pattern_to_matrix
+from nilorbits.harness import brute_force_count, random_group_element_pair
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
                               matrix_to_json, orbit_dimension)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
                                 unoriented_loop, upper_loop)
 from nilorbits.quiver import _MAX_AR_RANK, multiset_to_json, pattern_to_summands
 
-from conftest import reference_lie_violation
+from conftest import reference_lie_violation, residual_count
 
 
 def test_count_borel_uses_the_recurrence(capsys):
@@ -37,12 +37,46 @@ def test_count_borel_uses_the_recurrence(capsys):
     assert capsys.readouterr().out == "1741 (recurrence)\n"
 
 
-def test_count_blocks_falls_back_to_enumeration(capsys):
-    assert main(["count", "--group", "sp", "--blocks", "2,1",
-                 "--format", "json"]) == 0
+KINDS = {"sp": "symplectic", "o": "orthogonal"}
+BLOCK_LEVELS = [(group, b) for group in KINDS
+                for b in ((2, 1), (1, 2, 3), (2, 2, 3), (3, 3))]
+STREAMED_LEVELS = ([("sp", (1,) * l) for l in range(5)]
+                   + [("o", (1,) * l) for l in range(6)] + BLOCK_LEVELS)
+
+
+def _level_flags(b) -> list[str]:
+    # a Borel level goes by its rank, which builds no block tuple
+    if set(b) <= {1}:
+        return ["--rank", str(len(b))]
+    return ["--blocks", ",".join(map(str, b))]
+
+
+@pytest.mark.parametrize("group, b", BLOCK_LEVELS, ids=[f"{g}-{b}" for g, b in BLOCK_LEVELS])
+def test_count_blocks_falls_back_to_enumeration(capsys, group, b):
+    kind = KINDS[group]
+    assert main(["count", "--group", group, *_level_flags(b), "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    want = len(enumerate_patterns("symplectic", 2, (2, 1)))
+    want = len(enumerate_patterns(kind, len(b), b))
     assert obj == {"count": want, "method": "enumeration"}
+    try:
+        assert brute_force_count(kind, len(b), b) == want
+    except DomainError:   # a raw space over 10^7: sp (1,2,3), sp and o (2,2,3)
+        assert residual_count(kind, len(b), b) == want
+
+
+@pytest.mark.parametrize("group, b", STREAMED_LEVELS,
+                         ids=[f"{g}-{b}" for g, b in STREAMED_LEVELS])
+def test_streamed_enumeration_prints_the_library_patterns(capsys, group, b):
+    # the CLI writes the search's arc tuples without building patterns:
+    # each line must be what the library's pattern of that tuple renders
+    pats = enumerate_patterns(KINDS[group], len(b), b)
+    want = {"json": [pattern_to_json(p) for p in pats],
+            "csv": ["index,arcs"] + [f"{i}," + ";".join(a.text() for a in p.arcs)
+                                     for i, p in enumerate(pats, start=1)],
+            "text": [p.text() for p in pats]}
+    for fmt, lines in want.items():
+        assert main(["enumerate", "--group", group, *_level_flags(b), "--format", fmt]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines), fmt
 
 
 def test_count_needs_a_level(capsys):
@@ -84,6 +118,39 @@ def test_count_refuses_huge_borel_levels_in_bounded_time_and_memory(level):
                           preexec_fn=_capped(1 << 30))
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "4300 digits" in proc.stderr
+
+
+@pytest.mark.parametrize("group, n", [("sp", 1002), ("o", 1001), ("sp", 2000),
+                                      ("sp", 100000)])
+def test_repr_refuses_groups_past_the_arc_table_bound_in_bounded_time_and_memory(group, n):
+    # the arc table holds about n^2 / 2 arcs: n = 1000 peaks near 500 MB, and
+    # sp_2000 died with MemoryError (exit 1) under this 1 GB cap
+    l = n // 2
+    kind = "symplectic" if group == "sp" else "orthogonal"
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli", "repr", "--group", group,
+                           "--n", str(n)], input=pattern_to_json(LinkPattern.borel(kind, l)),
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_capped(1 << 30))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"nilorbits repr: {group}_{n}: ")
+    assert f"n <= {_MAX_TABLE_N}" in proc.stderr
+
+
+def test_identify_refuses_a_group_past_the_arc_table_bound_before_its_gate(capsys,
+                                                                            monkeypatch):
+    # the form gate reads `_mates` (n^2 tuples: about 700 MB at sp_2000, and
+    # sp_2200 died with MemoryError under a 1 GB cap), so the bound comes first
+    n = _MAX_TABLE_N + 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(Matrix.zero(n))))
+    with mock.patch("nilorbits.linalg._mates", side_effect=AssertionError("built _mates")), \
+            mock.patch("nilorbits.correspondence._mates", side_effect=AssertionError):
+        assert main(["identify", "--group", "sp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"nilorbits identify: sp_{n}: ")
 
 
 @pytest.mark.parametrize("level", [["--rank", "3000"], ["--rank", "1000000000"],

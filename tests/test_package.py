@@ -4,6 +4,8 @@ import re
 import types
 
 import nilorbits
+from nilorbits import patterns
+from nilorbits.cli import main
 
 # Imported but not called: perfbench/test_perfbench.py reads it to check that
 # the benchmark's tracer restores rebound names (ROADMAP item 1).
@@ -159,7 +161,8 @@ def test_one_arc_table_read_off_the_mates():
                         found.add((path.stem, node.name))
     assert defined == ["correspondence"]
     assert callers["_arc_table"] == {("correspondence", "pattern_to_matrix"),
-                                     ("correspondence", "_decode")}
+                                     ("correspondence", "_decode"),
+                                     ("correspondence", "identify")}
     assert ("correspondence", "_arc_table") in callers["_mates"]
     assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
     assert "eps" not in _names_read(PACKAGE / "correspondence.py")
@@ -179,3 +182,30 @@ def test_cli_identify_solves_on_the_decoded_representative():
     assert keywords == []
     assert isinstance(point, ast.Call) and isinstance(point.func, ast.Name)
     assert point.func.id == "parabolic_representative"
+
+
+def test_cli_streams_arc_tuples_without_building_patterns(monkeypatch):
+    # CLI `count` and `enumerate` (json, csv, text) read the search's arc
+    # tuples as they are; only the tex table, built whole in memory, makes
+    # them patterns, and only the pattern layer skips their constructor.
+    def refuse(*args):
+        raise AssertionError("a streamed command built a pattern")
+
+    monkeypatch.setattr(patterns, "_trusted", refuse)
+    for argv in (["count", "--group", "o", "--blocks", "2,3"],
+                 *(["enumerate", "--group", "o", "--blocks", "2,1", "--format", fmt]
+                   for fmt in ("json", "csv", "text"))):
+        assert main(argv) == 0, argv
+    builders = ("_trusted", "_patterns", "enumerate_patterns", "LinkPattern")
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = {node.name: node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)}
+    for name in ("_cmd_count", "_cmd_enumerate"):
+        assert [b for b in builders if _calls(handlers[name], b)] == [], name
+        assert _calls(handlers[name], "_search") == 1, name
+    assert _calls(handlers["_tex_enumeration"], "_patterns") == 1
+    trusting = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if _calls(ast.parse(path.read_text()), "_trusted"):
+            trusting.add(path.stem)
+    assert trusting == {"patterns"}

@@ -125,11 +125,11 @@ TRUSTED_LEVELS = ([(kind, (1,) * l) for kind in ("symplectic", "orthogonal")
 @pytest.mark.parametrize("kind, b", TRUSTED_LEVELS,
                          ids=[f"{kind}-{b}" for kind, b in TRUSTED_LEVELS])
 def test_search_emits_what_the_validating_constructor_builds(kind, b):
-    # The search skips __post_init__, so it must build each pattern exactly
+    # The search's patterns skip __post_init__, so each must be built exactly
     # as the constructor would: valid, arcs sorted, one per multiset, and
     # with the instance dict the constructor gives (a dict filled after
     # construction loses the shared key table and doubles in size).
-    pats = list(_search(kind, len(b), b))
+    pats = enumerate_patterns(kind, len(b), b)
     for p in pats:
         assert p == LinkPattern(kind, len(b), b, p.arcs), p.text()
         assert validate(p), p.text()
@@ -351,7 +351,7 @@ def test_pattern_json_rejects_malformed():
 
 def test_search_refuses_a_level_past_the_arc_type_bound():
     # 2k^2 + k types: k = 223 has 99,681, k = 224 has 100,576
-    assert next(_search("symplectic", 223, (1,) * 223)).arcs == ()
+    assert next(_search("symplectic", 223, (1,) * 223)[1]) == ()
     with pytest.raises(DomainError, match="100,576 arc types"):
         _search("orthogonal", 224, (1,) * 224)
 
