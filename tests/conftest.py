@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import Matrix, _eliminate, _mates, _require_shape, form_matrix
+from nilorbits.linalg import Matrix, _eliminate, _require_shape, form_matrix
 from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, consumption
 from nilorbits.quiver import Summand, SymmetricPiece
 
@@ -69,16 +69,15 @@ def clearings(monkeypatch):
 
 def reference_lie_violation(a: Matrix, g) -> tuple[int, int] | None:
     """First 1-based (row, col), row-major, where transpose(a) F + F a is
-    nonzero, found by Fraction comparisons of each entry read with its mate:
-    the oracle for `linalg._lie_violation`, which compares numerators and
+    nonzero, from dense Fraction sums over the entries of a and of
+    `form_matrix(g)`: the oracle for `linalg._lie_violation`, which reads
+    each entry off the `_mates` table and compares numerators and
     denominators instead."""
     _require_shape(a, g)
-    n, mates, e = g.n, _mates(g), a.entries
+    n, e, f = g.n, a.entries, form_matrix(g).entries
     for p in range(n):
-        r = n - 1 - p
-        for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
-            x, y = e[mr][mc], e[r][q]
-            if (x != y) if sign > 0 else (x != -y):
+        for q in range(n):
+            if sum(e[k][p] * f[k][q] + f[p][k] * e[k][q] for k in range(n)):
                 return p + 1, q + 1
     return None
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import nilorbits
 from nilorbits import cli, quiver
 from nilorbits.cli import main
-from nilorbits.correspondence import _MAX_TABLE_N, pattern_to_matrix
+from nilorbits.correspondence import (_MAX_TABLE_N, parabolic_representative,
+                                      pattern_to_matrix, tex_matrix, tex_pattern)
 from nilorbits.harness import brute_force_count, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
                               matrix_to_json, orbit_dimension)
@@ -168,7 +169,7 @@ def test_enumerate_refuses_huge_levels_in_bounded_time_and_memory(level):
     assert len(proc.stderr.splitlines()) == 1 and "arc types" in proc.stderr
 
 
-@pytest.mark.parametrize("blocks", ["1_0", "٢", " 2,+1", "2,1 ", "+2", "2,,1"])
+@pytest.mark.parametrize("blocks", ["1_0", "٢", " 2,+1", "2,1 ", "+2", "2,,1", "0", "1,0"])
 def test_blocks_are_ascii_digit_lists(capsys, blocks):
     assert main(["count", "--group", "sp", "--blocks", blocks]) == 2
     captured = capsys.readouterr()
@@ -351,6 +352,26 @@ def test_repr_of_the_empty_pattern_is_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "0 0 0 0\n" * 4
 
 
+@pytest.mark.parametrize("p", [LinkPattern("symplectic", 1, (2,), (unoriented_loop(1),)),
+                               LinkPattern.borel("symplectic", 2, (dotted(2, 1),))])
+def test_repr_and_identify_write_tex(p, capsys, monkeypatch):
+    spec = SpaceSpec.from_blocks(GroupKind.symplectic(2 * sum(p.b)), p.b)
+    x = parabolic_representative(p, spec)
+    monkeypatch.setattr("sys.stdin", io.StringIO(pattern_to_json(p)))
+    assert main(["repr", "--group", "sp", "--format", "tex"]) == 0
+    assert capsys.readouterr().out == tex_matrix(x) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(x)))
+    blocks = ",".join(map(str, p.b))
+    assert main(["identify", "--group", "sp", "--blocks", blocks, "--format", "tex"]) == 0
+    assert capsys.readouterr().out == (f"${tex_pattern(p)}$ % orbit dimension "
+                                       f"{orbit_dimension(x, spec)}\n")
+
+
+def test_enumerate_tex_writes_unoriented_loops(capsys):
+    assert main(["enumerate", "--group", "sp", "--blocks", "2", "--format", "tex"]) == 0
+    assert "\\circlearrowleft_{1}" in capsys.readouterr().out
+
+
 def test_repr_reads_stdin_by_default(capsys, monkeypatch):
     text = pattern_to_json(LinkPattern.borel("symplectic", 2, (upper_loop(1),)))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -415,10 +436,10 @@ def test_identify_refusals_name_the_failing_entry(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocks", [[], ["--blocks", "1,2"]])
 def test_identify_clears_its_input_once(blocks, clearings, capsys, monkeypatch):
-    # `identify` and the CLI's own `require_two_nilpotent` both gate the
-    # input, and the rank signature and the x @ x test both read its integer
-    # rows; `orbit_dimension` reads the decoded pattern's representative,
-    # whose rows are built as integers, not the input's.
+    # `identify` gates the input once, and the rank signature and its
+    # x @ x test both read the input's integer rows; `orbit_dimension` reads
+    # the decoded pattern's representative, whose rows are built as
+    # integers, not the input's.
     g = GroupKind.symplectic(6)
     p = enumerate_patterns(g.family, g.l, (1,) * g.l)[40]
     u, u_inv = random_group_element_pair(g, SpaceSpec.borel(g), 3)
@@ -480,15 +501,13 @@ def _first_square_entry(x: Matrix) -> tuple[int, int]:
 @pytest.mark.parametrize("short, n, flag", [("sp", 6, (1, 2)), ("o", 7, (1, 2)),
                                             ("sp", 10, (2, 3)), ("o", 11, (3, 2))])
 @pytest.mark.parametrize("full_flag", [False, True])
-def test_identify_gates_its_input_without_the_decoder(short, n, flag, full_flag,
-                                                     capsys, monkeypatch):
-    # The CLI gates the input itself, not only through `identify`: with
-    # decoders that check nothing, a form-breaking input and one with
-    # x @ x != 0 are still refused, naming the first failing entry.
+def test_identify_refuses_a_conjugate_off_the_form_or_not_square_zero(short, n, flag,
+                                                                    full_flag, capsys,
+                                                                    monkeypatch):
+    # The one gate is the library's: `identify`, which `identify_parabolic`
+    # calls, refuses a form-breaking input and one with x @ x != 0, and the
+    # CLI prints its message naming the first failing entry.
     g = _group(short, n)
-    monkeypatch.setattr(cli, "identify", lambda x, g: LinkPattern.borel(g.family, g.l))
-    monkeypatch.setattr(cli, "identify_parabolic",
-                        lambda x, spec: LinkPattern(g.family, spec.k, spec.blocks, ()))
     blocks = ["--blocks", ",".join(map(str, flag))] if full_flag else []
     (_, y), = _conjugates(g, 1)
     off_form = y + Matrix.unit(n, 1, 1)   # a_11 = -a_nn no longer holds
@@ -628,6 +647,18 @@ def test_verify_rank_3_report_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == "verify: 32/32 checks passed\n"
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
         "d6d10e43417518c3b7523ae604ffc4554bd255560f3b68cf127cf2582e732b38")
+
+
+def test_verify_exits_1_and_names_each_failed_check(capsys, monkeypatch):
+    # A brute-force count one too high fails the counts family at every rank.
+    monkeypatch.setattr("nilorbits.harness.brute_force_count",
+                        lambda kind, k, b: brute_force_count(kind, k, b) + 1)
+    assert main(["verify", "--group", "sp", "--rank", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "verify: 4/6 checks passed\n"
+    assert captured.err == (
+        "  FAIL counts/sp/l=0 enumerate=1 recurrence=1 brute=2\n"
+        "  FAIL counts/sp/l=1 enumerate=3 recurrence=3 brute=4\n")
 
 
 def test_verify_respects_group_selection(capsys):

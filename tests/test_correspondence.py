@@ -147,6 +147,8 @@ def test_rank_signature_indexing_bounds():
         sig.rank(0, 1)
     with pytest.raises(DomainError):
         sig.rank(1, 4)
+    with pytest.raises(DomainError, match="square"):
+        rank_signature(Matrix.zero(2, 3))
 
 
 def test_delta_positions_frozen(sp4_table):

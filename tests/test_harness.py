@@ -133,6 +133,10 @@ def test_suite_respects_the_configured_subsets():
     assert ids == ["counts/o/l=0", "counts/o/l=1", "nilradical/o/l=1"]
     assert report["summary"]["failed"] == 0
     assert report["config"]["max_rank"] == 1
+    # sp l = 4 has a raw arc space over the brute-force count's 10^7 bound
+    report = run_suite(SuiteConfig(kinds=("symplectic",), max_rank=4, checks=("counts",)))
+    assert report["items"][-1]["details"] == "enumerate=345 recurrence=345 brute=skipped"
+    assert report["summary"] == {"total": 5, "failed": 0}
 
 
 @pytest.mark.parametrize("fields, match", [

@@ -104,6 +104,8 @@ def test_group_kind_validation():
             GroupKind("symplectic", n)
     with pytest.raises(DomainError, match="integer"):
         GroupKind("orthogonal", True)
+    with pytest.raises(DomainError, match="n must be positive"):
+        GroupKind("symplectic", 0)
     assert GroupKind.symplectic(4).name == "sp_4"
     assert GroupKind.orthogonal(5).name == "o_5"
     assert GroupKind.orthogonal(5).l == 2

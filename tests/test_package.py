@@ -184,6 +184,14 @@ def test_cli_identify_solves_on_the_decoded_representative():
     assert point.func.id == "parabolic_representative"
 
 
+def test_cli_calls_no_membership_check():
+    # The membership gate lives in the library alone: `identify` (which
+    # `identify_parabolic` calls) refuses a non-member or an x with
+    # x^2 != 0, and the CLI only prints the refusal.
+    checks = {"require_two_nilpotent", "lie_member", "is_two_nilpotent"}
+    assert checks & _names_read(PACKAGE / "cli.py") == set()
+
+
 def test_cli_streams_arc_tuples_without_building_patterns(monkeypatch):
     # CLI `count` and `enumerate` (json, csv, text) read the search's arc
     # tuples as they are; only the tex table, built whole in memory, makes

@@ -153,6 +153,7 @@ def test_summands_worked_example():
                   (SymmetricPiece.pair(Summand("Z-", 1, 2, 2)), 1)]
     assert total_dimension_vector(ms) == (4, 6, 12, 6, 4)
     assert total_dimension_vector(ms) == spec.dimension_vector()
+    assert total_dimension_vector([]) == ()
 
 
 def test_summands_orthogonal_loops_come_doubled():
