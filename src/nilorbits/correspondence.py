@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate, _mates,
-                     require_two_nilpotent)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _GROUP_CACHE_SIZE,
+                     _eliminate, _mates, require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -38,7 +38,7 @@ class MalformedInputError(DomainError):
 _MAX_TABLE_N = 1000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _arc_table(g: GroupKind) -> dict:
     """Maps every arc that fits a Borel-level pattern of g, and the 1-based
     earlier position of its mate pair, to (arc, position, mate, sign).

@@ -36,7 +36,8 @@ from math import factorial, lcm
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _SHORT, _cleared, _dumps, _ints, lie_algebra_basis)
+                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _dumps, _ints,
+                     lie_algebra_basis)
 from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -94,7 +95,7 @@ def _entries(m: Matrix) -> Entries:
                  for q, v in enumerate(row) if v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
     """(N, N^2) as `_entries` for each off-diagonal basis element N of the
     parabolic subalgebra of `spec`, in `lie_algebra_basis` order.

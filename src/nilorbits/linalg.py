@@ -293,7 +293,14 @@ class GroupKind:
         return f"{_SHORT[self.family]}_{self.n}"
 
 
-@lru_cache(maxsize=None)
+# The per-group caches keep the groups used last: room for every group of
+# sp_2 ... sp_12 and o_1 ... o_13 (19) at once, while a caller that sweeps
+# large groups holds at most this many of each table (`_mates` and
+# `correspondence._arc_table` are about n^2 tuples a group).
+_GROUP_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _form_signs(g: GroupKind) -> tuple[int, ...]:
     """The defining form is anti-diagonal: F[p][n-1-p] = signs[p] (0-based).
 
@@ -304,7 +311,7 @@ def _form_signs(g: GroupKind) -> tuple[int, ...]:
     return (1,) * g.n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _mates(g: GroupKind) -> tuple[tuple[int, int, int, int, int], ...]:
     """(r, c, c*, r*, sign) for every 0-based position (r, c), row-major,
     with sign = -s[r] s[c] for the signs s of F.
@@ -433,7 +440,7 @@ class SpaceSpec:
             raise DomainError(f"flag step {d[-1]} exceeds the isotropic bound l={self.group.l}")
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_GROUP_CACHE_SIZE)
     def borel(g: GroupKind) -> "SpaceSpec":
         # Frozen, so one spec per group is shared by every caller.
         return SpaceSpec(g, tuple(range(1, g.l + 1)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _dumps,
@@ -72,11 +73,23 @@ class Arc:
             return f"lloop({self.source})"
         return f"{self.source}{'..>' if self.dotted else '->'}{self.target}"
 
+    # Fragments kept on the instance: the search emits the same few arc
+    # objects in every pattern, so each is worked out once per arc.
+
+    @cached_property
+    def _text(self) -> str:
+        """The arc's `text()`, for the text and csv writers."""
+        return self.text()
+
     @cached_property
     def _json(self) -> str:
-        """The arc's `pattern_to_json` fragment, kept on the instance: the
-        search emits the same few arc objects in every pattern."""
+        """The arc's `pattern_to_json` fragment."""
         return _dumps(_arc_to_obj(self))
+
+    @cached_property
+    def _cost(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """The arc's `_arc_cost` in each kind, for the capacity gate."""
+        return {kind: _arc_cost(self, kind) for kind in (SYMPLECTIC, ORTHOGONAL)}
 
 
 def undotted(source: int, target: int) -> Arc:
@@ -139,12 +152,12 @@ class LinkPattern:
 
 def _arcs_text(arcs: tuple[Arc, ...]) -> str:
     """`LinkPattern.text` of the pattern with these arcs."""
-    return "{" + ", ".join([a.text() for a in arcs]) + "}"
+    return "{" + ", ".join([a._text for a in arcs]) + "}"
 
 
 def _csv_row(index: int, arcs: tuple[Arc, ...]) -> str:
     """The CLI's csv row of the pattern with these arcs."""
-    return f"{index}," + ";".join([a.text() for a in arcs])
+    return f"{index}," + ";".join([a._text for a in arcs])
 
 
 def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
@@ -158,13 +171,20 @@ def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
     return ((arc.source, 1), (arc.target, 1))
 
 
+def _left(p: LinkPattern) -> list[int]:
+    """Capacity each vertex of p has left, negative where p overflows it:
+    its b less the `_arc_cost` of the arcs, read from each arc's cache."""
+    left = list(p.b)
+    kind = p.kind
+    for arc in p.arcs:
+        for v, c in arc._cost[kind]:
+            left[v - 1] -= c
+    return left
+
+
 def consumption(p: LinkPattern) -> tuple[int, ...]:
     """Per-vertex capacity use: the `_arc_cost` of the arcs, summed."""
-    used = [0] * (p.k + 1)
-    for arc in p.arcs:
-        for v, c in _arc_cost(arc, p.kind):
-            used[v] += c
-    return tuple(used[1:])
+    return tuple(map(sub, p.b, _left(p)))
 
 
 def validate(p: LinkPattern) -> bool:
@@ -172,18 +192,19 @@ def validate(p: LinkPattern) -> bool:
     return all(c <= cap for c, cap in zip(consumption(p), p.b))
 
 
-def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> tuple[int, ...]:
+def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> list[int]:
     """Capacity p leaves at each block of `spec`, refusing p unless it
     indexes an orbit of spec: same family, the flag's blocks, and no block
-    over its capacity."""
+    over its capacity.  Each arc's cost is read from its cache
+    (`Arc._cost`), so a call is one pass over the arcs."""
     g = spec.group
     if (p.kind == SYMPLECTIC) != g.is_symplectic:
         raise DomainError("pattern kind does not match the group family")
     if p.b != spec.blocks:
         raise DomainError(f"pattern capacities {p.b} do not match the flag blocks "
                           f"{spec.blocks} of {g.name} (rank {g.l})")
-    free = tuple(cap - used for cap, used in zip(p.b, consumption(p)))
-    if any(f < 0 for f in free):
+    free = _left(p)
+    if free and min(free) < 0:
         raise DomainError("pattern is not valid for its capacities")
     return free
 

@@ -19,8 +19,7 @@ from functools import lru_cache
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
                      _dumps, _eliminate, _frac, _intertwiner_rows, _is_int,
                      _keeps, form_matrix, rank, require_two_nilpotent)
-from .patterns import (LOOP_LOWER, LOOP_UNORIENTED, LOOP_UPPER, LinkPattern,
-                       _free_capacity)
+from .patterns import LOOP_UNORIENTED, LOOP_UPPER, Arc, LinkPattern, _free_capacity
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
 _FAMILY_ORDER = {f: idx for idx, f in enumerate(FAMILIES)}
@@ -212,67 +211,90 @@ def total_dimension_vector(ms: Multiset) -> DimensionVector:
                  for idx in range(len(vecs[0])))
 
 
-# A piece is one summand alone, the orthogonal (z, z) loop, or a dual pair.
-_SINGLE, _DOUBLED, _PAIR = range(3)
-# Room for many levels at once: the sp_12 Borel level has 78 pieces, and
-# every flag of sp_12, o_12 and o_13 together has 261.
-_PIECE_CACHE_SIZE = 1024
+def _rank(piece: SymmetricPiece) -> int:
+    """An integer that orders the pieces of one A(l) as `SymmetricPiece.key`
+    does: the first part's (family, i, j) in base l + 2, then single before
+    double, which is the only way two pieces with one first part differ."""
+    s, base = piece.parts[0], piece.parts[0].l + 2
+    return 2 * ((_FAMILY_ORDER[s.family] * base + s.i) * base + s.j) + len(piece.parts) - 1
 
 
-@lru_cache(maxsize=_PIECE_CACHE_SIZE)
-def _piece(family: str, i: int, j: int, k: int,
-           shape: int) -> tuple[tuple, SymmetricPiece]:
-    """The piece of a summand in one shape, with its sort key, built once:
-    pieces are frozen, so every multiset may share them."""
-    s = Summand(family, i, j, k)
-    piece = SymmetricPiece((s,) if shape == _SINGLE else
-                           (s, s) if shape == _DOUBLED else (s, dual(s)))
-    return piece.key(), piece
+def _arc_piece(arc: Arc, k: int, symplectic: bool) -> tuple[int, SymmetricPiece]:
+    """The piece an arc translates to at level k, with its `_rank`: a pair
+    D+(v,v) for an unoriented loop, Z+(v,v) or Z-(v,v) for a dotted loop
+    (single for sp, doubled for o), and a pair D or Z (- rightward, +
+    leftward) for an arc between two vertices."""
+    v = arc.source
+    if arc.loop_variant == LOOP_UNORIENTED:
+        piece = SymmetricPiece.pair(Summand("D+", v, v, k))
+    elif arc.is_loop:
+        z = Summand("Z+" if arc.loop_variant == LOOP_UPPER else "Z-", v, v, k)
+        piece = SymmetricPiece((z,) if symplectic else (z, z))
+    else:
+        i, j = sorted((v, arc.target))
+        family = ("Z" if arc.dotted else "D") + ("-" if v < arc.target else "+")
+        piece = SymmetricPiece.pair(Summand(family, i, j, k))
+    return _rank(piece), piece
+
+
+# A level holds its k + 2 head pieces and the arcs it has seen, never the
+# O(k^2) arc types of the level; sweeps over flags take one level at a time.
+_LEVEL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _level(k: int, family: str, n: int, reach: int) -> tuple[tuple, tuple, dict]:
+    """The pieces of the level with k blocks whose flag ends at `reach` in
+    the group (family, n), built once: the free copy M_{s,omega} (+)
+    M*_{s,omega} of each block s, the middle padding as (piece,
+    multiplicity) pairs, and a memo that maps each arc seen so far to its
+    `_arc_piece`.  All of these come before every arc piece in key order
+    (family M is first, and M_{omega,omega} single before paired)."""
+    omega = k + 1
+    free_pieces = tuple(SymmetricPiece.pair(Summand("M", s, omega, k))
+                        for s in range(1, omega))
+    middle, gap = Summand("M", omega, omega, k), n - 2 * reach
+    padding = []
+    if gap % 2 == 1:
+        padding.append((SymmetricPiece.single(middle), 1))
+    if gap >= 2:
+        padding.append((SymmetricPiece.pair(middle), gap // 2))
+    return free_pieces, tuple(padding), {}
 
 
 def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     """Krull-Remak-Schmidt multiset of the orbit indexed by a block pattern.
 
-    Arcs translate one-to-one to symmetric pieces; leftover capacity at
-    block s gives free copies of M_{s,omega} (+) M*_{s,omega}; the middle
-    space beyond the flag is padded with M_{omega,omega} pieces (paired, and
-    one fixed single copy when n is odd).  The total dimension vector is
-    always the palindrome of the spec.  Each piece is built once per level
-    and shared by every multiset that holds it (pieces are immutable); the
-    list is new on every call.
+    Arcs translate one-to-one to symmetric pieces (`_arc_piece`); leftover
+    capacity at block s gives free copies of M_{s,omega} (+) M*_{s,omega};
+    the middle space beyond the flag is padded with M_{omega,omega} pieces
+    (paired, and one fixed single copy when n is odd).  The total dimension
+    vector is always the palindrome of the spec.  Each arc is translated
+    once per level (`_level`), the first time a pattern holds it, and its
+    piece is shared by every multiset that holds it (pieces are immutable);
+    the list is new on every call.
     """
     free = _free_capacity(p, spec)
-    k = spec.k
-    loop = _SINGLE if spec.group.is_symplectic else _DOUBLED
-    counts: dict[tuple, int] = {}
-    pieces: dict[tuple, SymmetricPiece] = {}
-
-    def add(family: str, i: int, j: int, shape: int, mult: int = 1) -> None:
-        key, piece = _piece(family, i, j, k, shape)
-        pieces[key] = piece
-        counts[key] = counts.get(key, 0) + mult
-
+    g, k = spec.group, spec.k
+    free_pieces, padding, memo = _level(k, g.family, g.n, spec.flag[-1] if spec.flag else 0)
+    out = [(piece, count) for piece, count in zip(free_pieces, free) if count]
+    out += padding
+    found = []
     for arc in p.arcs:
-        if arc.loop_variant == LOOP_UNORIENTED:
-            add("D+", arc.source, arc.source, _PAIR)
-        elif arc.loop_variant == LOOP_UPPER:
-            add("Z+", arc.source, arc.source, loop)
-        elif arc.loop_variant == LOOP_LOWER:
-            add("Z-", arc.source, arc.source, loop)
+        hit = memo.get(arc)
+        if hit is None:
+            hit = memo[arc] = _arc_piece(arc, k, g.is_symplectic)
+        found.append(hit)
+    # distinct arcs translate to distinct pieces and equal arcs share one
+    # memo entry, so equal ranks hold one piece object: the sort never
+    # compares pieces, and equal pieces end up next to each other
+    found.sort()
+    for _, piece in found:
+        if out and out[-1][0] is piece:
+            out[-1] = (piece, out[-1][1] + 1)
         else:
-            i, j = min(arc.source, arc.target), max(arc.source, arc.target)
-            rightward = arc.source < arc.target
-            add(("Z" if arc.dotted else "D") + ("-" if rightward else "+"), i, j, _PAIR)
-    for s, count in enumerate(free, start=1):
-        if count:
-            add("M", s, k + 1, _PAIR, count)
-    reach = spec.flag[-1] if spec.flag else 0
-    gap = spec.group.n - 2 * reach
-    if gap >= 2:
-        add("M", k + 1, k + 1, _PAIR, gap // 2)
-    if gap % 2 == 1:
-        add("M", k + 1, k + 1, _SINGLE)
-    return [(pieces[key], counts[key]) for key in sorted(counts)]
+            out.append((piece, 1))
+    return out
 
 
 # -- explicit flag realizations and endomorphism dimensions -------------------

@@ -195,6 +195,31 @@ def test_enumerate_csv_header_and_rows(capsys):
     assert any(line.endswith(",uloop(1);uloop(2)") for line in lines)
 
 
+# SHA-256 and line count of `enumerate` stdout in text and csv, frozen from
+# the writers that called Arc.text() for every arc of every line.
+ENUMERATE_DIGESTS = {
+    ("--group", "sp", "--rank", "5"): (
+        2043, "0d7b2caca79b74c57d3dabb269ad5cf25cb6d2632a639aae7c40b1a4c650d84a",
+        "a545bf44400e03d3d98c0672d573321caa1a35cc4121d2e7ce65ca5bcd9c8360"),
+    ("--group", "o", "--rank", "6"): (
+        1741, "13623dac00c39ed184bd2fa410878fe5198923db7a2285138d6eb482b76044fb",
+        "4e6688c8645e41719bf926456b6a6954f90093e9965d919ebe6c69cff7eefbf2"),
+    ("--group", "sp", "--blocks", "1,2,2"): (
+        549, "fa1bc5efc40578198af0f3d8605f74aafad9fd2806c7eef424a1b42052c09418",
+        "a721abfb539c039c1f83abcea2f434ba767d37490052e30284d02710b6ac0975"),
+}
+
+
+@pytest.mark.parametrize("level", list(ENUMERATE_DIGESTS))
+def test_enumerate_text_and_csv_bytes_are_pinned(capsys, level):
+    lines, text_digest, csv_digest = ENUMERATE_DIGESTS[level]
+    for fmt, digest in (("text", text_digest), ("csv", csv_digest)):
+        assert main(["enumerate", *level, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines + (fmt == "csv"), fmt
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_enumerate_writes_the_same_bytes_to_out_and_stdout(tmp_path, capsys, fmt):
     argv = ["enumerate", "--group", "sp", "--blocks", "2,1,2", "--format", fmt]

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import re
 import types
@@ -217,3 +218,40 @@ def test_cli_streams_arc_tuples_without_building_patterns(monkeypatch):
         if _calls(ast.parse(path.read_text()), "_trusted"):
             trusting.add(path.stem)
     assert trusting == {"patterns"}
+
+
+def _cache_size(call: ast.expr, module) -> object:
+    """The maxsize an `lru_cache(...)` decorator passes: a literal or a
+    module constant; None for a bare decorator or an unbounded size."""
+    if not isinstance(call, ast.Call):
+        return None
+    size = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    if not size:
+        return None
+    if isinstance(size[0], ast.Constant):
+        return size[0].value
+    if isinstance(size[0], ast.Name):
+        return getattr(module, size[0].id, None)
+    return None
+
+
+def test_every_cache_is_bounded():
+    # A cache lives as long as the process, so each one keeps at most a
+    # fixed number of entries: every lru_cache in the package passes a
+    # positive integer maxsize, and functools.cache (unbounded) is not used.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"nilorbits.{path.stem}"
+                                         if path.stem != "__init__" else "nilorbits")
+        for node in ast.walk(ast.parse(path.read_text())):
+            for deco in getattr(node, "decorator_list", ()):
+                func = deco.func if isinstance(deco, ast.Call) else deco
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("lru_cache", "cache"):
+                    size = _cache_size(deco, module) if name == "lru_cache" else None
+                    found[(path.stem, node.name)] = size
+    assert {("linalg", "_mates"), ("correspondence", "_arc_table"),
+            ("quiver", "_level")} <= set(found)
+    unbounded = {site: size for site, size in found.items()
+                 if not (type(size) is int and size > 0)}
+    assert unbounded == {}

@@ -5,15 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from nilorbits import quiver
+from nilorbits import patterns, quiver
 from nilorbits.cli import main
 from nilorbits.correspondence import (parabolic_representative,
-                                      pattern_to_matrix)
+                                      pattern_to_matrix, refine)
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_matrix,
                               group_member, orbit_dimension, parabolic_dim, rank)
-from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
-                                unoriented_loop, upper_loop)
+from nilorbits.patterns import (LinkPattern, _free_capacity, consumption, dotted,
+                                enumerate_patterns, pattern_from_json, pattern_to_json,
+                                unoriented_loop, upper_loop, validate)
 from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
                               _canonical, _walk,
                               ar_sequences, catalog, dimension_vector, dual,
@@ -232,6 +233,63 @@ def test_summands_share_pieces_but_return_a_fresh_list():
     second = pattern_to_summands(p, spec)
     assert second == want == reference_summands(p, spec)
     assert all(a is b for (a, _), (b, _) in zip(second, want))
+
+
+@pytest.mark.parametrize("first", ["symplectic", "orthogonal"])
+def test_one_arc_object_costs_and_translates_by_the_kind_of_each_pattern(first):
+    # One upper loop object in an sp and in an o pattern, read in both
+    # orders: it takes 1 of its vertex's capacity in sp and 2 in o, and
+    # translates to a single Z+ in sp and a doubled one in o, so nothing
+    # kept on the arc or per level may ignore the kind.
+    loop = upper_loop(1)
+    groups = {"symplectic": GroupKind.symplectic(6), "orthogonal": GroupKind.orthogonal(7)}
+    for kind in sorted(groups, key=lambda kind: kind != first):
+        g, weight = groups[kind], 1 if kind == "symplectic" else 2
+        spec = SpaceSpec.from_blocks(g, (2, 1))
+        p = LinkPattern(kind, 2, (2, 1), (loop,))
+        assert p.arcs[0] is loop
+        assert consumption(p) == (weight, 0)
+        assert validate(p)
+        assert list(_free_capacity(p, spec)) == [2 - weight, 1]
+        assert pattern_to_summands(p, spec) == reference_summands(p, spec)
+        borel, borel_spec = LinkPattern.borel(kind, 3, (loop,)), SpaceSpec.borel(g)
+        assert consumption(borel) == (weight, 0, 0)
+        assert validate(borel) == (weight == 1)
+        if weight == 1:
+            assert pattern_to_summands(borel, borel_spec) == reference_summands(borel,
+                                                                               borel_spec)
+        else:
+            for gate in (_free_capacity, pattern_to_summands):
+                with pytest.raises(DomainError, match="not valid for its capacities"):
+                    gate(borel, borel_spec)
+
+
+def test_fresh_arc_objects_translate_like_the_enumerated_ones(monkeypatch):
+    # Arcs built anew (decoded from JSON, or refined to the Borel level)
+    # are equal to the enumerated ones but not the same objects; they fill
+    # an empty level memo and read it back alike.
+    g = GroupKind.orthogonal(11)
+    spec, borel_spec = SpaceSpec.from_blocks(g, (1, 2, 2)), SpaceSpec.borel(g)
+    quiver._level.cache_clear()
+    found = enumerate_patterns(g.family, spec.k, spec.blocks)
+    for p in found:
+        fresh = pattern_from_json(pattern_to_json(p))
+        assert fresh == p and all(a is not b for a, b in zip(fresh.arcs, p.arcs))
+        refined = refine(p, spec)
+        for q, at in ((fresh, spec), (p, spec), (refined, borel_spec)):
+            assert pattern_to_summands(q, at) == reference_summands(q, at), q.text()
+    # A level is never tabulated: one arc of sp_8000 translates with the
+    # arc-type table refused, and the level's memo holds that arc alone.
+    def refuse(k):
+        raise AssertionError(f"_arc_types({k}) was built")
+
+    monkeypatch.setattr(patterns, "_arc_types", refuse)
+    big = GroupKind.symplectic(8000)
+    arc = dotted(4000, 1)
+    p = LinkPattern.borel(big.family, 4000, (arc,))
+    assert pattern_to_summands(p, SpaceSpec.borel(big)) == reference_summands(
+        p, SpaceSpec.borel(big))
+    assert list(quiver._level(4000, big.family, 8000, 4000)[2]) == [arc]
 
 
 def test_realize_flag_validates_the_loop():
