@@ -5,9 +5,9 @@ summand dictionary, all in exact rational arithmetic."""
 
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, borel_subalgebra_dim, form_matrix,
-                     group_member, is_two_nilpotent, lie_algebra_basis,
-                     lie_algebra_dim, lie_member, matrix_from_json,
-                     matrix_to_json, orbit_dimension, parabolic_dim, rank)
+                     group_member, is_two_nilpotent, lie_algebra_dim,
+                     lie_member, matrix_from_json, matrix_to_json,
+                     orbit_dimension, parabolic_dim, rank)
 from .patterns import (Arc, LinkPattern, consumption, count_borel, dotted,
                        enumerate_patterns, glue, is_nilradical, lower_loop,
                        pattern_from_json, pattern_to_json, strip_orientation,
@@ -29,9 +29,9 @@ __all__ = [
     # linalg
     "DomainError", "GroupKind", "Matrix", "ORTHOGONAL", "SYMPLECTIC",
     "SpaceSpec", "borel_subalgebra_dim", "form_matrix",
-    "group_member", "is_two_nilpotent", "lie_algebra_basis", "lie_algebra_dim",
-    "lie_member", "matrix_from_json", "matrix_to_json", "orbit_dimension",
-    "parabolic_dim", "rank",
+    "group_member", "is_two_nilpotent", "lie_algebra_dim", "lie_member",
+    "matrix_from_json", "matrix_to_json", "orbit_dimension", "parabolic_dim",
+    "rank",
     # patterns
     "Arc", "LinkPattern", "consumption", "count_borel", "dotted",
     "enumerate_patterns", "glue", "is_nilradical", "lower_loop",

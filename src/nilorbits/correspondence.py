@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _GROUP_CACHE_SIZE,
-                     _eliminate, _mates, require_two_nilpotent)
+                     _eliminate, _mates, _within, require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -144,8 +144,8 @@ class RankSignature:
                            for j in range(self.n + 1)) for i in range(1, self.n + 2))
 
     def rank(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n + 1 and 0 <= j <= self.n):
-            raise DomainError(f"rank table index ({i},{j}) out of range")
+        if not (_within(i, 1, self.n + 1) and _within(j, 0, self.n)):
+            raise DomainError(f"rank table index ({i!r},{j!r}) out of range")
         return self.table[i - 1][j]
 
 

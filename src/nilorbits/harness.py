@@ -36,8 +36,8 @@ from math import factorial, lcm
 
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _dumps, _ints,
-                     lie_algebra_basis)
+                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _coordinates,
+                     _dumps, _ints)
 from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -89,27 +89,26 @@ def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
 Entries = tuple[tuple[int, int, int], ...]
 
 
-def _entries(m: Matrix) -> Entries:
-    """Nonzero 0-based entries (p, q, value) of an integer matrix m."""
-    return tuple((p, q, v.numerator) for p, row in enumerate(m.entries)
-                 for q, v in enumerate(row) if v)
-
-
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
-    """(N, N^2) as `_entries` for each off-diagonal basis element N of the
-    parabolic subalgebra of `spec`, in `lie_algebra_basis` order.
+    """(N, N^2) as 0-based entries (p, q, value), row-major, for each
+    coordinate N of the parabolic subalgebra of `spec`, in `_coordinates`
+    order, with no diagonal position: N is 1 there and its sign at the mate.
 
     N is a root element: its entries are +-1 and its support is strictly
     upper (the nilradical of the Borel) or strictly lower (the Levi roots a
-    coarser flag allows).  N^3 = 0, and N^2 != 0 only for the o_{2l+1}
-    roots through the middle index, so exp(tN) = I + tN + t^2 N^2 / 2.
-    """
+    coarser flag allows).  Of its at most two entries only a pair through
+    the middle index of o_{2l+1} chains, so N^2 has at most one entry and
+    exp(tN) = I + tN + t^2 N^2 / 2."""
+    count, entry = _coordinates(spec)
+    supports: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for (r, c), (i, coef) in entry.items():
+        supports[i].append((r, c, coef))
     roots = []
-    for b in lie_algebra_basis(spec.group, spec.flag):
-        first = _entries(b)
+    for first in map(sorted, supports):
         if all(p != q for p, q, _ in first):
-            roots.append((first, _entries(b @ b)))
+            second = [(p, q, a * b) for p, k, a in first for j, q, b in first if k == j]
+            roots.append((tuple(first), tuple(second)))
     return tuple(roots)
 
 

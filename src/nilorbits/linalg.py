@@ -16,11 +16,13 @@ handed bottom-up give the delta positions as pivots) all sit on it.  Every
 defining form is anti-diagonal with entries +-1, so each position of a
 member of the Lie algebra fixes its mate across the anti-diagonal up to a
 sign.  The membership test reads these mate pairs entry by entry; the
-parabolic subalgebras, their bases and the quiver layer's stabilizers work
-in mate-pair coordinates, so no row states the form condition, and dim p
-is the count of p's coordinates.  One row builder states every
-A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the orbit
-dimension, and the basis and loop of a flag representation.
+parabolic subalgebras, the harness's root elements and the quiver layer's
+stabilizers work in mate-pair coordinates, so no row states the form
+condition, and dim p is the count of p's coordinates.  The group and
+isotropy tests apply F as a signed row reversal (`_form_times`), never as
+a Gram matrix.  One row builder states every A f - f B = 0 that is
+eliminated: [a, x] = 0, whose rank is the orbit dimension, and the basis
+and loop of a flag representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -45,6 +47,11 @@ class DomainError(ValueError):
 def _is_int(v) -> bool:
     # JSON true/false decode to bools, which Python counts as ints.
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _within(v, lo: int, hi: int) -> bool:
+    """True iff v is a non-bool int with lo <= v <= hi: an index argument."""
+    return _is_int(v) and lo <= v <= hi
 
 
 def _frac(value) -> Fraction:
@@ -149,14 +156,16 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        if not (_is_int(n) and n >= 0):
+            raise DomainError(f"matrix size must be a non-negative integer, got {n!r}")
         return Matrix(tuple(tuple(Fraction(1 if p == q else 0) for q in range(n))
                             for p in range(n)))
 
     @staticmethod
     def unit(n: int, r: int, c: int, value=1) -> "Matrix":
         """Matrix unit: `value` at 1-based position (r, c), zero elsewhere."""
-        if not (1 <= r <= n and 1 <= c <= n):
-            raise DomainError(f"unit position ({r},{c}) outside 1..{n}")
+        if not (_is_int(n) and _within(r, 1, n) and _within(c, 1, n)):
+            raise DomainError(f"unit position ({r!r},{c!r}) outside 1..{n!r}")
         v = _frac(value)
         z = Fraction(0)
         return Matrix(tuple(tuple(v if (p, q) == (r - 1, c - 1) else z
@@ -174,8 +183,8 @@ class Matrix:
 
     def entry(self, r: int, c: int) -> Fraction:
         """Entry at 1-based position (r, c)."""
-        if not (1 <= r <= self.rows and 1 <= c <= self.cols):
-            raise DomainError(f"position ({r},{c}) outside {self.rows}x{self.cols}")
+        if not (_within(r, 1, self.rows) and _within(c, 1, self.cols)):
+            raise DomainError(f"position ({r!r},{c!r}) outside {self.rows}x{self.cols}")
         return self.entries[r - 1][c - 1]
 
     @cached_property
@@ -337,6 +346,13 @@ def form_matrix(g: GroupKind) -> Matrix:
                               for q in range(n)) for p in range(n)))
 
 
+def _form_times(m: Matrix, g: GroupKind) -> Matrix:
+    """F m for a matrix m with n rows: m with its rows reversed and the row
+    p negated where s[p] = -1 (`_form_signs`), with no product."""
+    return Matrix(tuple(row if s > 0 else tuple(-v for v in row)
+                        for s, row in zip(_form_signs(g), reversed(m.entries))), m.cols)
+
+
 def _require_shape(a: Matrix, g: GroupKind):
     if a.rows != g.n or a.cols != g.n:
         raise DomainError(f"expected a {g.n}x{g.n} matrix, got {a.rows}x{a.cols}")
@@ -373,11 +389,8 @@ def group_member(u: Matrix, g: GroupKind) -> bool:
     """True iff transpose(u) F u = F exactly."""
     _require_shape(u, g)
     n, signs = g.n, _form_signs(g)
-    # F u is u with its rows reversed and the row p negated where s[p] = -1.
-    fu = Matrix(tuple(row if s > 0 else tuple(-v for v in row)
-                      for s, row in zip(signs, reversed(u.entries))))
     return all(v == (signs[p] if p + q == n - 1 else 0)
-               for p, row in enumerate((u.transpose() @ fu).entries)
+               for p, row in enumerate((u.transpose() @ _form_times(u, g)).entries)
                for q, v in enumerate(row))
 
 
@@ -467,10 +480,11 @@ class SpaceSpec:
 
     def block_of(self, v: int) -> int:
         """1-based flag block containing vertex v (d_{s-1} < v <= d_s)."""
-        for s, d in enumerate(self.flag, start=1):
-            if v <= d:
-                return s
-        raise DomainError(f"vertex {v} beyond the last flag step {self.flag[-1] if self.flag else 0}")
+        last = self.flag[-1] if self.flag else 0
+        if not _within(v, 1, last):
+            raise DomainError(f"vertex {v!r} outside 1..{last}: not an integer, "
+                              f"below 1 or beyond the last flag step")
+        return next(s for s, d in enumerate(self.flag, start=1) if v <= d)
 
 
 # -- the elimination kernel ----------------------------------------------------
@@ -602,18 +616,6 @@ def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     rows = _intertwiner_rows(x, entry, entry)
     rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
     return len(_eliminate(rows, count))
-
-
-def lie_algebra_basis(g: GroupKind, flag: Sequence[int] = ()) -> list[Matrix]:
-    """Basis of the members of g that stabilize `flag` (every member for the
-    empty flag): one per mate-pair coordinate, in `_coordinates` order,
-    written from its block."""
-    n = g.n
-    count, entry = _coordinates(SpaceSpec(g, flag))
-    basis = [[[Fraction(0)] * n for _ in range(n)] for _ in range(count)]
-    for (r, c), (i, coef) in entry.items():
-        basis[i][r][c] = Fraction(coef)
-    return [Matrix.from_rows(m) for m in basis]
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -189,7 +189,7 @@ def consumption(p: LinkPattern) -> tuple[int, ...]:
 
 def validate(p: LinkPattern) -> bool:
     """True iff every vertex stays within its capacity."""
-    return all(c <= cap for c, cap in zip(consumption(p), p.b))
+    return all(v >= 0 for v in _left(p))
 
 
 def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> list[int]:
@@ -321,24 +321,21 @@ _COUNT_BOUND = 10 ** _MAX_COUNT_DIGITS
 
 
 def count_borel(kind: str, l: int) -> int:
-    """Borel-level pattern count by the two-term recurrences (exact ints).
-    The counts grow with l, so a count past `_MAX_COUNT_DIGITS` digits is
+    """Borel-level pattern count a_l, in exact ints, by the recurrence
+    a_m = c a_{m-1} + 4 (m - 1) a_{m-2} from (a_{-1}, a_0) = (0, 1), with
+    c = 3 for sp and 1 for o.  A count past `_MAX_COUNT_DIGITS` digits is
     refused as soon as the recurrence reaches one: every l is answered or
     refused after at most a few thousand steps."""
     if not _is_int(l):
         raise DomainError(f"l must be an integer, got {l!r}")
     if l < 0:
         raise DomainError("l must be nonnegative")
-    if kind == SYMPLECTIC:
-        prev, cur = 1, 3
-    elif kind == ORTHOGONAL:
-        prev, cur = 1, 1
-    else:
+    if kind not in (SYMPLECTIC, ORTHOGONAL):
         raise DomainError(f"unknown pattern kind {kind!r}")
-    if l == 0:
-        return prev
-    for m in range(2, l + 1):
-        prev, cur = cur, (3 if kind == SYMPLECTIC else 1) * cur + 4 * (m - 1) * prev
+    c = 3 if kind == SYMPLECTIC else 1
+    prev, cur = 0, 1   # a_{-1}, a_0
+    for m in range(1, l + 1):
+        prev, cur = cur, c * cur + 4 * (m - 1) * prev
         if cur >= _COUNT_BOUND:
             raise DomainError(f"the {kind} pattern count at l={l} has more than "
                               f"{_MAX_COUNT_DIGITS} digits; refusing")

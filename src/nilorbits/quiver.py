@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _dumps, _eliminate, _frac, _intertwiner_rows, _is_int,
-                     _keeps, form_matrix, rank, require_two_nilpotent)
+                     _dumps, _eliminate, _form_times, _frac, _intertwiner_rows,
+                     _is_int, _keeps, rank, require_two_nilpotent)
 from .patterns import LOOP_UNORIENTED, LOOP_UPPER, Arc, LinkPattern, _free_capacity
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
@@ -309,8 +309,8 @@ class SymmetricRep:
     inner arrows are the inclusions V_s -> V_{s+1} and the last one embeds
     V_k in the middle space Q^n; `loop` is the alpha action on Q^n.  The
     starred spaces are not stored, because each is the dual of an unstarred
-    one.  Every instance is checked on construction: an independent,
-    totally isotropic basis and a 2-nilpotent loop in the algebra.
+    one.  Every instance is checked on construction: an independent basis,
+    totally isotropic by `_form_times`, and a 2-nilpotent loop in the algebra.
     """
 
     spec: SpaceSpec
@@ -329,7 +329,7 @@ class SymmetricRep:
                               f"expected {n}x{d}")
         if rank(basis) != d:
             raise DomainError("basis vectors are linearly dependent")
-        if not (basis.transpose() @ form_matrix(g) @ basis).is_zero():
+        if not (basis.transpose() @ _form_times(basis, g)).is_zero():
             raise DomainError("flag is not totally isotropic for the form")
         if (self.loop.rows, self.loop.cols) != (n, n):
             raise DomainError("loop must act on the middle space")
@@ -338,9 +338,9 @@ class SymmetricRep:
 
 def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:
     """Standard-basis realization of the standard isotropic flag: the
-    basis is [I; 0]."""
+    basis is [I; 0], the first d_k unit vectors, written entry by entry."""
     n, d = spec.group.n, spec.flag[-1] if spec.flag else 0
-    basis = Matrix(tuple(row[:d] for row in Matrix.identity(n).entries))
+    basis = Matrix.from_rows([[int(p == q) for q in range(d)] for p in range(n)])
     return SymmetricRep(spec, basis, loop if loop is not None else Matrix.zero(n))
 
 

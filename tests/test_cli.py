@@ -21,7 +21,7 @@ from nilorbits.cli import main
 from nilorbits.correspondence import (_MAX_TABLE_N, parabolic_representative,
                                       pattern_to_matrix, tex_matrix, tex_pattern)
 from nilorbits.harness import brute_force_count, random_group_element_pair
-from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, lie_algebra_basis,
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
                               matrix_to_json, orbit_dimension)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
                                 pattern_from_json, pattern_to_json,
@@ -559,12 +559,11 @@ def _coprime_denominators(count: int) -> list[int]:
 def _spread_member(g: GroupKind, extra: tuple[int, int] | None = None) -> Matrix:
     """A member of g with one 4,000-digit denominator per algebra coordinate,
     all coprime, and optionally one more at the 1-based position `extra`."""
-    basis = lie_algebra_basis(g)
-    dens = _coprime_denominators(len(basis) + 1)
+    count, entry = _coordinates(SpaceSpec(g, ()))
+    dens = _coprime_denominators(count + 1)
     rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for b, d in zip(basis, dens):
-        for r, c in b.support():
-            rows[r - 1][c - 1] = b.entry(r, c) / d
+    for (r, c), (i, coef) in entry.items():
+        rows[r][c] = Fraction(coef, dens[i])
     if extra is not None:
         rows[extra[0] - 1][extra[1] - 1] += Fraction(1, dens[-1])
     return Matrix.from_rows(rows)

@@ -4,19 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import raw_arc_costs, raw_filter_count, reference_word_act
+from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_count,
+                      reference_lie_violation, reference_word_act)
 from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import (identify, identify_parabolic,
                                       parabolic_representative, pattern_to_matrix,
                                       rank_signature)
-from nilorbits.harness import (SuiteConfig, _root_word, _word_act,
+from nilorbits.harness import (SuiteConfig, _root_elements, _root_word, _word_act,
                                brute_force_count, exp_nilpotent,
                                random_group_element_pair, run_suite,
                                suite_report_json)
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              group_member, lie_algebra_basis, lie_member,
-                              matrix_from_obj)
+                              group_member, lie_member, matrix_from_obj,
+                              parabolic_dim)
 from nilorbits.patterns import enumerate_patterns
 
 
@@ -181,10 +182,49 @@ def power_series_exp(s: Matrix) -> Matrix:
     return out
 
 
-UPPER_BASES = {g: [b for b in lie_algebra_basis(g, SpaceSpec.borel(g).flag)
-                   if b.is_upper_triangular(strict=True)]
+def dense(n: int, entries) -> Matrix:
+    """The n x n matrix with the 0-based entries (p, q, value), else zero."""
+    rows = [[0] * n for _ in range(n)]
+    for p, q, v in entries:
+        rows[p][q] = v
+    return Matrix.from_rows(rows)
+
+
+UPPER_BASES = {g: [dense(g.n, first) for first, _ in _root_elements(SpaceSpec.borel(g))]
                for g in (GroupKind.symplectic(6), GroupKind.orthogonal(6),
                          GroupKind.orthogonal(7))}
+
+
+@pytest.mark.parametrize("g", [GroupKind.symplectic(n) for n in range(2, 13, 2)]
+                         + [GroupKind.orthogonal(n) for n in range(1, 14)],
+                         ids=lambda g: g.name)
+def test_root_elements_match_a_dense_reference(g):
+    # On every flag of g, the empty one included, each root element N is a
+    # member of the algebra (by dense Fraction sums) that keeps the flag,
+    # and N^2 is the dense product with N^3 = 0.  The N are independent, one
+    # per coordinate off the diagonal, and strictly upper on the Borel flag.
+    # A root recurs on many flags, so its flag-free checks run once.
+    n, flat = g.n, {}
+    for k in range(g.l + 1):
+        for flag in itertools.combinations(range(1, g.l + 1), k):
+            spec = SpaceSpec(g, flag)
+            roots = _root_elements(spec)
+            assert len(roots) == parabolic_dim(spec) - g.l
+            allowed = set(flag_positions(n, flag))
+            for first, second in roots:
+                if first not in flat:
+                    root = dense(n, first)
+                    square = root @ root
+                    assert reference_lie_violation(root, g) is None
+                    assert square == dense(n, second) and (square @ root).is_zero()
+                    flat[first] = root, sum(root.entries, ())
+                root = flat[first][0]
+                assert set(root.support()) <= allowed
+                if spec == SpaceSpec.borel(g):
+                    assert root.is_upper_triangular(strict=True)
+            if roots:
+                rows = Matrix(tuple(flat[first][1] for first, _ in roots))
+                assert naive_rank(rows) == len(roots)
 
 
 @st.composite

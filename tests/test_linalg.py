@@ -6,14 +6,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbits.correspondence import pattern_to_matrix
+from nilorbits.correspondence import RankSignature, pattern_to_matrix
 from nilorbits.harness import random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               borel_subalgebra_dim, form_matrix, group_member,
-                              is_two_nilpotent, lie_algebra_basis,
-                              lie_algebra_dim, lie_member, matrix_from_json,
-                              matrix_from_obj, matrix_to_json, orbit_dimension,
-                              parabolic_dim, rank)
+                              is_two_nilpotent, lie_algebra_dim, lie_member,
+                              matrix_from_json, matrix_from_obj, matrix_to_json,
+                              orbit_dimension, parabolic_dim, rank)
 from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
                               _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
@@ -228,17 +227,26 @@ def test_centralizer_and_orbit_dimension_frozen():
         orbit_dimension(semisimple, spec)
 
 
-def test_lie_algebra_basis_spans_and_respects_support():
-    for g in (GroupKind.symplectic(4), GroupKind.orthogonal(4),
-              GroupKind.orthogonal(5)):
-        basis = lie_algebra_basis(g)
-        assert len(basis) == lie_algebra_dim(g)
-        assert all(lie_member(b, g) for b in basis)
-        borel = lie_algebra_basis(g, SpaceSpec.borel(g).flag)
-        assert len(borel) == borel_subalgebra_dim(g)
-        assert all(b.is_upper_triangular() and lie_member(b, g) for b in borel)
-        upper = [b for b in borel if b.is_upper_triangular(strict=True)]
-        assert len(upper) == borel_subalgebra_dim(g) - g.l
+_SP4_SPEC = SpaceSpec(GroupKind.symplectic(4), (1, 2))
+
+
+@pytest.mark.parametrize("call, args", [
+    (Matrix.unit, (3, 1.5, 2)), (Matrix.unit, (3, True, 1)),
+    (Matrix.unit, (3, 1, 4)), (Matrix.unit, (1.5, 1, 1)),
+    (Matrix.identity, (-2,)), (Matrix.identity, (Fraction(3),)),
+    (Matrix.identity, (True,)),
+    (Matrix.zero(2).entry, (1.5, 1)), (Matrix.zero(2).entry, (1, True)),
+    (Matrix.zero(2).entry, (0, 1)),
+    (RankSignature(2, ()).rank, (1.5, 1)),
+    (RankSignature(2, ()).rank, (True, 1)), (RankSignature(2, ()).rank, (1, -1)),
+    (_SP4_SPEC.block_of, (0,)), (_SP4_SPEC.block_of, (True,)),
+    (_SP4_SPEC.block_of, (1.5,)), (_SP4_SPEC.block_of, (3,)),
+], ids=lambda v: v.__qualname__ if callable(v) else repr(v))
+def test_index_arguments_are_refused_unless_integers_in_range(call, args):
+    # A bool, a non-integer or an index out of range is a DomainError,
+    # never a silent zero, a silent first block or a TypeError.
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 def test_matrix_json_round_trip():

@@ -138,11 +138,36 @@ def test_one_elimination_kernel_and_one_gcd_importer():
             "rank_signature"} <= set(callers["_eliminate"])
     assert "parabolic_dim" not in callers["_eliminate"]
     assert callers["_coordinates"] == {"parabolic_dim": 1, "orbit_dimension": 1,
-                                       "lie_algebra_basis": 1, "symmetric_endo_dim": 1}
+                                       "_root_elements": 1, "symmetric_endo_dim": 1}
     assert set(callers["_keeps"]) == {"_coordinates", "symmetric_endo_dim"}
     assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
     assert callers["_eliminate"]["orbit_dimension"] == 1
     assert importers == {"linalg"}
+
+
+def test_the_form_is_applied_by_signed_row_reversal():
+    # F is anti-diagonal with entries +-1, so no library function forms it
+    # or an identity: F m is `linalg._form_times`, which the group test and
+    # the isotropy check of a flag representation call, and the root
+    # elements are read off the coordinates.  `form_matrix` stays public as
+    # the dense reference of the tests and the acceptance gate.
+    dense, form_times = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == "form_matrix"
+                        or isinstance(func, ast.Attribute) and func.attr == "identity"
+                        and isinstance(func.value, ast.Name) and func.value.id == "Matrix"):
+                    dense.append((path.stem, node.name))
+            if _calls(node, "_form_times"):
+                form_times.add((path.stem, node.name))
+    assert dense == []
+    assert form_times == {("linalg", "group_member"), ("quiver", "__post_init__")}
 
 
 def test_one_arc_table_read_off_the_mates():

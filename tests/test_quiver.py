@@ -10,7 +10,7 @@ from nilorbits.cli import main
 from nilorbits.correspondence import (parabolic_representative,
                                       pattern_to_matrix, refine)
 from nilorbits.harness import random_group_element_pair
-from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, form_matrix,
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _form_times,
                               group_member, orbit_dimension, parabolic_dim, rank)
 from nilorbits.patterns import (LinkPattern, _free_capacity, consumption, dotted,
                                 enumerate_patterns, pattern_from_json, pattern_to_json,
@@ -356,8 +356,8 @@ def test_the_empty_flag_goes_through_the_rank_and_isotropy_checks(monkeypatch):
     # so the empty flag is checked like every other flag, not skipped.
     checked = []
     monkeypatch.setattr(quiver, "rank", lambda m: checked.append(("rank", m)) or rank(m))
-    monkeypatch.setattr(quiver, "form_matrix",
-                        lambda g: checked.append(("form", g)) or form_matrix(g))
+    monkeypatch.setattr(quiver, "_form_times",
+                        lambda m, g: checked.append(("form", g)) or _form_times(m, g))
     for g in (GroupKind.symplectic(4), GroupKind.orthogonal(4), GroupKind.orthogonal(5)):
         spec = SpaceSpec(g, ())
         checked.clear()
