@@ -18,7 +18,7 @@ from .correspondence import (_MAX_TABLE_N, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern, tex_table)
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _SHORT, _dumps, matrix_from_json, matrix_to_json, orbit_dimension)
+                     _SHORT, _dumps, _orbit_dimension, matrix_from_json, matrix_to_json)
 from .patterns import (_arcs_text, _csv_row, _json_line, _level_json, _patterns, _search,
                        count_borel, pattern_from_json, pattern_to_obj)
 from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
@@ -195,8 +195,10 @@ def _cmd_identify(args) -> int:
         spec = SpaceSpec.borel(g)
         p = identify(x, g)
     # x is in the P-orbit of p's representative, and the orbit dimension is
-    # constant on a P-orbit: solve on the 0/+-1 representative, not on x
-    dim = orbit_dimension(parabolic_representative(p, spec), spec)
+    # constant on a P-orbit: solve on the 0/+-1 representative, not on x.
+    # It is in the algebra and squares to zero by construction, so only the
+    # input passes the gate.
+    dim = _orbit_dimension(parabolic_representative(p, spec), spec)
     if args.format == "json":
         _emit(args, _dumps({"pattern": pattern_to_obj(p), "orbit_dimension": dim}))
     elif args.format == "tex":

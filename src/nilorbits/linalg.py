@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -52,6 +53,13 @@ def _is_int(v) -> bool:
 def _within(v, lo: int, hi: int) -> bool:
     """True iff v is a non-bool int with lo <= v <= hi: an index argument."""
     return _is_int(v) and lo <= v <= hi
+
+
+def _require_sizes(*sizes):
+    """Refuse any matrix size that is not a non-negative, non-bool int."""
+    if not all(_is_int(v) and v >= 0 for v in sizes):
+        raise DomainError(f"matrix sizes must be non-negative integers, got "
+                          f"{', '.join(map(repr, sizes))}")
 
 
 def _frac(value) -> Fraction:
@@ -151,13 +159,13 @@ class Matrix:
     @staticmethod
     def zero(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
+        _require_sizes(rows, cols)
         z = Fraction(0)
         return Matrix(tuple(tuple(z for _ in range(cols)) for _ in range(rows)), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        if not (_is_int(n) and n >= 0):
-            raise DomainError(f"matrix size must be a non-negative integer, got {n!r}")
+        _require_sizes(n)
         return Matrix(tuple(tuple(Fraction(1 if p == q else 0) for q in range(n))
                             for p in range(n)))
 
@@ -497,34 +505,48 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
     0..cols-1.  The pivot of column c is the first remaining row, in the
     order given, that holds c: rows are never swapped, and a row only loses
     multiples of rows before it.  Returns (input row index, column) for each
-    pivot and leaves the pivot rows in `rows`, in pivot order.  Every
-    remaining row is updated at every step, so dividing by the previous
-    pivot is exact (Sylvester's identity) and the entries stay integral.
+    pivot and leaves the pivot rows in `rows`, in pivot order.
+
+    Each remaining row is filed under its leading column.  When the
+    elimination reaches c, no remaining row holds a column left of c, so
+    the rows filed under c are exactly the rows that hold it, and a step
+    touches only them.  Every row is an integral minor of the input
+    (Sylvester's identity), and one-step Bareiss scales each row that does
+    not hold the step's column by lead / prev.  These factors telescope, so
+    a row records the prev it was last brought to and is brought current,
+    v * prev_now // prev_then, only when a step touches it: exact, and
+    equal to scaling every remaining row at every step.
     """
+    level = [1] * len(rows)   # the prev each row was last brought to
+    leading: list[list[int]] = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        if row:
+            leading[min(row)].append(i)
     pivots: list[tuple[int, int]] = []
     tops = []
-    live = list(enumerate(rows))
     prev = 1
     for c in range(cols):
-        at = next((s for s, (_, row) in enumerate(live) if c in row), None)
-        if at is None:
+        found = sorted(leading[c])
+        if not found:
             continue
-        i, top = live.pop(at)
+        i = found[0]
+        top = rows[i]
+        if level[i] != prev:
+            top = {j: v * prev // level[i] for j, v in top.items()}
         lead = top[c]
-        rest = []
-        for k, row in live:
-            head = row.pop(c, 0)
-            if head:
-                acc = {j: lead * v for j, v in row.items()}
-                for j, v in top.items():
-                    if j != c:
-                        acc[j] = acc.get(j, 0) - head * v
-                row = {j: v // prev for j, v in acc.items() if v}
-            elif lead != prev:
-                row = {j: lead * v // prev for j, v in row.items()}
+        for k in found[1:]:
+            row, then = rows[k], level[k]
+            if then != prev:
+                row = {j: v * prev // then for j, v in row.items()}
+            head = row.pop(c)
+            acc = {j: lead * v for j, v in row.items()}
+            for j, v in top.items():
+                if j != c:
+                    acc[j] = acc.get(j, 0) - head * v
+            row = {j: v // prev for j, v in acc.items() if v}
             if row:
-                rest.append((k, row))
-        live = rest
+                rows[k], level[k] = row, lead
+                leading[min(row)].append(k)
         pivots.append((i, c))
         tops.append(top)
         prev = lead
@@ -543,8 +565,9 @@ def rank(m: Matrix) -> int:
 
 def _keeps(flag: Sequence[int], r: int, c: int) -> bool:
     """The flag rule: True iff the 0-based entry (r, c) keeps every step of
-    `flag`, that is no step d has c < d <= r (1-based: c <= d < r)."""
-    return not any(c < d <= r for d in flag)
+    `flag`, that is no step d has c < d <= r (1-based: c <= d < r).  The
+    flag is sorted, so that is r <= c or as many steps are <= r as <= c."""
+    return r <= c or bisect_right(flag, r) == bisect_right(flag, c)
 
 
 def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
@@ -568,28 +591,36 @@ def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
 
 
 def _intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:
-    """Sparse integer rows stating A_head f - f A_tail = 0.
+    """Sparse integer rows stating A_head f - f A_tail = 0: one row for each
+    0-based position (p, q) of f whose equation is not 0 = 0, row-major.
 
     A block of unknowns maps each 0-based position of its matrix to
     (unknown, coefficient); a missing position is zero.  The condition is
-    homogeneous in f, so it reads the integer rows of f.
+    homogeneous in f, so it reads the integer rows of f, and only their
+    nonzero entries: f[r][q] = v adds A_head[p][r] v to every position
+    (p, q) and -v A_tail[q][s] to every position (r, s).
     """
-    fi = f._ints[0]
-    in_row = [[(r, v) for r, v in enumerate(row) if v] for row in fi]
-    in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*fi)]
+    by_col: dict[int, list] = {}   # head: column r -> (row p, unknown, coefficient)
+    for (p, r), (i, coef) in head.items():
+        by_col.setdefault(r, []).append((p, i, coef))
+    by_row: dict[int, list] = {}   # tail: row q -> (column s, unknown, coefficient)
+    for (q, s), (i, coef) in tail.items():
+        by_row.setdefault(q, []).append((s, i, coef))
+    entries: dict[tuple[int, int], dict[int, int]] = {}
+    for r, row in enumerate(f._ints[0]):
+        for q, v in enumerate(row):
+            if v:
+                for p, i, coef in by_col.get(r, ()):
+                    acc = entries.setdefault((p, q), {})
+                    acc[i] = acc.get(i, 0) + coef * v
+                for s, i, coef in by_row.get(q, ()):
+                    acc = entries.setdefault((r, s), {})
+                    acc[i] = acc.get(i, 0) - coef * v
     rows = []
-    for p in range(f.rows):
-        for q in range(f.cols):
-            # entry (p, q): sum_r A_head[p][r] f[r][q] - f[p][r] A_tail[r][q]
-            row: dict[int, int] = {}
-            for block, pos, v in ([(head, (p, r), v) for r, v in in_col[q]]
-                                  + [(tail, (r, q), -v) for r, v in in_row[p]]):
-                if pos in block:
-                    i, coef = block[pos]
-                    row[i] = row.get(i, 0) + coef * v
-            row = {i: v for i, v in row.items() if v}
-            if row:
-                rows.append(row)
+    for pos in sorted(entries):
+        row = {i: v for i, v in entries[pos].items() if v}
+        if row:
+            rows.append(row)
     return rows
 
 
@@ -612,6 +643,12 @@ def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     """dim(parabolic orbit of x) = dim p - dim centralizer_p(x): the rank of
     a |-> [a, x] on the coordinates of p."""
     require_two_nilpotent(x, spec.group)
+    return _orbit_dimension(x, spec)
+
+
+def _orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
+    """`orbit_dimension` of an x known to be a 2-nilpotent member of the
+    algebra of spec's group, such as a pattern's representative: no gate."""
     count, entry = _coordinates(spec)
     rows = _intertwiner_rows(x, entry, entry)
     rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low

@@ -119,6 +119,66 @@ def reference_first_row_pivots(rows, cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+def reference_eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
+    """One-step Bareiss with the kernel's contract, written plainly: each
+    column's pivot is found by scanning the remaining rows in order, and
+    every remaining row is updated (or rescaled by lead / prev) at every
+    step.  The oracle for `linalg._eliminate`, which indexes the columns and
+    rescales lazily: equal pivots and equal pivot rows."""
+    pivots: list[tuple[int, int]] = []
+    tops = []
+    live = list(enumerate(rows))
+    prev = 1
+    for c in range(cols):
+        at = next((s for s, (_, row) in enumerate(live) if c in row), None)
+        if at is None:
+            continue
+        i, top = live.pop(at)
+        lead = top[c]
+        rest = []
+        for k, row in live:
+            head = row.pop(c, 0)
+            if head:
+                acc = {j: lead * v for j, v in row.items()}
+                for j, v in top.items():
+                    if j != c:
+                        acc[j] = acc.get(j, 0) - head * v
+                row = {j: v // prev for j, v in acc.items() if v}
+            elif lead != prev:
+                row = {j: lead * v // prev for j, v in row.items()}
+            if row:
+                rest.append((k, row))
+        live = rest
+        pivots.append((i, c))
+        tops.append(top)
+        prev = lead
+    rows[:] = tops
+    return pivots
+
+
+def reference_intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:
+    """The rows of A_head f - f A_tail = 0 built position by position: at
+    each (p, q), a column scan of f for the head terms and a row scan for
+    the tail terms.  The oracle for `linalg._intertwiner_rows`, which walks
+    f's nonzero entries instead."""
+    fi = f._ints[0]
+    in_row = [[(r, v) for r, v in enumerate(row) if v] for row in fi]
+    in_col = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*fi)]
+    rows = []
+    for p in range(f.rows):
+        for q in range(f.cols):
+            row: dict[int, int] = {}
+            for block, pos, v in ([(head, (p, r), v) for r, v in in_col[q]]
+                                  + [(tail, (r, q), -v) for r, v in in_row[p]]):
+                if pos in block:
+                    i, coef = block[pos]
+                    row[i] = row.get(i, 0) + coef * v
+            row = {i: v for i, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
 def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     """Lower-left-rank-preserving pivots of a square matrix over Fractions:
     columns left to right, the bottom-most nonzero is the pivot, upper rows

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -23,9 +24,9 @@ from nilorbits.correspondence import (_MAX_TABLE_N, parabolic_representative,
 from nilorbits.harness import brute_force_count, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
                               matrix_to_json, orbit_dimension)
-from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns,
-                                pattern_from_json, pattern_to_json,
-                                unoriented_loop, upper_loop)
+from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns, lower_loop,
+                                pattern_from_json, pattern_from_obj, pattern_to_json,
+                                undotted, unoriented_loop, upper_loop)
 from nilorbits.quiver import _MAX_AR_RANK, multiset_to_json, pattern_to_summands
 
 from conftest import reference_lie_violation, residual_count
@@ -152,6 +153,38 @@ def test_identify_refuses_a_group_past_the_arc_table_bound_before_its_gate(capsy
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"nilorbits identify: sp_{n}: ")
+
+
+def seeded_borel_pattern(kind: str, l: int, seed: int) -> LinkPattern:
+    """A Borel pattern on l vertices drawn from `seed`: a random partial
+    matching of random arcs and, for sp, a dotted loop or none on each
+    unmatched vertex."""
+    rng = random.Random(seed)
+    vertices = rng.sample(range(1, l + 1), l)
+    m = rng.randint(0, l // 2)
+    arcs = [rng.choice((undotted, dotted))(a, b)
+            for a, b in zip(vertices[:m], vertices[m:2 * m])]
+    loops = (upper_loop, lower_loop) if kind == "symplectic" else ()
+    arcs += [loop(v) for v in vertices[2 * m:]
+             for loop in [rng.choice((None, *loops))] if loop]
+    return LinkPattern.borel(kind, l, arcs)
+
+
+def test_identify_answers_an_sp200_representative_in_bounded_time():
+    # Each elimination step touches only the rows that hold its column, so
+    # a legal input of n = 200 is answered well inside the timeout.
+    g = GroupKind.symplectic(200)
+    p = seeded_borel_pattern(g.family, g.l, 200)
+    assert len(p.arcs) > g.l // 2
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli", "identify", "--group", "sp",
+                           "--format", "json"], input=matrix_to_json(pattern_to_matrix(p, g)),
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert pattern_from_obj(got["pattern"]) == p
+    assert 0 < got["orbit_dimension"] <= _coordinates(SpaceSpec.borel(g))[0]
 
 
 @pytest.mark.parametrize("level", [["--rank", "3000"], ["--rank", "1000000000"],

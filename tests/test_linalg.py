@@ -1,25 +1,25 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import RankSignature, pattern_to_matrix
-from nilorbits.harness import random_group_element_pair
+from nilorbits.harness import _root_word, _word_act, random_group_element_pair
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               borel_subalgebra_dim, form_matrix, group_member,
                               is_two_nilpotent, lie_algebra_dim, lie_member,
                               matrix_from_json, matrix_from_obj, matrix_to_json,
                               orbit_dimension, parabolic_dim, rank)
-from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _eliminate,
-                              _lie_violation, _square_violation)
+from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _coordinates, _eliminate,
+                              _intertwiner_rows, _keeps, _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
 from conftest import (dense_commutant_dim, flag_positions, naive_rank,
-                      random_rational_matrix, reference_first_row_pivots,
-                      reference_lie_violation)
+                      random_rational_matrix, reference_eliminate, reference_first_row_pivots,
+                      reference_intertwiner_rows, reference_lie_violation)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -82,6 +82,17 @@ def test_matrices_without_rows_or_columns_keep_their_shapes():
     for bad in (-1, True, False, "2"):
         with pytest.raises(DomainError, match="non-negative integer"):
             Matrix((), bad)
+
+
+@pytest.mark.parametrize("sizes", [(2, True), (True,), (False, 2), (1.5,), (2, 1.5),
+                                   (-1,), (2, -1), ("3",), (None,), (2, Fraction(2))])
+def test_zero_and_identity_refuse_bad_sizes(sizes):
+    # A bool, a float or a negative size is refused, never read as a count.
+    with pytest.raises(DomainError, match="sizes must be non-negative integers"):
+        Matrix.zero(*sizes)
+    if len(sizes) == 1:
+        with pytest.raises(DomainError, match="sizes must be non-negative integers"):
+            Matrix.identity(*sizes)
 
 
 def test_forms_symmetry():
@@ -628,3 +639,86 @@ def test_orbit_dimension_is_invariant_under_borel_conjugation():
         fractional += any(v.denominator > 1 for row in conjugate.entries for v in row)
         assert orbit_dimension(conjugate, spec) == orbit_dimension(x, spec), p.text()
     assert fractional > 0
+
+
+# -- the indexed kernel against the scanning reference --------------------------
+
+
+def assert_kernels_agree(rows: list[dict[int, int]], cols: int):
+    """`_eliminate` and `conftest.reference_eliminate` give the same pivots
+    and leave equal pivot rows, each on its own copy of `rows`."""
+    ours, theirs = [dict(row) for row in rows], [dict(row) for row in rows]
+    assert _eliminate(ours, cols) == reference_eliminate(theirs, cols)
+    assert ours == theirs
+
+
+@st.composite
+def integer_systems(draw):
+    # Sparse or dense rows; some are zero, some scaled copies, and some
+    # sums of two earlier rows, so that rows vanish or cancel mid-elimination.
+    cols = draw(st.integers(1, 12))
+    entries = (st.integers(-9, 9) if draw(st.booleans())
+               else st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, -3, 7)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("random", "random", "zero", "sum")),
+                              max_size=14)):
+        if kind == "sum" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.sampled_from((1, -1, 2))), draw(st.sampled_from((1, -2, 3)))
+            rows.append({j: v for j in range(cols) if (v := s * a.get(j, 0) + t * b.get(j, 0))})
+        elif kind == "zero":
+            rows.append({})
+        else:
+            rows.append({j: v for j in range(cols) if (v := draw(entries))})
+    return rows, cols
+
+
+@deterministic
+@given(integer_systems())
+def test_kernel_equals_the_scanning_reference(case):
+    assert_kernels_agree(*case)
+
+
+BOREL_SYSTEM_GROUPS = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+                       + [GroupKind.orthogonal(n) for n in range(3, 10)])
+
+
+def test_orbit_systems_equal_the_position_by_position_reference():
+    # Every Borel orbit system of sp_2 ... sp_8 and o_3 ... o_9, as
+    # `orbit_dimension` builds and orders it.
+    systems = 0
+    for g in BOREL_SYSTEM_GROUPS:
+        spec = SpaceSpec.borel(g)
+        count, entry = _coordinates(spec)
+        for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
+            x = pattern_to_matrix(p, g)
+            rows = _intertwiner_rows(x, entry, entry)
+            assert rows == reference_intertwiner_rows(x, entry, entry), (g.name, p.text())
+            rows.sort(key=len)
+            assert_kernels_agree(rows, count)
+            systems += 1
+    assert systems == 607
+
+
+@pytest.mark.parametrize("g", [GroupKind.symplectic(6), GroupKind.orthogonal(7),
+                               GroupKind.orthogonal(8)], ids=lambda g: g.name)
+def test_rank_signature_rows_of_root_word_conjugates_equal_the_reference(g):
+    # `rank_signature` hands the kernel a conjugate's rows bottom-up; the
+    # conjugates are dense with large entries, where lazy rescaling does
+    # the most.
+    spec = SpaceSpec.borel(g)
+    for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
+        y = _word_act(_root_word(spec, 500 + seed), pattern_to_matrix(p, g))
+        rows = [{j: v for j, v in enumerate(row) if v} for row in reversed(y._ints[0])]
+        assert_kernels_agree(rows, g.n)
+
+
+def test_the_flag_rule_equals_its_any_form():
+    # `_keeps` reads the rule off the sorted flag; every flag of every
+    # group with n <= 13, at every position.
+    for n in range(1, 14):
+        for k in range(n // 2 + 1):
+            for flag in combinations(range(1, n // 2 + 1), k):
+                got = [_keeps(flag, r, c) for r in range(n) for c in range(n)]
+                assert got == [not any(c < d <= r for d in flag)
+                               for r in range(n) for c in range(n)], (n, flag)

@@ -134,14 +134,14 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     assert defined == {"_eliminate": ["linalg"], "_coordinates": ["linalg"],
                        "_keeps": ["linalg"], "_intertwiner_rows": ["linalg"],
                        "_inclusions": []}
-    assert {"rank", "orbit_dimension", "symmetric_endo_dim",
+    assert {"rank", "_orbit_dimension", "symmetric_endo_dim",
             "rank_signature"} <= set(callers["_eliminate"])
     assert "parabolic_dim" not in callers["_eliminate"]
-    assert callers["_coordinates"] == {"parabolic_dim": 1, "orbit_dimension": 1,
+    assert callers["_coordinates"] == {"parabolic_dim": 1, "_orbit_dimension": 1,
                                        "_root_elements": 1, "symmetric_endo_dim": 1}
     assert set(callers["_keeps"]) == {"_coordinates", "symmetric_endo_dim"}
     assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
-    assert callers["_eliminate"]["orbit_dimension"] == 1
+    assert callers["_eliminate"]["_orbit_dimension"] == 1
     assert importers == {"linalg"}
 
 
@@ -197,17 +197,37 @@ def test_one_arc_table_read_off_the_mates():
 def test_cli_identify_solves_on_the_decoded_representative():
     # The orbit dimension is constant on a P-orbit, so CLI `identify` solves
     # it on the representative of the pattern it decoded, never on the
-    # conjugated input, whose cleared rows grow under elimination.
+    # conjugated input, whose cleared rows grow under elimination.  That
+    # representative is a member with x^2 = 0 by construction, so the
+    # solve is the ungated `_orbit_dimension`: only the input is gated.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     handler = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "_cmd_identify")
     solves = [call for call in ast.walk(handler) if isinstance(call, ast.Call)
-              and isinstance(call.func, ast.Name) and call.func.id == "orbit_dimension"]
+              and isinstance(call.func, ast.Name) and call.func.id == "_orbit_dimension"]
     assert len(solves) == 1
     (point, _), keywords = solves[0].args, solves[0].keywords
     assert keywords == []
     assert isinstance(point, ast.Call) and isinstance(point.func, ast.Name)
     assert point.func.id == "parabolic_representative"
+
+
+def test_public_orbit_dimension_gates_before_the_ungated_solve():
+    # `orbit_dimension` takes any matrix, so it refuses a non-member or an
+    # x with x^2 != 0 before it solves; the ungated `_orbit_dimension` has
+    # two callers, that gate and CLI `identify` on its representative.
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    public = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "orbit_dimension")
+    calls = [call.func.id for call in ast.walk(public)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+    assert calls == ["require_two_nilpotent", "_orbit_dimension"]
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and _calls(node, "_orbit_dimension"):
+                callers.add((path.stem, node.name))
+    assert callers == {("linalg", "orbit_dimension"), ("cli", "_cmd_identify")}
 
 
 def test_cli_calls_no_membership_check():

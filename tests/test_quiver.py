@@ -24,7 +24,8 @@ from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
                               total_dimension_vector)
 
 from conftest import (dense_commutant_dim, enumerate_strings, flag_positions,
-                      hom_dim, reference_summands, string_module)
+                      hom_dim, reference_eliminate, reference_intertwiner_rows,
+                      reference_summands, string_module)
 
 
 def test_degenerate_names_normalize():
@@ -436,6 +437,43 @@ def test_endo_dim_with_loop_matches_the_dense_stabilizer(g):
             x = pattern_to_matrix(p, g)
             assert (symmetric_endo_dim(realize_flag(spec, loop=x))
                     == dense_commutant_dim(g, positions, x)), (flag, p.text())
+
+
+def test_stabilizer_systems_equal_the_reference_kernel_and_rows(monkeypatch):
+    # Every system `symmetric_endo_dim` builds on every flag of sp_2 ...
+    # sp_8 and o_1 ... o_9: the bare flag, and with the loop of each orbit
+    # representative where the flag reaches l.  Its rows equal the
+    # position-by-position reference, and the kernel on them equals the
+    # scanning reference: the same pivots and pivot rows.
+    build, eliminate = quiver._intertwiner_rows, quiver._eliminate
+    systems = []
+
+    def checked_rows(f, head, tail):
+        rows = build(f, head, tail)
+        assert rows == reference_intertwiner_rows(f, head, tail)
+        return rows
+
+    def checked_kernel(rows, cols):
+        theirs = [dict(row) for row in rows]
+        pivots = eliminate(rows, cols)
+        assert pivots == reference_eliminate(theirs, cols) and rows == theirs
+        systems.append(cols)
+        return pivots
+
+    monkeypatch.setattr(quiver, "_intertwiner_rows", checked_rows)
+    monkeypatch.setattr(quiver, "_eliminate", checked_kernel)
+    groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 10)])
+    for g in groups:
+        for k in range(g.l + 1):
+            for flag in combinations(range(1, g.l + 1), k):
+                spec = SpaceSpec(g, flag)
+                symmetric_endo_dim(spec)
+                if flag and flag[-1] == g.l:
+                    for p in enumerate_patterns(g.family, k, spec.blocks):
+                        x = parabolic_representative(p, spec)
+                        symmetric_endo_dim(realize_flag(spec, loop=x))
+    assert len(systems) == 2045
 
 
 def test_endo_dim_is_unchanged_by_rational_bases_and_conjugate_loops():
