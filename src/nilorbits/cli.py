@@ -19,8 +19,9 @@ from .correspondence import (_MAX_TABLE_N, identify, identify_parabolic,
 from .harness import SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      _SHORT, _dumps, _orbit_dimension, matrix_from_json, matrix_to_json)
-from .patterns import (_arcs_text, _csv_row, _json_line, _level_json, _patterns, _search,
-                       count_borel, pattern_from_json, pattern_to_obj)
+from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _arcs_text, _csv_row,
+                       _json_line, _level_json, _patterns, _search, count_borel,
+                       pattern_from_json, pattern_to_obj)
 from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
@@ -127,11 +128,17 @@ def _matrix_text(m) -> str:
 # (a peak RSS near 25 MB at sp l=5, 2,043 patterns; near 90 MB at sp l=6, 13,029).
 _TEX_MAX_PATTERNS = 5000
 
+# How the search joins each pattern's arcs for `enumerate --format`: the
+# streamed formats take the joined string their line helper wraps, and tex
+# takes the arc tuples it makes patterns of.
+_ENUMERATE_JOINS = {"json": _JSON_ARCS, "csv": _CSV_ARCS, "text": _TEXT_ARCS,
+                    "tex": _ARC_TUPLE}
+
 
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
     # refuses a bad level before anything is written or a Borel block tuple built
-    b, found = _search(kind, k, b or repeat(1, k))
+    b, found = _search(kind, k, b or repeat(1, k), _ENUMERATE_JOINS[args.format])
     if args.format == "json":
         _stream(args, map(_json_line, found, repeat(_level_json(kind, k, b))))
     elif args.format == "csv":

@@ -662,21 +662,26 @@ def _scalar_to_obj(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_ZERO = Fraction(0)   # Fractions are immutable, so every zero entry read shares it
 
 
 def _scalar_from_obj(v) -> Fraction:
     if isinstance(v, bool):
         raise DomainError("matrix entries must be rationals")
     if isinstance(v, int):
-        return Fraction(v)
+        return Fraction(v) if v else _ZERO
     if isinstance(v, str):
         # Only the documented "p/q" form: Fraction alone would also take
         # decimals and exponents, and "1e999999" builds a million-digit int.
-        if not _RATIONAL_LITERAL.fullmatch(v):
+        # The match's two sides are read with int(), which refuses past
+        # Python's int digit limit, as Fraction(str) would.
+        literal = _RATIONAL_LITERAL.fullmatch(v)
+        if not literal:
             raise DomainError(f"bad rational literal {v!r}")
+        p, q = literal.groups()
         try:
-            return Fraction(v)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad rational literal {v!r}") from exc
     raise DomainError(f"matrix entries must be integers or 'p/q' strings, got {type(v).__name__}")

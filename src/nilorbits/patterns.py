@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import sub
+from operator import attrgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _dumps,
@@ -147,17 +147,41 @@ class LinkPattern:
         return tuple(arc.key() for arc in self.arcs)
 
     def text(self) -> str:
-        return _arcs_text(self.arcs)
+        return _arcs_text(_joined(self.arcs, _TEXT_ARCS))
 
 
-def _arcs_text(arcs: tuple[Arc, ...]) -> str:
-    """`LinkPattern.text` of the pattern with these arcs."""
-    return "{" + ", ".join([a._text for a in arcs]) + "}"
+def _one_arc(arc: Arc) -> tuple[Arc]:
+    """The arc as a one-arc tuple: `_search` joins these into arc tuples."""
+    return (arc,)
 
 
-def _csv_row(index: int, arcs: tuple[Arc, ...]) -> str:
-    """The CLI's csv row of the pattern with these arcs."""
-    return f"{index}," + ";".join([a._text for a in arcs])
+# How each writer joins a pattern's arcs: an item per arc and the separator
+# between items.  `_search` joins every pattern it finds with one of them,
+# and `_joined` joins a pattern's own arcs with the same pair, so the line
+# helpers below take the joined string and each writer's layout is stated
+# once.  The arc tuple is the search's default.
+_ARC_TUPLE = (_one_arc, ())
+_JSON_ARCS = (attrgetter("_json"), ",")
+_TEXT_ARCS = (attrgetter("_text"), ", ")
+_CSV_ARCS = (attrgetter("_text"), ";")
+
+
+def _joined(arcs: tuple[Arc, ...], join: tuple) -> str:
+    """These arcs joined as `_search` would join them with `join`."""
+    item, sep = join
+    return sep.join(map(item, arcs))
+
+
+def _arcs_text(arcs: str) -> str:
+    """`LinkPattern.text` of the pattern whose arcs join to `arcs` under
+    `_TEXT_ARCS`."""
+    return "{" + arcs + "}"
+
+
+def _csv_row(index: int, arcs: str) -> str:
+    """The CLI's csv row of the pattern whose arcs join to `arcs` under
+    `_CSV_ARCS`."""
+    return f"{index},{arcs}"
 
 
 def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
@@ -234,67 +258,111 @@ def _trusted(kind: str, k: int, b: tuple[int, ...], arcs: tuple[Arc, ...]) -> Li
 
 
 # `_search` tabulates the 2k^2 + k arc types of its level before the first
-# pattern: about 17 MB and 0.6 s at this bound, reached at k = 223.  A level
-# with more types is refused before its table or its block tuple is built.
+# pattern: at this bound, reached at k = 223, about 0.6 s and 20 MB of peak
+# RSS over the imported package (2-core VM, Python 3.11).  A level with more
+# types is refused before its table or its block tuple is built.
 _MAX_ARC_TYPES = 100_000
 
 
-def _search(kind: str, k: int,
-            b: Iterable[int]) -> tuple[tuple[int, ...], Iterator[tuple[Arc, ...]]]:
-    """The checked capacities of the level and the arc tuple of each of its
-    valid patterns, streamed in canonical order.
+def _search(kind: str, k: int, b: Iterable[int],
+            join: tuple = _ARC_TUPLE) -> tuple[tuple[int, ...], Iterator]:
+    """The checked capacities of the level and each of its valid patterns,
+    streamed in canonical order, as its arcs joined under `join`.
 
-    The level is checked here, before the first tuple is asked for: its
-    arc-type count first, so that `b` may be a lazy iterable.  The tuples
-    are bare: `enumerate_patterns` makes them patterns, and the CLI writes
-    or counts them as they are.
+    The level is checked here, before the first pattern is asked for: its
+    arc-type count first, so that `b` may be a lazy iterable.  By default a
+    pattern is its bare arc tuple (`_ARC_TUPLE`): `enumerate_patterns`
+    makes the tuples patterns, and the CLI counts them.  With one of the
+    writers' joins (`_JSON_ARCS`, `_TEXT_ARCS`, `_CSV_ARCS`) a pattern is
+    the string its line helper takes.
+
+    The level's table holds, per arc type, its costs at its lower and its
+    upper vertex (the upper is the lower, at cost 0, for a loop), the index
+    past the run of types that share its lower vertex and the index past
+    the run that share both its vertices.  `Arc.key` begins (lo, hi), so in
+    canonical order both runs are contiguous, and every type of a run takes
+    at least 1 at the run's vertex: the walk skips a run whose vertex has
+    nothing left.  Neighbours with equal entries share one tuple (the four
+    arcs of a vertex pair, say), so the jumps cost the table little memory.
     """
     if _is_int(k) and k * (2 * k + 1) > _MAX_ARC_TYPES:
         raise DomainError(f"level k={k} has {k * (2 * k + 1):,} arc types, over the "
                           f"{_MAX_ARC_TYPES:,} the enumerator tabulates (k <= 223)")
     b = LinkPattern(kind, k, tuple(b), ()).b
     types = _arc_types(k)
-    # (u, cu, v, cv): take cu at u and cv at v (0-based); a loop has cv = 0
-    costs = []
-    for t in types:
-        (u, cu), *rest = _arc_cost(t, kind)
+    # (lo, clo, hi, chi, past_lo, past_pair), 0-based, built from the last type
+    costs: list[tuple[int, ...]] = []
+    after = (-1, 0, -1, 0, 0, 0)   # the entry of the type after t
+    for t in reversed(range(len(types))):
+        (u, cu), *rest = _arc_cost(types[t], kind)
         v, cv = rest[0] if rest else (u, 0)
-        costs.append((u - 1, cu, v - 1, cv))
-    return b, _walk(b, types, costs)
+        lo, hi = min(u, v) - 1, max(u, v) - 1   # cu = cv = 1 for a non-loop
+        past_lo = after[4] if lo == after[0] else t + 1
+        past_pair = after[5] if (lo, hi) == (after[0], after[2]) else t + 1
+        cost = (lo, cu, hi, cv, past_lo, past_pair)
+        after = after if cost == after else cost
+        costs.append(after)
+    costs.reverse()
+    return b, _walk(b, costs, types, join)
 
 
-def _walk(b, types, costs) -> Iterator[tuple[Arc, ...]]:
+def _walk(b, costs, types, join) -> Iterator:
     """Pre-order depth-first walk over the arc types in `Arc.key` order with
     a non-decreasing index, taking a type only while every vertex it touches
-    has the capacity: each tuple it yields is valid and sorted, and it
+    has the capacity: each pattern it yields is valid and sorted, and it
     yields each multiset once, lexicographically on the canonical arc
-    encoding."""
+    encoding.
+
+    The walk skips what cannot fit.  At a type that does not fit, it jumps
+    past the type's lower-vertex run when that vertex has nothing left, or
+    past its vertex-pair run when the upper vertex of a non-loop has
+    nothing left, and steps to the next type otherwise.  This is exact:
+    nothing is taken or given back while the walk scans, so a scan of
+    every type would test each skipped type against the same capacities,
+    and each of them takes at least 1 at the vertex that has none left.
+    The walk yields what that scan yields, in the same order.
+
+    A pattern's value is its parent's value, the separator of `join`, and
+    the item of its last type (the item alone below the empty root), so
+    each is built from the value the walk already holds.  A type's item is
+    made once, when the walk first takes the type: a level's first
+    pattern costs no item per type.
+    """
+    make, sep = join
+    items = [None] * len(types)   # a type's item, made when it is first taken
     residual = list(b)
-    chosen: list[Arc] = []
-    stack: list[int] = []   # the chosen type indices
-    yield ()
-    t, end = 0, len(types)
+    empty = sep[:0]
+    taken: list[tuple[int, object]] = []   # (type index, value) of each chosen arc
+    yield empty
+    t, end = 0, len(costs)
     while True:
         while t < end:
-            u, cu, v, cv = costs[t]
-            if residual[u] >= cu and residual[v] >= cv:
+            lo, clo, hi, chi, past_lo, past_pair = costs[t]
+            if residual[lo] >= clo and residual[hi] >= chi:
                 break
-            t += 1
+            if not residual[lo]:
+                t = past_lo
+            elif not residual[hi]:
+                t = past_pair
+            else:
+                t += 1
         else:
-            if not stack:
+            if not taken:
                 return
-            t = stack.pop()
-            chosen.pop()
-            u, cu, v, cv = costs[t]
-            residual[u] += cu
-            residual[v] += cv
+            t, _ = taken.pop()
+            lo, clo, hi, chi, _, _ = costs[t]
+            residual[lo] += clo
+            residual[hi] += chi
             t += 1
             continue
-        residual[u] -= cu
-        residual[v] -= cv
-        stack.append(t)
-        chosen.append(types[t])
-        yield tuple(chosen)
+        residual[lo] -= clo
+        residual[hi] -= chi
+        item = items[t]
+        if item is None:
+            item = items[t] = make(types[t])
+        value = taken[-1][1] + sep + item if taken else item
+        taken.append((t, value))
+        yield value
 
 
 def _patterns(kind: str, k: int, b: tuple[int, ...],
@@ -440,17 +508,17 @@ def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
     return _dumps({"b": list(b), "k": k, "kind": kind})[1:]
 
 
-def _json_line(arcs: tuple[Arc, ...], level_json: str) -> str:
-    """`pattern_to_json` of the pattern with these arcs at the level whose
-    `_level_json` is given."""
-    return '{"arcs":[' + ",".join([a._json for a in arcs]) + "]," + level_json
+def _json_line(arcs: str, level_json: str) -> str:
+    """`pattern_to_json` of the pattern whose arcs join to `arcs` under
+    `_JSON_ARCS`, at the level whose `_level_json` is given."""
+    return f'{{"arcs":[{arcs}],{level_json}'
 
 
 def pattern_to_json(p: LinkPattern) -> str:
     """Canonical byte-stable serialization (arcs in canonical order): the
     `_dumps(pattern_to_obj(p))` bytes, joined from cached per-arc and
     per-level fragments."""
-    return _json_line(p.arcs, _level_json(p.kind, p.k, p.b))
+    return _json_line(_joined(p.arcs, _JSON_ARCS), _level_json(p.kind, p.k, p.b))
 
 
 def pattern_from_json(text: str) -> LinkPattern:

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from nilorbits.linalg import Matrix, _eliminate, _require_shape, form_matrix
-from nilorbits.patterns import LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, consumption
+from nilorbits.patterns import (LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, _arc_cost,
+                                _arc_types, consumption)
 from nilorbits.quiver import Summand, SymmetricPiece
 
 
@@ -338,6 +339,73 @@ def borel_valid_direct(kind: str, k: int, arcs) -> bool:
             return False
         seen |= ends
     return True
+
+
+def reference_walk(kind: str, k: int, b):
+    """The arc tuples of the valid patterns of a level, by a depth-first
+    walk that tests every arc type in `Arc.key` order, one at a time, with
+    a non-decreasing index, taking a type while every vertex it touches has
+    the capacity.  The oracle for `patterns._search`, which skips the runs
+    of types that cannot fit and joins each pattern from its parent's: the
+    same tuples in the same order."""
+    types = _arc_types(k)
+    costs = []   # (u, cu, v, cv), 0-based; a loop has cv = 0
+    for t in types:
+        (u, cu), *rest = _arc_cost(t, kind)
+        v, cv = rest[0] if rest else (u, 0)
+        costs.append((u - 1, cu, v - 1, cv))
+    residual = list(b)
+    chosen, stack = [], []
+    yield ()
+    t, end = 0, len(types)
+    while True:
+        while t < end:
+            u, cu, v, cv = costs[t]
+            if residual[u] >= cu and residual[v] >= cv:
+                break
+            t += 1
+        else:
+            if not stack:
+                return
+            t = stack.pop()
+            chosen.pop()
+            u, cu, v, cv = costs[t]
+            residual[u] += cu
+            residual[v] += cv
+            t += 1
+            continue
+        residual[u] -= cu
+        residual[v] -= cv
+        stack.append(t)
+        chosen.append(types[t])
+        yield tuple(chosen)
+
+
+TRUSTED_LEVELS = ([(kind, (1,) * l) for kind in ("symplectic", "orthogonal")
+                   for l in range(6)]
+                  + [(kind, b) for kind in ("symplectic", "orthogonal")
+                     for b in ((2, 1), (1, 2, 3), (2, 2, 3), (3, 3))])
+
+
+def _block_vectors(total: int, most: int):
+    """Every block vector of positive capacities at most `most` summing to
+    `total`, the empty one for 0."""
+    if total == 0:
+        yield ()
+    for first in range(1, min(total, most) + 1):
+        for rest in _block_vectors(total - first, most):
+            yield (first,) + rest
+
+
+# The levels `_search` is checked on against `reference_walk`: every Borel
+# level up to sp l=6 and o l=7, every block vector of sum at most 6 with
+# capacities at most 4 in both kinds, and the trusted levels.
+SEARCH_LEVELS = sorted(
+    {("symplectic", (1,) * l) for l in range(7)}
+    | {("orthogonal", (1,) * l) for l in range(8)}
+    | {(kind, b) for kind in ("symplectic", "orthogonal")
+       for total in range(7) for b in _block_vectors(total, 4)}
+    | set(TRUSTED_LEVELS))
 
 
 def raw_arc_costs(kind: str, k: int, b) -> tuple[list[dict], list[int]]:

@@ -29,7 +29,7 @@ from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns, lower_l
                                 undotted, unoriented_loop, upper_loop)
 from nilorbits.quiver import _MAX_AR_RANK, multiset_to_json, pattern_to_summands
 
-from conftest import reference_lie_violation, residual_count
+from conftest import SEARCH_LEVELS, reference_lie_violation, residual_count
 
 
 def test_count_borel_uses_the_recurrence(capsys):
@@ -251,6 +251,26 @@ def test_enumerate_text_and_csv_bytes_are_pinned(capsys, level):
         out = capsys.readouterr().out
         assert out.count("\n") == lines + (fmt == "csv"), fmt
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_enumerate_lines_are_the_library_serializations(capsys, kind):
+    # The CLI writes each pattern from the search's joined arc string; the
+    # library serializes the patterns `enumerate_patterns` builds.  Same
+    # bytes, on every level the search is checked on.
+    short = "sp" if kind == "symplectic" else "o"
+    for _, b in (level for level in SEARCH_LEVELS if level[0] == kind):
+        where = (["--blocks", ",".join(map(str, b))] if b and set(b) != {1}
+                 else ["--rank", str(len(b))])
+        pats = enumerate_patterns(kind, len(b), b)
+        want = {"json": [pattern_to_json(p) for p in pats],
+                "text": [p.text() for p in pats],
+                "csv": ["index,arcs"] + [f"{i}," + ";".join(a.text() for a in p.arcs)
+                                         for i, p in enumerate(pats, start=1)]}
+        for fmt, lines in want.items():
+            assert main(["enumerate", "--group", short, *where, "--format", fmt]) == 0
+            assert capsys.readouterr() == ("".join(f"{line}\n" for line in lines), ""), \
+                (b, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -8,6 +8,7 @@ from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_coun
                       reference_lie_violation, reference_word_act)
 from hypothesis import given, settings, strategies as st
 
+from nilorbits import harness
 from nilorbits.correspondence import (identify, identify_parabolic,
                                       parabolic_representative, pattern_to_matrix,
                                       rank_signature)
@@ -124,6 +125,22 @@ def test_suite_passes_and_reports_deterministically():
     assert ids == sorted(ids)
     assert all(item["status"] == "pass" for item in report["items"])
     assert suite_report_json(run_suite(config)) == suite_report_json(report)
+
+
+def test_suite_builds_representatives_only_for_the_families_that_read_them(monkeypatch):
+    # counts and dimensions never read a representative matrix, so a suite
+    # of only those builds none; each family that reads them builds them.
+    built = []
+    real = harness.pattern_to_matrix
+    monkeypatch.setattr(harness, "pattern_to_matrix",
+                        lambda p, g: built.append(p) or real(p, g))
+    report = run_suite(SuiteConfig(max_rank=2, checks=("counts", "dimensions")))
+    assert report["summary"] == {"total": 10, "failed": 0} and built == []
+    for family in ("separation", "conjugation", "nilradical"):
+        run_suite(SuiteConfig(kinds=("orthogonal",), max_rank=2, conjugations=1,
+                              checks=(family,)))
+        assert len(built) == 1 + 5, family   # o l=1 and l=2
+        built.clear()
 
 
 def test_suite_respects_the_configured_subsets():

@@ -270,6 +270,24 @@ def test_matrix_json_round_trip():
     assert parsed == Matrix.from_rows([[Fraction(-3, 4), Fraction(3, 2), 5]])
 
 
+def test_matrix_entries_read_as_fraction_reads_them():
+    # Each "p/q" side is read with int(); the value is what Fraction makes
+    # of the whole string, and every int zero is one shared Fraction.
+    literals = ["0", "-0", "+0/7", "007/014", "-6/4", "+3/9", "12/1", "-1/3",
+                "9" * 4300, "-1/" + "7" * 4300]
+    parsed = matrix_from_obj({"rows": 1, "cols": len(literals), "entries": [literals]})
+    assert list(parsed.entries[0]) == [Fraction(v) for v in literals]
+    zeros = matrix_from_obj({"rows": 2, "cols": 2, "entries": [[0, 0], [5, 0]]}).entries
+    assert {id(v) for v in (zeros[0][0], zeros[0][1], zeros[1][1])} == {id(zeros[0][0])}
+    assert zeros[0][0] == 0 and zeros[1][0] == 5
+    # a zero denominator and a side past the int digit limit are refused
+    # with the message any other bad literal gets
+    for literal in ("1/0", "-0/0", "1" * 4301, "1/" + "1" * 4301):
+        with pytest.raises(DomainError) as refused:
+            matrix_from_obj({"rows": 1, "cols": 1, "entries": [[literal]]})
+        assert str(refused.value) == f"bad rational literal {literal!r}"
+
+
 def test_matrix_json_rejects_malformed():
     with pytest.raises(DomainError):
         matrix_from_json("not json at all {")

@@ -238,10 +238,11 @@ def test_cli_calls_no_membership_check():
     assert checks & _names_read(PACKAGE / "cli.py") == set()
 
 
-def test_cli_streams_arc_tuples_without_building_patterns(monkeypatch):
-    # CLI `count` and `enumerate` (json, csv, text) read the search's arc
-    # tuples as they are; only the tex table, built whole in memory, makes
-    # them patterns, and only the pattern layer skips their constructor.
+def test_cli_streams_the_search_without_building_patterns(monkeypatch):
+    # CLI `count` reads the search's arc tuples and `enumerate` (json, csv,
+    # text) its joined arc strings, as they are; only the tex table, built
+    # whole in memory, makes arc tuples patterns, and only the pattern layer
+    # skips their constructor.
     def refuse(*args):
         raise AssertionError("a streamed command built a pattern")
 
@@ -263,6 +264,14 @@ def test_cli_streams_arc_tuples_without_building_patterns(monkeypatch):
         if _calls(ast.parse(path.read_text()), "_trusted"):
             trusting.add(path.stem)
     assert trusting == {"patterns"}
+
+
+def test_the_json_line_layout_is_stated_once():
+    # `_json_line` writes the one pattern-object layout for the CLI's
+    # stream and for `pattern_to_json`; no second writer spells it out.
+    found = {path.name: path.read_text().count('{"arcs":[')
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: n for name, n in found.items() if n} == {"patterns.py": 1}
 
 
 def _cache_size(call: ast.expr, module) -> object:

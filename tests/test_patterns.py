@@ -14,7 +14,7 @@ from nilorbits.patterns import (Arc, LinkPattern, consumption, count_borel,
                                 pattern_to_obj, unoriented_loop, upper_loop,
                                 validate, _arc_types, _search)
 
-from conftest import borel_valid_direct
+from conftest import SEARCH_LEVELS, TRUSTED_LEVELS, borel_valid_direct, reference_walk
 
 
 def test_arc_validation():
@@ -116,12 +116,6 @@ def test_enumerate_counts_match_recurrence():
             assert all(validate(p) for p in pats)
 
 
-TRUSTED_LEVELS = ([(kind, (1,) * l) for kind in ("symplectic", "orthogonal")
-                   for l in range(6)]
-                  + [(kind, b) for kind in ("symplectic", "orthogonal")
-                     for b in ((2, 1), (1, 2, 3), (2, 2, 3), (3, 3))])
-
-
 @pytest.mark.parametrize("kind, b", TRUSTED_LEVELS,
                          ids=[f"{kind}-{b}" for kind, b in TRUSTED_LEVELS])
 def test_search_emits_what_the_validating_constructor_builds(kind, b):
@@ -139,6 +133,19 @@ def test_search_emits_what_the_validating_constructor_builds(kind, b):
         assert len(pats) == count_borel(kind, len(b))
     reference = LinkPattern(kind, len(b), b, pats[-1].arcs)
     assert sys.getsizeof(pats[-1].__dict__) == sys.getsizeof(reference.__dict__)
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_search_yields_what_the_linear_scan_yields(kind):
+    # The search jumps past the runs of arc types that cannot fit and joins
+    # each pattern from its parent's; the oracle tests every type in turn
+    # and builds each tuple whole.  Same tuples, same order, every level.
+    levels = [b for level_kind, b in SEARCH_LEVELS if level_kind == kind]
+    assert len(levels) > 60
+    for b in levels:
+        found = _search(kind, len(b), b)
+        assert found[0] == b
+        assert list(found[1]) == list(reference_walk(kind, len(b), b)), b
 
 
 def test_search_refuses_a_bad_level_before_the_first_pattern():
