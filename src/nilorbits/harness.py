@@ -13,8 +13,12 @@ Group elements come in two exact forms, both seeded:
   conjugates by its parabolic subgroup.
 - Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
   times the exponential of a random strictly upper triangular algebra
-  member, a finite sum.  They are the dense reference the words are tested
-  against.
+  member, a finite sum (`_exp_ints`) of the powers of its integer rows over
+  one denominator.  The torus acts as scaling: u scales row p of exp(s) by
+  d_p and u^{-1} scales column q of exp(-s) by 1 / d_q, with the integer
+  multipliers of `_torus_scales`, so no Fraction arithmetic is done and
+  only u and u^{-1} become matrices.  They are the dense reference the
+  words are tested against.
 
 Each factor satisfies the form condition exactly and inverses stay
 rational, so every check downstream is zero-tolerance.
@@ -38,37 +42,48 @@ from math import factorial, lcm
 from .correspondence import identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _coordinates,
-                     _dumps, _ints)
+                     _dumps, _ints, _products)
 from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
 
+# A matrix as (integer rows, denominator): rows / denominator.
+IntRows = tuple[list[list[int]], int]
+
+
+def _exp_ints(rows, den: int, n: int) -> IntRows:
+    """exp(s) = sum_m s^m / m! for the nilpotent n x n matrix s = rows / den
+    with integer rows, as (integer rows, denominator).
+
+    The powers P_m = rows^m are integer and s^m = P_m / den^m.  With P_M the
+    last nonzero power, the sum is taken over D = den^M M!: the identity
+    times D plus each P_m times D / (den^m m!), an integer.  Refused when s^n
+    is not zero.  The result is not reduced."""
+    powers = []
+    power = rows
+    while any(map(any, power)):
+        if len(powers) == n - 1:
+            raise DomainError("matrix is not nilpotent")
+        powers.append(power)
+        power = list(_products(power, rows, n))
+    top = len(powers)
+    total = den ** top * factorial(top)
+    out = [[total if p == q else 0 for q in range(n)] for p in range(n)]
+    for m, power in enumerate(powers, start=1):
+        w = total // (den ** m * factorial(m))
+        out = [[a + w * v for a, v in zip(acc, row)] for acc, row in zip(out, power)]
+    return out, total
+
+
 def exp_nilpotent(s: Matrix) -> Matrix:
-    """exp of a nilpotent matrix: the finite sum sum_m s^m / m!."""
+    """exp of a nilpotent matrix: the finite sum sum_m s^m / m!, summed on
+    the integer rows of s (`_exp_ints`).  The exact dense exponential behind
+    the reference pairs and the root-word tests; a non-square or
+    non-nilpotent s is refused, and so is a result whose denominator passes
+    the bound of `Matrix._from_ints`."""
     if not s.is_square:
         raise DomainError("exp needs a square matrix")
-    n = s.rows
-    powers = []
-    power = s
-    for _ in range(n):
-        if power.is_zero():
-            break
-        powers.append(power.entries)
-        power = power @ s
-    else:
-        raise DomainError("matrix is not nilpotent")
-    weights = [Fraction(1, factorial(m)) for m in range(1, len(powers) + 1)]
-    rows = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            v = Fraction(1 if p == q else 0)
-            for w, entries in zip(weights, powers):
-                if entries[p][q]:
-                    v += w * entries[p][q]
-            row.append(v)
-        rows.append(tuple(row))
-    return Matrix(tuple(rows))
+    return Matrix._from_ints(*_exp_ints(*s._ints, s.rows))
 
 
 def _torus_diagonal(g: GroupKind, rng: random.Random) -> list[Fraction]:
@@ -78,13 +93,15 @@ def _torus_diagonal(g: GroupKind, rng: random.Random) -> list[Fraction]:
     return ts + ([Fraction(1)] if g.n % 2 else []) + [1 / t for t in reversed(ts)]
 
 
-def _torus(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random diagonal group member (`_torus_diagonal`) and its inverse."""
-    n = g.n
-    diag = _torus_diagonal(g, rng)
-    mk = lambda vals: Matrix.from_rows([[vals[p] if p == q else 0 for q in range(n)]
-                                        for p in range(n)])
-    return mk(diag), mk([1 / v for v in diag])
+def _torus_scales(diag: list[Fraction]) -> tuple[list[int], int, list[int], int]:
+    """T = diag(d) as integer multipliers (row_scale, lb, col_scale, la):
+    T m scales row p of m by d_p = row_scale[p] / lb, and m T^{-1} scales
+    column q by 1 / d_q = col_scale[q] / la, with lb and la the lcm of the
+    denominators and of the numerators of the d_p."""
+    lb = lcm(*(d.denominator for d in diag))
+    la = lcm(*(d.numerator for d in diag))
+    return ([lb // d.denominator * d.numerator for d in diag], lb,
+            [la // d.numerator * d.denominator for d in diag], la)
 
 
 Entries = tuple[tuple[int, int, int], ...]
@@ -113,31 +130,39 @@ def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
     return tuple(roots)
 
 
-def _unipotent(g: GroupKind, rng: random.Random) -> tuple[Matrix, Matrix]:
+def _unipotent(g: GroupKind, rng: random.Random) -> tuple[IntRows, IntRows]:
+    """exp(s) and exp(-s), each as (integer rows, denominator), for s the
+    sum of the Borel root elements of g with seeded coefficients in
+    [-2, 2]: the coefficients and the root entries are ints, so s is plain
+    integer rows."""
     n = g.n
-    acc = [[Fraction(0)] * n for _ in range(n)]
+    s = [[0] * n for _ in range(n)]
     for support, _ in _root_elements(SpaceSpec.borel(g)):
         coef = rng.randint(-2, 2)
         if coef:
             for p, q, v in support:
-                acc[p][q] += coef * v
-    s = Matrix(tuple(tuple(row) for row in acc))
-    return exp_nilpotent(s), exp_nilpotent(-s)
+                s[p][q] += coef * v
+    return _exp_ints(s, 1, n), _exp_ints([[-v for v in row] for row in s], 1, n)
 
 
 def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
                               seed: int) -> tuple[Matrix, Matrix]:
-    """(u, u^{-1}) for a member u of the Borel subgroup of g, so `spec` must be
-    the Borel flag of g: with Levi roots the exponentiated sum need not be
-    nilpotent.  Inverses come from exp(-s) and the reciprocal torus, so no
-    elimination is involved and exactness is structural."""
+    """(u, u^{-1}) for a member u = T exp(s) of the Borel subgroup of g, so
+    `spec` must be the Borel flag of g: with Levi roots the exponentiated
+    sum need not be nilpotent.  The inverse is exp(-s) T^{-1}, so no
+    elimination is involved and exactness is structural.  Both are built
+    on integer rows: T scales the rows of exp(s) and T^{-1} the columns of
+    exp(-s) (`_torus_scales`)."""
     if spec != SpaceSpec.borel(g):
         raise DomainError(f"spec is not the Borel flag of {g.name}: a different "
                           f"group or a coarser flag is refused")
     rng = random.Random(seed)
-    t, t_inv = _torus(g, rng)
-    e, e_inv = _unipotent(g, rng)
-    return t @ e, e_inv @ t_inv
+    row_scale, lb, col_scale, la = _torus_scales(_torus_diagonal(g, rng))
+    (e, de), (e_inv, de_inv) = _unipotent(g, rng)
+    return (Matrix._from_ints([[r * v for v in row] for r, row in zip(row_scale, e)],
+                              lb * de),
+            Matrix._from_ints([[v * c for v, c in zip(row, col_scale)] for row in e_inv],
+                              la * de_inv))
 
 
 Word = tuple[list[Fraction], list[tuple[int, Entries, Entries]]]
@@ -198,9 +223,7 @@ def _word_act(word: Word, x: Matrix) -> Matrix:
     keeps those rows as its `Matrix._ints`.  When
     t^2 N^2 / 2 is not integral (t odd, N through the middle index of
     o_{2l+1}), the side acts by 2f or 2f^{-1} and the denominator doubles.
-    T acts by integer row multipliers L_b d_p and column multipliers
-    L_a / d_q, with L_b and L_a the lcm of the denominators and of the
-    numerators of its diagonal.
+    T acts by the integer row and column multipliers of `_torus_scales`.
     """
     diag, factors = word
     y, den = _cleared(x)
@@ -210,10 +233,7 @@ def _word_act(word: Word, x: Matrix) -> Matrix:
             den *= scale
             ops(y, [(p, q, scale * s * v) for p, q, v in first]
                 + [(p, q, scale * s * s * v // 2) for p, q, v in second], scale)
-    lb = lcm(*(d.denominator for d in diag))
-    la = lcm(*(d.numerator for d in diag))
-    row_scale = [lb // d.denominator * d.numerator for d in diag]
-    col_scale = [la // d.numerator * d.denominator for d in diag]
+    row_scale, lb, col_scale, la = _torus_scales(diag)
     return Matrix._from_ints([[v * r * c for v, c in zip(row, col_scale)]
                               for r, row in zip(row_scale, y)], den * lb * la)
 

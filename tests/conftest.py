@@ -2,13 +2,16 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import Matrix, _eliminate, _require_shape, form_matrix
+from nilorbits.harness import _root_elements, _torus_diagonal
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
+                              _require_shape, form_matrix)
 from nilorbits.patterns import (LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, _arc_cost,
                                 _arc_types, consumption)
 from nilorbits.quiver import Summand, SymmetricPiece
@@ -155,6 +158,59 @@ def reference_eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int
         prev = lead
     rows[:] = tops
     return pivots
+
+
+def reference_exp_nilpotent(s: Matrix) -> Matrix:
+    """exp of a nilpotent matrix summed one Fraction at a time: the powers
+    of s as dense products, each entry of sum_m s^m / m! a Fraction sum.
+    The oracle for `harness.exp_nilpotent`, which sums integer rows."""
+    if not s.is_square:
+        raise DomainError("exp needs a square matrix")
+    n = s.rows
+    powers = []
+    power = s
+    for _ in range(n):
+        if power.is_zero():
+            break
+        powers.append(power.entries)
+        power = power @ s
+    else:
+        raise DomainError("matrix is not nilpotent")
+    weights = [Fraction(1, math.factorial(m)) for m in range(1, len(powers) + 1)]
+    rows = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            v = Fraction(1 if p == q else 0)
+            for w, entries in zip(weights, powers):
+                if entries[p][q]:
+                    v += w * entries[p][q]
+            row.append(v)
+        rows.append(tuple(row))
+    return Matrix(tuple(rows))
+
+
+def reference_group_element_pair(g: GroupKind, seed: int) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for `harness.random_group_element_pair` on the Borel flag
+    of g, from the same seeded draws, as dense Fraction products: the torus
+    T and T^-1 as diagonal matrices, s summed on a Fraction grid, and
+    T @ exp(s), exp(-s) @ T^-1 with `reference_exp_nilpotent`.  The oracle
+    for the integer-row pair."""
+    n = g.n
+    rng = random.Random(seed)
+    diag = _torus_diagonal(g, rng)
+    torus = lambda vals: Matrix.from_rows([[vals[p] if p == q else 0 for q in range(n)]
+                                           for p in range(n)])
+    t, t_inv = torus(diag), torus([1 / v for v in diag])
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for support, _ in _root_elements(SpaceSpec.borel(g)):
+        coef = rng.randint(-2, 2)
+        if coef:
+            for p, q, v in support:
+                acc[p][q] += coef * v
+    s = Matrix(tuple(tuple(row) for row in acc))
+    e, e_inv = reference_exp_nilpotent(s), reference_exp_nilpotent(-s)
+    return t @ e, e_inv @ t_inv
 
 
 def reference_intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_count,
+                      reference_exp_nilpotent, reference_group_element_pair,
                       reference_lie_violation, reference_word_act)
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +17,8 @@ from nilorbits.harness import (SuiteConfig, _root_elements, _root_word, _word_ac
                                brute_force_count, exp_nilpotent,
                                random_group_element_pair, run_suite,
                                suite_report_json)
-from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
-                              group_member, lie_member, matrix_from_obj,
+from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, DomainError, GroupKind, Matrix,
+                              SpaceSpec, group_member, lie_member, matrix_from_obj,
                               parabolic_dim)
 from nilorbits.patterns import enumerate_patterns
 
@@ -260,6 +261,59 @@ def test_exp_nilpotent_inverts_and_matches_the_power_series(s):
     e = exp_nilpotent(s)
     assert e == power_series_exp(s)
     assert e @ exp_nilpotent(-s) == Matrix.identity(s.rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(strictly_upper_members())
+def test_exp_nilpotent_equals_the_fraction_reference(s):
+    e, want = exp_nilpotent(s), reference_exp_nilpotent(s)
+    assert e == want and e._ints == want._ints
+
+
+def test_exp_nilpotent_of_the_empty_matrix_is_the_empty_identity():
+    assert exp_nilpotent(Matrix.zero(0)) == Matrix.identity(0)
+    # a matrix with no rows or no columns but not both is still not square
+    for s in (Matrix.zero(0, 2), Matrix.zero(2, 0)):
+        with pytest.raises(DomainError, match="exp needs a square matrix"):
+            exp_nilpotent(s)
+
+
+@pytest.mark.parametrize("rows", [[[5]], [[0, 1], [-1, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+                                  [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+def test_exp_nilpotent_refuses_what_the_reference_refuses(rows):
+    s = Matrix.from_rows(rows)
+    for exp in (exp_nilpotent, reference_exp_nilpotent):
+        with pytest.raises(DomainError, match="matrix is not nilpotent"):
+            exp(s)
+
+
+def test_exp_nilpotent_refuses_a_result_past_the_denominator_bound():
+    # s needs a denominator of about 0.6 of the bound, so it is accepted,
+    # but the corner of s^2 / 2 needs about 1.2 of it.
+    d = 3 ** (_MAX_DENOMINATOR_BITS * 3 // 8)
+    s = Matrix.from_rows([[0, Fraction(1, d), 0], [0, 0, Fraction(1, d)], [0, 0, 0]])
+    assert s._ints[1] == d
+    message = (f"matrix entries need a common denominator of over "
+               f"{_MAX_DENOMINATOR_BITS} bits; refusing")
+    for exp in (exp_nilpotent, reference_exp_nilpotent):
+        with pytest.raises(DomainError, match=message):
+            exp(s)
+
+
+PAIR_GROUPS = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
+               + [GroupKind.orthogonal(n) for n in range(1, 14)])
+
+
+@pytest.mark.parametrize("g", PAIR_GROUPS, ids=lambda g: g.name)
+def test_random_pairs_equal_the_fraction_reference(g):
+    # The pairs are built on integer rows; the reference forms T, T^-1,
+    # exp(s) and exp(-s) as dense Fraction matrices from the same draws.
+    spec = SpaceSpec.borel(g)
+    for seed in range(30):
+        got = random_group_element_pair(g, spec, seed)
+        want = reference_group_element_pair(g, seed)
+        assert got == want
+        assert [m._ints for m in got] == [Matrix(m.entries)._ints for m in want]
 
 
 def test_random_pairs_are_frozen():
