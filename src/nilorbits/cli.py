@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .correspondence import (_MAX_TABLE_N, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern, tex_table)
-from .harness import SuiteConfig, run_suite, suite_report_json
+from .harness import _MAX_SUITE_RANK, SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      _SHORT, _dumps, _orbit_dimension, matrix_from_json, matrix_to_json)
 from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _arcs_text, _csv_row,
@@ -300,7 +300,8 @@ _COMMANDS = {
     "ar": (_cmd_ar, "the Auslander-Reiten sequence ending at each non-projective "
                     f"indecomposable of A(l), one per line (--rank at most {_MAX_AR_RANK})",
            ("rank", "out"), ("json", "text")),
-    "verify": (_cmd_verify, "run the randomized verification suite",
+    "verify": (_cmd_verify, "run the randomized verification suite (--rank at most "
+                            f"{_MAX_SUITE_RANK}, default 3)",
                ("kinds", "rank", "seed", "out"), ()),
 }
 

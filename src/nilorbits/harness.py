@@ -3,22 +3,22 @@
 Group elements come in two exact forms, both seeded:
 
 - Root-group words (`_root_word`), which `run_suite` conjugates by: a
-  diagonal torus part with small integer eigenvalues and one factor
-  exp(tN) = I + tN + t^2 N^2 / 2 per root element N of a parabolic
-  subalgebra, with a small integer t.  `_word_act` applies a word to a
-  matrix as sparse row and column operations on its integer rows, over
-  one running denominator, so the element and its inverse are never
-  formed and no Fraction arithmetic is done.  The root elements of a
-  coarser flag include its Levi roots, so the words of a `SpaceSpec` give
-  conjugates by its parabolic subgroup.
+  diagonal torus part with small integer eigenvalues, drawn as integer
+  multipliers (`_torus_scales`), and one factor exp(tN) = I + tN + t^2 N^2 / 2
+  per root element N of a parabolic subalgebra, with a small integer t.
+  `_word_act` applies a word with one sparse row kernel on integer rows over
+  one running denominator: the factors act on the rows, their inverses on
+  the rows of one transpose, and the torus scales each entry on the way
+  back, so no group element is formed and no Fraction arithmetic is done.
+  With the Levi roots of a coarser flag, the words conjugate by its
+  parabolic subgroup.
 - Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
   times the exponential of a random strictly upper triangular algebra
   member, a finite sum (`_exp_ints`) of the powers of its integer rows over
-  one denominator.  The torus acts as scaling: u scales row p of exp(s) by
-  d_p and u^{-1} scales column q of exp(-s) by 1 / d_q, with the integer
-  multipliers of `_torus_scales`, so no Fraction arithmetic is done and
-  only u and u^{-1} become matrices.  They are the dense reference the
-  words are tested against.
+  one denominator.  The torus multipliers scale the rows of exp(s) and the
+  columns of exp(-s), so no Fraction arithmetic is done and only u and
+  u^{-1} become matrices.  They are the dense reference the words are
+  tested against.
 
 Each factor satisfies the form condition exactly and inverses stay
 rational, so every check downstream is zero-tolerance.
@@ -35,7 +35,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -86,22 +85,16 @@ def exp_nilpotent(s: Matrix) -> Matrix:
     return Matrix._from_ints(*_exp_ints(*s._ints, s.rows))
 
 
-def _torus_diagonal(g: GroupKind, rng: random.Random) -> list[Fraction]:
-    """The diagonal of a random torus member diag(t_1..t_l, [1], 1/t_l..1/t_1)
-    with t_i in {±1, ±2, ±3}."""
-    ts = [Fraction(rng.choice([1, 2, 3]) * rng.choice([1, -1])) for _ in range(g.l)]
-    return ts + ([Fraction(1)] if g.n % 2 else []) + [1 / t for t in reversed(ts)]
-
-
-def _torus_scales(diag: list[Fraction]) -> tuple[list[int], int, list[int], int]:
-    """T = diag(d) as integer multipliers (row_scale, lb, col_scale, la):
-    T m scales row p of m by d_p = row_scale[p] / lb, and m T^{-1} scales
-    column q by 1 / d_q = col_scale[q] / la, with lb and la the lcm of the
-    denominators and of the numerators of the d_p."""
-    lb = lcm(*(d.denominator for d in diag))
-    la = lcm(*(d.numerator for d in diag))
-    return ([lb // d.denominator * d.numerator for d in diag], lb,
-            [la // d.numerator * d.denominator for d in diag], la)
+def _torus_scales(g: GroupKind, rng: random.Random) -> tuple[list[int], list[int], int]:
+    """A seeded torus member T = diag(t_1..t_l, [1], 1/t_l..1/t_1), t_i in
+    {±1, ±2, ±3}, as integer multipliers (row_scale, col_scale, L) with
+    L = lcm |t_i|: T m scales row p of m by row_scale[p] / L and m T^{-1}
+    scales column q of m by col_scale[q] / L."""
+    ts = [rng.choice((1, 2, 3)) * rng.choice((1, -1)) for _ in range(g.l)]
+    big = lcm(*ts)
+    middle = [big] if g.n % 2 else []
+    up, down = [big * t for t in ts], [big // t for t in ts]
+    return up + middle + down[::-1], down + middle + up[::-1], big
 
 
 Entries = tuple[tuple[int, int, int], ...]
@@ -138,7 +131,7 @@ def _unipotent(g: GroupKind, rng: random.Random) -> tuple[IntRows, IntRows]:
     n = g.n
     s = [[0] * n for _ in range(n)]
     for support, _ in _root_elements(SpaceSpec.borel(g)):
-        coef = rng.randint(-2, 2)
+        coef = rng.randrange(5) - 2
         if coef:
             for p, q, v in support:
                 s[p][q] += coef * v
@@ -157,85 +150,82 @@ def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
         raise DomainError(f"spec is not the Borel flag of {g.name}: a different "
                           f"group or a coarser flag is refused")
     rng = random.Random(seed)
-    row_scale, lb, col_scale, la = _torus_scales(_torus_diagonal(g, rng))
+    row_scale, col_scale, big = _torus_scales(g, rng)
     (e, de), (e_inv, de_inv) = _unipotent(g, rng)
     return (Matrix._from_ints([[r * v for v in row] for r, row in zip(row_scale, e)],
-                              lb * de),
+                              big * de),
             Matrix._from_ints([[v * c for v, c in zip(row, col_scale)] for row in e_inv],
-                              la * de_inv))
+                              big * de_inv))
 
 
-Word = tuple[list[Fraction], list[tuple[int, Entries, Entries]]]
+# A root word: the torus as `_torus_scales` multipliers and the factors.
+Word = tuple[tuple[list[int], list[int], int], list[tuple[int, Entries, Entries]]]
 
 
 def _root_word(spec: SpaceSpec, seed: int) -> Word:
     """A seeded member u = T f_m ... f_1 of the parabolic group of `spec`, as
-    a word: the torus diagonal of T (`_torus_diagonal`) and the factors
-    f_i = exp(t_i N_i) over the `_root_elements` N_i, each with an integer
-    t_i in [-2, 2], as (t_i, N_i, N_i^2).  Factors with t_i = 0 are dropped.
+    a word: the integer multipliers of the torus part T (`_torus_scales`)
+    and the factors f_i = exp(t_i N_i) over the `_root_elements` N_i, each
+    with t_i = `randrange(5) - 2` (the draw of `randint(-2, 2)`), as
+    (t_i, N_i, N_i^2).  Factors with t_i = 0 are dropped.
 
     Every factor and T lie in the group, so u does; these are the Chevalley
     generators of the group (Steinberg, Lectures on Chevalley groups, 1967).
     """
     rng = random.Random(seed)
-    diag = _torus_diagonal(spec.group, rng)
+    torus = _torus_scales(spec.group, rng)
     factors = []
     for first, second in _root_elements(spec):
-        t = rng.randint(-2, 2)
+        t = rng.randrange(5) - 2
         if t:
             factors.append((t, first, second))
-    return diag, factors
+    return torus, factors
 
 
-def _row_ops(y: list[list[int]], terms: list[tuple[int, int, int]], scale: int):
-    """y <- scale y + M y for M with integer entries `terms`: row p gains c
-    times row q, every row read before any is written."""
-    gains = [(p, c, y[q]) for p, q, c in terms]
-    if scale != 1:
-        y[:] = [[scale * v for v in row] for row in y]
-    # Rows are replaced, never written in place, so each gain reads the
-    # row as it was before the step.
-    for p, c, row in gains:
-        y[p] = [a + c * b for a, b in zip(y[p], row)]
-
-
-def _col_ops(y: list[list[int]], terms: list[tuple[int, int, int]], scale: int):
-    """y <- scale y + y M for M with integer entries `terms`: column q
-    gains c times column p, every column read before any is written."""
-    gains = [(q, c, [row[p] for row in y]) for p, q, c in terms]
-    if scale != 1:
-        y[:] = [[scale * v for v in row] for row in y]
-    for q, c, col in gains:
-        for row, v in zip(y, col):
-            if v:
-                row[q] += c * v
+def _row_ops(y: list[list[int]], factors, sign: int, transposed: bool) -> int:
+    """Apply f = I + sN + s^2 N^2 / 2, s = sign t, for each word factor
+    (t, N, N^2) in order to the integer rows of y, or f^T with `transposed`:
+    a term (p, q, c) of f - I has row p (transposed: q) gain c times row q
+    (p).  Returns the scale of the rows: where s^2 N^2 / 2 is not integral
+    (s odd, N through the middle index of o_{2l+1}) the step applies 2f."""
+    scale = 1
+    for t, first, second in factors:
+        s = sign * t
+        double = second and s % 2
+        k, h = (2 * s, s * s) if double else (s, s * s // 2)
+        gains = [(q, c * v, y[p]) if transposed else (p, c * v, y[q])
+                 for entries, c in ((first, k), (second, h)) for p, q, v in entries]
+        if double:
+            scale *= 2
+            y[:] = [[2 * v for v in row] for row in y]
+        # Rows are replaced, never written in place, so each gain reads the
+        # row as it was before the step; a zero row adds nothing.
+        for p, c, row in gains:
+            if any(row):
+                y[p] = [a + c * b for a, b in zip(y[p], row)]
+    return scale
 
 
 def _word_act(word: Word, x: Matrix) -> Matrix:
-    """u x u^{-1} for the member u of a `_root_word`, by sparse row and
-    column operations: u and u^{-1} are never formed.  Each factor
-    f = I + tN + t^2 N^2 / 2 acts on the rows, then
-    f^{-1} = I - tN + t^2 N^2 / 2 on the columns, and T last, as the scale
-    d_p / d_q of entry (p, q).
+    """u x u^{-1} for the member u of a `_root_word`, by sparse row
+    operations (`_row_ops`): u and u^{-1} are never formed.  Left and right
+    multiplication commute, so every factor f = I + tN + t^2 N^2 / 2 acts
+    on the rows first; then, on the transpose, every
+    f^{-1} = I - tN + t^2 N^2 / 2 acts as the row operations of f^{-T}.
+    Transposing back applies T as the integer multipliers of
+    `_torus_scales`: entry (p, q) times row_scale[p] col_scale[q] over L^2.
 
     The operations run on integer rows over one running denominator, and a
     Fraction is built only for each nonzero entry of the result, which
-    keeps those rows as its `Matrix._ints`.  When
-    t^2 N^2 / 2 is not integral (t odd, N through the middle index of
-    o_{2l+1}), the side acts by 2f or 2f^{-1} and the denominator doubles.
-    T acts by the integer row and column multipliers of `_torus_scales`.
+    keeps those rows as its `Matrix._ints`.
     """
-    diag, factors = word
+    (row_scale, col_scale, big), factors = word
     y, den = _cleared(x)
-    for t, first, second in factors:
-        for ops, s in ((_row_ops, t), (_col_ops, -t)):
-            scale = 2 if second and s % 2 else 1
-            den *= scale
-            ops(y, [(p, q, scale * s * v) for p, q, v in first]
-                + [(p, q, scale * s * s * v // 2) for p, q, v in second], scale)
-    row_scale, lb, col_scale, la = _torus_scales(diag)
-    return Matrix._from_ints([[v * r * c for v, c in zip(row, col_scale)]
-                              for r, row in zip(row_scale, y)], den * lb * la)
+    den *= _row_ops(y, factors, 1, False)
+    y = [list(col) for col in zip(*y)]
+    den *= _row_ops(y, factors, -1, True)
+    return Matrix._from_ints([[r * c * v for c, v in zip(col_scale, col)]
+                              for r, col in zip(row_scale, zip(*y))], den * big * big)
 
 
 def _packed_sums(packed: list[int], caps: list[int], start: int) -> list[int]:
@@ -305,6 +295,11 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
 
 
 _CHECKS = ("counts", "separation", "conjugation", "dimensions", "nilradical")
+# The suite holds every pattern and representative of a level at once:
+# under a 1 GB address-space cap (2-core VM, Python 3.11), `verify --rank`
+# took 5.9 s and 26 MB at rank 5, 51 s and 83 MB at rank 6, and 532 s and
+# 558 MB at rank 7, whose next level holds about 7 times the patterns.
+_MAX_SUITE_RANK = 6
 # The families that read each pattern's representative matrix.
 _READS_REPS = frozenset(("separation", "conjugation", "nilradical"))
 
@@ -333,6 +328,9 @@ class SuiteConfig:
         if self.max_rank < 0 or self.conjugations < 1:
             raise DomainError("suite needs max_rank >= 0 and conjugations >= 1, got "
                               f"{self.max_rank} and {self.conjugations}")
+        if self.max_rank > _MAX_SUITE_RANK:
+            raise DomainError(f"suite max_rank must be at most {_MAX_SUITE_RANK}, "
+                              f"got {self.max_rank}")
         if self.max_rank == 0 and "counts" not in self.checks:
             raise DomainError("at max_rank 0 only the counts family checks anything")
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorbits.harness import _root_elements, _torus_diagonal
+from nilorbits.harness import _root_elements
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
                               _require_shape, form_matrix)
 from nilorbits.patterns import (LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, _arc_cost,
@@ -190,6 +190,26 @@ def reference_exp_nilpotent(s: Matrix) -> Matrix:
     return Matrix(tuple(rows))
 
 
+def reference_torus_diagonal(g: GroupKind, rng: random.Random) -> list[Fraction]:
+    """The diagonal of a random torus member diag(t_1..t_l, [1], 1/t_l..1/t_1)
+    with t_i in {±1, ±2, ±3}, as Fractions, from the draws
+    `harness._torus_scales` makes."""
+    ts = [Fraction(rng.choice([1, 2, 3]) * rng.choice([1, -1])) for _ in range(g.l)]
+    return ts + ([Fraction(1)] if g.n % 2 else []) + [1 / t for t in reversed(ts)]
+
+
+def reference_torus_scales(diag: list[Fraction]) -> tuple[list[int], int, list[int], int]:
+    """T = diag(d) as integer multipliers (row_scale, lb, col_scale, la):
+    T m scales row p of m by d_p = row_scale[p] / lb, and m T^{-1} scales
+    column q by 1 / d_q = col_scale[q] / la, with lb and la the lcm of the
+    denominators and of the numerators of the d_p.  The oracle for
+    `harness._torus_scales`."""
+    lb = math.lcm(*(d.denominator for d in diag))
+    la = math.lcm(*(d.numerator for d in diag))
+    return ([lb // d.denominator * d.numerator for d in diag], lb,
+            [la // d.numerator * d.denominator for d in diag], la)
+
+
 def reference_group_element_pair(g: GroupKind, seed: int) -> tuple[Matrix, Matrix]:
     """(u, u^-1) for `harness.random_group_element_pair` on the Borel flag
     of g, from the same seeded draws, as dense Fraction products: the torus
@@ -198,7 +218,7 @@ def reference_group_element_pair(g: GroupKind, seed: int) -> tuple[Matrix, Matri
     for the integer-row pair."""
     n = g.n
     rng = random.Random(seed)
-    diag = _torus_diagonal(g, rng)
+    diag = reference_torus_diagonal(g, rng)
     torus = lambda vals: Matrix.from_rows([[vals[p] if p == q else 0 for q in range(n)]
                                            for p in range(n)])
     t, t_inv = torus(diag), torus([1 / v for v in diag])
@@ -258,12 +278,19 @@ def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     return pivots
 
 
-def reference_word_act(word, x: Matrix) -> Matrix:
-    """u x u^-1 for a `harness._root_word`, by row and column
-    operations over Fractions: each factor I + tN + t^2 N^2 / 2 on the rows,
-    its inverse I - tN + t^2 N^2 / 2 on the columns, then the torus scale
-    d_p / d_q.  The oracle for the integer `harness._word_act`."""
-    diag, factors = word
+def reference_word_diagonal(spec: SpaceSpec, seed: int) -> list[Fraction]:
+    """The torus diagonal of `harness._root_word(spec, seed)`: its first
+    draws from the seeded generator."""
+    return reference_torus_diagonal(spec.group, random.Random(seed))
+
+
+def reference_word_act(word, diag: list[Fraction], x: Matrix) -> Matrix:
+    """u x u^-1 for a `harness._root_word` with torus diagonal `diag`
+    (`reference_word_diagonal`), by row and column operations over
+    Fractions: each factor I + tN + t^2 N^2 / 2 on the rows, its inverse
+    I - tN + t^2 N^2 / 2 on the columns, then the torus scale d_p / d_q.
+    The oracle for the integer `harness._word_act`."""
+    _, factors = word
     y = [list(row) for row in x.entries]
 
     def act(terms, on_rows):

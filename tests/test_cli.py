@@ -21,7 +21,8 @@ from nilorbits import cli, quiver
 from nilorbits.cli import main
 from nilorbits.correspondence import (_MAX_TABLE_N, parabolic_representative,
                                       pattern_to_matrix, tex_matrix, tex_pattern)
-from nilorbits.harness import brute_force_count, random_group_element_pair
+from nilorbits.harness import (_MAX_SUITE_RANK, brute_force_count,
+                               random_group_element_pair)
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
                               matrix_to_json, orbit_dimension)
 from nilorbits.patterns import (LinkPattern, dotted, enumerate_patterns, lower_loop,
@@ -750,6 +751,23 @@ def test_verify_refuses_a_negative_rank(capsys):
     assert captured.out == ""
     assert captured.err == ("nilorbits verify: suite needs max_rank >= 0 and "
                             "conjugations >= 1, got -1 and 5\n")
+
+
+@pytest.mark.parametrize("rank", [_MAX_SUITE_RANK + 1, 12, 10 ** 9])
+def test_verify_refuses_a_rank_past_its_bound_in_bounded_time_and_memory(rank):
+    # The suite holds every pattern and representative of a level: rank 7
+    # took 532 s and 558 MB under this 1 GB cap.  The bound is checked
+    # before any enumeration.
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli", "verify", "--group", "sp",
+                           "--rank", str(rank)],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_capped(1 << 30))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == (f"nilorbits verify: suite max_rank must be at most "
+                           f"{_MAX_SUITE_RANK}, got {rank}\n")
+    assert f"--rank at most {_MAX_SUITE_RANK}" in cli._COMMANDS["verify"][1]
 
 
 HOSTILE_JSON = [

@@ -213,6 +213,18 @@ def test_decode_rejects_malformed_positions():
         _decode({(2, 1), (4, 3), (1, 2), (3, 4)}, sp4)
 
 
+def test_decode_refuses_a_loop_and_an_arc_on_one_vertex():
+    # (1,4) starts uloop(1) and (2,1) with its mate (4,3) starts 1->2: both
+    # arcs decode, but vertex 1 of a Borel sp_4 pattern holds only one.
+    sp4 = GroupKind.symplectic(4)
+    assert _arc_table(sp4)[(1, 4)][0] == upper_loop(1)
+    assert _arc_table(sp4)[(2, 1)][0] == undotted(1, 2)
+    with pytest.raises(MalformedInputError) as refused:
+        _decode({(1, 4), (2, 1), (4, 3)}, sp4)
+    assert type(refused.value) is MalformedInputError
+    assert str(refused.value) == "decoded arcs violate the pattern capacity rule"
+
+
 def test_arc_table_is_the_reference_representative_table():
     # `_arc_table` reads every arc and every sign off `_mates`; the
     # reference table states them case by case.  The table holds each arc

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,15 +7,16 @@ from fractions import Fraction
 import pytest
 from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_count,
                       reference_exp_nilpotent, reference_group_element_pair,
-                      reference_lie_violation, reference_word_act)
+                      reference_lie_violation, reference_torus_diagonal,
+                      reference_torus_scales, reference_word_act, reference_word_diagonal)
 from hypothesis import given, settings, strategies as st
 
 from nilorbits import harness
 from nilorbits.correspondence import (identify, identify_parabolic,
                                       parabolic_representative, pattern_to_matrix,
                                       rank_signature)
-from nilorbits.harness import (SuiteConfig, _root_elements, _root_word, _word_act,
-                               brute_force_count, exp_nilpotent,
+from nilorbits.harness import (SuiteConfig, _root_elements, _root_word, _torus_scales,
+                               _word_act, brute_force_count, exp_nilpotent,
                                random_group_element_pair, run_suite,
                                suite_report_json)
 from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, DomainError, GroupKind, Matrix,
@@ -180,6 +182,15 @@ def test_suite_refuses_configs_that_check_nothing_or_crash(fields, match):
         run_suite(SuiteConfig(**fields))
 
 
+def test_suite_refuses_a_rank_past_its_bound_on_construction(monkeypatch):
+    monkeypatch.setattr("nilorbits.harness.enumerate_patterns",
+                        lambda *args: pytest.fail("enumerated"))
+    assert SuiteConfig(max_rank=harness._MAX_SUITE_RANK).max_rank == 6
+    for rank in (7, 12, 10 ** 9):
+        with pytest.raises(DomainError, match=f"max_rank must be at most 6, got {rank}$"):
+            SuiteConfig(max_rank=rank)
+
+
 def test_smallest_suite_configs_still_run():
     report = run_suite(SuiteConfig(max_rank=0, checks=("counts",), conjugations=1))
     assert report["summary"] == {"total": 2, "failed": 0}
@@ -342,10 +353,11 @@ def test_random_pairs_are_frozen():
 # -- root-group words -----------------------------------------------------------
 
 
-def dense_word(word, n: int) -> tuple[Matrix, Matrix]:
-    """(u, u^-1) for a `_root_word`, as dense products of `exp_nilpotent`
+def dense_word(word, diag, n: int) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for a `_root_word` with torus diagonal `diag`
+    (`reference_word_diagonal`), as dense products of `exp_nilpotent`
     factors and the torus."""
-    diag, factors = word
+    _, factors = word
     u = u_inv = Matrix.identity(n)
     for t, first, _ in factors:
         rows = [[0] * n for _ in range(n)]
@@ -375,7 +387,7 @@ def test_root_words_match_their_dense_products(g):
     for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
         for seed in range(3):
             word = _root_word(spec, seed)
-            u, u_inv = dense_word(word, g.n)
+            u, u_inv = dense_word(word, reference_word_diagonal(spec, seed), g.n)
             assert group_member(u, g) and u @ u_inv == Matrix.identity(g.n)
             if spec.flag == tuple(range(1, g.l + 1)):
                 assert u.is_upper_triangular()
@@ -398,7 +410,8 @@ def test_word_act_equals_the_fraction_oracle(g):
             x = Matrix.from_rows([[Fraction(rng.randint(-9, 9), rng.choice(dens))
                                    for _ in range(g.n)] for _ in range(g.n)])
             assert not lie_member(x, g)
-            assert repr(_word_act(word, x)) == repr(reference_word_act(word, x))
+            want = reference_word_act(word, reference_word_diagonal(spec, seed), x)
+            assert repr(_word_act(word, x)) == repr(want)
     assert (odd_middle > 0) == (g.n % 2 == 1)
 
 
@@ -447,6 +460,60 @@ def test_root_words_are_seeded():
     spec = SpaceSpec.borel(GroupKind.orthogonal(7))
     assert _root_word(spec, 4) == _root_word(spec, 4)
     assert _root_word(spec, 4) != _root_word(spec, 5)
+
+
+TORUS_GROUPS = ([GroupKind.symplectic(n) for n in range(2, 21, 2)]
+                + [GroupKind.orthogonal(n) for n in range(1, 22)])
+
+
+def test_torus_multipliers_equal_the_fraction_reference():
+    # The integer torus draw makes the draws of the Fraction diagonal, and
+    # its multipliers are what the lcms of that diagonal give: lb = la = L.
+    for g in TORUS_GROUPS:
+        for seed in range(50):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            row_scale, col_scale, big = _torus_scales(g, rng)
+            want_rows, lb, want_cols, la = reference_torus_scales(
+                reference_torus_diagonal(g, ref_rng))
+            assert (row_scale, col_scale, big, big) == (want_rows, want_cols, lb, la)
+            assert rng.getstate() == ref_rng.getstate()
+            assert _root_word(SpaceSpec.borel(g), seed)[0] == (row_scale, col_scale, big)
+
+
+def test_root_words_draw_the_randint_stream():
+    # Each t is `randrange(5) - 2`, the draw of `randint(-2, 2)`, after the
+    # torus: the words are those of the randint reference.
+    specs = (SpaceSpec.borel(GroupKind.symplectic(6)), SpaceSpec(GroupKind.orthogonal(7), ()),
+             SpaceSpec(GroupKind.orthogonal(6), (3,)))
+    for spec in specs:
+        roots = _root_elements(spec)
+        for seed in range(1000):
+            rng = random.Random(seed)
+            reference_torus_diagonal(spec.group, rng)
+            ts = [rng.randint(-2, 2) for _ in roots]
+            want = [(t, first, second) for t, (first, second) in zip(ts, roots) if t]
+            assert _root_word(spec, seed)[1] == want
+
+
+# SHA-256 over the `_ints` of u x u^-1 for every Borel representative x of
+# sp_2..sp_8 and o_3..o_9, under the words of the Borel flag, the flag (l,)
+# and the empty flag, seeds 0-2, as the row-and-column word action gave them.
+WORD_CONJUGATES_DIGEST = "427110bfa66f61721ae350d6ef707f5b6a27d4b6f226dd57cd59931ffed6ed37"
+
+
+def test_root_word_conjugates_are_frozen():
+    groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+              + [GroupKind.orthogonal(n) for n in range(3, 10)])
+    digest, count = hashlib.sha256(), 0
+    for g in groups:
+        xs = [pattern_to_matrix(p, g) for p in enumerate_patterns(g.family, g.l, (1,) * g.l)]
+        for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
+            for x in xs:
+                for seed in range(3):
+                    digest.update(repr(_word_act(_root_word(spec, seed), x)._ints).encode())
+                    count += 1
+    assert count == 5463
+    assert digest.hexdigest() == WORD_CONJUGATES_DIGEST
 
 
 @pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)

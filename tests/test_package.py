@@ -171,27 +171,28 @@ def test_the_form_is_applied_by_signed_row_reversal():
 
 
 def test_dense_pairs_are_built_on_integer_rows():
-    # The dense Borel pairs and the exponential behind them are summed and
-    # scaled on integer rows: none of these functions builds a Fraction or
-    # multiplies Matrix objects.  The torus rule is stated once: only
-    # `_torus_scales` turns the torus diagonal into integer multipliers
-    # (the one lcm and numerator/denominator reader of the harness), and
-    # both the root words and the dense pairs apply it.  `_torus` and its
-    # dense diagonal matrices are gone.
+    # The dense Borel pairs, the exponential behind them and the root words
+    # are drawn, summed and scaled on integer rows: none of these functions
+    # builds a Fraction or multiplies Matrix objects.  The torus is drawn
+    # once, as integer multipliers: `_torus_scales` is the harness's only
+    # lcm caller, and both the root words and the dense pairs draw it.  One
+    # row kernel serves both sides of a word, so `_col_ops` is gone, and so
+    # are the Fraction diagonal `_torus_diagonal` and `_torus`.
     tree = ast.parse((PACKAGE / "harness.py").read_text())
     funcs = {node.name: node for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)}
-    for name in ("exp_nilpotent", "_exp_ints", "_unipotent", "random_group_element_pair"):
+    for name in ("exp_nilpotent", "_exp_ints", "_unipotent", "random_group_element_pair",
+                 "_root_word", "_word_act", "_row_ops"):
         assert _calls(funcs[name], "Fraction") == 0, name
         assert not any(isinstance(op, ast.MatMult) for op in ast.walk(funcs[name])), name
-    assert "_torus" not in funcs
+    assert not {"_torus", "_col_ops", "_torus_diagonal"} & set(funcs)
     scales = {name for name, node in funcs.items()
               if _calls(node, "lcm") or any(isinstance(a, ast.Attribute)
                                             and a.attr in ("numerator", "denominator")
                                             for a in ast.walk(node))}
     assert scales == {"_torus_scales"}
     callers = {name for name, node in funcs.items() if _calls(node, "_torus_scales")}
-    assert callers == {"_word_act", "random_group_element_pair"}
+    assert callers == {"_root_word", "random_group_element_pair"}
 
 
 def test_one_arc_table_read_off_the_mates():
