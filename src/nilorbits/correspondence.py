@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _GROUP_CACHE_SIZE,
-                     _eliminate, _mates, _within, require_two_nilpotent)
+                     _eliminate, _mates, _require_two_nilpotent_ints, _within,
+                     require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -149,18 +150,24 @@ class RankSignature:
         return self.table[i - 1][j]
 
 
-def rank_signature(x: Matrix) -> RankSignature:
-    """Exact lower-left rank table, invariant under upper-triangular
-    conjugation (and independent left/right upper-triangular scaling).
+def _delta_positions(rows) -> tuple[tuple[int, int], ...]:
+    """The delta positions, row-major, of the square matrix with these
+    integer rows (over any denominator: scaling keeps every rank).
     `_eliminate` takes the rows bottom-up, so a row is only scaled and loses
     multiples of lower rows, which keeps every lower-left rank; the pivot
     rows lead in distinct columns and the rest vanish, so the pivots are
     the delta positions."""
+    n = len(rows)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in reversed(rows)]
+    return tuple(sorted((n - s, c + 1) for s, c in _eliminate(sparse, n)))
+
+
+def rank_signature(x: Matrix) -> RankSignature:
+    """Exact lower-left rank table, invariant under upper-triangular
+    conjugation (and independent left/right upper-triangular scaling)."""
     if not x.is_square:
         raise DomainError("rank signature needs a square matrix")
-    n = x.rows
-    rows = [{j: v for j, v in enumerate(row) if v} for row in reversed(x._ints[0])]
-    return RankSignature(n, tuple(sorted((n - s, c + 1) for s, c in _eliminate(rows, n))))
+    return RankSignature(x.rows, _delta_positions(x._ints[0]))
 
 
 def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
@@ -192,6 +199,14 @@ def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     _arc_table(g)   # first: past its bound, refused before the gate builds `_mates`
     require_two_nilpotent(x, g)
     return _decode(rank_signature(x).deltas, g)
+
+
+def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
+    """`identify` of the n x n matrix rows / den given as integer rows, such
+    as a root-word conjugate: the same refusals and the same pattern, and
+    no Matrix or Fraction is built."""
+    _arc_table(g)   # first, as in `identify`
+    return _decode(_delta_positions(_require_two_nilpotent_ints(rows, den, g)), g)
 
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:

@@ -10,15 +10,16 @@ Group elements come in two exact forms, both seeded:
   one running denominator: the factors act on the rows, their inverses on
   the rows of one transpose, and the torus scales each entry on the way
   back, so no group element is formed and no Fraction arithmetic is done.
-  With the Levi roots of a coarser flag, the words conjugate by its
-  parabolic subgroup.
+  The conjugate stays integer rows: the conjugation check gates and
+  identifies it on them, and no Matrix is built for it.  With the Levi
+  roots of a coarser flag, the words conjugate by its parabolic subgroup.
 - Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
   times the exponential of a random strictly upper triangular algebra
-  member, a finite sum (`_exp_ints`) of the powers of its integer rows over
-  one denominator.  The torus multipliers scale the rows of exp(s) and the
-  columns of exp(-s), so no Fraction arithmetic is done and only u and
-  u^{-1} become matrices.  They are the dense reference the words are
-  tested against.
+  member s, a finite sum (`_exp_ints`) of the powers of its integer rows
+  over one denominator; exp(-s) is summed from the same powers.  The torus
+  multipliers scale the rows of exp(s) and the columns of exp(-s), so no
+  Fraction arithmetic is done and only u and u^{-1} become matrices.  They
+  are the dense reference the words are tested against.
 
 Each factor satisfies the form condition exactly and inverses stay
 rational, so every check downstream is zero-tolerance.
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
-from .correspondence import identify, pattern_to_matrix, rank_signature
+from .correspondence import _identify_rows, identify, pattern_to_matrix, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
                      SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _coordinates,
                      _dumps, _ints, _products)
@@ -50,14 +51,18 @@ from .quiver import pattern_to_summands, total_dimension_vector
 IntRows = tuple[list[list[int]], int]
 
 
-def _exp_ints(rows, den: int, n: int) -> IntRows:
-    """exp(s) = sum_m s^m / m! for the nilpotent n x n matrix s = rows / den
-    with integer rows, as (integer rows, denominator).
+def _exp_ints(rows, den: int, n: int,
+              signs: tuple[int, ...] = (1,)) -> tuple[list[list[list[int]]], int]:
+    """exp(sign s) = sum_m (sign s)^m / m! for each sign in `signs`, for the
+    nilpotent n x n matrix s = rows / den with integer rows, as the integer
+    rows of each over one denominator.
 
     The powers P_m = rows^m are integer and s^m = P_m / den^m.  With P_M the
-    last nonzero power, the sum is taken over D = den^M M!: the identity
-    times D plus each P_m times D / (den^m m!), an integer.  Refused when s^n
-    is not zero.  The result is not reduced."""
+    last nonzero power, the sums are taken over D = den^M M!: the identity
+    times D plus each P_m times sign^m D / (den^m m!), an integer.  The
+    powers are multiplied out once for all the signs, since
+    (sign s)^m = sign^m s^m.  Refused when s^n is not zero.  The results
+    are not reduced."""
     powers = []
     power = rows
     while any(map(any, power)):
@@ -67,11 +72,15 @@ def _exp_ints(rows, den: int, n: int) -> IntRows:
         power = list(_products(power, rows, n))
     top = len(powers)
     total = den ** top * factorial(top)
-    out = [[total if p == q else 0 for q in range(n)] for p in range(n)]
-    for m, power in enumerate(powers, start=1):
-        w = total // (den ** m * factorial(m))
-        out = [[a + w * v for a, v in zip(acc, row)] for acc, row in zip(out, power)]
-    return out, total
+    weights = [total // (den ** m * factorial(m)) for m in range(1, top + 1)]
+    outs = []
+    for sign in signs:
+        out = [[total if p == q else 0 for q in range(n)] for p in range(n)]
+        for m, (w, power) in enumerate(zip(weights, powers), start=1):
+            w *= sign ** m
+            out = [[a + w * v for a, v in zip(acc, row)] for acc, row in zip(out, power)]
+        outs.append(out)
+    return outs, total
 
 
 def exp_nilpotent(s: Matrix) -> Matrix:
@@ -82,7 +91,8 @@ def exp_nilpotent(s: Matrix) -> Matrix:
     the bound of `Matrix._from_ints`."""
     if not s.is_square:
         raise DomainError("exp needs a square matrix")
-    return Matrix._from_ints(*_exp_ints(*s._ints, s.rows))
+    (out,), total = _exp_ints(*s._ints, s.rows)
+    return Matrix._from_ints(out, total)
 
 
 def _torus_scales(g: GroupKind, rng: random.Random) -> tuple[list[int], list[int], int]:
@@ -123,11 +133,12 @@ def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
     return tuple(roots)
 
 
-def _unipotent(g: GroupKind, rng: random.Random) -> tuple[IntRows, IntRows]:
-    """exp(s) and exp(-s), each as (integer rows, denominator), for s the
-    sum of the Borel root elements of g with seeded coefficients in
-    [-2, 2]: the coefficients and the root entries are ints, so s is plain
-    integer rows."""
+def _unipotent(g: GroupKind, rng: random.Random) -> tuple[list, int]:
+    """The integer rows of exp(s) and exp(-s), in a list, over their one
+    denominator (`_exp_ints`), for s the sum of the Borel root elements of
+    g with seeded coefficients in [-2, 2]: the coefficients and the root
+    entries are ints, so s is plain integer rows, and one power chain
+    serves both signs."""
     n = g.n
     s = [[0] * n for _ in range(n)]
     for support, _ in _root_elements(SpaceSpec.borel(g)):
@@ -135,7 +146,7 @@ def _unipotent(g: GroupKind, rng: random.Random) -> tuple[IntRows, IntRows]:
         if coef:
             for p, q, v in support:
                 s[p][q] += coef * v
-    return _exp_ints(s, 1, n), _exp_ints([[-v for v in row] for row in s], 1, n)
+    return _exp_ints(s, 1, n, (1, -1))
 
 
 def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
@@ -151,11 +162,11 @@ def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
                           f"group or a coarser flag is refused")
     rng = random.Random(seed)
     row_scale, col_scale, big = _torus_scales(g, rng)
-    (e, de), (e_inv, de_inv) = _unipotent(g, rng)
+    (e, e_inv), den = _unipotent(g, rng)
     return (Matrix._from_ints([[r * v for v in row] for r, row in zip(row_scale, e)],
-                              big * de),
+                              big * den),
             Matrix._from_ints([[v * c for v, c in zip(row, col_scale)] for row in e_inv],
-                              big * de_inv))
+                              big * den))
 
 
 # A root word: the torus as `_torus_scales` multipliers and the factors.
@@ -206,26 +217,27 @@ def _row_ops(y: list[list[int]], factors, sign: int, transposed: bool) -> int:
     return scale
 
 
-def _word_act(word: Word, x: Matrix) -> Matrix:
-    """u x u^{-1} for the member u of a `_root_word`, by sparse row
-    operations (`_row_ops`): u and u^{-1} are never formed.  Left and right
-    multiplication commute, so every factor f = I + tN + t^2 N^2 / 2 acts
-    on the rows first; then, on the transpose, every
-    f^{-1} = I - tN + t^2 N^2 / 2 acts as the row operations of f^{-T}.
-    Transposing back applies T as the integer multipliers of
-    `_torus_scales`: entry (p, q) times row_scale[p] col_scale[q] over L^2.
+def _word_act(word: Word, x: Matrix) -> IntRows:
+    """u x u^{-1} for the member u of a `_root_word`, as (integer rows,
+    denominator), by sparse row operations (`_row_ops`): u and u^{-1} are
+    never formed.  Left and right multiplication commute, so every factor
+    f = I + tN + t^2 N^2 / 2 acts on the rows first; then, on the
+    transpose, every f^{-1} = I - tN + t^2 N^2 / 2 acts as the row
+    operations of f^{-T}.  Transposing back applies T as the integer
+    multipliers of `_torus_scales`: entry (p, q) times
+    row_scale[p] col_scale[q] over L^2.
 
-    The operations run on integer rows over one running denominator, and a
-    Fraction is built only for each nonzero entry of the result, which
-    keeps those rows as its `Matrix._ints`.
+    The operations run on integer rows over one running denominator, and
+    the result is neither reduced nor made a Matrix: the conjugation check
+    reads it as it is (`correspondence._identify_rows`).
     """
     (row_scale, col_scale, big), factors = word
     y, den = _cleared(x)
     den *= _row_ops(y, factors, 1, False)
     y = [list(col) for col in zip(*y)]
     den *= _row_ops(y, factors, -1, True)
-    return Matrix._from_ints([[r * c * v for c, v in zip(col_scale, col)]
-                              for r, col in zip(row_scale, zip(*y))], den * big * big)
+    return ([[r * c * v for c, v in zip(col_scale, col)]
+             for r, col in zip(row_scale, zip(*y))], den * big * big)
 
 
 def _packed_sums(packed: list[int], caps: list[int], start: int) -> list[int]:
@@ -349,10 +361,11 @@ def run_suite(config: SuiteConfig) -> dict:
     recurrence and `brute_force_count`), separation (rank signatures are
     distinct and `identify` inverts each representative), conjugation
     (`identify` is unchanged by `conjugations` seeded Borel root-group words
-    per pattern; it refuses a conjugate outside the algebra, which counts as
-    a failure), dimensions (the
-    summands total the flag's dimension vector) and nilradical (strict upper
-    triangularity against `is_nilradical`).
+    per pattern, each conjugate identified on the integer rows the word
+    action leaves, with no Matrix built; a conjugate it refuses, outside the
+    algebra, not square-zero or past the denominator bound, counts as a
+    failure), dimensions (the summands total the flag's dimension vector)
+    and nilradical (strict upper triangularity against `is_nilradical`).
     """
     items: list[dict] = []
     reads_reps = not _READS_REPS.isdisjoint(config.checks)
@@ -393,9 +406,9 @@ def run_suite(config: SuiteConfig) -> dict:
                 for idx, (p, x) in enumerate(reps):
                     for c in range(config.conjugations):
                         seed = config.seed * 1000003 + idx * 101 + c
-                        y = _word_act(_root_word(spec, seed), x)
+                        rows, den = _word_act(_root_word(spec, seed), x)
                         try:
-                            bad += identify(y, g) != p
+                            bad += _identify_rows(rows, den, g) != p
                         except DomainError:
                             bad += 1
                 record(f"conjugation/{tag}", {"kind": kind, "l": l,

@@ -5,9 +5,11 @@ dimensions) reduces to exact linear algebra over Q, so this module has no
 floating point anywhere: entries are fractions.Fraction.  Each matrix is
 cleared at most once, to integer rows over one shared denominator, and the
 result is cached on it (`Matrix._ints`); a matrix built from integer rows
-(a product, a pattern representative, a root-group conjugate) starts with
+(a product, a pattern representative, a dense group element) starts with
 that cache filled.  Products, rank, the 2-nilpotency test and the row
-builder read the cache; the form check reads the entries.  There is one
+builder read the cache.  The form check reads rows as they are given: a
+matrix's entries, or the integer rows of one that was never built, such
+as a root-word conjugate (`_require_two_nilpotent_ints`).  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
 integer rows that never swaps rows: a column's pivot is the first row, in
 the order given, that holds it.  Rank, orbit dimensions, the quiver
@@ -90,6 +92,18 @@ def _check_denominator(den: int):
                           f"{_MAX_DENOMINATOR_BITS} bits; refusing")
 
 
+def _reduced(rows, den: int) -> tuple[list, int]:
+    """Integer rows and den > 0 divided by their common gcd, which leaves den
+    the lcm of the denominators of rows / den; refused past the bound.  The
+    rows are returned as given when the gcd is 1."""
+    common = gcd(den, *(v for row in rows for v in row)) if den != 1 else 1
+    if common > 1:
+        rows = [[v // common for v in row] for row in rows]
+        den //= common
+    _check_denominator(den)
+    return rows, den
+
+
 def _cleared(m: "Matrix") -> tuple[list[list[int]], int]:
     """Integer rows and the lcm d of all denominators, with m = rows / d, as
     fresh lists a caller may change (a copy of `Matrix._ints`)."""
@@ -142,14 +156,9 @@ class Matrix:
     @staticmethod
     def _from_ints(rows, den: int, cols: int | None = None) -> "Matrix":
         """The matrix rows / den for integer rows and den > 0, with `_ints`
-        filled (`cols` as in the constructor).  Rows and den are divided by
-        their common gcd first, which leaves den the lcm of the entry
-        denominators: the cache is what clearing the entries would give."""
-        common = gcd(den, *(v for row in rows for v in row)) if den != 1 else 1
-        if common > 1:
-            rows = [[v // common for v in row] for row in rows]
-            den //= common
-        _check_denominator(den)
+        filled (`cols` as in the constructor): the `_reduced` rows, which
+        are what clearing the entries would give."""
+        rows, den = _reduced(rows, den)
         zero = Fraction(0)
         m = Matrix(tuple(tuple(Fraction(v, den) if v else zero for v in row)
                          for row in rows), cols)
@@ -366,23 +375,25 @@ def _require_shape(a: Matrix, g: GroupKind):
         raise DomainError(f"expected a {g.n}x{g.n} matrix, got {a.rows}x{a.cols}")
 
 
-def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
+def _lie_violation(rows, g: GroupKind) -> tuple[int, int] | None:
     """First 1-based (row, col), row-major, where transpose(a) F + F a is
-    nonzero, or None when a is in the Lie algebra of g.
+    nonzero, or None when a is in the Lie algebra of g, for the n x n matrix
+    a with these rows: its Fraction entries, or integer rows over any one
+    denominator, which scales every entry alike.
 
     Entry (p, q) vanishes iff the position (p*, q) and its mate agree up to
     their sign (see `_mates`), so each entry is decided without a product.
     The matrix is symmetric or skew, so its first nonzero entry lies on or
     above the diagonal, and only those entries are read.  They are compared
-    as reduced fractions, numerator and denominator, and never cleared: a
-    non-member is refused however large its denominators are.
+    as reduced fractions, numerator and denominator (an int's denominator
+    is 1), and never cleared: a non-member is refused however large its
+    denominators are.
     """
-    _require_shape(a, g)
-    n, mates, e = g.n, _mates(g), a.entries
+    n, mates = g.n, _mates(g)
     for p in range(n):
         r = n - 1 - p
         for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
-            x, y = e[mr][mc], e[r][q]
+            x, y = rows[mr][mc], rows[r][q]
             if x.denominator != y.denominator or x.numerator != sign * y.numerator:
                 return p + 1, q + 1
     return None
@@ -390,7 +401,8 @@ def _lie_violation(a: Matrix, g: GroupKind) -> tuple[int, int] | None:
 
 def lie_member(a: Matrix, g: GroupKind) -> bool:
     """True iff transpose(a) F + F a = 0 exactly."""
-    return _lie_violation(a, g) is None
+    _require_shape(a, g)
+    return _lie_violation(a.entries, g) is None
 
 
 def group_member(u: Matrix, g: GroupKind) -> bool:
@@ -402,12 +414,12 @@ def group_member(u: Matrix, g: GroupKind) -> bool:
                for q, v in enumerate(row))
 
 
-def _square_violation(a: Matrix) -> tuple[int, int] | None:
-    """First 1-based (row, col), row-major, where a @ a is nonzero, or None.
-    The integer rows of the product are built one at a time, up to the
-    first nonzero one."""
-    rows = a._ints[0]
-    for p, row in enumerate(_products(rows, rows, a.cols), start=1):
+def _square_violation(rows) -> tuple[int, int] | None:
+    """First 1-based (row, col), row-major, where a @ a is nonzero, or None,
+    for the square matrix a with these integer rows (over any denominator).
+    The rows of the product are built one at a time, up to the first
+    nonzero one."""
+    for p, row in enumerate(_products(rows, rows, len(rows)), start=1):
         for q, v in enumerate(row, start=1):
             if v:
                 return p, q
@@ -418,24 +430,50 @@ def is_two_nilpotent(a: Matrix) -> bool:
     """True iff a @ a = 0 exactly."""
     if not a.is_square:
         raise DomainError("nilpotency test needs a square matrix")
-    return _square_violation(a) is None
+    return _square_violation(a._ints[0]) is None
+
+
+def _require_form(rows, g: GroupKind, what: str):
+    """Refuse the matrix with these rows (`_lie_violation`) unless it is in
+    the Lie algebra of g, naming its first failing entry."""
+    if bad := _lie_violation(rows, g):
+        r, c = bad
+        raise DomainError(f"{what} not in {g.name}: "
+                          f"(transpose(a)F + Fa)[{r},{c}] != 0")
+
+
+def _require_square_zero(rows, what: str):
+    """Refuse the matrix with these integer rows unless it squares to zero,
+    naming its first failing entry."""
+    if bad := _square_violation(rows):
+        r, c = bad
+        raise DomainError(f"{what} is not 2-nilpotent: (x @ x)[{r},{c}] != 0")
 
 
 def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
     """Refuse x unless it is a 2-nilpotent member of the Lie algebra of g.
 
     The DomainError names `what` and the first failing entry, row-major:
-    of transpose(x) F + F x, then of x @ x.
+    of transpose(x) F + F x, then of x @ x.  The form is read off the
+    entries, so a non-member is refused before x is cleared.
     """
     # `lie_member` gates here for the benchmark's tracer test: a non-member
     # is read twice.
     if not lie_member(x, g):
-        r, c = _lie_violation(x, g)
-        raise DomainError(f"{what} not in {g.name}: "
-                          f"(transpose(a)F + Fa)[{r},{c}] != 0")
-    if bad := _square_violation(x):   # x is square: the form check read its shape
-        r, c = bad
-        raise DomainError(f"{what} is not 2-nilpotent: (x @ x)[{r},{c}] != 0")
+        _require_form(x.entries, g, what)
+    _require_square_zero(x._ints[0], what)   # x is square: lie_member read its shape
+
+
+def _require_two_nilpotent_ints(rows, den: int, g: GroupKind) -> list:
+    """`require_two_nilpotent` for the n x n matrix rows / den given as
+    integer rows, n = g.n: refused past the denominator bound (after the
+    common gcd is divided out, as `Matrix._from_ints` does), off the form
+    or where its square is not zero.  Returns the `_reduced` rows; no
+    Fraction is built."""
+    rows, _ = _reduced(rows, den)
+    _require_form(rows, g, "matrix")
+    _require_square_zero(rows, "matrix")
+    return rows
 
 
 @dataclass(frozen=True)

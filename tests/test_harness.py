@@ -12,7 +12,7 @@ from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_coun
 from hypothesis import given, settings, strategies as st
 
 from nilorbits import harness
-from nilorbits.correspondence import (identify, identify_parabolic,
+from nilorbits.correspondence import (_identify_rows, identify, identify_parabolic,
                                       parabolic_representative, pattern_to_matrix,
                                       rank_signature)
 from nilorbits.harness import (SuiteConfig, _root_elements, _root_word, _torus_scales,
@@ -392,7 +392,7 @@ def test_root_words_match_their_dense_products(g):
             if spec.flag == tuple(range(1, g.l + 1)):
                 assert u.is_upper_triangular()
             x = pattern_to_matrix(pats[7 * seed % len(pats)], g)
-            assert _word_act(word, x) == u @ x @ u_inv
+            assert Matrix._from_ints(*_word_act(word, x)) == u @ x @ u_inv
 
 
 @pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
@@ -411,7 +411,7 @@ def test_word_act_equals_the_fraction_oracle(g):
                                    for _ in range(g.n)] for _ in range(g.n)])
             assert not lie_member(x, g)
             want = reference_word_act(word, reference_word_diagonal(spec, seed), x)
-            assert repr(_word_act(word, x)) == repr(want)
+            assert repr(Matrix._from_ints(*_word_act(word, x))) == repr(want)
     assert (odd_middle > 0) == (g.n % 2 == 1)
 
 
@@ -429,7 +429,7 @@ def test_seeded_integer_rows_equal_a_fresh_clearing(g):
     for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
         x = pattern_to_matrix(p, g)
         word = _root_word(spec, seed)
-        y = _word_act(word, x)
+        y = Matrix._from_ints(*_word_act(word, x))
         made += [x, y, x @ y, y @ x, y @ y, u @ x @ u_inv]
     for m in made:
         assert "_ints" in m.__dict__
@@ -440,7 +440,8 @@ def test_identify_reuses_the_integer_rows_of_a_conjugate(clearings):
     g = GroupKind.orthogonal(7)
     spec = SpaceSpec.borel(g)
     pats = enumerate_patterns(g.family, g.l, (1,) * g.l)
-    conjugates = [_word_act(_root_word(spec, seed), pattern_to_matrix(p, g))
+    conjugates = [Matrix._from_ints(*_word_act(_root_word(spec, seed),
+                                               pattern_to_matrix(p, g)))
                   for seed, p in enumerate(pats)]
     clearings.clear()
     assert [identify(y, g) for y in conjugates] == pats
@@ -448,8 +449,10 @@ def test_identify_reuses_the_integer_rows_of_a_conjugate(clearings):
 
 
 def test_a_conjugate_outside_the_algebra_is_a_recorded_failure(monkeypatch):
+    # x + I: the word action's integer rows and denominator
     monkeypatch.setattr("nilorbits.harness._word_act",
-                        lambda word, x: x + Matrix.identity(x.rows))
+                        lambda word, x: ([[v + (p == q) for q, v in enumerate(row)]
+                                          for p, row in enumerate(x._ints[0])], 1))
     report = run_suite(SuiteConfig(max_rank=2, conjugations=2, checks=("conjugation",)))
     assert report["summary"] == {"total": 4, "failed": 4}
     details = sorted(item["details"] for item in report["items"])
@@ -501,19 +504,72 @@ def test_root_words_draw_the_randint_stream():
 WORD_CONJUGATES_DIGEST = "427110bfa66f61721ae350d6ef707f5b6a27d4b6f226dd57cd59931ffed6ed37"
 
 
-def test_root_word_conjugates_are_frozen():
+def frozen_word_conjugates():
+    """(g, rows, den) for every conjugate `WORD_CONJUGATES_DIGEST` covers,
+    as `_word_act` leaves it."""
     groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
               + [GroupKind.orthogonal(n) for n in range(3, 10)])
-    digest, count = hashlib.sha256(), 0
     for g in groups:
         xs = [pattern_to_matrix(p, g) for p in enumerate_patterns(g.family, g.l, (1,) * g.l)]
         for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
             for x in xs:
                 for seed in range(3):
-                    digest.update(repr(_word_act(_root_word(spec, seed), x)._ints).encode())
-                    count += 1
+                    yield (g, *_word_act(_root_word(spec, seed), x))
+
+
+def test_root_word_conjugates_are_frozen():
+    digest, count = hashlib.sha256(), 0
+    for _, rows, den in frozen_word_conjugates():
+        y = Matrix._from_ints(rows, den)
+        digest.update(repr(y._ints).encode())
+        count += 1
     assert count == 5463
     assert digest.hexdigest() == WORD_CONJUGATES_DIGEST
+
+
+def identify_both_ways(rows, den: int, g: GroupKind) -> list:
+    """The pattern, or the refusal's message, of `_identify_rows` and of
+    `identify` on the Matrix of the same rows."""
+    outcomes = []
+    for route in (lambda: _identify_rows(rows, den, g),
+                  lambda: identify(Matrix._from_ints(rows, den), g)):
+        try:
+            outcomes.append(route())
+        except DomainError as exc:
+            outcomes.append(f"refused: {exc}")
+    return outcomes
+
+
+def test_identify_on_integer_rows_equals_the_matrix_route():
+    # Every frozen conjugate, the same rows x3 over den x3 (the gate divides
+    # the common gcd out), and the two refusals CLI identify is benchmarked
+    # on: +E_11, off the form, and +E_11 - E_nn, in the algebra but not
+    # square-zero.  Both routes give the same pattern or the same message.
+    refusals = {"form": 0, "square": 0}
+    for g, rows, den in frozen_word_conjugates():
+        n = g.n
+        pattern, same = identify_both_ways(rows, den, g)
+        assert pattern == same and not isinstance(pattern, str)
+        tripled = [[3 * v for v in row] for row in rows]
+        assert identify_both_ways(tripled, 3 * den, g) == [pattern, pattern]
+        off_form = [list(row) for row in rows]
+        off_form[0][0] += den
+        not_square_zero = [list(row) for row in off_form]
+        not_square_zero[n - 1][n - 1] -= den
+        for kind, bad, want in (("form", off_form, f"matrix not in {g.name}: "),
+                                ("square", not_square_zero, "matrix is not 2-nilpotent: ")):
+            got, same = identify_both_ways(bad, den, g)
+            assert got == same, (g.name, kind)
+            assert got.startswith(f"refused: {want}"), (g.name, kind, got)
+            refusals[kind] += 1
+    assert refusals == {"form": 5463, "square": 5463}
+    # Past the denominator bound with a gcd of 1: both refuse, whatever x is.
+    g = GroupKind.symplectic(4)
+    rows = [list(row) for row in pattern_to_matrix(enumerate_patterns(g.family, 2, (1, 1))[3],
+                                                   g)._ints[0]]
+    outcomes = identify_both_ways(rows, 2 ** (_MAX_DENOMINATOR_BITS + 1) + 1, g)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].startswith("refused: matrix entries need a common denominator")
 
 
 @pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
@@ -522,7 +578,7 @@ def test_parabolic_orbits_are_constant_under_levi_and_unipotent_words(g):
     for spec in every_flag(g):
         for seed, p in enumerate(enumerate_patterns(g.family, spec.k, spec.blocks)):
             x = parabolic_representative(p, spec)
-            y = _word_act(_root_word(spec, seed), x)
+            y = Matrix._from_ints(*_word_act(_root_word(spec, seed), x))
             assert lie_member(y, g)
             assert identify_parabolic(y, spec) == p, (spec.flag, p.text())
             moved += identify(y, g) != identify(x, g)

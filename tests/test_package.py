@@ -109,15 +109,17 @@ def _calls(node, name: str) -> int:
 
 def test_one_elimination_kernel_and_one_gcd_importer():
     # Rank, the two dimension solvers and the rank signature all eliminate
-    # through linalg._eliminate: it is defined once, each of them calls it,
-    # and only linalg imports gcd, so no module reduces rows on its own.
+    # through linalg._eliminate: it is defined once, each of them calls it
+    # (the rank signature through `_delta_positions`, which the conjugation
+    # check's `_identify_rows` shares), and only linalg imports gcd, so no
+    # module reduces rows on its own.
     # The flag rule is stated once too, in linalg._keeps: the parabolic's
     # coordinates keep the flag by it, and so do the stabilizer's unknowns
     # on V_k, which `symmetric_endo_dim` solves on with A_omega alone from
     # the basis rows and the loop rows.  No inclusion arrows are built.
     defined = {"_eliminate": [], "_coordinates": [], "_keeps": [],
                "_intertwiner_rows": [], "_inclusions": []}
-    callers = {name: {} for name in defined}
+    callers = {name: {} for name in (*defined, "_delta_positions")}
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -135,7 +137,8 @@ def test_one_elimination_kernel_and_one_gcd_importer():
                        "_keeps": ["linalg"], "_intertwiner_rows": ["linalg"],
                        "_inclusions": []}
     assert {"rank", "_orbit_dimension", "symmetric_endo_dim",
-            "rank_signature"} <= set(callers["_eliminate"])
+            "_delta_positions"} <= set(callers["_eliminate"])
+    assert callers["_delta_positions"] == {"rank_signature": 1, "_identify_rows": 1}
     assert "parabolic_dim" not in callers["_eliminate"]
     assert callers["_coordinates"] == {"parabolic_dim": 1, "_orbit_dimension": 1,
                                        "_root_elements": 1, "symmetric_endo_dim": 1}
@@ -195,6 +198,28 @@ def test_dense_pairs_are_built_on_integer_rows():
     assert callers == {"_root_word", "random_group_element_pair"}
 
 
+def test_root_word_conjugates_stay_integer_rows():
+    # The conjugation check reads a conjugate as the integer rows and the
+    # denominator the word action leaves: `_word_act` makes no Matrix and
+    # no Fraction, and `_identify_rows` gates and decodes them.  The form
+    # and square scans are stated once each, in linalg, and read rows, so
+    # the Matrix gate and the integer gate share them.
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    act = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_word_act")
+    made = [ast.unparse(call.func) for call in ast.walk(act) if isinstance(call, ast.Call)
+            and (isinstance(call.func, ast.Name) and call.func.id in ("Matrix", "Fraction")
+                 or isinstance(call.func, ast.Attribute)
+                 and (call.func.attr == "_from_ints" or ast.unparse(call.func.value) == "Matrix"))]
+    assert made == []
+    defined = {"_lie_violation": [], "_square_violation": []}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(path.stem)
+    assert defined == {"_lie_violation": ["linalg"], "_square_violation": ["linalg"]}
+
+
 def test_one_arc_table_read_off_the_mates():
     # The arc <-> matrix-unit dictionary is stated once: correspondence's
     # _arc_table folds linalg._mates, and both directions of the
@@ -213,7 +238,8 @@ def test_one_arc_table_read_off_the_mates():
     assert defined == ["correspondence"]
     assert callers["_arc_table"] == {("correspondence", "pattern_to_matrix"),
                                      ("correspondence", "_decode"),
-                                     ("correspondence", "identify")}
+                                     ("correspondence", "identify"),
+                                     ("correspondence", "_identify_rows")}
     assert ("correspondence", "_arc_table") in callers["_mates"]
     assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
     assert "eps" not in _names_read(PACKAGE / "correspondence.py")
