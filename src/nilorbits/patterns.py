@@ -33,6 +33,14 @@ class Arc:
     A loop (source == target) must declare its variant: dotted loops are
     "upper" or "lower", undotted loops are "unoriented".  Non-loop arcs have
     loop_variant "none".
+
+    The hash is the dataclass rule, hash((source, target, dotted,
+    loop_variant)), worked out once after the checks and kept outside the
+    fields: every memo and set lookup of the quiver and pattern layers
+    hashes arcs, and an arc is never changed.  A `str` hashes differently
+    in another process, so a pickled arc must not carry the hash:
+    `__reduce__` rebuilds each arc through the constructor (for `pickle`,
+    `copy` and `deepcopy` alike), which hashes it anew.
     """
 
     source: int
@@ -53,6 +61,14 @@ class Arc:
             raise DomainError("upper/lower loops are dotted by definition")
         if self.loop_variant == LOOP_UNORIENTED and self.dotted:
             raise DomainError("unoriented loops are undotted by definition")
+        self.__dict__["_hash"] = hash((self.source, self.target, self.dotted,
+                                       self.loop_variant))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Arc, (self.source, self.target, self.dotted, self.loop_variant)
 
     @property
     def is_loop(self) -> bool:
@@ -233,15 +249,33 @@ def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> list[int]:
     return free
 
 
-def _arc_types(k: int) -> list[Arc]:
-    """All arc types on k vertices, in canonical order."""
+# Searches come back to the same small levels (a verify pass walks each
+# level of ranks up to 3 once per check family), so the levels k = 0, ...,
+# 16 keep their arc types, 528 of them at k = 16, and with them the
+# fragments each arc caches.  A larger level is built anew for each search
+# and freed with it, so a large `enumerate` keeps no table.
+_KEPT_LEVELS = 17
+
+
+def _arc_types(k: int) -> tuple[Arc, ...]:
+    """All arc types on k vertices, in canonical order: one shared tuple for
+    each of the first `_KEPT_LEVELS` levels, a new one above them."""
+    return _kept_arc_types(k) if k < _KEPT_LEVELS else _new_arc_types(k)
+
+
+@lru_cache(maxsize=_KEPT_LEVELS)
+def _kept_arc_types(k: int) -> tuple[Arc, ...]:
+    return _new_arc_types(k)
+
+
+def _new_arc_types(k: int) -> tuple[Arc, ...]:
     types: list[Arc] = []
     for i in range(1, k + 1):
         types.extend((upper_loop(i), lower_loop(i), unoriented_loop(i)))
         for j in range(i + 1, k + 1):
             types.extend((undotted(i, j), undotted(j, i), dotted(i, j), dotted(j, i)))
     types.sort(key=Arc.key)
-    return types
+    return tuple(types)
 
 
 def _trusted(kind: str, k: int, b: tuple[int, ...], arcs: tuple[Arc, ...]) -> LinkPattern:

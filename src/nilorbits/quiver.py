@@ -272,11 +272,14 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
     vector is always the palindrome of the spec.  Each arc is translated
     once per level (`_level`), the first time a pattern holds it, and its
     piece is shared by every multiset that holds it (pieces are immutable);
-    the list is new on every call.
+    the list is new on every call.  A call checks p once
+    (`_free_capacity`) and looks each arc up once in the level's memo,
+    which reads the hash the arc keeps.
     """
     free = _free_capacity(p, spec)
-    g, k = spec.group, spec.k
-    free_pieces, padding, memo = _level(k, g.family, g.n, spec.flag[-1] if spec.flag else 0)
+    g, flag = spec.group, spec.flag
+    k = len(flag)
+    free_pieces, padding, memo = _level(k, g.family, g.n, flag[-1] if flag else 0)
     out = [(piece, count) for piece, count in zip(free_pieces, free) if count]
     out += padding
     found = []
@@ -287,13 +290,16 @@ def pattern_to_summands(p: LinkPattern, spec: SpaceSpec) -> Multiset:
         found.append(hit)
     # distinct arcs translate to distinct pieces and equal arcs share one
     # memo entry, so equal ranks hold one piece object: the sort never
-    # compares pieces, and equal pieces end up next to each other
+    # compares pieces, and equal pieces end up next to each other.  No arc
+    # piece is a free or padding piece (those are all family M).
     found.sort()
+    last = None
     for _, piece in found:
-        if out and out[-1][0] is piece:
+        if piece is last:
             out[-1] = (piece, out[-1][1] + 1)
         else:
             out.append((piece, 1))
+            last = piece
     return out
 
 
@@ -338,10 +344,15 @@ class SymmetricRep:
 
 def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:
     """Standard-basis realization of the standard isotropic flag: the
-    basis is [I; 0], the first d_k unit vectors, written entry by entry."""
+    basis is [I; 0], the first d_k unit vectors, and the loop, when none is
+    given, is zero.  Both are built on integer rows (`Matrix._from_ints`),
+    so the rank and 2-nilpotency checks of `SymmetricRep` read rows that
+    are already cleared."""
     n, d = spec.group.n, spec.flag[-1] if spec.flag else 0
-    basis = Matrix.from_rows([[int(p == q) for q in range(d)] for p in range(n)])
-    return SymmetricRep(spec, basis, loop if loop is not None else Matrix.zero(n))
+    basis = Matrix._from_ints([[int(p == q) for q in range(d)] for p in range(n)], 1, d)
+    if loop is None:
+        loop = Matrix._from_ints([[0] * n] * n, 1, n)
+    return SymmetricRep(spec, basis, loop)
 
 
 def realize_isotropic_flag(g: GroupKind, subspaces: list[list[list]],

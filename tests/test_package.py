@@ -220,6 +220,34 @@ def test_root_word_conjugates_stay_integer_rows():
     assert defined == {"_lie_violation": ["linalg"], "_square_violation": ["linalg"]}
 
 
+def test_the_standard_flag_is_written_on_integer_rows():
+    # `realize_flag` writes [I; 0] and its zero loop as integer rows, so the
+    # rank and 2-nilpotency checks of `SymmetricRep` read rows already
+    # cleared: it makes no Fraction and calls neither `from_rows` nor
+    # `Matrix.zero`.
+    tree = ast.parse((PACKAGE / "quiver.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "realize_flag")
+    made = [ast.unparse(call.func) for call in ast.walk(func) if isinstance(call, ast.Call)
+            and (isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+                 or isinstance(call.func, ast.Attribute)
+                 and call.func.attr in ("from_rows", "zero", "Fraction"))]
+    assert made == []
+
+
+def test_arc_states_its_hash_and_its_pickling_once():
+    # `Arc` keeps the dataclass hash, worked out once, and rebuilds itself
+    # through its constructor when pickled or copied: each is one method
+    # of the class body, and no other hook bypasses the rebuild.
+    tree = ast.parse((PACKAGE / "patterns.py").read_text())
+    arc = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Arc")
+    methods = [node.name for node in arc.body if isinstance(node, ast.FunctionDef)]
+    assert methods.count("__hash__") == 1 and methods.count("__reduce__") == 1
+    assert not {"__reduce_ex__", "__getstate__", "__setstate__", "__copy__",
+                "__deepcopy__"} & set(methods)
+
+
 def test_one_arc_table_read_off_the_mates():
     # The arc <-> matrix-unit dictionary is stated once: correspondence's
     # _arc_table folds linalg._mates, and both directions of the

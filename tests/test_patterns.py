@@ -1,13 +1,20 @@
+import copy
+import dataclasses
 import itertools
 import json
 import math
+import os
+import pathlib
+import pickle
+import subprocess
 import sys
 
 import pytest
 
+from nilorbits import patterns
 from nilorbits.correspondence import refine
 from nilorbits.linalg import DomainError, GroupKind, SpaceSpec
-from nilorbits.patterns import (Arc, LinkPattern, consumption, count_borel,
+from nilorbits.patterns import (LOOP_UPPER, Arc, LinkPattern, consumption, count_borel,
                                 dotted, enumerate_patterns, glue, is_nilradical,
                                 lower_loop, pattern_from_json, pattern_from_obj,
                                 pattern_to_json, strip_orientation, undotted,
@@ -59,6 +66,76 @@ def test_arc_text_and_keys():
     # canonical keys order loops before arcs at the same vertex pair
     assert unoriented_loop(1).key() < upper_loop(2).key()
     assert undotted(1, 2).key() < dotted(1, 2).key() < undotted(2, 1).key()
+
+
+def _fields(arc: Arc) -> tuple:
+    return (arc.source, arc.target, arc.dotted, arc.loop_variant)
+
+
+def test_arc_keeps_the_dataclass_hash_outside_its_fields():
+    # The hash is worked out once, by the rule the dataclass generates, so
+    # sets, dict orders and digests stay as they were; the fields, repr,
+    # equality and order still see the four fields alone.
+    for k in range(7):
+        for arc in _arc_types(k):
+            assert hash(arc) == hash(_fields(arc))
+    arc = upper_loop(1)
+    assert [f.name for f in dataclasses.fields(arc)] == ["source", "target", "dotted",
+                                                         "loop_variant"]
+    assert dataclasses.asdict(arc) == {"source": 1, "target": 1, "dotted": True,
+                                       "loop_variant": "upper"}
+    assert repr(arc) == "Arc(source=1, target=1, dotted=True, loop_variant='upper')"
+    assert sorted([undotted(2, 1), dotted(1, 2), arc]) == [arc, dotted(1, 2), undotted(2, 1)]
+    for name in ("source", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(arc, name, 2)
+    assert hash(arc) == hash(_fields(arc))
+
+
+def test_equal_arcs_built_any_way_hash_equal():
+    # Arcs decoded from JSON, refined, glued, replaced and copied are new
+    # objects equal to the enumerated ones; each must hash as they do, or
+    # a memo or a set would miss it.
+    g = GroupKind.orthogonal(9)
+    spec = SpaceSpec.from_blocks(g, (1, 2, 1))
+    seen = 0
+    for p in enumerate_patterns(g.family, spec.k, spec.blocks):
+        fine = refine(p, spec)
+        for q, rebuilt in ((p, pattern_from_json(pattern_to_json(p)).arcs),
+                           (p, glue(fine, spec).arcs),
+                           (fine, pattern_from_json(pattern_to_json(fine)).arcs),
+                           (p, tuple(dataclasses.replace(a) for a in p.arcs)),
+                           (p, tuple(map(copy.copy, p.arcs))),
+                           (p, copy.deepcopy(p.arcs))):
+            assert rebuilt == q.arcs
+            for a, b in zip(rebuilt, q.arcs):
+                assert hash(a) == hash(b) == hash(_fields(b)) and a in {b}
+                seen += a is not b
+    assert seen > 0
+
+
+def test_pickled_arcs_hash_anew_in_another_process():
+    # A str hashes differently under another hash seed, so an arc that was
+    # unpickled with the hash of the process that pickled it would equal a
+    # fresh arc yet be missing from a set of them.  The arcs are pickled in
+    # a child under one seed and loaded here, under another.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = pathlib.Path(patterns.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed,
+               PYTHONDONTWRITEBYTECODE="1")
+    script = ("import pickle, sys\n"
+              "from nilorbits.patterns import LOOP_UPPER, _arc_types\n"
+              "sys.stdout.buffer.write(pickle.dumps("
+              "(hash(LOOP_UPPER), _arc_types(3), set(_arc_types(2)))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=60, check=True)
+    theirs, arcs, arc_set = pickle.loads(proc.stdout)
+    assert theirs != hash(LOOP_UPPER)   # the two processes hash str apart
+    fresh = {Arc(*_fields(a)) for a in arcs}
+    assert len(arcs) == len(fresh) == 21
+    for arc in arcs:
+        assert arc in fresh and hash(arc) == hash(_fields(arc))
+    assert arc_set == set(_arc_types(2)) and all(a in arc_set for a in _arc_types(2))
 
 
 def test_pattern_sorts_arcs_and_compares_equal():
@@ -362,3 +439,21 @@ def test_search_refuses_a_level_past_the_arc_type_bound():
     with pytest.raises(DomainError, match="100,576 arc types"):
         _search("orthogonal", 224, (1,) * 224)
 
+
+def test_small_levels_keep_their_arc_types():
+    # Searches at one small level hand out the same arc objects, so each
+    # arc's cached fragments are worked out once; a large level is built
+    # anew for each search and never enters the kept levels.
+    first = enumerate_patterns("symplectic", 3, (1, 1, 1))
+    again = enumerate_patterns("symplectic", 3, (1, 1, 1))
+    assert first == again
+    assert all(a is b for p, q in zip(first, again) for a, b in zip(p.arcs, q.arcs))
+    assert _arc_types(16) is _arc_types(16) and len(_arc_types(16)) == 528
+    kept = patterns._kept_arc_types.cache_info()
+    assert _arc_types(17) is not _arc_types(17)
+    firsts = [next(itertools.islice(_search("orthogonal", 200, (1,) * 200)[1], 1, None))
+              for _ in range(2)]
+    (a,), (b,) = firsts
+    assert a == b and a is not b
+    assert patterns._kept_arc_types.cache_info() == kept
+    assert kept.maxsize == patterns._KEPT_LEVELS == 17

@@ -303,6 +303,27 @@ def test_realize_flag_validates_the_loop():
         realize_flag(spec, loop=bad)
 
 
+def test_realize_flag_builds_the_standard_flag_on_integer_rows():
+    # [I; 0] and the zero loop are written as integer rows: equal to the
+    # Fraction construction, entry by entry, with Fraction entries and the
+    # cleared rows a fresh clearing of those entries gives.
+    groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 14)])
+    flags = 0
+    for g in groups:
+        for size in range(g.l + 1):
+            for flag in combinations(range(1, g.l + 1), size):
+                rep, d = realize_flag(SpaceSpec(g, flag)), flag[-1] if flag else 0
+                assert rep.basis == Matrix.from_rows([[int(p == q) for q in range(d)]
+                                                      for p in range(g.n)])
+                assert rep.loop == Matrix.zero(g.n)
+                for m in (rep.basis, rep.loop):
+                    assert all(type(v) is Fraction for row in m.entries for v in row)
+                    assert m._ints == Matrix(m.entries, m.cols)._ints
+                flags += 1
+    assert flags == 379
+
+
 def test_realize_isotropic_flag_validates_bases():
     g = GroupKind.orthogonal(4)
     with pytest.raises(DomainError, match="at least one"):
