@@ -14,7 +14,7 @@ import sys
 from itertools import chain, islice, repeat, starmap
 from typing import Iterator
 
-from .correspondence import (_MAX_TABLE_N, identify, identify_parabolic,
+from .correspondence import (_MAX_N, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern, tex_table)
 from .harness import _MAX_SUITE_RANK, SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
@@ -288,11 +288,11 @@ _COMMANDS = {
                           + _REACH_L,
               ("group", "n", "rank", "blocks", "out"), ("json", "text")),
     "repr": (_cmd_repr, "pattern (JSON on stdin or --in) to representative matrix "
-                        f"(n at most {_MAX_TABLE_N})",
+                        f"(n at most {_MAX_N})",
              ("group", "n", "in", "out"), ("json", "tex", "text")),
     "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern "
                                 "and the orbit dimension, solved on the decoded orbit's "
-                                f"representative (n at most {_MAX_TABLE_N}); --blocks "
+                                f"representative (n at most {_MAX_N}); --blocks "
                                 "must sum to l = n // 2",
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",

@@ -1,14 +1,17 @@
 """The two-way bridge between link patterns and 2-nilpotent matrices.
 
-Forward: an arc of a Borel-level pattern is a mate pair of `linalg._mates`
-folded under the duality (r, c) -> (c*, r*) (`_arc_table`), and the
-representative is 1 at each arc's earlier position and its `_mates` sign at
-the mate.  Backward: the table of ranks of lower-left submatrices is a
-complete invariant of the Borel orbit, and its unit positions (the delta
-positions) are those of the representative, so each is looked up in the
-same table.  The delta positions are the pivots of linalg's one
-elimination kernel, run on the rows bottom-up.  Parabolic-level patterns
-are materialized through a canonical Borel refinement.
+Forward: an arc of a Borel-level pattern is a mate pair (r, c) <-> (c*, r*)
+of the form's condition (`linalg._form_signs`) folded under the duality,
+and the representative is 1 at each arc's earlier position and the pair's
+sign at the mate.  Both directions of the fold are closed forms:
+`_arc_at` reads an arc off a position, and `_arc_units` reads the position,
+its mate and the sign off an arc.  Backward: the table of ranks of
+lower-left submatrices is a complete invariant of the Borel orbit, and its
+unit positions (the delta positions) are those of the representative, so
+each is folded back by `_arc_at`.  The delta positions are the pivots of
+linalg's one elimination kernel, run on the rows bottom-up.
+Parabolic-level patterns are materialized through a canonical Borel
+refinement.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _GROUP_CACHE_SIZE,
-                     _eliminate, _mates, _require_two_nilpotent_ints, _within,
-                     require_two_nilpotent)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate, _form_signs,
+                     _require_two_nilpotent_ints, _within, require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -32,50 +34,86 @@ class MalformedInputError(DomainError):
     a DomainError, so one handler refuses every bad input."""
 
 
-# `_arc_table` reads all n^2 entries of `_mates` and keys about n^2 / 2 arcs:
-# CLI `repr` of the empty pattern at n = 1000 peaks near 500 MB and takes 6 s
-# on a 2-core VM (Python 3.11), and n = 1400 near 1 GB.  A larger group is
-# refused before either table is built.
-_MAX_TABLE_N = 1000
+# The n x n builds (a representative, and for `identify` the rows of the
+# input and the orbit-dimension solve on about n^2 / 2 coordinates) grow as
+# n^2.  At n = 1000, CLI `repr` of the empty sp pattern peaks at 47 MB and
+# CLI `identify` of the zero sp matrix at 215 MB (2-core VM, Python 3.11,
+# interpreter included); a larger group is refused before either is built.
+_MAX_N = 1000
 
 
-@lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _arc_table(g: GroupKind) -> dict:
-    """Maps every arc that fits a Borel-level pattern of g, and the 1-based
-    earlier position of its mate pair, to (arc, position, mate, sign).
+def _require_size(g: GroupKind):
+    if g.n > _MAX_N:
+        raise DomainError(f"{g.name}: representatives are built for n <= {_MAX_N} only")
 
-    The duality (r, c) -> (c*, r*) folds the pair onto one arc: its ends are
-    min(r, r*) and min(c, c*); it is dotted iff exactly one of r, c is
-    starred, and leftward (an upper loop) iff r < c.  A self-mated position
-    is a loop only where its sign is +1, as in `_coordinates`; the diagonal
-    and the middle index of o_2l+1 hold no arc.
+
+# Decoded patterns share their arc objects, so each arc's hash, `key` and
+# capacity costs are worked out once.  The memo is keyed by the arc's
+# fields, not by the group, and holds every Borel arc on up to 45 vertices
+# (4 C(45, 2) + 2 * 45 = 4,050).
+_ARC_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_ARC_MEMO_SIZE)
+def _arc(source: int, target: int, dotted: bool, loop_variant: str) -> Arc:
+    return Arc(source, target, dotted, loop_variant)
+
+
+def _arc_at(r: int, c: int, g: GroupKind) -> Arc | None:
+    """The forward fold: the arc of a Borel-level pattern of g whose earlier
+    unit is the 1-based position (r, c), or None if no arc starts there.
+
+    The mate of (r, c) is (c*, r*) for p* = n + 1 - p, and (r, c) is the
+    earlier of the two iff r + c <= n + 1.  The duality folds the pair onto
+    one arc: its ends are min(r, r*) and min(c, c*); it is dotted iff
+    exactly one of r, c is starred, and leftward (an upper loop) iff r < c.
+    A self-mated position is a loop only where the pair's sign
+    -s[r] s[c] is +1, as in `_coordinates`; the diagonal and the middle
+    index of o_2l+1 hold no arc.
     """
-    if g.n > _MAX_TABLE_N:
-        raise DomainError(f"{g.name}: the arc <-> matrix table is built for "
-                          f"n <= {_MAX_TABLE_N} only")
-    table = {}
-    for r, c, cs, rs, sign in _mates(g):   # 0-based (r, c) and its mate (c*, r*)
-        earlier = (r, c) < (cs, rs) or (r, c) == (cs, rs) and sign > 0
-        if not earlier or r == c or r == rs or c == cs:
-            continue
-        lo, hi = sorted((min(r, rs) + 1, min(c, cs) + 1))
-        dotted = (r > rs) != (c > cs)
-        if r < c:
-            arc = Arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
-        else:
-            arc = Arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
-        table[arc] = table[r + 1, c + 1] = (arc, (r + 1, c + 1), (cs + 1, rs + 1), sign)
-    return table
+    n = g.n
+    rs, cs = n + 1 - r, n + 1 - c
+    if c > rs or r == c or r == rs or c == cs:
+        return None
+    if c == rs:
+        s = _form_signs(g)
+        if s[r - 1] * s[c - 1] > 0:
+            return None
+    a, b = r if r < rs else rs, c if c < cs else cs
+    lo, hi = (a, b) if a < b else (b, a)
+    dotted = (r > rs) != (c > cs)
+    if r < c:
+        return _arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
+    return _arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
+
+
+def _arc_units(arc: Arc, g: GroupKind) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """The inverse fold: the 1-based earlier unit of an arc of a Borel-level
+    pattern of g, its mate and the pair's sign -s[r] s[c].
+
+    A leftward arc (source > target, or an upper loop) takes row lo, any
+    other arc row lo*; the column is hi, starred iff dotted == leftward.
+    The earlier of that unit and its mate is the arc's position.
+    """
+    n, s = g.n, _form_signs(g)
+    a, b = arc.source, arc.target
+    lo, hi = (a, b) if a <= b else (b, a)
+    leftward = a > b or arc.loop_variant == LOOP_UPPER
+    r = lo if leftward else n + 1 - lo
+    c = n + 1 - hi if arc.dotted == leftward else hi
+    unit, mate = (r, c), (n + 1 - c, n + 1 - r)
+    return min(unit, mate), max(unit, mate), -s[r - 1] * s[c - 1]
 
 
 def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
     """Representative matrix of a Borel-level pattern's orbit (block
     patterns go through `parabolic_representative`)."""
     _free_capacity(p, SpaceSpec.borel(g))
-    table, n = _arc_table(g), g.n
+    _require_size(g)
+    n = g.n
     rows = [[0] * n for _ in range(n)]
     for arc in p.arcs:
-        _, (r, c), (mr, mc), sign = table[arc]
+        (r, c), (mr, mc), sign = _arc_units(arc, g)
         rows[mr - 1][mc - 1] = sign
         rows[r - 1][c - 1] = 1
     return Matrix._from_ints(rows, 1)
@@ -173,20 +211,18 @@ def rank_signature(x: Matrix) -> RankSignature:
 def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
     """Borel-level pattern whose representative has exactly these unit
     positions: walking them in row-major order, each remaining position
-    must be the earlier position of an arc (`_arc_table`) whose mate is
-    still present."""
-    table = _arc_table(g)
-    left = set(positions)
-    arcs = []
+    must be the earlier position of an arc (`_arc_at`) whose mate is still
+    present."""
+    n, left, arcs = g.n, set(positions), []
     for pos in sorted(left):
         if pos not in left:
             continue
-        entry = table.get(pos)
-        if entry is None or entry[2] not in left:
-            raise MalformedInputError(f"delta position ({pos[0]},{pos[1]}) "
-                                      f"starts no arc of {g.name}")
-        arcs.append(entry[0])
-        left -= {pos, entry[2]}
+        r, c = pos
+        arc, mate = _arc_at(r, c, g), (n + 1 - c, n + 1 - r)
+        if arc is None or mate not in left:
+            raise MalformedInputError(f"delta position ({r},{c}) starts no arc of {g.name}")
+        arcs.append(arc)
+        left -= {pos, mate}
     pattern = LinkPattern.borel(g.family, g.l, arcs)
     if not validate(pattern):
         raise MalformedInputError("decoded arcs violate the pattern capacity rule")
@@ -196,7 +232,7 @@ def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
 def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     """Borel-level pattern of the orbit of x: its delta positions are the
     unit positions of the orbit's representative, decoded by `_decode`."""
-    _arc_table(g)   # first: past its bound, refused before the gate builds `_mates`
+    _require_size(g)   # first: past the bound, refused before the gate reads x
     require_two_nilpotent(x, g)
     return _decode(rank_signature(x).deltas, g)
 
@@ -205,7 +241,7 @@ def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
     """`identify` of the n x n matrix rows / den given as integer rows, such
     as a root-word conjugate: the same refusals and the same pattern, and
     no Matrix or Fraction is built."""
-    _arc_table(g)   # first, as in `identify`
+    _require_size(g)   # first, as in `identify`
     return _decode(_delta_positions(_require_two_nilpotent_ints(rows, den, g)), g)
 
 

@@ -20,9 +20,10 @@ member of the Lie algebra fixes its mate across the anti-diagonal up to a
 sign.  The membership test reads these mate pairs entry by entry; the
 parabolic subalgebras, the harness's root elements and the quiver layer's
 stabilizers work in mate-pair coordinates, so no row states the form
-condition, and dim p is the count of p's coordinates.  The group and
-isotropy tests apply F as a signed row reversal (`_form_times`), never as
-a Gram matrix.  One row builder states every A f - f B = 0 that is
+condition, and dim p is the count of p's coordinates.  The mate pairs are
+a closed form in the form's signs (`_form_signs`), never a table.  The
+group test applies F as a signed row reversal (`_form_times`), never as a
+Gram matrix.  One row builder states every A f - f B = 0 that is
 eliminated: [a, x] = 0, whose rank is the orbit dimension, and the basis
 and loop of a flag representation.
 
@@ -320,9 +321,9 @@ class GroupKind:
 
 
 # The per-group caches keep the groups used last: room for every group of
-# sp_2 ... sp_12 and o_1 ... o_13 (19) at once, while a caller that sweeps
-# large groups holds at most this many of each table (`_mates` and
-# `correspondence._arc_table` are about n^2 tuples a group).
+# sp_2 ... sp_12 and o_1 ... o_13 (19) at once.  They hold the form's n
+# signs, the Borel spec and the harness's root elements; the mate pairs and
+# the arc dictionary are closed forms in the signs, kept in no cache.
 _GROUP_CACHE_SIZE = 32
 
 
@@ -331,25 +332,16 @@ def _form_signs(g: GroupKind) -> tuple[int, ...]:
     """The defining form is anti-diagonal: F[p][n-1-p] = signs[p] (0-based).
 
     Symplectic: +1 on the first l rows, -1 on the last l.  Orthogonal: all +1.
+
+    Entry (r*, c) of transpose(a) F + F a is s[c*] a[c*][r*] + s[r*] a[r][c]
+    for the starred index p* = n-1-p, so a is in g exactly when
+    a[c*][r*] = -s[r] s[c] a[r][c] everywhere: each position (r, c) fixes
+    its mate (c*, r*), whose own mate is (r, c) with the same sign.  An
+    anti-diagonal position is its own mate.
     """
     if g.is_symplectic:
         return (1,) * g.l + (-1,) * g.l
     return (1,) * g.n
-
-
-@lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _mates(g: GroupKind) -> tuple[tuple[int, int, int, int, int], ...]:
-    """(r, c, c*, r*, sign) for every 0-based position (r, c), row-major,
-    with sign = -s[r] s[c] for the signs s of F.
-
-    Entry (r*, c) of transpose(a) F + F a is s[c*] a[c*][r*] + s[r*] a[r][c],
-    so a is in g exactly when a[c*][r*] = sign * a[r][c] everywhere: each
-    entry fixes its mate (c*, r*), whose own mate is (r, c) with the same
-    sign.  An anti-diagonal position is its own mate.
-    """
-    n, s = g.n, _form_signs(g)
-    return tuple((r, c, n - 1 - c, n - 1 - r, -s[r] * s[c])
-                 for r in range(n) for c in range(n))
 
 
 def form_matrix(g: GroupKind) -> Matrix:
@@ -381,20 +373,21 @@ def _lie_violation(rows, g: GroupKind) -> tuple[int, int] | None:
     a with these rows: its Fraction entries, or integer rows over any one
     denominator, which scales every entry alike.
 
-    Entry (p, q) vanishes iff the position (p*, q) and its mate agree up to
-    their sign (see `_mates`), so each entry is decided without a product.
-    The matrix is symmetric or skew, so its first nonzero entry lies on or
-    above the diagonal, and only those entries are read.  They are compared
-    as reduced fractions, numerator and denominator (an int's denominator
-    is 1), and never cleared: a non-member is refused however large its
-    denominators are.
+    Entry (p, q) vanishes iff the position (p*, q) and its mate (q*, p)
+    agree up to the sign -s[p*] s[q] (`_form_signs`), so each entry is
+    decided without a product.  The matrix is symmetric or skew, so its
+    first nonzero entry lies on or above the diagonal, and only those
+    entries are read.  They are compared as reduced fractions, numerator
+    and denominator (an int's denominator is 1), and never cleared: a
+    non-member is refused however large its denominators are.
     """
-    n, mates = g.n, _mates(g)
+    n, s = g.n, _form_signs(g)
     for p in range(n):
         r = n - 1 - p
-        for _, q, mr, mc, sign in mates[r * n + p:(r + 1) * n]:
-            x, y = rows[mr][mc], rows[r][q]
-            if x.denominator != y.denominator or x.numerator != sign * y.numerator:
+        row, sr = rows[r], -s[r]
+        for q in range(p, n):
+            x, y = rows[n - 1 - q][p], row[q]
+            if x.denominator != y.denominator or x.numerator != sr * s[q] * y.numerator:
                 return p + 1, q + 1
     return None
 
@@ -612,19 +605,24 @@ def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
     """The number of mate-pair coordinates of the parabolic subalgebra p of
     `spec`, and a member of p as a block of them (`_intertwiner_rows`).
 
-    A coordinate is a `_mates` entry whose position and mate both keep the
-    flag (`_keeps`), numbered in `_mates` order and named by the row-major
-    later one: a is 1 there and `sign` at the mate.  A pair with a position
-    that breaks the flag is zero, and so is a self-mated position of sign -1.
+    A coordinate is a mate pair (r, c) <-> (c*, r*) of sign -s[r] s[c]
+    (`_form_signs`) whose two positions both keep the flag (`_keeps`),
+    named by its row-major later position (r, c), the one with c >= r*:
+    a is 1 there and the sign at the mate.  The later positions
+    are scanned row-major, which numbers the coordinates.  A pair with a
+    position that breaks the flag is zero, and so is a self-mated position
+    of sign -1.
     """
-    flag = spec.flag
+    flag, n, s = spec.flag, spec.group.n, _form_signs(spec.group)
     count, entry = 0, {}
-    for r, c, mr, mc, sign in _mates(spec.group):
-        later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
-        if later and _keeps(flag, r, c) and _keeps(flag, mr, mc):
-            entry[mr, mc] = (count, sign)
-            entry[r, c] = (count, 1)
-            count += 1
+    for r in range(n):
+        rs = n - 1 - r
+        for c in range(rs, n):
+            cs, sign = n - 1 - c, -s[r] * s[c]
+            if (c > rs or sign > 0) and _keeps(flag, r, c) and _keeps(flag, cs, rs):
+                entry[cs, rs] = (count, sign)
+                entry[r, c] = (count, 1)
+                count += 1
     return count, entry
 
 

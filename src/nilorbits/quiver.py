@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _dumps, _eliminate, _form_times, _frac, _intertwiner_rows,
+                     _dumps, _eliminate, _form_signs, _frac, _intertwiner_rows,
                      _is_int, _keeps, rank, require_two_nilpotent)
 from .patterns import LOOP_UNORIENTED, LOOP_UPPER, Arc, LinkPattern, _free_capacity
 
@@ -316,7 +316,8 @@ class SymmetricRep:
     V_k in the middle space Q^n; `loop` is the alpha action on Q^n.  The
     starred spaces are not stored, because each is the dual of an unstarred
     one.  Every instance is checked on construction: an independent basis,
-    totally isotropic by `_form_times`, and a 2-nilpotent loop in the algebra.
+    totally isotropic for the form's signs (`_form_signs`), and a
+    2-nilpotent loop in the algebra.
     """
 
     spec: SpaceSpec
@@ -335,7 +336,11 @@ class SymmetricRep:
                               f"expected {n}x{d}")
         if rank(basis) != d:
             raise DomainError("basis vectors are linearly dependent")
-        if not (basis.transpose() @ _form_times(basis, g)).is_zero():
+        # (transpose(B) F B)[i][j] is +- sum_p s[p] B[p*][i] B[p][j], and the
+        # product is symmetric or skew: scan the cleared rows for i <= j.
+        rows, s = basis._ints[0], _form_signs(g)
+        if any(sum(s[p] * rows[n - 1 - p][i] * rows[p][j] for p in range(n))
+               for j in range(d) for i in range(j + 1)):
             raise DomainError("flag is not totally isotropic for the form")
         if (self.loop.rows, self.loop.cols) != (n, n):
             raise DomainError("loop must act on the middle space")

@@ -11,9 +11,9 @@ import pytest
 
 from nilorbits.harness import _root_elements
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate,
-                              _require_shape, form_matrix)
-from nilorbits.patterns import (LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, _arc_cost,
-                                _arc_types, consumption)
+                              _keeps, _require_shape, form_matrix)
+from nilorbits.patterns import (LOOP_NONE, LOOP_UNORIENTED, LOOP_UPPER, LOOP_LOWER, Arc,
+                                _arc_cost, _arc_types, consumption)
 from nilorbits.quiver import Summand, SymmetricPiece
 
 
@@ -75,8 +75,8 @@ def reference_lie_violation(a: Matrix, g) -> tuple[int, int] | None:
     """First 1-based (row, col), row-major, where transpose(a) F + F a is
     nonzero, from dense Fraction sums over the entries of a and of
     `form_matrix(g)`: the oracle for `linalg._lie_violation`, which reads
-    each entry off the `_mates` table and compares numerators and
-    denominators instead."""
+    each entry off a position and its mate, with the sign worked out from
+    `_form_signs`, and compares numerators and denominators instead."""
     _require_shape(a, g)
     n, e, f = g.n, a.entries, form_matrix(g).entries
     for p in range(n):
@@ -335,6 +335,70 @@ def dense_commutant_dim(g, positions, x: Matrix) -> int:
         images.append([v for m in (e.transpose() @ f + f @ e, e @ x - x @ e)
                        for row in m.entries for v in row])
     return len(images) - naive_rank(Matrix.from_rows(images)) if images else 0
+
+
+@functools.lru_cache(maxsize=None)
+def reference_mates(g) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(r, c, c*, r*, sign) for every 0-based position (r, c), row-major,
+    with sign = -s[r] s[c] for the signs s read off the dense
+    `form_matrix(g)`: the oracle for the package's closed forms in
+    `_form_signs`.
+
+    Entry (r*, c) of transpose(a) F + F a is s[c*] a[c*][r*] + s[r*] a[r][c],
+    so a is in g exactly when a[c*][r*] = sign * a[r][c] everywhere."""
+    n, f = g.n, form_matrix(g).entries
+    s = [int(f[p][n - 1 - p]) for p in range(n)]
+    return tuple((r, c, n - 1 - c, n - 1 - r, -s[r] * s[c])
+                 for r in range(n) for c in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_arc_table(g) -> dict:
+    """Every arc that fits a Borel-level pattern of g, and the 1-based
+    earlier position of its mate pair, mapped to (arc, position, mate,
+    sign), read off `reference_mates`: the oracle for the closed forms
+    `_arc_at` and `_arc_units`.
+
+    The duality (r, c) -> (c*, r*) folds the pair onto one arc: its ends are
+    min(r, r*) and min(c, c*); it is dotted iff exactly one of r, c is
+    starred, and leftward (an upper loop) iff r < c.  A self-mated position
+    is a loop only where its sign is +1; the diagonal and the middle index
+    of o_2l+1 hold no arc."""
+    table = {}
+    for r, c, cs, rs, sign in reference_mates(g):
+        earlier = (r, c) < (cs, rs) or (r, c) == (cs, rs) and sign > 0
+        if not earlier or r == c or r == rs or c == cs:
+            continue
+        lo, hi = sorted((min(r, rs) + 1, min(c, cs) + 1))
+        dotted = (r > rs) != (c > cs)
+        if r < c:
+            arc = Arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
+        else:
+            arc = Arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
+        table[arc] = table[r + 1, c + 1] = (arc, (r + 1, c + 1), (cs + 1, rs + 1), sign)
+    return table
+
+
+def reference_coordinates(spec: SpaceSpec) -> tuple[int, dict]:
+    """`linalg._coordinates` read off `reference_mates`: each pair whose
+    two positions keep the flag, numbered in table order and named by its
+    row-major later position (1 there, the sign at the mate)."""
+    count, entry = 0, {}
+    for r, c, mr, mc, sign in reference_mates(spec.group):
+        later = (r, c) > (mr, mc) or (r, c) == (mr, mc) and sign > 0
+        if later and _keeps(spec.flag, r, c) and _keeps(spec.flag, mr, mc):
+            entry[mr, mc] = (count, sign)
+            entry[r, c] = (count, 1)
+            count += 1
+    return count, entry
+
+
+def small_flag_specs() -> list[SpaceSpec]:
+    """Every flag of every group sp_2 ... sp_12 and o_1 ... o_13: 379 specs."""
+    groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 14)])
+    return [SpaceSpec(g, flag) for g in groups for k in range(g.l + 1)
+            for flag in itertools.combinations(range(1, g.l + 1), k)]
 
 
 def reference_arc_units(arc, g) -> dict[tuple[int, int], int]:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import nilorbits
 from nilorbits import cli, quiver
 from nilorbits.cli import main
-from nilorbits.correspondence import (_MAX_TABLE_N, parabolic_representative,
+from nilorbits.correspondence import (_MAX_N, parabolic_representative,
                                       pattern_to_matrix, tex_matrix, tex_pattern)
 from nilorbits.harness import (_MAX_SUITE_RANK, brute_force_count,
                                random_group_element_pair)
@@ -125,9 +125,9 @@ def test_count_refuses_huge_borel_levels_in_bounded_time_and_memory(level):
 
 @pytest.mark.parametrize("group, n", [("sp", 1002), ("o", 1001), ("sp", 2000),
                                       ("sp", 100000)])
-def test_repr_refuses_groups_past_the_arc_table_bound_in_bounded_time_and_memory(group, n):
-    # the arc table holds about n^2 / 2 arcs: n = 1000 peaks near 500 MB, and
-    # sp_2000 died with MemoryError (exit 1) under this 1 GB cap
+def test_repr_refuses_groups_past_the_size_bound_in_bounded_time_and_memory(group, n):
+    # a representative is an n x n matrix, refused past the bound before it
+    # is built, under this 1 GB cap
     l = n // 2
     kind = "symplectic" if group == "sp" else "orthogonal"
     src = Path(nilorbits.__file__).resolve().parents[1]
@@ -139,21 +139,50 @@ def test_repr_refuses_groups_past_the_arc_table_bound_in_bounded_time_and_memory
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(f"nilorbits repr: {group}_{n}: ")
-    assert f"n <= {_MAX_TABLE_N}" in proc.stderr
+    assert f"n <= {_MAX_N}" in proc.stderr
 
 
-def test_identify_refuses_a_group_past_the_arc_table_bound_before_its_gate(capsys,
-                                                                            monkeypatch):
-    # the form gate reads `_mates` (n^2 tuples: about 700 MB at sp_2000, and
-    # sp_2200 died with MemoryError under a 1 GB cap), so the bound comes first
-    n = _MAX_TABLE_N + 2
+def test_identify_refuses_a_group_past_the_size_bound_before_its_gate(capsys, monkeypatch):
+    # the bound comes before the form gate reads the input
+    n = _MAX_N + 2
     monkeypatch.setattr("sys.stdin", io.StringIO(matrix_to_json(Matrix.zero(n))))
-    with mock.patch("nilorbits.linalg._mates", side_effect=AssertionError("built _mates")), \
-            mock.patch("nilorbits.correspondence._mates", side_effect=AssertionError):
+    with mock.patch("nilorbits.linalg._lie_violation",
+                    side_effect=AssertionError("ran the form gate")):
         assert main(["identify", "--group", "sp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"nilorbits identify: sp_{n}: ")
+    assert f"n <= {_MAX_N}" in captured.err
+
+
+def _cli_at_the_bound(argv, stdin: str, limit_bytes: int) -> subprocess.CompletedProcess:
+    src = Path(nilorbits.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "nilorbits.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_capped(limit_bytes))
+
+
+def test_repr_at_the_size_bound_runs_in_256_mb():
+    # The representative of the empty sp_1000 pattern is built with no
+    # per-group table: the n x n matrix and its JSON peak near 47 MB.
+    g, p = GroupKind.symplectic(_MAX_N), LinkPattern.borel("symplectic", _MAX_N // 2)
+    proc = _cli_at_the_bound(["repr", "--group", "sp", "--n", str(_MAX_N), "--format", "json"],
+                             pattern_to_json(p), 256 << 20)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    assert proc.stdout == matrix_to_json(pattern_to_matrix(p, g)) + "\n"
+
+
+def test_identify_at_the_size_bound_runs_in_512_mb():
+    # The zero sp_1000 matrix: its rows, the gate and the orbit-dimension
+    # solve on the representative's coordinates peak near 215 MB, with no
+    # per-group table.
+    proc = _cli_at_the_bound(["identify", "--group", "sp", "--format", "json"],
+                             matrix_to_json(Matrix.zero(_MAX_N)), 512 << 20)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    empty = LinkPattern.borel("symplectic", _MAX_N // 2)
+    assert json.loads(proc.stdout) == {"pattern": json.loads(pattern_to_json(empty)),
+                                       "orbit_dimension": 0}
 
 
 def seeded_borel_pattern(kind: str, l: int, seed: int) -> LinkPattern:

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbits.correspondence import (MalformedInputError, _arc_table,
+from nilorbits.correspondence import (MalformedInputError, _arc_at, _arc_units,
                                       _decode, identify,
                                       identify_parabolic,
                                       parabolic_representative,
@@ -19,8 +19,9 @@ from nilorbits.patterns import (Arc, LinkPattern, count_borel, dotted,
                                 enumerate_patterns, glue, undotted,
                                 unoriented_loop, upper_loop, validate)
 
-from conftest import (random_rational_matrix, rank_table_direct, reference_arc_units,
-                      reference_pivot_positions, self_dual_link_patterns)
+from conftest import (random_rational_matrix, rank_table_direct, reference_arc_table,
+                      reference_arc_units, reference_pivot_positions,
+                      self_dual_link_patterns)
 
 
 def all_groups(max_l):
@@ -217,8 +218,8 @@ def test_decode_refuses_a_loop_and_an_arc_on_one_vertex():
     # (1,4) starts uloop(1) and (2,1) with its mate (4,3) starts 1->2: both
     # arcs decode, but vertex 1 of a Borel sp_4 pattern holds only one.
     sp4 = GroupKind.symplectic(4)
-    assert _arc_table(sp4)[(1, 4)][0] == upper_loop(1)
-    assert _arc_table(sp4)[(2, 1)][0] == undotted(1, 2)
+    assert _arc_at(1, 4, sp4) == upper_loop(1)
+    assert _arc_at(2, 1, sp4) == undotted(1, 2)
     with pytest.raises(MalformedInputError) as refused:
         _decode({(1, 4), (2, 1), (4, 3)}, sp4)
     assert type(refused.value) is MalformedInputError
@@ -226,24 +227,40 @@ def test_decode_refuses_a_loop_and_an_arc_on_one_vertex():
 
 
 def test_arc_table_is_the_reference_representative_table():
-    # `_arc_table` reads every arc and every sign off `_mates`; the
-    # reference table states them case by case.  The table holds each arc
-    # that fits a Borel pattern once, and the same entry under its earlier
-    # position.
+    # `_arc_at` and `_arc_units` read every arc and every sign off the
+    # form's signs; the reference table states them case by case.  The fold
+    # starts each arc that fits a Borel pattern at exactly one position,
+    # its earlier one, and decoded arcs are shared objects.
     groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
               + [GroupKind.orthogonal(n) for n in range(1, 14)])
     for g in groups:
-        table = _arc_table(g)
-        arcs = [key for key in table if isinstance(key, Arc)]
+        starts = {(r, c): arc for r in range(1, g.n + 1) for c in range(1, g.n + 1)
+                  if (arc := _arc_at(r, c, g)) is not None}
+        arcs = set(starts.values())
         loops = 2 * g.l if g.is_symplectic else 0
         assert len(arcs) == 4 * comb(g.l, 2) + loops, g.name
-        assert len(table) == 2 * len(arcs)
+        assert len(starts) == len(arcs)
         for arc in arcs:
             assert validate(LinkPattern.borel(g.family, g.l, [arc]))
-            entry = table[arc]
-            _, pos, mate, sign = entry
-            assert entry[0] == arc and table[pos] is entry and pos <= mate
+            pos, mate, sign = _arc_units(arc, g)
+            assert starts[pos] is arc and _arc_at(*pos, g) is arc and pos <= mate
             assert {mate: sign, pos: 1} == reference_arc_units(arc, g), (g.name, arc)
+
+
+def test_the_fold_and_its_inverse_equal_the_reference_table():
+    # Both closed forms against the reference table read off the dense
+    # form: `_arc_at` at every position, `_arc_units` at every arc.
+    groups = ([GroupKind.symplectic(n) for n in range(2, 41, 2)]
+              + [GroupKind.orthogonal(n) for n in range(1, 42)])
+    for g in groups:
+        table = reference_arc_table(g)
+        for r in range(1, g.n + 1):
+            for c in range(1, g.n + 1):
+                entry = table.get((r, c))
+                assert _arc_at(r, c, g) == (entry and entry[0]), (g.name, r, c)
+        for key, (arc, pos, mate, sign) in table.items():
+            if isinstance(key, Arc):
+                assert _arc_units(arc, g) == (pos, mate, sign), (g.name, arc)
 
 
 def test_borel_patterns_are_the_self_dual_type_a_link_patterns():

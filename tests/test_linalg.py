@@ -18,8 +18,9 @@ from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _coordinates, _el
 from nilorbits.patterns import enumerate_patterns
 
 from conftest import (dense_commutant_dim, flag_positions, naive_rank,
-                      random_rational_matrix, reference_eliminate, reference_first_row_pivots,
-                      reference_intertwiner_rows, reference_lie_violation)
+                      random_rational_matrix, reference_coordinates, reference_eliminate,
+                      reference_first_row_pivots, reference_intertwiner_rows,
+                      reference_lie_violation, small_flag_specs)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -745,3 +746,16 @@ def test_the_flag_rule_equals_its_any_form():
                 got = [_keeps(flag, r, c) for r in range(n) for c in range(n)]
                 assert got == [not any(c < d <= r for d in flag)
                                for r in range(n) for c in range(n)], (n, flag)
+
+
+def test_coordinates_equal_the_mate_table_reference():
+    # `_coordinates` scans the later half of each row in row-major order;
+    # the reference walks the whole mate table.  Same count, same entries,
+    # same numbering, on every flag of sp_2 ... sp_12 and o_1 ... o_13.
+    specs = small_flag_specs()
+    assert len(specs) == 379
+    for spec in specs:
+        count, entry = _coordinates(spec)
+        want_count, want = reference_coordinates(spec)
+        assert count == want_count and list(entry.items()) == list(want.items()), \
+            (spec.group.name, spec.flag)

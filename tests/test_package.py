@@ -150,9 +150,10 @@ def test_one_elimination_kernel_and_one_gcd_importer():
 
 def test_the_form_is_applied_by_signed_row_reversal():
     # F is anti-diagonal with entries +-1, so no library function forms it
-    # or an identity: F m is `linalg._form_times`, which the group test and
-    # the isotropy check of a flag representation call, and the root
-    # elements are read off the coordinates.  `form_matrix` stays public as
+    # or an identity: F m is `linalg._form_times`, which the group test
+    # calls; the isotropy check of a flag representation sums signed
+    # products of the basis's integer rows, and the root elements are read
+    # off the coordinates.  `form_matrix` stays public as
     # the dense reference of the tests and the acceptance gate.
     dense, form_times = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -170,7 +171,7 @@ def test_the_form_is_applied_by_signed_row_reversal():
             if _calls(node, "_form_times"):
                 form_times.add((path.stem, node.name))
     assert dense == []
-    assert form_times == {("linalg", "group_member"), ("quiver", "__post_init__")}
+    assert form_times == {("linalg", "group_member")}
 
 
 def test_dense_pairs_are_built_on_integer_rows():
@@ -248,29 +249,66 @@ def test_arc_states_its_hash_and_its_pickling_once():
                 "__deepcopy__"} & set(methods)
 
 
-def test_one_arc_table_read_off_the_mates():
-    # The arc <-> matrix-unit dictionary is stated once: correspondence's
-    # _arc_table folds linalg._mates, and both directions of the
-    # correspondence read it, so the representative's signs are the form's.
-    # Only the pattern layer walks arc types and their capacity costs.
-    defined, callers = [], {name: set() for name in
-                            ("_arc_table", "_mates", "_arc_types", "_arc_cost")}
+def _reads(node, name: str) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+def _states_a_sign(node) -> bool:
+    """True iff a function picks +-1 by the family: it reads the family and
+    writes a literal -1 other than an index."""
+    indices = {id(n) for sub in ast.walk(node) if isinstance(sub, ast.Subscript)
+               for n in ast.walk(sub.slice)}
+    negative_one = any(isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+                       and isinstance(n.operand, ast.Constant) and n.operand.value == 1
+                       and id(n) not in indices for n in ast.walk(node))
+    by_family = (_reads(node, "is_symplectic") or _reads(node, "SYMPLECTIC")
+                 or any(isinstance(n, ast.Constant) and n.value == "symplectic"
+                        for n in ast.walk(node)))
+    return negative_one and by_family
+
+
+def test_one_arc_fold_read_off_the_form_signs():
+    # The arc <-> matrix-unit dictionary is two closed forms and no table:
+    # correspondence's `_arc_at` folds a position onto its arc and
+    # `_arc_units` reads an arc's position, mate and sign back, each with
+    # one caller.  The signs are stated once, in linalg._form_signs, so the
+    # representative's signs are the form's.  Only the pattern layer walks
+    # arc types and their capacity costs.
+    defined = {name: [] for name in ("_arc_at", "_arc_units", "_form_signs",
+                                     "_mates", "_arc_table")}
+    callers = {name: set() for name in ("_arc_at", "_arc_units", "_arc_types", "_arc_cost")}
+    signs = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
-                if node.name == "_arc_table":
-                    defined.append(path.stem)
+                if node.name in defined:
+                    defined[node.name].append(path.stem)
                 for name, found in callers.items():
                     if _calls(node, name):
                         found.add((path.stem, node.name))
-    assert defined == ["correspondence"]
-    assert callers["_arc_table"] == {("correspondence", "pattern_to_matrix"),
-                                     ("correspondence", "_decode"),
-                                     ("correspondence", "identify"),
-                                     ("correspondence", "_identify_rows")}
-    assert ("correspondence", "_arc_table") in callers["_mates"]
+                if _states_a_sign(node):
+                    signs.add((path.stem, node.name))
+    assert defined == {"_arc_at": ["correspondence"], "_arc_units": ["correspondence"],
+                       "_form_signs": ["linalg"], "_mates": [], "_arc_table": []}
+    assert callers["_arc_at"] == {("correspondence", "_decode")}
+    assert callers["_arc_units"] == {("correspondence", "pattern_to_matrix")}
+    assert signs == {("linalg", "_form_signs")}
     assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
     assert "eps" not in _names_read(PACKAGE / "correspondence.py")
+
+
+def test_one_size_bound_before_every_square_build():
+    # A representative, an identified matrix and a root-word conjugate are
+    # n x n: one helper refuses a group past the bound, first thing after
+    # the pattern's own check, before any row is built or read.
+    tree = ast.parse((PACKAGE / "correspondence.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, node in funcs.items() if _calls(node, "_require_size")} == \
+        {"pattern_to_matrix", "identify", "_identify_rows"}
+    for name in ("identify", "_identify_rows"):
+        first = funcs[name].body[1]   # after the docstring
+        assert _calls(first, "_require_size") == 1, name
 
 
 def test_cli_identify_solves_on_the_decoded_representative():
@@ -383,7 +421,7 @@ def test_every_cache_is_bounded():
                 if name in ("lru_cache", "cache"):
                     size = _cache_size(deco, module) if name == "lru_cache" else None
                     found[(path.stem, node.name)] = size
-    assert {("linalg", "_mates"), ("correspondence", "_arc_table"),
+    assert {("linalg", "_form_signs"), ("correspondence", "_arc"),
             ("quiver", "_level")} <= set(found)
     unbounded = {site: size for site, size in found.items()
                  if not (type(size) is int and size > 0)}

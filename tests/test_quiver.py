@@ -10,8 +10,9 @@ from nilorbits.cli import main
 from nilorbits.correspondence import (parabolic_representative,
                                       pattern_to_matrix, refine)
 from nilorbits.harness import random_group_element_pair
-from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _form_times,
-                              group_member, orbit_dimension, parabolic_dim, rank)
+from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _form_signs,
+                              form_matrix, group_member, orbit_dimension, parabolic_dim,
+                              rank)
 from nilorbits.patterns import (LinkPattern, _free_capacity, consumption, dotted,
                                 enumerate_patterns, pattern_from_json, pattern_to_json,
                                 unoriented_loop, upper_loop, validate)
@@ -25,7 +26,7 @@ from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
 
 from conftest import (dense_commutant_dim, enumerate_strings, flag_positions,
                       hom_dim, reference_eliminate, reference_intertwiner_rows,
-                      reference_summands, string_module)
+                      reference_summands, small_flag_specs, string_module)
 
 
 def test_degenerate_names_normalize():
@@ -306,22 +307,20 @@ def test_realize_flag_validates_the_loop():
 def test_realize_flag_builds_the_standard_flag_on_integer_rows():
     # [I; 0] and the zero loop are written as integer rows: equal to the
     # Fraction construction, entry by entry, with Fraction entries and the
-    # cleared rows a fresh clearing of those entries gives.
-    groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
-              + [GroupKind.orthogonal(n) for n in range(1, 14)])
-    flags = 0
-    for g in groups:
-        for size in range(g.l + 1):
-            for flag in combinations(range(1, g.l + 1), size):
-                rep, d = realize_flag(SpaceSpec(g, flag)), flag[-1] if flag else 0
-                assert rep.basis == Matrix.from_rows([[int(p == q) for q in range(d)]
-                                                      for p in range(g.n)])
-                assert rep.loop == Matrix.zero(g.n)
-                for m in (rep.basis, rep.loop):
-                    assert all(type(v) is Fraction for row in m.entries for v in row)
-                    assert m._ints == Matrix(m.entries, m.cols)._ints
-                flags += 1
-    assert flags == 379
+    # cleared rows a fresh clearing of those entries gives.  The isotropy
+    # scan accepts each basis, whose dense form product vanishes.
+    specs = small_flag_specs()
+    assert len(specs) == 379
+    for spec in specs:
+        g, d = spec.group, spec.flag[-1] if spec.flag else 0
+        rep = realize_flag(spec)
+        assert rep.basis == Matrix.from_rows([[int(p == q) for q in range(d)]
+                                              for p in range(g.n)])
+        assert (rep.basis.transpose() @ form_matrix(g) @ rep.basis).is_zero()
+        assert rep.loop == Matrix.zero(g.n)
+        for m in (rep.basis, rep.loop):
+            assert all(type(v) is Fraction for row in m.entries for v in row)
+            assert m._ints == Matrix(m.entries, m.cols)._ints
 
 
 def test_realize_isotropic_flag_validates_bases():
@@ -378,8 +377,8 @@ def test_the_empty_flag_goes_through_the_rank_and_isotropy_checks(monkeypatch):
     # so the empty flag is checked like every other flag, not skipped.
     checked = []
     monkeypatch.setattr(quiver, "rank", lambda m: checked.append(("rank", m)) or rank(m))
-    monkeypatch.setattr(quiver, "_form_times",
-                        lambda m, g: checked.append(("form", g)) or _form_times(m, g))
+    monkeypatch.setattr(quiver, "_form_signs",
+                        lambda g: checked.append(("form", g)) or _form_signs(g))
     for g in (GroupKind.symplectic(4), GroupKind.orthogonal(4), GroupKind.orthogonal(5)):
         spec = SpaceSpec(g, ())
         checked.clear()
@@ -392,6 +391,37 @@ def test_the_empty_flag_goes_through_the_rank_and_isotropy_checks(monkeypatch):
             SymmetricRep(spec, Matrix.zero(g.n - 1, 0), Matrix.zero(g.n))
         with pytest.raises(DomainError, match="loop is not 2-nilpotent"):
             realize_flag(spec, Matrix.unit(g.n, 1, 1) - Matrix.unit(g.n, g.n, g.n))
+
+
+def test_the_isotropy_scan_equals_the_dense_form_product():
+    # `SymmetricRep` scans its basis's integer rows for transpose(B) F B = 0;
+    # the dense product with `form_matrix` is the oracle.  Borel images of
+    # the standard basis (isotropic) and their one-entry changes are
+    # accepted exactly when the product vanishes.
+    accepted = refused = 0
+    for g in (GroupKind.symplectic(4), GroupKind.symplectic(6), GroupKind.orthogonal(4),
+              GroupKind.orthogonal(5), GroupKind.orthogonal(7)):
+        f, zero = form_matrix(g), Matrix.zero(g.n)
+        for d in range(1, g.l + 1):
+            spec = SpaceSpec(g, (d,))
+            standard = realize_flag(spec).basis
+            for seed in range(6):
+                u, _ = random_group_element_pair(g, SpaceSpec.borel(g), seed)
+                image = [list(row) for row in (u @ standard).entries]
+                changed = [row[:] for row in image]
+                changed[(seed * 5) % g.n][seed % d] += 1
+                for rows in (image, changed):
+                    basis = Matrix.from_rows(rows)
+                    if rank(basis) < d:
+                        continue
+                    if (basis.transpose() @ f @ basis).is_zero():
+                        assert SymmetricRep(spec, basis, zero).basis == basis
+                        accepted += 1
+                    else:
+                        with pytest.raises(DomainError, match="not totally isotropic"):
+                            SymmetricRep(spec, basis, zero)
+                        refused += 1
+    assert accepted and refused
 
 
 def test_symmetric_endo_dims_frozen():
