@@ -19,8 +19,8 @@ from .correspondence import (_MAX_N, identify, identify_parabolic,
 from .harness import _MAX_SUITE_RANK, SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      _SHORT, _dumps, _orbit_dimension, matrix_from_json, matrix_to_json)
-from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _arcs_text, _csv_row,
-                       _json_line, _level_json, _patterns, _search, count_borel,
+from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _TEXT_ENDS, _block,
+                       _csv_row, _json_ends, _level_json, _patterns, _search, count_borel,
                        pattern_from_json, pattern_to_obj)
 from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
@@ -54,6 +54,8 @@ def _level(args) -> tuple[str, int, tuple[int, ...] | None]:
     given and the level's flag does not end at l of the group of that size.
     b is None at the Borel level (k blocks of 1), whose flag reaches l by
     construction, so no block tuple is built for it."""
+    if args.rank is not None and args.rank < 0:
+        raise DomainError(f"--rank must be nonnegative, got {args.rank}")
     if args.blocks:
         b = _parse_blocks(args.blocks)
         k = len(b)
@@ -109,11 +111,13 @@ def _emit(args, text: str):
 _BATCH = 512
 
 
-def _stream(args, lines: Iterator[str]):
-    """Write each line with a newline, in batches of `_BATCH` lines."""
+def _stream(args, strings: Iterator[str], ends: tuple[str, str] = ("", "")):
+    """Write each string as a line between the two `ends` (none by default:
+    a csv row is its whole line), `_BATCH` lines at a time, each batch as
+    one `_block`."""
     with _output(args) as out:
-        while batch := list(islice(lines, _BATCH)):
-            out.write("\n".join(batch) + "\n")
+        while batch := list(islice(strings, _BATCH)):
+            out.write(_block(batch, ends))
 
 
 def _matrix_text(m) -> str:
@@ -129,8 +133,8 @@ def _matrix_text(m) -> str:
 _TEX_MAX_PATTERNS = 5000
 
 # How the search joins each pattern's arcs for `enumerate --format`: the
-# streamed formats take the joined string their line helper wraps, and tex
-# takes the arc tuples it makes patterns of.
+# streamed formats take the joined string their lines wrap, and tex takes
+# the arc tuples it makes patterns of.
 _ENUMERATE_JOINS = {"json": _JSON_ARCS, "csv": _CSV_ARCS, "text": _TEXT_ARCS,
                     "tex": _ARC_TUPLE}
 
@@ -140,13 +144,13 @@ def _cmd_enumerate(args) -> int:
     # refuses a bad level before anything is written or a Borel block tuple built
     b, found = _search(kind, k, b or repeat(1, k), _ENUMERATE_JOINS[args.format])
     if args.format == "json":
-        _stream(args, map(_json_line, found, repeat(_level_json(kind, k, b))))
+        _stream(args, found, _json_ends(_level_json(kind, k, b)))
     elif args.format == "csv":
         _stream(args, chain(["index,arcs"], starmap(_csv_row, enumerate(found, start=1))))
     elif args.format == "tex":
         _emit(args, _tex_enumeration(args, kind, k, b, found))
     else:
-        _stream(args, map(_arcs_text, found))
+        _stream(args, found, _TEXT_ENDS)
     return 0
 
 

@@ -188,10 +188,24 @@ def _joined(arcs: tuple[Arc, ...], join: tuple) -> str:
     return sep.join(map(item, arcs))
 
 
+# What a writer's line puts before and after a pattern's joined arcs: the
+# text line's pair here, the json line's from `_json_ends`.  The csv row
+# has its own helper, since it carries the row's index.
+_TEXT_ENDS = ("{", "}")
+
+
 def _arcs_text(arcs: str) -> str:
     """`LinkPattern.text` of the pattern whose arcs join to `arcs` under
     `_TEXT_ARCS`."""
-    return "{" + arcs + "}"
+    return arcs.join(_TEXT_ENDS)   # head + arcs + tail
+
+
+def _block(batch: list[str], ends: tuple[str, str]) -> str:
+    """The line head + s + tail of each string s of a nonempty batch, with a
+    newline after each, in one join: what the line helper of `ends`
+    (`_arcs_text`, `_json_line`) writes for each, without a call per line."""
+    head, tail = ends
+    return head + (tail + "\n" + head).join(batch) + tail + "\n"
 
 
 def _csv_row(index: int, arcs: str) -> str:
@@ -310,42 +324,57 @@ def _search(kind: str, k: int, b: Iterable[int],
     writers' joins (`_JSON_ARCS`, `_TEXT_ARCS`, `_CSV_ARCS`) a pattern is
     the string its line helper takes.
 
-    The level's table holds, per arc type, its costs at its lower and its
-    upper vertex (the upper is the lower, at cost 0, for a loop), the index
-    past the run of types that share its lower vertex and the index past
-    the run that share both its vertices.  `Arc.key` begins (lo, hi), so in
-    canonical order both runs are contiguous, and every type of a run takes
-    at least 1 at the run's vertex: the walk skips a run whose vertex has
-    nothing left.  Neighbours with equal entries share one tuple (the four
-    arcs of a vertex pair, say), so the jumps cost the table little memory.
+    The level's table holds only the arc types that fit its capacities: a
+    loop that costs more than its vertex holds (every loop of o, and the
+    unoriented loop of sp, at capacity 1) never fits a pattern, so it is
+    left out in the one pass that builds the table.  A non-loop costs 1 at
+    each end and always fits.  Per kept type the table holds its costs at
+    its lower and its upper vertex (the upper is the lower, at cost 0, for
+    a loop), the index past the run of kept types that share its lower
+    vertex and the index past the run that share both its vertices.
+    `Arc.key` begins (lo, hi), so in canonical order both runs are
+    contiguous, and every type of a run takes at least 1 at the run's
+    vertex: the walk skips a run whose vertex has nothing left.  The pass
+    goes from the last type to the first and appends, so the table holds
+    the kept types in reverse canonical order, and the index past a run is
+    that of the entry appended just before the run's entries (the kept
+    type after the run, -1 when there is none): each index is known when
+    its entry is built.  Neighbours with equal entries share one tuple (the
+    four arcs of a vertex pair, say), so the jumps cost the table little
+    memory.
     """
     if _is_int(k) and k * (2 * k + 1) > _MAX_ARC_TYPES:
         raise DomainError(f"level k={k} has {k * (2 * k + 1):,} arc types, over the "
                           f"{_MAX_ARC_TYPES:,} the enumerator tabulates (k <= 223)")
     b = LinkPattern(kind, k, tuple(b), ()).b
-    types = _arc_types(k)
-    # (lo, clo, hi, chi, past_lo, past_pair), 0-based, built from the last type
+    types: list[Arc] = []   # the kept types, from the last
+    # (lo, clo, hi, chi, past_lo, past_pair) of each kept type, 0-based
     costs: list[tuple[int, ...]] = []
-    after = (-1, 0, -1, 0, 0, 0)   # the entry of the type after t
-    for t in reversed(range(len(types))):
-        (u, cu), *rest = _arc_cost(types[t], kind)
+    after = (-1, 0, -1, 0, -1, -1)   # the entry of the kept type after this one
+    for arc in reversed(_arc_types(k)):
+        (u, cu), *rest = _arc_cost(arc, kind)
         v, cv = rest[0] if rest else (u, 0)
         lo, hi = min(u, v) - 1, max(u, v) - 1   # cu = cv = 1 for a non-loop
-        past_lo = after[4] if lo == after[0] else t + 1
-        past_pair = after[5] if (lo, hi) == (after[0], after[2]) else t + 1
+        if cu > b[lo]:   # only a loop can cost more than its vertex holds
+            continue
+        past = len(costs) - 1   # the index of `after`, -1 past the last type
+        past_lo = after[4] if lo == after[0] else past
+        past_pair = after[5] if (lo, hi) == (after[0], after[2]) else past
         cost = (lo, cu, hi, cv, past_lo, past_pair)
         after = after if cost == after else cost
         costs.append(after)
-    costs.reverse()
+        types.append(arc)
     return b, _walk(b, costs, types, join)
 
 
 def _walk(b, costs, types, join) -> Iterator:
-    """Pre-order depth-first walk over the arc types in `Arc.key` order with
-    a non-decreasing index, taking a type only while every vertex it touches
-    has the capacity: each pattern it yields is valid and sorted, and it
-    yields each multiset once, lexicographically on the canonical arc
-    encoding.
+    """Pre-order depth-first walk over the kept arc types in `Arc.key`
+    order, taking a type only while every vertex it touches has the
+    capacity, and never a type before the last one taken: each pattern it
+    yields is valid and sorted, and it yields each multiset once,
+    lexicographically on the canonical arc encoding.  `costs` and `types`
+    hold the types that fit the level (`_search`) in reverse order, so the
+    walk's index falls from the last entry to 0.
 
     The walk skips what cannot fit.  At a type that does not fit, it jumps
     past the type's lower-vertex run when that vertex has nothing left, or
@@ -354,7 +383,9 @@ def _walk(b, costs, types, join) -> Iterator:
     nothing is taken or given back while the walk scans, so a scan of
     every type would test each skipped type against the same capacities,
     and each of them takes at least 1 at the vertex that has none left.
-    The walk yields what that scan yields, in the same order.
+    A type left out of the table could never be taken either, since the
+    capacities only fall below `b`.  The walk yields what a scan of every
+    arc type yields, in the same order.
 
     A pattern's value is its parent's value, the separator of `join`, and
     the item of its last type (the item alone below the empty root), so
@@ -368,9 +399,9 @@ def _walk(b, costs, types, join) -> Iterator:
     empty = sep[:0]
     taken: list[tuple[int, object]] = []   # (type index, value) of each chosen arc
     yield empty
-    t, end = 0, len(costs)
+    t = len(costs) - 1
     while True:
-        while t < end:
+        while t >= 0:
             lo, clo, hi, chi, past_lo, past_pair = costs[t]
             if residual[lo] >= clo and residual[hi] >= chi:
                 break
@@ -379,7 +410,7 @@ def _walk(b, costs, types, join) -> Iterator:
             elif not residual[hi]:
                 t = past_pair
             else:
-                t += 1
+                t -= 1
         else:
             if not taken:
                 return
@@ -387,7 +418,7 @@ def _walk(b, costs, types, join) -> Iterator:
             lo, clo, hi, chi, _, _ = costs[t]
             residual[lo] += clo
             residual[hi] += chi
-            t += 1
+            t -= 1
             continue
         residual[lo] -= clo
         residual[hi] -= chi
@@ -542,10 +573,16 @@ def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
     return _dumps({"b": list(b), "k": k, "kind": kind})[1:]
 
 
+def _json_ends(level_json: str) -> tuple[str, str]:
+    """What a json line puts before and after the pattern's arcs joined
+    under `_JSON_ARCS`, at the level whose `_level_json` is given."""
+    return '{"arcs":[', "]," + level_json
+
+
 def _json_line(arcs: str, level_json: str) -> str:
     """`pattern_to_json` of the pattern whose arcs join to `arcs` under
     `_JSON_ARCS`, at the level whose `_level_json` is given."""
-    return f'{{"arcs":[{arcs}],{level_json}'
+    return arcs.join(_json_ends(level_json))   # head + arcs + tail
 
 
 def pattern_to_json(p: LinkPattern) -> str:

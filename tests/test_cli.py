@@ -88,6 +88,17 @@ def test_count_needs_a_level(capsys):
     assert err.startswith("nilorbits count:")
 
 
+@pytest.mark.parametrize("command, fmt", [("count", "json"), ("count", "text"),
+                                          ("enumerate", "json"), ("enumerate", "csv"),
+                                          ("enumerate", "tex"), ("enumerate", "text")])
+@pytest.mark.parametrize("group", ["sp", "o"])
+def test_a_negative_rank_is_refused_by_its_option(capsys, command, fmt, group):
+    # once refused by the pattern layer, in words that named no option
+    assert main([command, "--group", group, "--rank", "-1", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"nilorbits {command}: --rank must be "
+                                       f"nonnegative, got -1\n")
+
+
 # The last Borel levels whose counts print under Python's 4,300-digit limit:
 # both counts have exactly 4,300 digits.
 @pytest.mark.parametrize("group, last", [("sp", 2405), ("o", 2416)])
@@ -314,6 +325,28 @@ def test_enumerate_writes_the_same_bytes_to_out_and_stdout(tmp_path, capsys, fmt
     assert out.read_bytes() == streamed.encode("utf-8")
     assert streamed.count("\n") == len(enumerate_patterns("symplectic", 3, (2, 1, 2))) + (
         fmt == "csv")
+
+
+@pytest.mark.parametrize("level", [["--group", "sp", "--rank", "0"],
+                                   ["--group", "o", "--rank", "3", "--n", "7"],
+                                   ["--group", "sp", "--blocks", "2,1,2"]])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_enumerate_bytes_do_not_depend_on_the_batch_size(tmp_path, capsys, monkeypatch,
+                                                         level, fmt):
+    # Each batch is written as one block: a separator or a newline lost at a
+    # batch boundary would show as a difference from the default batch.
+    argv = ["enumerate", *level, "--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert want.endswith("\n")
+    for size in (1, 2, 3, cli._BATCH):
+        monkeypatch.setattr(cli, "_BATCH", size)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (want, ""), size
+        out = tmp_path / f"patterns-{size}.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == want.encode("utf-8"), size
 
 
 def test_enumerate_refuses_a_bad_level_before_opening_out(tmp_path, capsys):

@@ -8,6 +8,8 @@ import nilorbits
 from nilorbits import patterns
 from nilorbits.cli import main
 
+from conftest import SEARCH_LEVELS
+
 # Imported but not called: perfbench/test_perfbench.py reads it to check that
 # the benchmark's tracer restores rebound names (ROADMAP item 1).
 UNUSED_ON_PURPOSE = {("correspondence", "lie_member")}
@@ -381,6 +383,36 @@ def test_cli_streams_the_search_without_building_patterns(monkeypatch):
         if _calls(ast.parse(path.read_text()), "_trusted"):
             trusting.add(path.stem)
     assert trusting == {"patterns"}
+
+
+def test_cli_enumerate_writes_no_line_by_its_own_call():
+    # json and text lines are written a batch per join (`patterns._block`),
+    # not by calling (or mapping) a line helper per pattern.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handler = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_cmd_enumerate")
+    read = {node.id for node in ast.walk(handler) if isinstance(node, ast.Name)}
+    assert read & {"_json_line", "_arcs_text"} == set()
+
+
+def test_the_search_table_holds_only_the_types_that_fit(monkeypatch):
+    # A type that costs a vertex more than its capacity never fits, so
+    # `_search` leaves it out of the table it hands `_walk`.
+    handed = []
+    walk = patterns._walk
+
+    def spy(b, costs, types, join):
+        handed.append((b, list(types)))
+        return walk(b, costs, types, join)
+
+    monkeypatch.setattr(patterns, "_walk", spy)
+    for kind, b in SEARCH_LEVELS:
+        handed.clear()
+        patterns._search(kind, len(b), b)
+        [(got_b, types)] = handed
+        fits = [t for t in patterns._arc_types(len(b))
+                if all(c <= got_b[v - 1] for v, c in patterns._arc_cost(t, kind))]
+        assert sorted(types, key=patterns.Arc.key) == fits, (kind, b)
 
 
 def test_the_json_line_layout_is_stated_once():
