@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate, _form_signs,
-                     _require_two_nilpotent_ints, _within, require_two_nilpotent)
+                     _reduced, _require_form, _require_square_zero, _square_violation,
+                     _within, require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -105,9 +106,10 @@ def _arc_units(arc: Arc, g: GroupKind) -> tuple[tuple[int, int], tuple[int, int]
     return min(unit, mate), max(unit, mate), -s[r - 1] * s[c - 1]
 
 
-def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
-    """Representative matrix of a Borel-level pattern's orbit (block
-    patterns go through `parabolic_representative`)."""
+def _pattern_rows(p: LinkPattern, g: GroupKind) -> list[list[int]]:
+    """The integer rows of the representative of a Borel-level pattern's
+    orbit, as fresh lists: 1 at each arc's earlier position and the pair's
+    sign at its mate (`_arc_units`)."""
     _free_capacity(p, SpaceSpec.borel(g))
     _require_size(g)
     n = g.n
@@ -116,7 +118,13 @@ def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
         (r, c), (mr, mc), sign = _arc_units(arc, g)
         rows[mr - 1][mc - 1] = sign
         rows[r - 1][c - 1] = 1
-    return Matrix._from_ints(rows, 1)
+    return rows
+
+
+def pattern_to_matrix(p: LinkPattern, g: GroupKind) -> Matrix:
+    """Representative matrix of a Borel-level pattern's orbit (block
+    patterns go through `parabolic_representative`)."""
+    return Matrix._from_ints(_pattern_rows(p, g), 1)
 
 
 def refine(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
@@ -240,9 +248,23 @@ def identify(x: Matrix, g: GroupKind) -> LinkPattern:
 def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
     """`identify` of the n x n matrix rows / den given as integer rows, such
     as a root-word conjugate: the same refusals and the same pattern, and
-    no Matrix or Fraction is built."""
+    no Matrix or Fraction is built.
+
+    The checks run in this order: the rows are reduced (`_reduced`, refused
+    past the denominator bound), the form is checked, the delta positions
+    are found, x^2 = 0 is checked on the pivot rows, and the positions are
+    decoded.  The elimination behind the delta positions never swaps rows
+    and a row only loses multiples of the pivot rows before it, so the
+    pivot rows are a basis of the row space, and x^2 = 0 iff each of them
+    times x is zero.  A refusal names the first failing entry of the whole
+    square, as `identify` does."""
     _require_size(g)   # first, as in `identify`
-    return _decode(_delta_positions(_require_two_nilpotent_ints(rows, den, g)), g)
+    rows, _ = _reduced(rows, den)
+    _require_form(rows, g, "matrix")
+    deltas = _delta_positions(rows)
+    if _square_violation(rows, [r - 1 for r, _ in deltas]):
+        _require_square_zero(rows, "matrix")   # the whole square names the entry
+    return _decode(deltas, g)
 
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:

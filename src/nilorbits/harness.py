@@ -6,12 +6,15 @@ Group elements come in two exact forms, both seeded:
   diagonal torus part with small integer eigenvalues, drawn as integer
   multipliers (`_torus_scales`), and one factor exp(tN) = I + tN + t^2 N^2 / 2
   per root element N of a parabolic subalgebra, with a small integer t.
-  `_word_act` applies a word with one sparse row kernel on integer rows over
-  one running denominator: the factors act on the rows, their inverses on
-  the rows of one transpose, and the torus scales each entry on the way
+  `_word_act` applies a word to integer rows over one running denominator
+  with one sparse row kernel: the factors act on the rows, their inverses
+  on the rows of one transpose, and the torus scales each entry on the way
   back, so no group element is formed and no Fraction arithmetic is done.
-  The conjugate stays integer rows: the conjugation check gates and
-  identifies it on them, and no Matrix is built for it.  With the Levi
+  The conjugation check runs on integer rows from the pattern to the
+  decode: each representative is its integer rows
+  (`correspondence._pattern_rows`), the word acts on them, and the
+  conjugate is gated and identified on the rows the action leaves
+  (`correspondence._identify_rows`), so no Matrix is built.  With the Levi
   roots of a coarser flag, the words conjugate by its parabolic subgroup.
 - Dense pairs (u, u^{-1}) (`random_group_element_pair`): the torus part
   times the exponential of a random strictly upper triangular algebra
@@ -39,10 +42,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
-from .correspondence import _identify_rows, identify, pattern_to_matrix, rank_signature
+from .correspondence import _identify_rows, _pattern_rows, identify, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _cleared, _coordinates,
-                     _dumps, _ints, _products)
+                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _coordinates, _dumps, _ints,
+                     _products)
 from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -198,11 +201,24 @@ def _row_ops(y: list[list[int]], factors, sign: int, transposed: bool) -> int:
     (t, N, N^2) in order to the integer rows of y, or f^T with `transposed`:
     a term (p, q, c) of f - I has row p (transposed: q) gain c times row q
     (p).  Returns the scale of the rows: where s^2 N^2 / 2 is not integral
-    (s odd, N through the middle index of o_{2l+1}) the step applies 2f."""
+    (s odd, N through the middle index of o_{2l+1}) the step applies 2f.
+
+    Where N^2 = 0, f = I + sN and no term's source row is another term's
+    target, so the terms apply one after another to the current rows.  Only
+    a factor through the middle index of o_{2l+1} chains: its gains are
+    taken from the rows as they were before the step."""
     scale = 1
     for t, first, second in factors:
         s = sign * t
-        double = second and s % 2
+        if not second:
+            for p, q, v in first:
+                target, source = (q, p) if transposed else (p, q)
+                row = y[source]
+                if any(row):
+                    c = s * v
+                    y[target] = [a + c * b for a, b in zip(y[target], row)]
+            continue
+        double = s % 2
         k, h = (2 * s, s * s) if double else (s, s * s // 2)
         gains = [(q, c * v, y[p]) if transposed else (p, c * v, y[q])
                  for entries, c in ((first, k), (second, h)) for p, q, v in entries]
@@ -217,22 +233,25 @@ def _row_ops(y: list[list[int]], factors, sign: int, transposed: bool) -> int:
     return scale
 
 
-def _word_act(word: Word, x: Matrix) -> IntRows:
-    """u x u^{-1} for the member u of a `_root_word`, as (integer rows,
-    denominator), by sparse row operations (`_row_ops`): u and u^{-1} are
-    never formed.  Left and right multiplication commute, so every factor
+def _word_act(word: Word, x: IntRows) -> IntRows:
+    """u x u^{-1} for the member u of a `_root_word`, with x and the result
+    as (integer rows, denominator), by sparse row operations (`_row_ops`):
+    no matrix is formed, and u and u^{-1} are not formed even as rows.
+    Left and right multiplication commute, so every factor
     f = I + tN + t^2 N^2 / 2 acts on the rows first; then, on the
     transpose, every f^{-1} = I - tN + t^2 N^2 / 2 acts as the row
     operations of f^{-T}.  Transposing back applies T as the integer
     multipliers of `_torus_scales`: entry (p, q) times
     row_scale[p] col_scale[q] over L^2.
 
-    The operations run on integer rows over one running denominator, and
-    the result is neither reduced nor made a Matrix: the conjugation check
-    reads it as it is (`correspondence._identify_rows`).
+    The row operations replace rows and never write into one, so the rows
+    of x are left as they are.  The operations run over one running
+    denominator, and the result is neither reduced nor made a Matrix: the
+    conjugation check reads it as it is (`correspondence._identify_rows`).
     """
     (row_scale, col_scale, big), factors = word
-    y, den = _cleared(x)
+    rows, den = x
+    y = list(rows)
     den *= _row_ops(y, factors, 1, False)
     y = [list(col) for col in zip(*y)]
     den *= _row_ops(y, factors, -1, True)
@@ -309,10 +328,11 @@ def brute_force_count(kind: str, k: int, b: tuple[int, ...]) -> int:
 _CHECKS = ("counts", "separation", "conjugation", "dimensions", "nilradical")
 # The suite holds every pattern and representative of a level at once:
 # under a 1 GB address-space cap (2-core VM, Python 3.11), `verify --rank`
-# took 5.9 s and 26 MB at rank 5, 51 s and 83 MB at rank 6, and 532 s and
-# 558 MB at rank 7, whose next level holds about 7 times the patterns.
+# takes 3.9 s and 23 MB at rank 5 and 36-48 s and 55 MB at rank 6; an
+# earlier build took 532 s and 558 MB at rank 7, whose next level holds
+# about 7 times the patterns.
 _MAX_SUITE_RANK = 6
-# The families that read each pattern's representative matrix.
+# The families that read each pattern's representative.
 _READS_REPS = frozenset(("separation", "conjugation", "nilradical"))
 
 
@@ -361,11 +381,17 @@ def run_suite(config: SuiteConfig) -> dict:
     recurrence and `brute_force_count`), separation (rank signatures are
     distinct and `identify` inverts each representative), conjugation
     (`identify` is unchanged by `conjugations` seeded Borel root-group words
-    per pattern, each conjugate identified on the integer rows the word
-    action leaves, with no Matrix built; a conjugate it refuses, outside the
-    algebra, not square-zero or past the denominator bound, counts as a
-    failure), dimensions (the summands total the flag's dimension vector)
-    and nilradical (strict upper triangularity against `is_nilradical`).
+    per pattern; a conjugate refused, outside the algebra, not square-zero
+    or past the denominator bound, counts as a failure), dimensions (the
+    summands total the flag's dimension vector) and nilradical (strict upper
+    triangularity against `is_nilradical`).
+
+    Each representative is held as its integer rows
+    (`correspondence._pattern_rows`).  Conjugation acts on them with the
+    word and identifies the conjugate on the rows it leaves
+    (`_identify_rows`), and nilradical reads them: neither builds a Matrix.
+    Only separation makes each representative a Matrix, since it checks the
+    public `rank_signature` and `identify`.
     """
     items: list[dict] = []
     reads_reps = not _READS_REPS.isdisjoint(config.checks)
@@ -393,12 +419,14 @@ def run_suite(config: SuiteConfig) -> dict:
                 continue
             g = _group_for(kind, l)
             spec = SpaceSpec.borel(g)
-            reps = ([(p, pattern_to_matrix(p, g)) for p in pats]
-                    if reads_reps else [])
+            reps = [(p, _pattern_rows(p, g)) for p in pats] if reads_reps else []
             if "separation" in config.checks:
-                sigs = {rank_signature(x) for _, x in reps}
-                ok = len(sigs) == len(reps)
-                ok = ok and all(identify(x, g) == p for p, x in reps)
+                sigs, ok = set(), True
+                for p, x in reps:   # one Matrix at a time, beside the rows
+                    m = Matrix._from_ints(x, 1)
+                    sigs.add(rank_signature(m))
+                    ok = ok and identify(m, g) == p
+                ok = ok and len(sigs) == len(reps)
                 record(f"separation/{tag}", {"kind": kind, "l": l}, ok,
                        f"{len(reps)} orbits")
             if "conjugation" in config.checks:
@@ -406,7 +434,7 @@ def run_suite(config: SuiteConfig) -> dict:
                 for idx, (p, x) in enumerate(reps):
                     for c in range(config.conjugations):
                         seed = config.seed * 1000003 + idx * 101 + c
-                        rows, den = _word_act(_root_word(spec, seed), x)
+                        rows, den = _word_act(_root_word(spec, seed), (x, 1))
                         try:
                             bad += _identify_rows(rows, den, g) != p
                         except DomainError:
@@ -421,8 +449,10 @@ def run_suite(config: SuiteConfig) -> dict:
                 record(f"dimensions/{tag}", {"kind": kind, "l": l}, ok,
                        f"target={want}")
             if "nilradical" in config.checks:
-                ok = all(x.is_upper_triangular(strict=True) == is_nilradical(p)
-                         for p, x in reps)
+                # strictly upper iff no row holds a nonzero on or left of
+                # the diagonal
+                ok = all((not any(any(row[:i + 1]) for i, row in enumerate(x)))
+                         == is_nilradical(p) for p, x in reps)
                 record(f"nilradical/{tag}", {"kind": kind, "l": l}, ok, "")
     items.sort(key=lambda item: item["test_id"])
     failed = sum(1 for item in items if item["status"] == "fail")

@@ -7,9 +7,11 @@ cleared at most once, to integer rows over one shared denominator, and the
 result is cached on it (`Matrix._ints`); a matrix built from integer rows
 (a product, a pattern representative, a dense group element) starts with
 that cache filled.  Products, rank, the 2-nilpotency test and the row
-builder read the cache.  The form check reads rows as they are given: a
-matrix's entries, or the integer rows of one that was never built, such
-as a root-word conjugate (`_require_two_nilpotent_ints`).  There is one
+builder read the cache.  The form check reads rows as they are given (a
+matrix's entries or integer rows) and the square check integer rows, so
+both also gate a matrix that was never built, such as a root-word
+conjugate: `correspondence._identify_rows` gates it on its integer rows,
+squaring only the pivot rows of its elimination.  There is one
 elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
 integer rows that never swaps rows: a column's pivot is the first row, in
 the order given, that holds it.  Rank, orbit dimensions, the quiver
@@ -103,13 +105,6 @@ def _reduced(rows, den: int) -> tuple[list, int]:
         den //= common
     _check_denominator(den)
     return rows, den
-
-
-def _cleared(m: "Matrix") -> tuple[list[list[int]], int]:
-    """Integer rows and the lcm d of all denominators, with m = rows / d, as
-    fresh lists a caller may change (a copy of `Matrix._ints`)."""
-    rows, den = m._ints
-    return [list(row) for row in rows], den
 
 
 def _products(left, right, cols: int):
@@ -407,15 +402,19 @@ def group_member(u: Matrix, g: GroupKind) -> bool:
                for q, v in enumerate(row))
 
 
-def _square_violation(rows) -> tuple[int, int] | None:
+def _square_violation(rows, tested: Sequence[int] | None = None) -> tuple[int, int] | None:
     """First 1-based (row, col), row-major, where a @ a is nonzero, or None,
     for the square matrix a with these integer rows (over any denominator).
-    The rows of the product are built one at a time, up to the first
+    Only the rows of a @ a at the 0-based indices `tested`, ascending, are
+    read (all of them by default), each built in turn up to the first
     nonzero one."""
-    for p, row in enumerate(_products(rows, rows, len(rows)), start=1):
+    if tested is None:
+        tested = range(len(rows))
+    products = _products([rows[p] for p in tested], rows, len(rows))
+    for p, row in zip(tested, products):
         for q, v in enumerate(row, start=1):
             if v:
-                return p, q
+                return p + 1, q
     return None
 
 
@@ -455,18 +454,6 @@ def require_two_nilpotent(x: Matrix, g: GroupKind, what: str = "matrix"):
     if not lie_member(x, g):
         _require_form(x.entries, g, what)
     _require_square_zero(x._ints[0], what)   # x is square: lie_member read its shape
-
-
-def _require_two_nilpotent_ints(rows, den: int, g: GroupKind) -> list:
-    """`require_two_nilpotent` for the n x n matrix rows / den given as
-    integer rows, n = g.n: refused past the denominator bound (after the
-    common gcd is divided out, as `Matrix._from_ints` does), off the form
-    or where its square is not zero.  Returns the `_reduced` rows; no
-    Fraction is built."""
-    rows, _ = _reduced(rows, den)
-    _require_form(rows, g, "matrix")
-    _require_square_zero(rows, "matrix")
-    return rows
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,8 @@ def test_identify_ignores_a_large_denominator_scalar():
     for g in (GroupKind.symplectic(6), GroupKind.orthogonal(7)):
         spec = SpaceSpec.borel(g)
         for idx, p in enumerate(borel_patterns(g)):
-            y = Matrix._from_ints(*_word_act(_root_word(spec, idx), pattern_to_matrix(p, g)))
+            y = Matrix._from_ints(*_word_act(_root_word(spec, idx),
+                                             pattern_to_matrix(p, g)._ints))
             scaled = Matrix(tuple(tuple(c * v for v in row) for row in y.entries))
             assert identify(scaled, g) == identify(y, g) == p, (g.name, p.text())
 

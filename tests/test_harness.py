@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from conftest import (flag_positions, naive_rank, raw_arc_costs, raw_filter_count,
                       reference_exp_nilpotent, reference_group_element_pair,
-                      reference_lie_violation, reference_torus_diagonal,
-                      reference_torus_scales, reference_word_act, reference_word_diagonal)
+                      reference_lie_violation, reference_pivot_positions,
+                      reference_torus_diagonal, reference_torus_scales, reference_word_act,
+                      reference_word_diagonal)
 from hypothesis import given, settings, strategies as st
 
 from nilorbits import harness
@@ -131,19 +132,27 @@ def test_suite_passes_and_reports_deterministically():
 
 
 def test_suite_builds_representatives_only_for_the_families_that_read_them(monkeypatch):
-    # counts and dimensions never read a representative matrix, so a suite
-    # of only those builds none; each family that reads them builds them.
-    built = []
-    real = harness.pattern_to_matrix
-    monkeypatch.setattr(harness, "pattern_to_matrix",
-                        lambda p, g: built.append(p) or real(p, g))
+    # counts and dimensions never read a representative, so a suite of only
+    # those builds none; each family that reads them builds their integer
+    # rows.  Conjugation and nilradical read the rows as they are and make
+    # no Matrix; only separation, which checks the Matrix route, makes them
+    # matrices.
+    built, made = [], []
+    real_rows, real_from_ints = harness._pattern_rows, Matrix._from_ints
+    monkeypatch.setattr(harness, "_pattern_rows",
+                        lambda p, g: built.append(p) or real_rows(p, g))
+    monkeypatch.setattr(Matrix, "_from_ints",
+                        staticmethod(lambda *args: made.append(args) or real_from_ints(*args)))
     report = run_suite(SuiteConfig(max_rank=2, checks=("counts", "dimensions")))
     assert report["summary"] == {"total": 10, "failed": 0} and built == []
     for family in ("separation", "conjugation", "nilradical"):
-        run_suite(SuiteConfig(kinds=("orthogonal",), max_rank=2, conjugations=1,
-                              checks=(family,)))
+        report = run_suite(SuiteConfig(kinds=("orthogonal",), max_rank=2, conjugations=1,
+                                       checks=(family,)))
+        assert report["summary"] == {"total": 2, "failed": 0}, family
         assert len(built) == 1 + 5, family   # o l=1 and l=2
+        assert bool(made) == (family == "separation"), family
         built.clear()
+        made.clear()
 
 
 def test_suite_respects_the_configured_subsets():
@@ -392,7 +401,7 @@ def test_root_words_match_their_dense_products(g):
             if spec.flag == tuple(range(1, g.l + 1)):
                 assert u.is_upper_triangular()
             x = pattern_to_matrix(pats[7 * seed % len(pats)], g)
-            assert Matrix._from_ints(*_word_act(word, x)) == u @ x @ u_inv
+            assert Matrix._from_ints(*_word_act(word, x._ints)) == u @ x @ u_inv
 
 
 @pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
@@ -411,7 +420,7 @@ def test_word_act_equals_the_fraction_oracle(g):
                                    for _ in range(g.n)] for _ in range(g.n)])
             assert not lie_member(x, g)
             want = reference_word_act(word, reference_word_diagonal(spec, seed), x)
-            assert repr(Matrix._from_ints(*_word_act(word, x))) == repr(want)
+            assert repr(Matrix._from_ints(*_word_act(word, x._ints))) == repr(want)
     assert (odd_middle > 0) == (g.n % 2 == 1)
 
 
@@ -429,7 +438,7 @@ def test_seeded_integer_rows_equal_a_fresh_clearing(g):
     for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
         x = pattern_to_matrix(p, g)
         word = _root_word(spec, seed)
-        y = Matrix._from_ints(*_word_act(word, x))
+        y = Matrix._from_ints(*_word_act(word, x._ints))
         made += [x, y, x @ y, y @ x, y @ y, u @ x @ u_inv]
     for m in made:
         assert "_ints" in m.__dict__
@@ -441,7 +450,7 @@ def test_identify_reuses_the_integer_rows_of_a_conjugate(clearings):
     spec = SpaceSpec.borel(g)
     pats = enumerate_patterns(g.family, g.l, (1,) * g.l)
     conjugates = [Matrix._from_ints(*_word_act(_root_word(spec, seed),
-                                               pattern_to_matrix(p, g)))
+                                               pattern_to_matrix(p, g)._ints))
                   for seed, p in enumerate(pats)]
     clearings.clear()
     assert [identify(y, g) for y in conjugates] == pats
@@ -452,7 +461,7 @@ def test_a_conjugate_outside_the_algebra_is_a_recorded_failure(monkeypatch):
     # x + I: the word action's integer rows and denominator
     monkeypatch.setattr("nilorbits.harness._word_act",
                         lambda word, x: ([[v + (p == q) for q, v in enumerate(row)]
-                                          for p, row in enumerate(x._ints[0])], 1))
+                                          for p, row in enumerate(x[0])], 1))
     report = run_suite(SuiteConfig(max_rank=2, conjugations=2, checks=("conjugation",)))
     assert report["summary"] == {"total": 4, "failed": 4}
     details = sorted(item["details"] for item in report["items"])
@@ -510,7 +519,8 @@ def frozen_word_conjugates():
     groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
               + [GroupKind.orthogonal(n) for n in range(3, 10)])
     for g in groups:
-        xs = [pattern_to_matrix(p, g) for p in enumerate_patterns(g.family, g.l, (1,) * g.l)]
+        xs = [pattern_to_matrix(p, g)._ints
+              for p in enumerate_patterns(g.family, g.l, (1,) * g.l)]
         for spec in (SpaceSpec.borel(g), SpaceSpec(g, (g.l,)), SpaceSpec(g, ())):
             for x in xs:
                 for seed in range(3):
@@ -572,13 +582,89 @@ def test_identify_on_integer_rows_equals_the_matrix_route():
     assert outcomes[0].startswith("refused: matrix entries need a common denominator")
 
 
+def square_row(rows, p: int) -> list[int]:
+    """Row p (0-based) of the square of the matrix with these integer rows,
+    by row-by-column sums."""
+    n = len(rows)
+    return [sum(rows[p][k] * rows[k][q] for k in range(n)) for q in range(n)]
+
+
+def first_square_entry(rows) -> tuple[int, int] | None:
+    """The first 1-based (row, col), row-major, where the square of the
+    matrix with these integer rows is nonzero."""
+    return next(((p + 1, q + 1) for p in range(len(rows))
+                 for q, v in enumerate(square_row(rows, p)) if v), None)
+
+
+def sparse_members(g: GroupKind, count: int):
+    """Seeded integer rows of members of the Lie algebra of g: a diagonal
+    (Cartan) part plus two root elements, many of them not square-zero."""
+    n, roots = g.n, _root_elements(SpaceSpec(g, ()))
+    rng = random.Random(g.n)
+    for _ in range(count):
+        x = [[0] * n for _ in range(n)]
+        for i in range(g.l):
+            h = rng.choice((0, 0, 1, -1, 2))
+            x[i][i] += h
+            x[n - 1 - i][n - 1 - i] -= h
+        for first, _ in rng.sample(roots, 2):
+            c = rng.choice((1, -1, 2))
+            for p, q, v in first:
+                x[p][q] += c * v
+        yield x
+
+
+def test_the_pivot_row_square_test_refuses_what_the_full_scan_refuses():
+    # `_identify_rows` squares only the pivot rows of its elimination, a
+    # basis of the row space, and scans the whole square to name a refusal.
+    # On members of the algebra that are not square-zero, both routes must
+    # refuse with the first failing entry of the whole square.  In sp_4,
+    # diag(1, 0, 0, -1) + E_31 + E_42 has row 1 equal to row 3, a lower
+    # pivot row, so row 1 is no pivot row, yet (x @ x)[1,1] fails first;
+    # diag(1, 2, -2, -1) has rank 4 > n / 2.  No member of sp or o of rank
+    # 1 squares to nonzero (in sp, u u^T J squares to (u^T J u) u u^T J = 0;
+    # o has no member of rank 1), so E_14, with one pivot row, and its
+    # conjugates are identified alike.  Seeded sparse members of every word
+    # group and their Borel root-word conjugates cover the rest.
+    sp4 = GroupKind.symplectic(4)
+    cases = [(sp4, [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, -1]], 1),
+             (sp4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -1]], 1),
+             (sp4, [[0, 0, 0, 1], [0] * 4, [0] * 4, [0] * 4], 1)]
+    cases += [(sp4, *_word_act(_root_word(SpaceSpec.borel(sp4), seed), cases[2][1:]))
+              for seed in range(3)]
+    for g in WORD_GROUPS:
+        spec = SpaceSpec.borel(g)
+        for seed, rows in enumerate(sparse_members(g, 60)):
+            cases.append((g, rows, 1))
+            cases.append((g, *_word_act(_root_word(spec, seed), (rows, 1))))
+    seen = {"refused": 0, "non-pivot row": 0, "rank > n/2": 0,
+            "first pivot row passes": 0, "one pivot row": 0}
+    for g, rows, den in cases:
+        bad = first_square_entry(rows)
+        pivots = sorted({r - 1 for r, _ in
+                         reference_pivot_positions(Matrix._from_ints(rows, den))})
+        outcomes = identify_both_ways(rows, den, g)
+        seen["one pivot row"] += len(pivots) == 1
+        if bad is None:
+            assert outcomes[0] == outcomes[1] and not isinstance(outcomes[0], str)
+            continue
+        r, c = bad
+        want = f"refused: matrix is not 2-nilpotent: (x @ x)[{r},{c}] != 0"
+        assert outcomes == [want, want], (g.name, rows, den)
+        seen["refused"] += 1
+        seen["non-pivot row"] += r - 1 not in pivots
+        seen["rank > n/2"] += 2 * len(pivots) > g.n
+        seen["first pivot row passes"] += not any(square_row(rows, pivots[0]))
+    assert min(seen.values()) > 0, seen
+
+
 @pytest.mark.parametrize("g", WORD_GROUPS, ids=lambda g: g.name)
 def test_parabolic_orbits_are_constant_under_levi_and_unipotent_words(g):
     moved = 0
     for spec in every_flag(g):
         for seed, p in enumerate(enumerate_patterns(g.family, spec.k, spec.blocks)):
             x = parabolic_representative(p, spec)
-            y = Matrix._from_ints(*_word_act(_root_word(spec, seed), x))
+            y = Matrix._from_ints(*_word_act(_root_word(spec, seed), x._ints))
             assert lie_member(y, g)
             assert identify_parabolic(y, spec) == p, (spec.flag, p.text())
             moved += identify(y, g) != identify(x, g)

@@ -13,7 +13,7 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               is_two_nilpotent, lie_algebra_dim, lie_member,
                               matrix_from_json, matrix_from_obj, matrix_to_json,
                               orbit_dimension, parabolic_dim, rank)
-from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _cleared, _coordinates, _eliminate,
+from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _coordinates, _eliminate,
                               _intertwiner_rows, _keeps, _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
@@ -454,22 +454,6 @@ def test_refusals_name_the_first_failing_entry():
         orbit_dimension(semisimple, spec)
 
 
-# -- the cleared integer rows ---------------------------------------------------
-
-
-def test_cleared_rows_are_a_copy_of_the_cache():
-    m = Matrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
-    for made in (m, m @ Matrix.identity(2)):
-        rows, den = _cleared(made)
-        assert (rows, den) == ([[3, 0], [18, -4]], 6)
-        rows[0][0] = 99
-        rows[1].append(5)
-        rows.append([1])
-        assert made._ints == (((3, 0), (18, -4)), 6)
-        assert made.entries == m.entries
-        assert _cleared(made) == ([[3, 0], [18, -4]], 6)
-
-
 def test_products_reduce_their_seeded_denominator():
     # (1/2)(2) over the operands' denominators 2 * 1 is 2/2, cached as 1/1.
     half = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
@@ -564,6 +548,10 @@ def test_is_two_nilpotent_equals_the_dense_square(x):
     support = naive_product(x, x).support()
     assert is_two_nilpotent(x) == (not support)
     assert _square_violation(x._ints[0]) == (support[0] if support else None)
+    # Given the rows to test, the scan reads only those.
+    for tested in ([], range(0, x.rows, 2), range(1, x.rows, 2)):
+        want = next(((r, c) for r, c in support if r - 1 in tested), None)
+        assert _square_violation(x._ints[0], tested) == want
 
 
 # -- the elimination kernel ------------------------------------------------------
@@ -732,7 +720,8 @@ def test_rank_signature_rows_of_root_word_conjugates_equal_the_reference(g):
     # the most.
     spec = SpaceSpec.borel(g)
     for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):
-        y = Matrix._from_ints(*_word_act(_root_word(spec, 500 + seed), pattern_to_matrix(p, g)))
+        y = Matrix._from_ints(*_word_act(_root_word(spec, 500 + seed),
+                                         pattern_to_matrix(p, g)._ints))
         rows = [{j: v for j, v in enumerate(row) if v} for row in reversed(y._ints[0])]
         assert_kernels_agree(rows, g.n)
 

@@ -203,24 +203,48 @@ def test_dense_pairs_are_built_on_integer_rows():
 
 def test_root_word_conjugates_stay_integer_rows():
     # The conjugation check reads a conjugate as the integer rows and the
-    # denominator the word action leaves: `_word_act` makes no Matrix and
-    # no Fraction, and `_identify_rows` gates and decodes them.  The form
-    # and square scans are stated once each, in linalg, and read rows, so
-    # the Matrix gate and the integer gate share them.
-    tree = ast.parse((PACKAGE / "harness.py").read_text())
-    act = next(node for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name == "_word_act")
-    made = [ast.unparse(call.func) for call in ast.walk(act) if isinstance(call, ast.Call)
-            and (isinstance(call.func, ast.Name) and call.func.id in ("Matrix", "Fraction")
-                 or isinstance(call.func, ast.Attribute)
-                 and (call.func.attr == "_from_ints" or ast.unparse(call.func.value) == "Matrix"))]
-    assert made == []
+    # denominator the word action leaves, and `_identify_rows` gates and
+    # decodes them.  The form and square scans are stated once each, in
+    # linalg, and read rows, so the Matrix gate and the integer gate share
+    # them; the integer gate squares only the pivot rows, through the same
+    # square scan.
     defined = {"_lie_violation": [], "_square_violation": []}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in defined:
                 defined[node.name].append(path.stem)
     assert defined == {"_lie_violation": ["linalg"], "_square_violation": ["linalg"]}
+
+
+# Calls that make a Matrix or a Fraction, by name or as a Matrix attribute.
+_MAKERS = {"Matrix", "Fraction", "pattern_to_matrix", "parabolic_representative",
+           "exp_nilpotent", "random_group_element_pair"}
+
+
+def _made(node) -> list[str]:
+    """The calls and `@` products in `node` that make a Matrix or a Fraction."""
+    return ([ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)
+             and (isinstance(call.func, ast.Name) and call.func.id in _MAKERS
+                  or isinstance(call.func, ast.Attribute)
+                  and (call.func.attr in ("_from_ints", "from_rows")
+                       or ast.unparse(call.func.value) in ("Matrix", "Fraction")))]
+            + ["@" for op in ast.walk(node) if isinstance(op, ast.MatMult)])
+
+
+def test_the_conjugation_check_makes_no_matrix_or_fraction():
+    # From the pattern to the decode, the conjugation check runs on integer
+    # rows: the word action, its row kernel and the suite's conjugation
+    # loop make no Matrix and no Fraction.  Separation, which checks the
+    # public Matrix route, is the suite's one family that makes them.
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    families = {ast.unparse(node.test): node for node in ast.walk(funcs["run_suite"])
+                if isinstance(node, ast.If)}
+    for node in (funcs["_word_act"], funcs["_row_ops"],
+                 families["'conjugation' in config.checks"],
+                 families["'nilradical' in config.checks"]):
+        assert _made(node) == [], ast.unparse(node)[:60]
+    assert _made(families["'separation' in config.checks"]) == ["Matrix._from_ints"]
 
 
 def test_the_standard_flag_is_written_on_integer_rows():
@@ -294,7 +318,7 @@ def test_one_arc_fold_read_off_the_form_signs():
     assert defined == {"_arc_at": ["correspondence"], "_arc_units": ["correspondence"],
                        "_form_signs": ["linalg"], "_mates": [], "_arc_table": []}
     assert callers["_arc_at"] == {("correspondence", "_decode")}
-    assert callers["_arc_units"] == {("correspondence", "pattern_to_matrix")}
+    assert callers["_arc_units"] == {("correspondence", "_pattern_rows")}
     assert signs == {("linalg", "_form_signs")}
     assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
     assert "eps" not in _names_read(PACKAGE / "correspondence.py")
@@ -303,14 +327,19 @@ def test_one_arc_fold_read_off_the_form_signs():
 def test_one_size_bound_before_every_square_build():
     # A representative, an identified matrix and a root-word conjugate are
     # n x n: one helper refuses a group past the bound, first thing after
-    # the pattern's own check, before any row is built or read.
+    # the pattern's own check, before any row is built or read.  The row
+    # builder `_pattern_rows` holds it for every representative, so
+    # `pattern_to_matrix` and the suite's rows share it.
     tree = ast.parse((PACKAGE / "correspondence.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {name for name, node in funcs.items() if _calls(node, "_require_size")} == \
-        {"pattern_to_matrix", "identify", "_identify_rows"}
+        {"_pattern_rows", "identify", "_identify_rows"}
     for name in ("identify", "_identify_rows"):
         first = funcs[name].body[1]   # after the docstring
         assert _calls(first, "_require_size") == 1, name
+    check, bound = funcs["_pattern_rows"].body[1:3]
+    assert _calls(check, "_free_capacity") == 1 and _calls(bound, "_require_size") == 1
+    assert _calls(funcs["pattern_to_matrix"], "_pattern_rows") == 1
 
 
 def test_cli_identify_solves_on_the_decoded_representative():
