@@ -239,7 +239,10 @@ def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
 
 def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     """Borel-level pattern of the orbit of x: its delta positions are the
-    unit positions of the orbit's representative, decoded by `_decode`."""
+    unit positions of the orbit's representative, decoded by `_decode`.
+    The gate squares x before any elimination and stops at the first
+    nonzero row of x @ x, so a dense x with x^2 != 0 is refused at once;
+    `_identify_rows`' order, elimination first, would pay for it in full."""
     _require_size(g)   # first: past the bound, refused before the gate reads x
     require_two_nilpotent(x, g)
     return _decode(rank_signature(x).deltas, g)

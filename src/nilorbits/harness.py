@@ -44,8 +44,8 @@ from math import factorial, lcm
 
 from .correspondence import _identify_rows, _pattern_rows, identify, rank_signature
 from .linalg import (DomainError, GroupKind, Matrix, ORTHOGONAL, SYMPLECTIC,
-                     SpaceSpec, _GROUP_CACHE_SIZE, _SHORT, _coordinates, _dumps, _ints,
-                     _products)
+                     SpaceSpec, Support, _GROUP_CACHE_SIZE, _SHORT, _coordinates, _dumps,
+                     _ints, _products)
 from .patterns import LinkPattern, count_borel, enumerate_patterns, is_nilradical
 from .quiver import pattern_to_summands, total_dimension_vector
 
@@ -110,29 +110,22 @@ def _torus_scales(g: GroupKind, rng: random.Random) -> tuple[list[int], list[int
     return up + middle + down[::-1], down + middle + up[::-1], big
 
 
-Entries = tuple[tuple[int, int, int], ...]
-
-
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _root_elements(spec: SpaceSpec) -> tuple[tuple[Entries, Entries], ...]:
+def _root_elements(spec: SpaceSpec) -> tuple[tuple[Support, Support], ...]:
     """(N, N^2) as 0-based entries (p, q, value), row-major, for each
-    coordinate N of the parabolic subalgebra of `spec`, in `_coordinates`
-    order, with no diagonal position: N is 1 there and its sign at the mate.
+    coordinate N of the parabolic subalgebra of `spec` with no diagonal
+    position: N is its `_coordinates` support, read as it is, in that order.
 
     N is a root element: its entries are +-1 and its support is strictly
     upper (the nilradical of the Borel) or strictly lower (the Levi roots a
     coarser flag allows).  Of its at most two entries only a pair through
     the middle index of o_{2l+1} chains, so N^2 has at most one entry and
     exp(tN) = I + tN + t^2 N^2 / 2."""
-    count, entry = _coordinates(spec)
-    supports: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
-    for (r, c), (i, coef) in entry.items():
-        supports[i].append((r, c, coef))
     roots = []
-    for first in map(sorted, supports):
+    for first in _coordinates(spec):
         if all(p != q for p, q, _ in first):
-            second = [(p, q, a * b) for p, k, a in first for j, q, b in first if k == j]
-            roots.append((tuple(first), tuple(second)))
+            second = tuple((p, q, a * b) for p, k, a in first for j, q, b in first if k == j)
+            roots.append((first, second))
     return tuple(roots)
 
 
@@ -173,7 +166,7 @@ def random_group_element_pair(g: GroupKind, spec: SpaceSpec,
 
 
 # A root word: the torus as `_torus_scales` multipliers and the factors.
-Word = tuple[tuple[list[int], list[int], int], list[tuple[int, Entries, Entries]]]
+Word = tuple[tuple[list[int], list[int], int], list[tuple[int, Support, Support]]]
 
 
 def _root_word(spec: SpaceSpec, seed: int) -> Word:

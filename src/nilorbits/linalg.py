@@ -21,13 +21,13 @@ defining form is anti-diagonal with entries +-1, so each position of a
 member of the Lie algebra fixes its mate across the anti-diagonal up to a
 sign.  The membership test reads these mate pairs entry by entry; the
 parabolic subalgebras, the harness's root elements and the quiver layer's
-stabilizers work in mate-pair coordinates, so no row states the form
-condition, and dim p is the count of p's coordinates.  The mate pairs are
-a closed form in the form's signs (`_form_signs`), never a table.  The
-group test applies F as a signed row reversal (`_form_times`), never as a
-Gram matrix.  One row builder states every A f - f B = 0 that is
-eliminated: [a, x] = 0, whose rank is the orbit dimension, and the basis
-and loop of a flag representation.
+stabilizers read one list of mate-pair coordinates, each as its support
+(`_coordinates`), so no row states the form condition, and dim p is the
+list's length.  The mate pairs are a closed form in the form's signs
+(`_form_signs`), never a table.  The group test applies F as a signed row
+reversal (`_form_times`), never as a Gram matrix.  One row builder states
+every A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the
+orbit dimension, and the basis and loop of a flag representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -75,12 +75,21 @@ def _frac(value) -> Fraction:
     raise DomainError(f"entries must be exact rationals, got {type(value).__name__}")
 
 
+def _items(values, ok, what: str) -> tuple:
+    """`values` as a tuple, refused unless they are iterable and ok(v) holds
+    for every entry; `what` says what the entries must be."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise DomainError(f"{what}, got {values!r}") from None
+    if not all(map(ok, out)):
+        raise DomainError(f"{what}, got {out!r}")
+    return out
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple, refused unless every entry is a non-bool int."""
-    out = tuple(values)
-    if not all(_is_int(v) for v in out):
-        raise DomainError(f"{what} must be integers, got {out!r}")
-    return out
+    return _items(values, _is_int, f"{what} must be integers")
 
 
 # A matrix whose entries need a common denominator longer than this is
@@ -471,6 +480,8 @@ class SpaceSpec:
     flag: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.group, GroupKind):
+            raise DomainError(f"group must be a GroupKind, got {self.group!r}")
         object.__setattr__(self, "flag", _ints(self.flag, "flag steps"))
         d = self.flag
         if any(b <= 0 for b in d) or any(d[s] >= d[s + 1] for s in range(len(d) - 1)):
@@ -588,47 +599,51 @@ def _keeps(flag: Sequence[int], r: int, c: int) -> bool:
     return r <= c or bisect_right(flag, r) == bisect_right(flag, c)
 
 
-def _coordinates(spec: SpaceSpec) -> tuple[int, dict]:
-    """The number of mate-pair coordinates of the parabolic subalgebra p of
-    `spec`, and a member of p as a block of them (`_intertwiner_rows`).
+Support = tuple[tuple[int, int, int], ...]
 
-    A coordinate is a mate pair (r, c) <-> (c*, r*) of sign -s[r] s[c]
-    (`_form_signs`) whose two positions both keep the flag (`_keeps`),
-    named by its row-major later position (r, c), the one with c >= r*:
-    a is 1 there and the sign at the mate.  The later positions
-    are scanned row-major, which numbers the coordinates.  A pair with a
-    position that breaks the flag is zero, and so is a self-mated position
-    of sign -1.
-    """
+
+def _coordinates(spec: SpaceSpec) -> list[Support]:
+    """The mate-pair coordinates of the parabolic subalgebra p of `spec`,
+    each as its support: the 0-based entries (r, c, coefficient) of the
+    member of p that is 1 there.  A coordinate is a mate pair
+    (r, c) <-> (c*, r*) of sign -s[r] s[c] (`_form_signs`) whose two
+    positions both keep the flag (`_keeps`), named by its later position
+    (r, c), the one with c >= r*.  Its support is the mate, which lies in
+    an earlier row, with the sign, then (r, c) with 1, so it is row-major.
+    The later positions are scanned row-major, which numbers the
+    coordinates.  A pair with a position that breaks the flag is zero, and
+    so is a self-mated position of sign -1."""
     flag, n, s = spec.flag, spec.group.n, _form_signs(spec.group)
-    count, entry = 0, {}
+    supports = []
     for r in range(n):
         rs = n - 1 - r
         for c in range(rs, n):
             cs, sign = n - 1 - c, -s[r] * s[c]
-            if (c > rs or sign > 0) and _keeps(flag, r, c) and _keeps(flag, cs, rs):
-                entry[cs, rs] = (count, sign)
-                entry[r, c] = (count, 1)
-                count += 1
-    return count, entry
+            if c > rs and _keeps(flag, r, c) and _keeps(flag, cs, rs):
+                supports.append(((cs, rs, sign), (r, c, 1)))
+            elif c == rs and sign > 0 and _keeps(flag, r, c):   # its own mate
+                supports.append(((r, c, 1),))
+    return supports
 
 
-def _intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:
+def _intertwiner_rows(f: Matrix, head, tail) -> list[dict[int, int]]:
     """Sparse integer rows stating A_head f - f A_tail = 0: one row for each
     0-based position (p, q) of f whose equation is not 0 = 0, row-major.
 
-    A block of unknowns maps each 0-based position of its matrix to
-    (unknown, coefficient); a missing position is zero.  The condition is
-    homogeneous in f, so it reads the integer rows of f, and only their
-    nonzero entries: f[r][q] = v adds A_head[p][r] v to every position
-    (p, q) and -v A_tail[q][s] to every position (r, s).
+    A block of unknowns is a sequence of (unknown, support) pairs, as
+    `_coordinates` numbers them; a position in no support is zero.  The
+    condition is homogeneous in f, so it reads the integer rows of f, and
+    only their nonzero entries: f[r][q] = v adds A_head[p][r] v to every
+    position (p, q) and -v A_tail[q][s] to every position (r, s).
     """
     by_col: dict[int, list] = {}   # head: column r -> (row p, unknown, coefficient)
-    for (p, r), (i, coef) in head.items():
-        by_col.setdefault(r, []).append((p, i, coef))
+    for i, support in head:
+        for p, r, coef in support:
+            by_col.setdefault(r, []).append((p, i, coef))
     by_row: dict[int, list] = {}   # tail: row q -> (column s, unknown, coefficient)
-    for (q, s), (i, coef) in tail.items():
-        by_row.setdefault(q, []).append((s, i, coef))
+    for i, support in tail:
+        for q, s, coef in support:
+            by_row.setdefault(q, []).append((s, i, coef))
     entries: dict[tuple[int, int], dict[int, int]] = {}
     for r, row in enumerate(f._ints[0]):
         for q, v in enumerate(row):
@@ -659,7 +674,7 @@ def borel_subalgebra_dim(g: GroupKind) -> int:
 
 def parabolic_dim(spec: SpaceSpec) -> int:
     """Dimension of the flag-stabilizing members of the algebra."""
-    return _coordinates(spec)[0]
+    return len(_coordinates(spec))
 
 
 def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
@@ -672,10 +687,10 @@ def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
 def _orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     """`orbit_dimension` of an x known to be a 2-nilpotent member of the
     algebra of spec's group, such as a pattern's representative: no gate."""
-    count, entry = _coordinates(spec)
-    rows = _intertwiner_rows(x, entry, entry)
+    coords = list(enumerate(_coordinates(spec)))
+    rows = _intertwiner_rows(x, coords, coords)
     rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
-    return len(_eliminate(rows, count))
+    return len(_eliminate(rows, len(coords)))
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ from operator import attrgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _dumps,
-                     _is_int, _ints, _load_json)
+                     _is_int, _ints, _items, _load_json)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -150,10 +150,11 @@ class LinkPattern:
         object.__setattr__(self, "b", _ints(self.b, "block capacities"))
         if self.k < 0 or len(self.b) != self.k or any(v < 1 for v in self.b):
             raise DomainError("block vector must list a positive capacity per vertex")
-        for arc in self.arcs:
+        arcs = _items(self.arcs, lambda arc: isinstance(arc, Arc), "arcs must be Arc objects")
+        for arc in arcs:
             if not (1 <= arc.source <= self.k and 1 <= arc.target <= self.k):
                 raise DomainError(f"arc {arc.text()} leaves the vertex range 1..{self.k}")
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=Arc.key)))
+        object.__setattr__(self, "arcs", tuple(sorted(arcs, key=Arc.key)))
 
     @staticmethod
     def borel(kind: str, l: int, arcs: Iterable[Arc] = ()) -> "LinkPattern":

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
                      _dumps, _eliminate, _form_signs, _frac, _intertwiner_rows,
-                     _is_int, _keeps, rank, require_two_nilpotent)
+                     _is_int, _keeps, _within, rank, require_two_nilpotent)
 from .patterns import LOOP_UNORIENTED, LOOP_UPPER, Arc, LinkPattern, _free_capacity
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
@@ -144,6 +144,8 @@ def dual(s: Summand) -> Summand:
 
 def catalog(l: int) -> list[Summand]:
     """All indecomposables of A(l) in canonical form, sorted."""
+    if not (_is_int(l) and l >= 0):
+        raise DomainError(f"quiver rank must be a nonnegative integer, got {l!r}")
     omega = l + 1
     out = set()
     for fam in ("M", "M*", "D+", "C+"):
@@ -388,24 +390,24 @@ def symmetric_endo_dim(rep: SymmetricRep | SpaceSpec) -> int:
     and the loop, with A_omega in the Lie algebra of the form.
 
     The inner arrows are inclusions, so A_s is the restriction of A_k to
-    V_s, and A_k maps each V_s into itself: the unknowns are A_k on the
-    positions that keep the flag (`_keeps`) and A_omega in mate-pair
-    coordinates, where the form holds by construction.  Accepts a
-    SymmetricRep or a SpaceSpec (standard flag realization).
+    V_s, and A_k maps each V_s into itself: the unknowns are A_omega in the
+    mate-pair coordinates of the empty flag, where the form holds by
+    construction, numbered first as `_coordinates` lists them, then A_k on
+    the positions that keep the flag (`_keeps`), a one-entry support each.
+    Accepts a SymmetricRep or a SpaceSpec (standard flag realization).
     """
     if isinstance(rep, SpaceSpec):
         rep = realize_flag(rep)
     elif not isinstance(rep, SymmetricRep):
         raise DomainError("expected a SymmetricRep or a SpaceSpec")
     flag, d = rep.spec.flag, rep.basis.cols
-    kept = [(r, c) for r in range(d) for c in range(d) if _keeps(flag, r, c)]
-    top = {pos: (i, 1) for i, pos in enumerate(kept)}
-    count, entry = _coordinates(SpaceSpec(rep.spec.group, ()))
-    middle = {pos: (len(kept) + i, coef) for pos, (i, coef) in entry.items()}
+    middle = list(enumerate(_coordinates(SpaceSpec(rep.spec.group, ()))))
+    top = list(enumerate((((r, c, 1),) for r in range(d) for c in range(d)
+                          if _keeps(flag, r, c)), len(middle)))
     rows = (_intertwiner_rows(rep.basis, middle, top)
             + _intertwiner_rows(rep.loop, middle, middle))
     rows.sort(key=len)   # sparsest first, as in `orbit_dimension`
-    total = len(kept) + count
+    total = len(middle) + len(top)
     return total - len(_eliminate(rows, total))
 
 
@@ -476,8 +478,8 @@ _MAX_AR_RANK = 100
 def ar_sequences(l: int) -> list[ARSequence]:
     """The AR sequence 0 -> M(_cC_c) -> M(_cC) (+) M(C_c) -> M(C) -> 0 of
     every non-projective string C, in catalog order (Butler-Ringel)."""
-    if not 1 <= l <= _MAX_AR_RANK:
-        raise DomainError(f"AR sequences need rank 1 <= l <= {_MAX_AR_RANK}, got {l}")
+    if not _within(l, 1, _MAX_AR_RANK):
+        raise DomainError(f"AR sequences need rank 1 <= l <= {_MAX_AR_RANK}, got {l!r}")
     names = {_canonical(_walk(s)): s for s in catalog(l)}
     # P(v) = p^-1 q for the maximal direct paths p and q leaving v
     projective = {_canonical(_grow(_inverse(_grow((v,), l, 1)), l, 1))

@@ -233,6 +233,13 @@ def reference_group_element_pair(g: GroupKind, seed: int) -> tuple[Matrix, Matri
     return t @ e, e_inv @ t_inv
 
 
+def position_table(block) -> dict[tuple[int, int], tuple[int, int]]:
+    """A block of (unknown, support) pairs, as `linalg._intertwiner_rows`
+    takes it, as the table the references read: each 0-based position of a
+    support maps to (unknown, coefficient)."""
+    return {(r, c): (i, coef) for i, support in block for r, c, coef in support}
+
+
 def reference_intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[int, int]]:
     """The rows of A_head f - f A_tail = 0 built position by position: at
     each (p, q), a column scan of f for the head terms and a row scan for

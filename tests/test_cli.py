@@ -225,7 +225,7 @@ def test_identify_answers_an_sp200_representative_in_bounded_time():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert pattern_from_obj(got["pattern"]) == p
-    assert 0 < got["orbit_dimension"] <= _coordinates(SpaceSpec.borel(g))[0]
+    assert 0 < got["orbit_dimension"] <= len(_coordinates(SpaceSpec.borel(g)))
 
 
 @pytest.mark.parametrize("level", [["--rank", "3000"], ["--rank", "1000000000"],
@@ -675,22 +675,24 @@ def _coprime_denominators(count: int) -> list[int]:
 def _spread_member(g: GroupKind, extra: tuple[int, int] | None = None) -> Matrix:
     """A member of g with one 4,000-digit denominator per algebra coordinate,
     all coprime, and optionally one more at the 1-based position `extra`."""
-    count, entry = _coordinates(SpaceSpec(g, ()))
-    dens = _coprime_denominators(count + 1)
+    coords = _coordinates(SpaceSpec(g, ()))
+    dens = _coprime_denominators(len(coords) + 1)
     rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for (r, c), (i, coef) in entry.items():
-        rows[r][c] = Fraction(coef, dens[i])
+    for support, den in zip(coords, dens):
+        for r, c, coef in support:
+            rows[r][c] = Fraction(coef, den)
     if extra is not None:
         rows[extra[0] - 1][extra[1] - 1] += Fraction(1, dens[-1])
     return Matrix.from_rows(rows)
 
 
-def _identify_in_a_subprocess(group: str, x: Matrix) -> subprocess.CompletedProcess:
+def _identify_in_a_subprocess(group: str, x: Matrix,
+                              timeout: int = 60) -> subprocess.CompletedProcess:
     src = Path(nilorbits.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "nilorbits.cli", "identify",
                            "--group", group], input=matrix_to_json(x),
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_identify_refuses_a_member_with_huge_coprime_denominators():
@@ -709,6 +711,22 @@ def test_identify_refuses_a_non_member_with_huge_denominators_by_its_form():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("nilorbits identify: matrix not in o_20: "
                            "(transpose(a)F + Fa)[20,20] != 0\n")
+
+
+def test_identify_refuses_a_dense_non_square_zero_member_at_its_first_row():
+    # `identify` squares x row by row and stops at the first nonzero row of
+    # x @ x, where `_identify_rows`' order (delta positions first, then the
+    # square on the pivot rows) would run the whole elimination first: about
+    # 40 s in-process on this input.  So the two routes stay separate.
+    g, rng = GroupKind.symplectic(400), random.Random(400)
+    rows = [[0] * g.n for _ in range(g.n)]
+    for support in _coordinates(SpaceSpec(g, ())):
+        coef = rng.randint(-3, 3)
+        for r, c, v in support:
+            rows[r][c] = coef * v
+    proc = _identify_in_a_subprocess("sp", Matrix._from_ints(rows, 1), timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "nilorbits identify: matrix is not 2-nilpotent: (x @ x)[1,1] != 0\n"
 
 
 def test_repr_identify_round_trip(tmp_path, capsys):

@@ -17,7 +17,7 @@ from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _coordinates, _eliminate,
                               _intertwiner_rows, _keeps, _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
-from conftest import (dense_commutant_dim, flag_positions, naive_rank,
+from conftest import (dense_commutant_dim, flag_positions, naive_rank, position_table,
                       random_rational_matrix, reference_coordinates, reference_eliminate,
                       reference_first_row_pivots, reference_intertwiner_rows,
                       reference_lie_violation, small_flag_specs)
@@ -701,13 +701,14 @@ def test_orbit_systems_equal_the_position_by_position_reference():
     systems = 0
     for g in BOREL_SYSTEM_GROUPS:
         spec = SpaceSpec.borel(g)
-        count, entry = _coordinates(spec)
+        coords = list(enumerate(_coordinates(spec)))
+        entry = position_table(coords)
         for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
             x = pattern_to_matrix(p, g)
-            rows = _intertwiner_rows(x, entry, entry)
+            rows = _intertwiner_rows(x, coords, coords)
             assert rows == reference_intertwiner_rows(x, entry, entry), (g.name, p.text())
             rows.sort(key=len)
-            assert_kernels_agree(rows, count)
+            assert_kernels_agree(rows, len(coords))
             systems += 1
     assert systems == 607
 
@@ -740,11 +741,32 @@ def test_the_flag_rule_equals_its_any_form():
 def test_coordinates_equal_the_mate_table_reference():
     # `_coordinates` scans the later half of each row in row-major order;
     # the reference walks the whole mate table.  Same count, same entries,
-    # same numbering, on every flag of sp_2 ... sp_12 and o_1 ... o_13.
+    # same numbering, on every flag of sp_2 ... sp_12 and o_1 ... o_13: the
+    # supports, read as the reference's position table, are that table.
     specs = small_flag_specs()
     assert len(specs) == 379
     for spec in specs:
-        count, entry = _coordinates(spec)
+        coords = _coordinates(spec)
         want_count, want = reference_coordinates(spec)
-        assert count == want_count and list(entry.items()) == list(want.items()), \
+        entry = position_table(enumerate(coords))
+        assert len(coords) == want_count and list(entry.items()) == list(want.items()), \
             (spec.group.name, spec.flag)
+
+
+def test_coordinate_supports_are_disjoint_members_that_keep_the_flag():
+    # Each support is the member of p that is 1 at its coordinate: a member
+    # of the algebra, on positions that keep the flag and its perps, and no
+    # two supports share a position, so the coordinates are independent.
+    for spec in small_flag_specs():
+        g, n = spec.group, spec.group.n
+        allowed = {(r - 1, c - 1) for r, c in flag_positions(n, spec.flag)}
+        seen = set()
+        for support in _coordinates(spec):
+            rows = [[0] * n for _ in range(n)]
+            for r, c, coef in support:
+                rows[r][c] = coef
+            positions = {(r, c) for r, c, _ in support}
+            assert len(positions) == len(support) and positions <= allowed, (g.name, support)
+            assert not positions & seen, (g.name, spec.flag, support)
+            assert _lie_violation(rows, g) is None, (g.name, spec.flag, support)
+            seen |= positions

@@ -5,7 +5,7 @@ import re
 import types
 
 import nilorbits
-from nilorbits import patterns
+from nilorbits import linalg, patterns
 from nilorbits.cli import main
 
 from conftest import SEARCH_LEVELS
@@ -42,6 +42,29 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == UNUSED_ON_PURPOSE
+
+
+def test_every_private_module_name_is_read():
+    # The lint step for dead code: every private def, class or assignment at
+    # module level is read somewhere in the package, by name or as an
+    # attribute, so no helper a refactor orphans stays behind.
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted((stem, name) for stem, name in defined if name not in read) == []
 
 
 def test_no_floats():
@@ -104,6 +127,38 @@ def test_one_json_encoder_and_one_input_error_root():
     assert issubclass(nilorbits.MalformedInputError, nilorbits.DomainError)
 
 
+G4 = nilorbits.GroupKind.symplectic(4)
+REFUSALS = [
+    (lambda: nilorbits.SpaceSpec("sp", ()), "group must be a GroupKind, got 'sp'"),
+    (lambda: nilorbits.SpaceSpec(G4, None), "flag steps must be integers, got None"),
+    (lambda: nilorbits.SpaceSpec(G4, (1.5,)), "flag steps must be integers, got (1.5,)"),
+    (lambda: nilorbits.LinkPattern("symplectic", 1, None, ()),
+     "block capacities must be integers, got None"),
+    (lambda: nilorbits.LinkPattern("symplectic", 1, (1,), ("x",)),
+     "arcs must be Arc objects, got ('x',)"),
+    (lambda: nilorbits.LinkPattern("symplectic", 1, (1,), None),
+     "arcs must be Arc objects, got None"),
+    (lambda: nilorbits.catalog(-1), "quiver rank must be a nonnegative integer, got -1"),
+    (lambda: nilorbits.catalog(1.5), "quiver rank must be a nonnegative integer, got 1.5"),
+    (lambda: nilorbits.ar_sequences(True), "AR sequences need rank 1 <= l <= 100, got True"),
+]
+
+
+def test_every_library_refusal_is_a_domain_error():
+    # Aim 3 has one exception root: a call outside a function's domain is
+    # refused with a DomainError that says why, never a TypeError or an
+    # AttributeError from deeper down, and never an empty answer.
+    got = []
+    for call, _ in REFUSALS:
+        try:
+            call()
+        except nilorbits.DomainError as err:
+            got.append(str(err))
+        else:
+            got.append(None)
+    assert got == [message for _, message in REFUSALS]
+
+
 def _calls(node, name: str) -> int:
     return sum(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                and call.func.id == name for call in ast.walk(node))
@@ -148,6 +203,28 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
     assert callers["_eliminate"]["_orbit_dimension"] == 1
     assert importers == {"linalg"}
+
+
+def test_the_coordinates_are_one_support_list_read_as_it_is():
+    # `_coordinates` returns one support per coordinate, and the functions
+    # that read it (the dimension of p, the orbit solver, the root words and
+    # the stabilizer solver) take the list as it is: none of them builds a
+    # dict, so no position-keyed table of the coordinates is made.
+    spec = nilorbits.SpaceSpec.borel(nilorbits.GroupKind.orthogonal(5))
+    assert type(linalg._coordinates(spec)) is list
+    readers = {"_coordinates", "parabolic_dim", "_orbit_dimension", "_root_elements",
+               "symmetric_endo_dim"}
+    found, tables = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in readers:
+                found.add(node.name)
+                tables += [(node.name, ast.unparse(part)) for part in ast.walk(node)
+                           if isinstance(part, (ast.Dict, ast.DictComp))
+                           or isinstance(part, ast.Call)
+                           and ast.unparse(part.func).split(".")[-1]
+                           in ("dict", "items", "setdefault")]
+    assert found == readers and tables == []
 
 
 def test_the_form_is_applied_by_signed_row_reversal():

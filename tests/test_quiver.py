@@ -25,7 +25,7 @@ from nilorbits.quiver import (FAMILIES, Summand, SymmetricPiece, SymmetricRep,
                               total_dimension_vector)
 
 from conftest import (dense_commutant_dim, enumerate_strings, flag_positions,
-                      hom_dim, reference_eliminate, reference_intertwiner_rows,
+                      hom_dim, position_table, reference_eliminate, reference_intertwiner_rows,
                       reference_summands, small_flag_specs, string_module)
 
 
@@ -501,7 +501,7 @@ def test_stabilizer_systems_equal_the_reference_kernel_and_rows(monkeypatch):
 
     def checked_rows(f, head, tail):
         rows = build(f, head, tail)
-        assert rows == reference_intertwiner_rows(f, head, tail)
+        assert rows == reference_intertwiner_rows(f, position_table(head), position_table(tail))
         return rows
 
     def checked_kernel(rows, cols):
