@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _eliminate, _form_signs,
-                     _reduced, _require_form, _require_square_zero, _square_violation,
-                     _within, require_two_nilpotent)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _MAX_DENOMINATOR_BITS,
+                     _eliminate, _form_signs, _reduced, _require_form, _require_instance,
+                     _require_square_zero, _square_violation, _within,
+                     require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
 from .linalg import lie_member  # noqa: F401
@@ -44,6 +45,7 @@ _MAX_N = 1000
 
 
 def _require_size(g: GroupKind):
+    _require_instance(g, GroupKind, "group")
     if g.n > _MAX_N:
         raise DomainError(f"{g.name}: representatives are built for n <= {_MAX_N} only")
 
@@ -211,6 +213,7 @@ def _delta_positions(rows) -> tuple[tuple[int, int], ...]:
 def rank_signature(x: Matrix) -> RankSignature:
     """Exact lower-left rank table, invariant under upper-triangular
     conjugation (and independent left/right upper-triangular scaling)."""
+    _require_instance(x, Matrix, "matrix")
     if not x.is_square:
         raise DomainError("rank signature needs a square matrix")
     return RankSignature(x.rows, _delta_positions(x._ints[0]))
@@ -220,7 +223,8 @@ def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
     """Borel-level pattern whose representative has exactly these unit
     positions: walking them in row-major order, each remaining position
     must be the earlier position of an arc (`_arc_at`) whose mate is still
-    present."""
+    present.  Any iterable of positions is read; `identify` and
+    `_identify_rows` reach it through the memo `_decoded`."""
     n, left, arcs = g.n, set(positions), []
     for pos in sorted(left):
         if pos not in left:
@@ -237,15 +241,42 @@ def _decode(positions: Iterable[tuple[int, int]], g: GroupKind) -> LinkPattern:
     return pattern
 
 
+# A verify pass at rank 3 decodes its 98 orbits about 590 times (five
+# root-word conjugates and one separation check each), so the decoded
+# patterns are kept: room for all 98.  An entry holds its key, the delta
+# positions, and its pattern.  The largest has the most arcs and positions
+# a group within `_MAX_N` allows: 500 loops of sp_1000 take about 395 KB
+# with the key and the arcs, a perfect matching of sp_1000 about 230 KB
+# (tracemalloc, Python 3.11), so a full memo holds at most about 50 MB.
+_DECODE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_DECODE_MEMO_SIZE)
+def _decoded(deltas: tuple[tuple[int, int], ...], g: GroupKind) -> LinkPattern:
+    """`_decode` of a rank signature's delta positions, kept for the
+    positions decoded last.  A pattern is immutable, so every caller may
+    share it.  A refusal is raised, and `lru_cache` keeps no entry for a
+    call that raises, so refused positions are decoded, and refused, anew
+    each time."""
+    return _decode(deltas, g)
+
+
 def identify(x: Matrix, g: GroupKind) -> LinkPattern:
     """Borel-level pattern of the orbit of x: its delta positions are the
-    unit positions of the orbit's representative, decoded by `_decode`.
-    The gate squares x before any elimination and stops at the first
-    nonzero row of x @ x, so a dense x with x^2 != 0 is refused at once;
-    `_identify_rows`' order, elimination first, would pay for it in full."""
+    unit positions of the orbit's representative, decoded by `_decode`
+    (through its memo `_decoded`).  The gate squares x before any
+    elimination and stops at the first nonzero row of x @ x, so a dense x
+    with x^2 != 0 is refused at once; `_identify_rows`' order, elimination
+    first, would pay for it in full.
+
+    The pattern names the orbit of the Borel subgroup over the complex
+    numbers.  Over Q, two inputs with one pattern need not be conjugate
+    under the rational Borel subgroup: in sp_2, [[0, 1], [0, 0]] and
+    [[0, 2], [0, 0]] share a pattern, but conjugating by diag(t, 1/t)
+    puts only t^2 in that entry, and 2 is no rational square."""
     _require_size(g)   # first: past the bound, refused before the gate reads x
     require_two_nilpotent(x, g)
-    return _decode(rank_signature(x).deltas, g)
+    return _decoded(rank_signature(x).deltas, g)
 
 
 def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
@@ -253,21 +284,32 @@ def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
     as a root-word conjugate: the same refusals and the same pattern, and
     no Matrix or Fraction is built.
 
-    The checks run in this order: the rows are reduced (`_reduced`, refused
-    past the denominator bound), the form is checked, the delta positions
-    are found, x^2 = 0 is checked on the pivot rows, and the positions are
-    decoded.  The elimination behind the delta positions never swaps rows
-    and a row only loses multiples of the pivot rows before it, so the
-    pivot rows are a basis of the row space, and x^2 = 0 iff each of them
-    times x is zero.  A refusal names the first failing entry of the whole
-    square, as `identify` does."""
+    The checks run in this order: a den past the denominator bound is
+    reduced (`_reduced`, refused if it is still past the bound), the form
+    is checked, the delta positions are found, x^2 = 0 is checked on the
+    pivot rows, and the positions are decoded (`_decoded`).  The
+    elimination behind the delta positions never swaps rows and a row only
+    loses multiples of the pivot rows before it, so the pivot rows are a
+    basis of the row space, and x^2 = 0 iff each of them times x is zero.
+    A refusal names the first failing entry of the whole square, as
+    `identify` does.
+
+    Rows within the bound are read unreduced: dividing the rows and den by
+    a common factor k changes no answer.  The form check compares entries
+    two at a time, both scaled by k; each lower-left minor is scaled by a
+    power of k, so the delta positions stay; and x @ x is scaled by k^2,
+    so its zero entries, the first failing one too, stay.  The reduced den
+    divides den, so a den within the bound is within it reduced: the
+    refusals, their messages and the pattern are those of the reduced
+    rows."""
     _require_size(g)   # first, as in `identify`
-    rows, _ = _reduced(rows, den)
+    if den.bit_length() > _MAX_DENOMINATOR_BITS:
+        rows, _ = _reduced(rows, den)
     _require_form(rows, g, "matrix")
     deltas = _delta_positions(rows)
     if _square_violation(rows, [r - 1 for r, _ in deltas]):
         _require_square_zero(rows, "matrix")   # the whole square names the entry
-    return _decode(deltas, g)
+    return _decoded(deltas, g)
 
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:

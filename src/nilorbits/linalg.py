@@ -87,6 +87,13 @@ def _items(values, ok, what: str) -> tuple:
     return out
 
 
+def _require_instance(value, cls: type, what: str):
+    """Refuse `value` unless it is a `cls`: a wrongly typed argument is a
+    DomainError, not an AttributeError or a TypeError from deeper down."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple, refused unless every entry is a non-bool int."""
     return _items(values, _is_int, f"{what} must be integers")
@@ -156,6 +163,8 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> "Matrix":
+        rows = _items(rows, lambda row: isinstance(row, Iterable),
+                      "matrix rows must be iterables of entries")
         return Matrix(tuple(tuple(_frac(v) for v in row) for row in rows))
 
     @staticmethod
@@ -367,6 +376,8 @@ def _form_times(m: Matrix, g: GroupKind) -> Matrix:
 
 
 def _require_shape(a: Matrix, g: GroupKind):
+    _require_instance(a, Matrix, "matrix")
+    _require_instance(g, GroupKind, "group")
     if a.rows != g.n or a.cols != g.n:
         raise DomainError(f"expected a {g.n}x{g.n} matrix, got {a.rows}x{a.cols}")
 
@@ -429,6 +440,7 @@ def _square_violation(rows, tested: Sequence[int] | None = None) -> tuple[int, i
 
 def is_two_nilpotent(a: Matrix) -> bool:
     """True iff a @ a = 0 exactly."""
+    _require_instance(a, Matrix, "matrix")
     if not a.is_square:
         raise DomainError("nilpotency test needs a square matrix")
     return _square_violation(a._ints[0]) is None
@@ -585,6 +597,7 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
 
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
+    _require_instance(m, Matrix, "matrix")
     rows = [{j: v for j, v in enumerate(row) if v} for row in m._ints[0]]
     return len(_eliminate(rows, m.cols))
 
@@ -674,6 +687,7 @@ def borel_subalgebra_dim(g: GroupKind) -> int:
 
 def parabolic_dim(spec: SpaceSpec) -> int:
     """Dimension of the flag-stabilizing members of the algebra."""
+    _require_instance(spec, SpaceSpec, "spec")
     return len(_coordinates(spec))
 
 

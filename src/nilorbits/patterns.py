@@ -16,7 +16,7 @@ from operator import attrgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (DomainError, ORTHOGONAL, SYMPLECTIC, SpaceSpec, _dumps,
-                     _is_int, _ints, _items, _load_json)
+                     _is_int, _ints, _items, _load_json, _require_instance)
 
 LOOP_NONE = "none"
 LOOP_UPPER = "upper"
@@ -252,6 +252,7 @@ def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> list[int]:
     indexes an orbit of spec: same family, the flag's blocks, and no block
     over its capacity.  Each arc's cost is read from its cache
     (`Arc._cost`), so a call is one pass over the arcs."""
+    _require_instance(p, LinkPattern, "pattern")
     g = spec.group
     if (p.kind == SYMPLECTIC) != g.is_symplectic:
         raise DomainError("pattern kind does not match the group family")
@@ -347,7 +348,7 @@ def _search(kind: str, k: int, b: Iterable[int],
     if _is_int(k) and k * (2 * k + 1) > _MAX_ARC_TYPES:
         raise DomainError(f"level k={k} has {k * (2 * k + 1):,} arc types, over the "
                           f"{_MAX_ARC_TYPES:,} the enumerator tabulates (k <= 223)")
-    b = LinkPattern(kind, k, tuple(b), ()).b
+    b = LinkPattern(kind, k, b, ()).b   # the constructor refuses a b that is not iterable
     types: list[Arc] = []   # the kept types, from the last
     # (lo, clo, hi, chi, past_lo, past_pair) of each kept type, 0-based
     costs: list[tuple[int, ...]] = []

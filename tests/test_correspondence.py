@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import (MalformedInputError, _arc_at, _arc_units,
-                                      _decode, identify,
+                                      _decode, _decoded, identify,
                                       identify_parabolic,
                                       parabolic_representative,
                                       pattern_to_matrix, rank_signature, refine,
@@ -225,6 +225,52 @@ def test_decode_refuses_a_loop_and_an_arc_on_one_vertex():
         _decode({(1, 4), (2, 1), (4, 3)}, sp4)
     assert type(refused.value) is MalformedInputError
     assert str(refused.value) == "decoded arcs violate the pattern capacity rule"
+
+
+def test_a_decode_memo_hit_equals_a_fresh_decode():
+    # `identify` and `_identify_rows` decode through the memo `_decoded`:
+    # on every Borel pattern of sp_2 ... sp_8 and o_3 ... o_9, the second
+    # call hits and returns the pattern a fresh `_decode` builds.
+    groups = ([GroupKind.symplectic(n) for n in range(2, 9, 2)]
+              + [GroupKind.orthogonal(n) for n in range(3, 10)])
+    checked = 0
+    for g in groups:
+        for p in enumerate_patterns(g.family, g.l, (1,) * g.l):
+            deltas = rank_signature(pattern_to_matrix(p, g)).deltas
+            first = _decoded(deltas, g)
+            hits = _decoded.cache_info().hits
+            hit = _decoded(deltas, g)
+            assert _decoded.cache_info().hits == hits + 1
+            assert hit is first and hit == _decode(deltas, g) == p, (g.name, p.text())
+            checked += 1
+    assert checked == sum(count_borel(g.family, g.l) for g in groups)
+
+
+def test_a_refused_decode_is_never_memoized():
+    # A refusal is raised from the memo, not kept in it: the same
+    # positions are refused again with the same message, and the memo
+    # does not grow.
+    sp4, o5 = GroupKind.symplectic(4), GroupKind.orthogonal(5)
+    _decoded.cache_clear()
+    for positions, g in ((((3, 1),), o5), (((2, 2),), sp4), (((4, 3),), sp4),
+                         (((2, 1),), sp4), (((1, 2), (2, 1), (3, 4), (4, 3)), sp4),
+                         (((1, 4), (2, 1), (4, 3)), sp4)):
+        with pytest.raises(MalformedInputError) as fresh:
+            _decode(positions, g)
+        for _ in range(2):
+            with pytest.raises(MalformedInputError) as refused:
+                _decoded(positions, g)
+            assert str(refused.value) == str(fresh.value)
+            assert _decoded.cache_info().currsize == 0
+
+
+def test_a_pattern_names_the_complex_orbit_not_the_rational_one():
+    # In sp_2, E_12 and 2 E_12 share a pattern, but the rational Borel
+    # subgroup puts only t^2 at that entry, and 2 is no rational square.
+    sp2 = GroupKind.symplectic(2)
+    one, two = Matrix.from_rows([[0, 1], [0, 0]]), Matrix.from_rows([[0, 2], [0, 0]])
+    assert identify(one, sp2) == identify(two, sp2) == LinkPattern.borel(
+        "symplectic", 1, [upper_loop(1)])
 
 
 def test_arc_table_is_the_reference_representative_table():

@@ -582,6 +582,29 @@ def test_identify_on_integer_rows_equals_the_matrix_route():
     assert outcomes[0].startswith("refused: matrix entries need a common denominator")
 
 
+def test_identify_on_integer_rows_reduces_only_past_the_bound(monkeypatch):
+    # Rows and den scaled by 2^(B+1) pass the denominator bound B before
+    # they are reduced and not after: `_identify_rows` reduces them (and
+    # only them) and returns the pattern of the unscaled conjugate, as the
+    # matrix route does.  Rows within the bound are read as they are.
+    from nilorbits import correspondence
+    reduced = []
+    real = correspondence._reduced
+    monkeypatch.setattr(correspondence, "_reduced",
+                        lambda rows, den: reduced.append(den) or real(rows, den))
+    scale = 2 ** (_MAX_DENOMINATOR_BITS + 1)
+    cases = 0
+    for g, rows, den in itertools.islice(frozen_word_conjugates(), 0, 5463, 400):
+        pattern = _identify_rows(rows, den, g)
+        assert reduced == [] and den.bit_length() <= _MAX_DENOMINATOR_BITS
+        big = [[scale * v for v in row] for row in rows]
+        assert identify_both_ways(big, scale * den, g) == [pattern, pattern], g.name
+        assert reduced == [scale * den]
+        reduced.clear()
+        cases += 1
+    assert cases == 14
+
+
 def square_row(rows, p: int) -> list[int]:
     """Row p (0-based) of the square of the matrix with these integer rows,
     by row-by-column sums."""

@@ -128,6 +128,7 @@ def test_one_json_encoder_and_one_input_error_root():
 
 
 G4 = nilorbits.GroupKind.symplectic(4)
+B4 = nilorbits.SpaceSpec.borel(G4)
 REFUSALS = [
     (lambda: nilorbits.SpaceSpec("sp", ()), "group must be a GroupKind, got 'sp'"),
     (lambda: nilorbits.SpaceSpec(G4, None), "flag steps must be integers, got None"),
@@ -141,6 +142,26 @@ REFUSALS = [
     (lambda: nilorbits.catalog(-1), "quiver rank must be a nonnegative integer, got -1"),
     (lambda: nilorbits.catalog(1.5), "quiver rank must be a nonnegative integer, got 1.5"),
     (lambda: nilorbits.ar_sequences(True), "AR sequences need rank 1 <= l <= 100, got True"),
+    # A wrongly typed argument is refused by the gate the function runs first.
+    (lambda: nilorbits.identify("x", G4), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.identify(nilorbits.Matrix.zero(4), "g"),
+     "group must be a GroupKind, got str"),
+    (lambda: nilorbits.identify_parabolic("x", B4), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.orbit_dimension("x", B4), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.rank("x"), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.rank_signature("x"), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.lie_member("x", G4), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.is_two_nilpotent("x"), "matrix must be a Matrix, got str"),
+    (lambda: nilorbits.parabolic_dim(None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.pattern_to_matrix(None, G4),
+     "pattern must be a LinkPattern, got NoneType"),
+    (lambda: nilorbits.glue(None, B4), "pattern must be a LinkPattern, got NoneType"),
+    (lambda: nilorbits.pattern_to_summands(None, B4),
+     "pattern must be a LinkPattern, got NoneType"),
+    (lambda: nilorbits.enumerate_patterns("symplectic", 2, None),
+     "block capacities must be integers, got None"),
+    (lambda: nilorbits.Matrix.from_rows(None),
+     "matrix rows must be iterables of entries, got None"),
 ]
 
 
@@ -530,8 +551,8 @@ def test_the_json_line_layout_is_stated_once():
 
 
 def _cache_size(call: ast.expr, module) -> object:
-    """The maxsize an `lru_cache(...)` decorator passes: a literal or a
-    module constant; None for a bare decorator or an unbounded size."""
+    """The maxsize an `lru_cache(...)` call passes: a literal or a module
+    constant; None for a bare decorator or an unbounded size."""
     if not isinstance(call, ast.Call):
         return None
     size = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
@@ -544,23 +565,58 @@ def _cache_size(call: ast.expr, module) -> object:
     return None
 
 
+def _cache_kind(node: ast.expr) -> str:
+    """"lru_cache" or "cache" if `node` names one of them (bare or as an
+    attribute such as functools.cache), else ""."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name if name in ("lru_cache", "cache") else ""
+
+
+def _caches(tree: ast.AST, module) -> dict:
+    """Every cache a module makes, with its maxsize (`_cache_size`): a
+    decorated function by its name, a cache made by a call (`cache(f)`,
+    `lru_cache(...)(f)`) by its line."""
+    found, decorators = {}, set()
+    for node in ast.walk(tree):
+        for deco in getattr(node, "decorator_list", ()):
+            kind = _cache_kind(deco.func if isinstance(deco, ast.Call) else deco)
+            if kind:
+                found[node.name] = _cache_size(deco, module) if kind == "lru_cache" else None
+                decorators.add(deco)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node not in decorators:
+            kind = _cache_kind(node.func)
+            if kind:
+                found[node.lineno] = _cache_size(node, module) if kind == "lru_cache" else None
+    return found
+
+
+def test_the_cache_guard_sees_calls_as_well_as_decorators():
+    source = ("import functools\n"
+              "f = functools.cache(len)\n"
+              "g = lru_cache(maxsize=None)(len)\n"
+              "h = lru_cache(SIZE)(len)\n"
+              "@cache\n"
+              "def k(): pass\n"
+              "@functools.lru_cache(maxsize=8)\n"
+              "def m(): pass\n")
+    module = types.SimpleNamespace(SIZE=16)
+    assert _caches(ast.parse(source), module) == {2: None, 3: None, 4: 16, "k": None, "m": 8}
+
+
 def test_every_cache_is_bounded():
     # A cache lives as long as the process, so each one keeps at most a
-    # fixed number of entries: every lru_cache in the package passes a
-    # positive integer maxsize, and functools.cache (unbounded) is not used.
+    # fixed number of entries: every lru_cache in the package, decorator or
+    # call, passes a positive integer maxsize, and functools.cache
+    # (unbounded) is not used.
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"nilorbits.{path.stem}"
                                          if path.stem != "__init__" else "nilorbits")
-        for node in ast.walk(ast.parse(path.read_text())):
-            for deco in getattr(node, "decorator_list", ()):
-                func = deco.func if isinstance(deco, ast.Call) else deco
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name in ("lru_cache", "cache"):
-                    size = _cache_size(deco, module) if name == "lru_cache" else None
-                    found[(path.stem, node.name)] = size
+        for site, size in _caches(ast.parse(path.read_text()), module).items():
+            found[(path.stem, site)] = size
     assert {("linalg", "_form_signs"), ("correspondence", "_arc"),
-            ("quiver", "_level")} <= set(found)
+            ("correspondence", "_decoded"), ("quiver", "_level")} <= set(found)
     unbounded = {site: size for site, size in found.items()
                  if not (type(size) is int and size > 0)}
     assert unbounded == {}
