@@ -121,11 +121,10 @@ def _stream(args, strings: Iterator[str], ends: tuple[str, str] = ("", "")):
 
 
 def _matrix_text(m) -> str:
-    widths = [max(len(str(m.entry(r, c))) for r in range(1, m.rows + 1))
-              for c in range(1, m.cols + 1)]
-    return "\n".join(" ".join(str(m.entry(r, c)).rjust(w)
-                              for c, w in zip(range(1, m.cols + 1), widths))
-                     for r in range(1, m.rows + 1))
+    """The entries, each column right-aligned to its widest entry."""
+    rows = [[str(v) for v in row] for row in m.entries]
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return "\n".join(" ".join(v.rjust(w) for v, w in zip(row, widths)) for row in rows)
 
 
 # Patterns `enumerate --format tex` accepts: its table is built whole in memory

@@ -50,18 +50,6 @@ def _require_size(g: GroupKind):
         raise DomainError(f"{g.name}: representatives are built for n <= {_MAX_N} only")
 
 
-# Decoded patterns share their arc objects, so each arc's hash, `key` and
-# capacity costs are worked out once.  The memo is keyed by the arc's
-# fields, not by the group, and holds every Borel arc on up to 45 vertices
-# (4 C(45, 2) + 2 * 45 = 4,050).
-_ARC_MEMO_SIZE = 4096
-
-
-@lru_cache(maxsize=_ARC_MEMO_SIZE)
-def _arc(source: int, target: int, dotted: bool, loop_variant: str) -> Arc:
-    return Arc(source, target, dotted, loop_variant)
-
-
 def _arc_at(r: int, c: int, g: GroupKind) -> Arc | None:
     """The forward fold: the arc of a Borel-level pattern of g whose earlier
     unit is the 1-based position (r, c), or None if no arc starts there.
@@ -86,8 +74,8 @@ def _arc_at(r: int, c: int, g: GroupKind) -> Arc | None:
     lo, hi = (a, b) if a < b else (b, a)
     dotted = (r > rs) != (c > cs)
     if r < c:
-        return _arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
-    return _arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
+        return Arc(hi, lo, dotted, LOOP_UPPER if lo == hi else LOOP_NONE)
+    return Arc(lo, hi, dotted, LOOP_LOWER if lo == hi else LOOP_NONE)
 
 
 def _arc_units(arc: Arc, g: GroupKind) -> tuple[tuple[int, int], tuple[int, int], int]:
@@ -314,6 +302,7 @@ def _identify_rows(rows, den: int, g: GroupKind) -> LinkPattern:
 
 def identify_parabolic(x: Matrix, spec: SpaceSpec) -> LinkPattern:
     """Block pattern of the parabolic orbit: glue the Borel-level pattern."""
+    _require_instance(spec, SpaceSpec, "spec")
     return glue(identify(x, spec.group), spec)
 
 

@@ -12,9 +12,10 @@ matrix's entries or integer rows) and the square check integer rows, so
 both also gate a matrix that was never built, such as a root-word
 conjugate: `correspondence._identify_rows` gates it on its integer rows,
 squaring only the pivot rows of its elimination.  There is one
-elimination kernel, a fraction-free (one-step Bareiss) pass over sparse
-integer rows that never swaps rows: a column's pivot is the first row, in
-the order given, that holds it.  Rank, orbit dimensions, the quiver
+elimination kernel, a pass over sparse integer rows that never swaps
+rows: a column's pivot is the first row, in the order given, that holds
+it, and a step writes only the rows that hold its column, each divided
+by the gcd of its entries.  Rank, orbit dimensions, the quiver
 layer's stabilizer dimensions and rank signatures (the matrix's rows
 handed bottom-up give the delta positions as pivots) all sit on it.  Every
 defining form is anti-diagonal with entries +-1, so each position of a
@@ -362,6 +363,7 @@ def form_matrix(g: GroupKind) -> Matrix:
 
     Symplectic: [[0, J_l], [-J_l, 0]] (skew).  Orthogonal: J_n (symmetric).
     """
+    _require_instance(g, GroupKind, "group")
     n, signs = g.n, _form_signs(g)
     zero = Fraction(0)
     return Matrix(tuple(tuple(Fraction(signs[p]) if p + q == n - 1 else zero
@@ -505,6 +507,7 @@ class SpaceSpec:
     @lru_cache(maxsize=_GROUP_CACHE_SIZE)
     def borel(g: GroupKind) -> "SpaceSpec":
         # Frozen, so one spec per group is shared by every caller.
+        _require_instance(g, GroupKind, "group")
         return SpaceSpec(g, tuple(range(1, g.l + 1)))
 
     @staticmethod
@@ -540,7 +543,7 @@ class SpaceSpec:
 
 
 def _eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
-    """Fraction-free (one-step Bareiss) forward elimination, in place.
+    """Forward elimination on primitive integer rows, in place.
 
     `rows` are sparse integer rows {column: nonzero entry} over columns
     0..cols-1.  The pivot of column c is the first remaining row, in the
@@ -550,47 +553,44 @@ def _eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
 
     Each remaining row is filed under its leading column.  When the
     elimination reaches c, no remaining row holds a column left of c, so
-    the rows filed under c are exactly the rows that hold it, and a step
-    touches only them.  Every row is an integral minor of the input
-    (Sylvester's identity), and one-step Bareiss scales each row that does
-    not hold the step's column by lead / prev.  These factors telescope, so
-    a row records the prev it was last brought to and is brought current,
-    v * prev_now // prev_then, only when a step touches it: exact, and
-    equal to scaling every remaining row at every step.
+    the rows filed under c are exactly the rows that hold it.  A step
+    writes only them: each becomes lead * row - head * top (lead and head
+    first divided by their gcd), divided by the gcd of its entries.  Each
+    row stays a nonzero multiple of its one-step Bareiss (Math. Comp. 1968)
+    counterpart, so the pivots, ranks and delta positions are Bareiss's.
+    The Bareiss row, an integral minor of the input, is an integer multiple
+    of this one (a row never updated is the input row, which Bareiss scales
+    by the last pivot), so no entry grows past that minor.
     """
-    level = [1] * len(rows)   # the prev each row was last brought to
     leading: list[list[int]] = [[] for _ in range(cols)]
     for i, row in enumerate(rows):
         if row:
             leading[min(row)].append(i)
     pivots: list[tuple[int, int]] = []
     tops = []
-    prev = 1
     for c in range(cols):
         found = sorted(leading[c])
         if not found:
             continue
         i = found[0]
         top = rows[i]
-        if level[i] != prev:
-            top = {j: v * prev // level[i] for j, v in top.items()}
         lead = top[c]
         for k in found[1:]:
-            row, then = rows[k], level[k]
-            if then != prev:
-                row = {j: v * prev // then for j, v in row.items()}
+            row = rows[k]
             head = row.pop(c)
-            acc = {j: lead * v for j, v in row.items()}
+            g = gcd(lead, head)
+            a, b = lead // g, head // g
+            acc = row if a == 1 else {j: a * v for j, v in row.items()}
             for j, v in top.items():
                 if j != c:
-                    acc[j] = acc.get(j, 0) - head * v
-            row = {j: v // prev for j, v in acc.items() if v}
+                    acc[j] = acc.get(j, 0) - b * v
+            row = {j: v for j, v in acc.items() if v}
             if row:
-                rows[k], level[k] = row, lead
+                g = gcd(*row.values())
+                rows[k] = {j: v // g for j, v in row.items()} if g > 1 else row
                 leading[min(row)].append(k)
         pivots.append((i, c))
         tops.append(top)
-        prev = lead
     rows[:] = tops
     return pivots
 
@@ -694,6 +694,7 @@ def parabolic_dim(spec: SpaceSpec) -> int:
 def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     """dim(parabolic orbit of x) = dim p - dim centralizer_p(x): the rank of
     a |-> [a, x] on the coordinates of p."""
+    _require_instance(spec, SpaceSpec, "spec")
     require_two_nilpotent(x, spec.group)
     return _orbit_dimension(x, spec)
 

@@ -251,8 +251,11 @@ def _free_capacity(p: LinkPattern, spec: SpaceSpec) -> list[int]:
     """Capacity p leaves at each block of `spec`, refusing p unless it
     indexes an orbit of spec: same family, the flag's blocks, and no block
     over its capacity.  Each arc's cost is read from its cache
-    (`Arc._cost`), so a call is one pass over the arcs."""
+    (`Arc._cost`), so a call is one pass over the arcs, and a valid spec
+    costs no call."""
     _require_instance(p, LinkPattern, "pattern")
+    if not isinstance(spec, SpaceSpec):
+        _require_instance(spec, SpaceSpec, "spec")
     g = spec.group
     if (p.kind == SYMPLECTIC) != g.is_symplectic:
         raise DomainError("pattern kind does not match the group family")
@@ -487,6 +490,7 @@ def glue(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
     vertex beyond the last flag step are rejected.  Each block takes the
     capacity its vertices used, so a valid input glues to a valid pattern.
     """
+    _require_instance(spec, SpaceSpec, "spec")
     _free_capacity(p, SpaceSpec.borel(spec.group))
     arcs: list[Arc] = []
     for arc in p.arcs:

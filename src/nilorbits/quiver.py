@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
-                     _dumps, _eliminate, _form_signs, _frac, _intertwiner_rows,
-                     _is_int, _keeps, _within, rank, require_two_nilpotent)
+from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates, _dumps,
+                     _eliminate, _form_signs, _frac, _intertwiner_rows, _is_int, _keeps,
+                     _require_instance, _within, rank, require_two_nilpotent)
 from .patterns import LOOP_UNORIENTED, LOOP_UPPER, Arc, LinkPattern, _free_capacity
 
 FAMILIES = ("M", "M*", "D+", "D-", "C+", "C-", "Z+", "Z-")
@@ -355,6 +355,7 @@ def realize_flag(spec: SpaceSpec, loop: Matrix | None = None) -> SymmetricRep:
     given, is zero.  Both are built on integer rows (`Matrix._from_ints`),
     so the rank and 2-nilpotency checks of `SymmetricRep` read rows that
     are already cleared."""
+    _require_instance(spec, SpaceSpec, "spec")
     n, d = spec.group.n, spec.flag[-1] if spec.flag else 0
     basis = Matrix._from_ints([[int(p == q) for q in range(d)] for p in range(n)], 1, d)
     if loop is None:

@@ -123,12 +123,31 @@ def reference_first_row_pivots(rows, cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+def divides_rows(ours: list[dict[int, int]], theirs: list[dict[int, int]]) -> bool:
+    """True iff the two lists of sparse integer rows are equally long and
+    each row of `theirs` is an integer multiple of the row of `ours` at the
+    same place: the same support, and one integer ratio on all of it."""
+    if len(ours) != len(theirs):
+        return False
+    for row, big in zip(ours, theirs):
+        if row.keys() != big.keys():
+            return False
+        if row:
+            j = next(iter(row))
+            q, r = divmod(big[j], row[j])
+            if r or any(big[k] != q * v for k, v in row.items()):
+                return False
+    return True
+
+
 def reference_eliminate(rows: list[dict[int, int]], cols: int) -> list[tuple[int, int]]:
     """One-step Bareiss with the kernel's contract, written plainly: each
     column's pivot is found by scanning the remaining rows in order, and
     every remaining row is updated (or rescaled by lead / prev) at every
-    step.  The oracle for `linalg._eliminate`, which indexes the columns and
-    rescales lazily: equal pivots and equal pivot rows."""
+    step.  The oracle for `linalg._eliminate`, which indexes the columns,
+    touches only the rows that hold a step's column and divides each by its
+    content: equal pivots, and each pivot row here an integer multiple of
+    the kernel's (`divides_rows`)."""
     pivots: list[tuple[int, int]] = []
     tops = []
     live = list(enumerate(rows))

@@ -493,6 +493,17 @@ def test_repr_of_the_empty_pattern_is_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "0 0 0 0\n" * 4
 
 
+def test_repr_text_right_aligns_each_column_to_its_widest_entry():
+    # sp_8's undotted arcs 1 -> 2 and 3 -> 4: 1 at each arc's earlier
+    # position and -1 at its mate, so the mates' columns are two wide.
+    pattern = ('{"arcs":[{"dotted":false,"from":1,"to":2},{"dotted":false,"from":3,"to":4}],'
+               '"b":[1,1,1,1],"k":4,"kind":"symplectic"}')
+    zero = "0 0 0 0  0 0  0 0\n"
+    assert run_cli(["repr", "--group", "sp"], pattern) == (0, (
+        zero + "1 0 0 0  0 0  0 0\n" + zero + "0 0 1 0  0 0  0 0\n"
+        + zero + "0 0 0 0 -1 0  0 0\n" + zero + "0 0 0 0  0 0 -1 0\n"), "")
+
+
 @pytest.mark.parametrize("p", [LinkPattern("symplectic", 1, (2,), (unoriented_loop(1),)),
                                LinkPattern.borel("symplectic", 2, (dotted(2, 1),))])
 def test_repr_and_identify_write_tex(p, capsys, monkeypatch):

@@ -277,7 +277,7 @@ def test_arc_table_is_the_reference_representative_table():
     # `_arc_at` and `_arc_units` read every arc and every sign off the
     # form's signs; the reference table states them case by case.  The fold
     # starts each arc that fits a Borel pattern at exactly one position,
-    # its earlier one, and decoded arcs are shared objects.
+    # its earlier one.
     groups = ([GroupKind.symplectic(n) for n in range(2, 13, 2)]
               + [GroupKind.orthogonal(n) for n in range(1, 14)])
     for g in groups:
@@ -290,7 +290,7 @@ def test_arc_table_is_the_reference_representative_table():
         for arc in arcs:
             assert validate(LinkPattern.borel(g.family, g.l, [arc]))
             pos, mate, sign = _arc_units(arc, g)
-            assert starts[pos] is arc and _arc_at(*pos, g) is arc and pos <= mate
+            assert starts[pos] is arc and _arc_at(*pos, g) == arc and pos <= mate
             assert {mate: sign, pos: 1} == reference_arc_units(arc, g), (g.name, arc)
 
 

@@ -17,10 +17,10 @@ from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _coordinates, _eliminate,
                               _intertwiner_rows, _keeps, _lie_violation, _square_violation)
 from nilorbits.patterns import enumerate_patterns
 
-from conftest import (dense_commutant_dim, flag_positions, naive_rank, position_table,
-                      random_rational_matrix, reference_coordinates, reference_eliminate,
-                      reference_first_row_pivots, reference_intertwiner_rows,
-                      reference_lie_violation, small_flag_specs)
+from conftest import (dense_commutant_dim, divides_rows, flag_positions, naive_rank,
+                      position_table, random_rational_matrix, reference_coordinates,
+                      reference_eliminate, reference_first_row_pivots,
+                      reference_intertwiner_rows, reference_lie_violation, small_flag_specs)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -592,17 +592,37 @@ def test_parabolic_and_centralizer_dims_equal_the_rank_of_the_dense_map(g, data)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_kernel_pivots_are_leading_minors(rows):
-    # One-step Bareiss keeps every entry a minor of the input: on a
-    # nonsingular integer matrix the last pivot is the determinant up to sign.
+    # One-step Bareiss (the reference) keeps every entry a minor of the
+    # input: on a nonsingular integer matrix its last pivot is the
+    # determinant up to sign.  The kernel's pivot rows divide the
+    # reference's, so its last pivot divides the determinant.
     n = len(rows)
     work = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    bareiss = [dict(row) for row in work]
     pivots = _eliminate(work, n)
+    assert pivots == reference_eliminate(bareiss, n)
     assert len(pivots) == naive_rank(Matrix.from_rows(rows))
     det = sum((-1) ** sum(a > b for i, a in enumerate(s) for b in s[i + 1:])
               * prod(row[j] for row, j in zip(rows, s)) for s in permutations(range(n)))
     assert (len(pivots) == n) == (det != 0)
     if det:
-        assert abs(work[-1][pivots[-1][1]]) == abs(det)
+        c = pivots[-1][1]
+        assert abs(bareiss[-1][c]) == abs(det)
+        assert det % work[-1][c] == 0
+
+
+def test_kernel_leaves_a_row_without_the_column_untouched():
+    # The step at column 0 writes only the rows that hold column 0.
+    rows = [{0: 2, 1: 4}, {1: 6}]
+    assert _eliminate(rows, 2) == [(0, 0), (1, 1)]
+    assert rows == [{0: 2, 1: 4}, {1: 6}]
+
+
+def test_kernel_divides_an_updated_row_by_its_content():
+    # 1 * (3, 12) - 3 * (1, 2) = (0, 6), divided by 6.
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 12}]
+    assert _eliminate(rows, 2) == [(0, 0), (1, 1)]
+    assert rows == [{0: 1, 1: 2}, {1: 1}]
 
 
 @st.composite
@@ -657,11 +677,12 @@ def test_orbit_dimension_is_invariant_under_borel_conjugation():
 
 
 def assert_kernels_agree(rows: list[dict[int, int]], cols: int):
-    """`_eliminate` and `conftest.reference_eliminate` give the same pivots
-    and leave equal pivot rows, each on its own copy of `rows`."""
+    """`_eliminate` and `conftest.reference_eliminate` give the same pivots,
+    each on its own copy of `rows`, and each reference pivot row is an
+    integer multiple of the kernel's."""
     ours, theirs = [dict(row) for row in rows], [dict(row) for row in rows]
     assert _eliminate(ours, cols) == reference_eliminate(theirs, cols)
-    assert ours == theirs
+    assert divides_rows(ours, theirs)
 
 
 @st.composite
@@ -717,7 +738,7 @@ def test_orbit_systems_equal_the_position_by_position_reference():
                                GroupKind.orthogonal(8)], ids=lambda g: g.name)
 def test_rank_signature_rows_of_root_word_conjugates_equal_the_reference(g):
     # `rank_signature` hands the kernel a conjugate's rows bottom-up; the
-    # conjugates are dense with large entries, where lazy rescaling does
+    # conjugates are dense with large entries, where content division does
     # the most.
     spec = SpaceSpec.borel(g)
     for seed, p in enumerate(enumerate_patterns(g.family, g.l, (1,) * g.l)):

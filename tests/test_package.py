@@ -129,6 +129,8 @@ def test_one_json_encoder_and_one_input_error_root():
 
 G4 = nilorbits.GroupKind.symplectic(4)
 B4 = nilorbits.SpaceSpec.borel(G4)
+Z4 = nilorbits.Matrix.zero(4)
+P4 = nilorbits.LinkPattern.borel("symplectic", 2, ())
 REFUSALS = [
     (lambda: nilorbits.SpaceSpec("sp", ()), "group must be a GroupKind, got 'sp'"),
     (lambda: nilorbits.SpaceSpec(G4, None), "flag steps must be integers, got None"),
@@ -162,6 +164,20 @@ REFUSALS = [
      "block capacities must be integers, got None"),
     (lambda: nilorbits.Matrix.from_rows(None),
      "matrix rows must be iterables of entries, got None"),
+    # ... and so is a wrongly typed spec or group in a later argument.
+    (lambda: nilorbits.orbit_dimension(Z4, None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.glue(P4, None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.identify_parabolic(Z4, None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.pattern_to_summands(P4, None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.refine(P4, None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.parabolic_representative(P4, None),
+     "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.realize_flag(None), "spec must be a SpaceSpec, got NoneType"),
+    (lambda: nilorbits.pattern_to_matrix(P4, "g"), "group must be a GroupKind, got str"),
+    (lambda: nilorbits.random_group_element_pair("g", B4, 1),
+     "group must be a GroupKind, got str"),
+    (lambda: nilorbits.SpaceSpec.borel("g"), "group must be a GroupKind, got str"),
+    (lambda: nilorbits.form_matrix("g"), "group must be a GroupKind, got str"),
 ]
 
 
@@ -459,15 +475,16 @@ def test_cli_identify_solves_on_the_decoded_representative():
 
 
 def test_public_orbit_dimension_gates_before_the_ungated_solve():
-    # `orbit_dimension` takes any matrix, so it refuses a non-member or an
-    # x with x^2 != 0 before it solves; the ungated `_orbit_dimension` has
-    # two callers, that gate and CLI `identify` on its representative.
+    # `orbit_dimension` takes any matrix and any spec, so it refuses a
+    # wrongly typed spec, a non-member or an x with x^2 != 0 before it
+    # solves; the ungated `_orbit_dimension` has two callers, that gate and
+    # CLI `identify` on its representative.
     tree = ast.parse((PACKAGE / "linalg.py").read_text())
     public = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "orbit_dimension")
     calls = [call.func.id for call in ast.walk(public)
              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
-    assert calls == ["require_two_nilpotent", "_orbit_dimension"]
+    assert calls == ["_require_instance", "require_two_nilpotent", "_orbit_dimension"]
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -615,8 +632,8 @@ def test_every_cache_is_bounded():
                                          if path.stem != "__init__" else "nilorbits")
         for site, size in _caches(ast.parse(path.read_text()), module).items():
             found[(path.stem, site)] = size
-    assert {("linalg", "_form_signs"), ("correspondence", "_arc"),
-            ("correspondence", "_decoded"), ("quiver", "_level")} <= set(found)
+    assert {("linalg", "_form_signs"), ("correspondence", "_decoded"),
+            ("quiver", "_level")} <= set(found)
     unbounded = {site: size for site, size in found.items()
                  if not (type(size) is int and size > 0)}
     assert unbounded == {}
