@@ -14,11 +14,11 @@ import sys
 from itertools import chain, islice, repeat, starmap
 from typing import Iterator
 
-from .correspondence import (_MAX_N, identify, identify_parabolic,
+from .correspondence import (_MAX_N, _pattern_orbit_dimension, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern, tex_table)
 from .harness import _MAX_SUITE_RANK, SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
-                     _SHORT, _dumps, _orbit_dimension, matrix_from_json, matrix_to_json)
+                     _SHORT, _dumps, matrix_from_json, matrix_to_json)
 from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _TEXT_ENDS, _block,
                        _csv_row, _json_ends, _level_json, _patterns, _search, count_borel,
                        pattern_from_json, pattern_to_obj)
@@ -205,10 +205,8 @@ def _cmd_identify(args) -> int:
         spec = SpaceSpec.borel(g)
         p = identify(x, g)
     # x is in the P-orbit of p's representative, and the orbit dimension is
-    # constant on a P-orbit: solve on the 0/+-1 representative, not on x.
-    # It is in the algebra and squares to zero by construction, so only the
-    # input passes the gate.
-    dim = _orbit_dimension(parabolic_representative(p, spec), spec)
+    # constant on a P-orbit: count it off p's arcs, not on x.
+    dim = _pattern_orbit_dimension(p, spec)
     if args.format == "json":
         _emit(args, _dumps({"pattern": pattern_to_obj(p), "orbit_dimension": dim}))
     elif args.format == "tex":
@@ -294,8 +292,8 @@ _COMMANDS = {
                         f"(n at most {_MAX_N})",
              ("group", "n", "in", "out"), ("json", "tex", "text")),
     "identify": (_cmd_identify, "matrix (JSON on stdin or --in) to its orbit's pattern "
-                                "and the orbit dimension, solved on the decoded orbit's "
-                                f"representative (n at most {_MAX_N}); --blocks "
+                                "and the orbit dimension, counted off the decoded "
+                                f"pattern's arcs (n at most {_MAX_N}); --blocks "
                                 "must sum to l = n // 2",
                  ("group", "n", "blocks", "in", "out"), ("json", "tex", "text")),
     "summands": (_cmd_summands, "pattern to its Krull-Remak-Schmidt summand multiset",

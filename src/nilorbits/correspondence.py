@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _MAX_DENOMINATOR_BITS,
                      _eliminate, _form_signs, _reduced, _require_form, _require_instance,
-                     _require_square_zero, _square_violation, _within,
+                     _require_square_zero, _square_violation, _unit_orbit_dimension, _within,
                      require_two_nilpotent)
 # Not called here: perfbench/test_perfbench.py reads correspondence.lie_member
 # to check that its tracer restores rebound names (ROADMAP item 1).
@@ -37,10 +37,10 @@ class MalformedInputError(DomainError):
 
 
 # The n x n builds (a representative, and for `identify` the rows of the
-# input and the orbit-dimension solve on about n^2 / 2 coordinates) grow as
-# n^2.  At n = 1000, CLI `repr` of the empty sp pattern peaks at 47 MB and
-# CLI `identify` of the zero sp matrix at 215 MB (2-core VM, Python 3.11,
-# interpreter included); a larger group is refused before either is built.
+# input) grow as n^2.  At n = 1000, CLI `repr` of the empty sp pattern peaks
+# at 47 MB and CLI `identify` of the zero sp matrix at 35 MB, its orbit
+# dimension counted off the pattern (2-core VM, Python 3.11, interpreter
+# included); a larger group is refused before either is built.
 _MAX_N = 1000
 
 
@@ -96,18 +96,27 @@ def _arc_units(arc: Arc, g: GroupKind) -> tuple[tuple[int, int], tuple[int, int]
     return min(unit, mate), max(unit, mate), -s[r - 1] * s[c - 1]
 
 
+def _units(arcs: Iterable[Arc], g: GroupKind):
+    """The nonzero entries (r, c, v), 0-based, of the representative of the
+    orbit of the Borel-level pattern with these arcs: 1 at each arc's
+    earlier position and the pair's sign at its mate (`_arc_units`).  A
+    self-mated loop position is one entry, 1."""
+    for arc in arcs:
+        unit, mate, sign = _arc_units(arc, g)
+        if mate != unit:
+            yield mate[0] - 1, mate[1] - 1, sign
+        yield unit[0] - 1, unit[1] - 1, 1
+
+
 def _pattern_rows(p: LinkPattern, g: GroupKind) -> list[list[int]]:
     """The integer rows of the representative of a Borel-level pattern's
-    orbit, as fresh lists: 1 at each arc's earlier position and the pair's
-    sign at its mate (`_arc_units`)."""
+    orbit (`_units`), as fresh lists."""
     _free_capacity(p, SpaceSpec.borel(g))
     _require_size(g)
     n = g.n
     rows = [[0] * n for _ in range(n)]
-    for arc in p.arcs:
-        (r, c), (mr, mc), sign = _arc_units(arc, g)
-        rows[mr - 1][mc - 1] = sign
-        rows[r - 1][c - 1] = 1
+    for r, c, v in _units(p.arcs, g):
+        rows[r][c] = v
     return rows
 
 
@@ -159,6 +168,13 @@ def refine(p: LinkPattern, spec: SpaceSpec) -> LinkPattern:
 def parabolic_representative(p: LinkPattern, spec: SpaceSpec) -> Matrix:
     """Representative of the parabolic orbit indexed by a block pattern."""
     return pattern_to_matrix(refine(p, spec), spec.group)
+
+
+def _pattern_orbit_dimension(p: LinkPattern, spec: SpaceSpec) -> int:
+    """`orbit_dimension` of `parabolic_representative(p, spec)`, counted
+    off the arcs of the refinement (`_units`, `_unit_orbit_dimension`): no
+    matrix is built and nothing is eliminated."""
+    return _unit_orbit_dimension(_units(refine(p, spec).arcs, spec.group), spec)
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,25 @@ squaring only the pivot rows of its elimination.  There is one
 elimination kernel, a pass over sparse integer rows that never swaps
 rows: a column's pivot is the first row, in the order given, that holds
 it, and a step writes only the rows that hold its column, each divided
-by the gcd of its entries.  Rank, orbit dimensions, the quiver
-layer's stabilizer dimensions and rank signatures (the matrix's rows
-handed bottom-up give the delta positions as pivots) all sit on it.  Every
+by the gcd of its entries.  Rank, the orbit dimension of a general x,
+the quiver layer's stabilizer dimensions and rank signatures (the
+matrix's rows handed bottom-up give the delta positions as pivots) all
+sit on it.  The orbit dimension of a signed partial permutation, such as
+a pattern's representative, is counted instead, with no matrix and no
+elimination (`_unit_orbit_dimension`, a signed graph's rank).  Every
 defining form is anti-diagonal with entries +-1, so each position of a
 member of the Lie algebra fixes its mate across the anti-diagonal up to a
 sign.  The membership test reads these mate pairs entry by entry; the
 parabolic subalgebras, the harness's root elements and the quiver layer's
 stabilizers read one list of mate-pair coordinates, each as its support
-(`_coordinates`), so no row states the form condition, and dim p is the
-list's length.  The mate pairs are a closed form in the form's signs
-(`_form_signs`), never a table.  The group test applies F as a signed row
-reversal (`_form_times`), never as a Gram matrix.  One row builder states
-every A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the
-orbit dimension, and the basis and loop of a flag representation.
+(`_coordinates`, by the per-position rule `_coordinate_at`), so no row
+states the form condition, and dim p is the list's length.  The mate
+pairs are a closed form in the form's signs (`_form_signs`), never a
+table.  The group test applies F as a signed row reversal
+(`_form_times`), never as a Gram matrix.  One row builder states every
+A f - f B = 0 that is eliminated: [a, x] = 0, whose rank is the orbit
+dimension of a general x, and the basis and loop of a flag
+representation.
 
 Index conventions follow the classical setup: matrix positions are 1-based
 at every interface, and the starred index is p* = n + 1 - p (reflection
@@ -504,11 +509,9 @@ class SpaceSpec:
             raise DomainError(f"flag step {d[-1]} exceeds the isotropic bound l={self.group.l}")
 
     @staticmethod
-    @lru_cache(maxsize=_GROUP_CACHE_SIZE)
     def borel(g: GroupKind) -> "SpaceSpec":
-        # Frozen, so one spec per group is shared by every caller.
-        _require_instance(g, GroupKind, "group")
-        return SpaceSpec(g, tuple(range(1, g.l + 1)))
+        _require_instance(g, GroupKind, "group")   # before the cache hashes g
+        return _borel(g)
 
     @staticmethod
     def from_blocks(g: GroupKind, blocks: Sequence[int]) -> "SpaceSpec":
@@ -537,6 +540,12 @@ class SpaceSpec:
             raise DomainError(f"vertex {v!r} outside 1..{last}: not an integer, "
                               f"below 1 or beyond the last flag step")
         return next(s for s, d in enumerate(self.flag, start=1) if v <= d)
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def _borel(g: GroupKind) -> SpaceSpec:
+    # Frozen, so one spec per group is shared by every caller.
+    return SpaceSpec(g, tuple(range(1, g.l + 1)))
 
 
 # -- the elimination kernel ----------------------------------------------------
@@ -612,30 +621,43 @@ def _keeps(flag: Sequence[int], r: int, c: int) -> bool:
     return r <= c or bisect_right(flag, r) == bisect_right(flag, c)
 
 
+def _coordinate_at(flag: Sequence[int], s: Sequence[int], r: int, c: int):
+    """The per-position rule of the parabolic subalgebra p of `flag` in the
+    algebra of the form with signs s: None where every member of p is zero
+    at the 0-based entry (r, c), else (later, coef), with a member's entry
+    there coef times its coordinate at the position `later`.
+
+    A coordinate is a mate pair (r, c) <-> (c*, r*) of sign -s[r] s[c]
+    (`_form_signs`) whose two positions both keep the flag (`_keeps`),
+    named by its later position, the one with c >= r*: coef is 1 there
+    and the sign at the mate.  A pair with a position that breaks the flag
+    is zero, and so is a self-mated position of sign -1."""
+    n = len(s)
+    rs, cs = n - 1 - r, n - 1 - c
+    sign = -s[r] * s[c]
+    if c == rs and sign < 0 or not (_keeps(flag, r, c) and _keeps(flag, cs, rs)):
+        return None
+    return ((r, c), 1) if c >= rs else ((cs, rs), sign)
+
+
 Support = tuple[tuple[int, int, int], ...]
 
 
 def _coordinates(spec: SpaceSpec) -> list[Support]:
     """The mate-pair coordinates of the parabolic subalgebra p of `spec`,
     each as its support: the 0-based entries (r, c, coefficient) of the
-    member of p that is 1 there.  A coordinate is a mate pair
-    (r, c) <-> (c*, r*) of sign -s[r] s[c] (`_form_signs`) whose two
-    positions both keep the flag (`_keeps`), named by its later position
-    (r, c), the one with c >= r*.  Its support is the mate, which lies in
-    an earlier row, with the sign, then (r, c) with 1, so it is row-major.
-    The later positions are scanned row-major, which numbers the
-    coordinates.  A pair with a position that breaks the flag is zero, and
-    so is a self-mated position of sign -1."""
+    member of p that is 1 there (`_coordinate_at`).  The later positions
+    (r, c) are scanned row-major, which numbers the coordinates, and the
+    support is the mate, which lies in an earlier row, with its
+    coefficient, then (r, c) with 1, so it is row-major."""
     flag, n, s = spec.flag, spec.group.n, _form_signs(spec.group)
     supports = []
     for r in range(n):
         rs = n - 1 - r
         for c in range(rs, n):
-            cs, sign = n - 1 - c, -s[r] * s[c]
-            if c > rs and _keeps(flag, r, c) and _keeps(flag, cs, rs):
-                supports.append(((cs, rs, sign), (r, c, 1)))
-            elif c == rs and sign > 0 and _keeps(flag, r, c):   # its own mate
-                supports.append(((r, c, 1),))
+            # the mate: the pair's earlier position, or (r, c) itself
+            if at := _coordinate_at(flag, s, n - 1 - c, rs):
+                supports.append(((r, c, 1),) if c == rs else ((n - 1 - c, rs, at[1]), (r, c, 1)))
     return supports
 
 
@@ -693,19 +715,84 @@ def parabolic_dim(spec: SpaceSpec) -> int:
 
 def orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
     """dim(parabolic orbit of x) = dim p - dim centralizer_p(x): the rank of
-    a |-> [a, x] on the coordinates of p."""
+    a |-> [a, x] on the coordinates of p, by elimination."""
     _require_instance(spec, SpaceSpec, "spec")
     require_two_nilpotent(x, spec.group)
-    return _orbit_dimension(x, spec)
-
-
-def _orbit_dimension(x: Matrix, spec: SpaceSpec) -> int:
-    """`orbit_dimension` of an x known to be a 2-nilpotent member of the
-    algebra of spec's group, such as a pattern's representative: no gate."""
     coords = list(enumerate(_coordinates(spec)))
     rows = _intertwiner_rows(x, coords, coords)
     rows.sort(key=len)   # the kernel pivots on the first row: sparsest keeps fill-in low
     return len(_eliminate(rows, len(coords)))
+
+
+def _unit_orbit_dimension(units, spec: SpaceSpec) -> int:
+    """The rank of a |-> [a, x] on the coordinates of p, as `orbit_dimension`
+    finds it, for the member x of the algebra of spec's group whose nonzero
+    entries are these 0-based (r, c, +-1), at most one in each row and
+    each column, such as a pattern's representative: counted with no
+    matrix and no elimination.  A second entry in a row or a column raises
+    RuntimeError.
+
+    For the entries x[t][q] and x[p][c], entry (p, q) of [a, x] = ax - xa
+    is a[p][t] x[t][q] - x[p][c] a[c][q]: at most two terms, each +-1 times
+    one coordinate (`_coordinate_at`).  So each row of the system is
+    u = +-v, or u = 0 (one term, or two on one coordinate that do not
+    cancel), or 0 = 0, and its rank is that of a signed graph's incidence
+    matrix (Zaslavsky, Discrete Appl. Math. 4, 1982): on each connected
+    piece of coordinates, its size - 1, plus 1 if the piece holds a row
+    u = 0 or a cycle whose signs multiply to -1.  A union-find with
+    parities counts both: one for each union, and one for each piece found
+    dead.  [a, x] is in the algebra, so the row at (p, q) is +- the row at
+    its mate (q*, p*), and only the rows at the later positions, q >= p*,
+    are read."""
+    flag, s = spec.flag, _form_signs(spec.group)
+    n = len(s)
+    in_row, in_col = [None] * n, [None] * n   # row p -> (c, x[p][c]); column q -> (t, x[t][q])
+    for r, c, v in units:
+        if in_row[r] or in_col[c]:
+            line = f"row {r + 1}" if in_row[r] else f"column {c + 1}"
+            raise RuntimeError(f"a second entry in {line}: not a signed partial permutation")
+        in_row[r], in_col[c] = (c, v), (r, v)
+    up: dict = {}   # coordinate -> (parent, parity): u = (-1)^parity * parent
+    dead: set = set()   # the roots of the pieces with a row u = 0 or an odd cycle
+    unions = 0
+
+    def find(u):
+        odd, path = 0, []
+        while u in up:
+            path.append(u)
+            u, bit = up[u]
+            odd ^= bit
+        total = odd
+        for node in path:   # point the path at its root
+            bit = up[node][1]
+            up[node] = (u, odd)
+            odd ^= bit
+        return u, total
+
+    for p, row in enumerate(in_row):
+        for q in range(n - 1 - p, n):
+            col = in_col[q]
+            terms = []   # (coordinate, coefficient) of the row at (p, q)
+            if col and (at := _coordinate_at(flag, s, p, col[0])):
+                terms.append((at[0], at[1] * col[1]))
+            if row and (at := _coordinate_at(flag, s, row[0], q)):
+                terms.append((at[0], -row[1] * at[1]))
+            if not terms:
+                continue
+            # the row cu u + cv v = 0, so u = -cu cv v; one term u is read as
+            # cu u + cu u = 0, which is u = 0
+            (u, cu), (v, cv) = terms[0], terms[-1]
+            (ru, pu), (rv, pv) = find(u), find(v)
+            bit = pu ^ pv ^ (cu == cv)
+            if ru != rv:
+                up[ru] = (rv, bit)
+                unions += 1
+                if ru in dead:
+                    dead.remove(ru)
+                    dead.add(rv)
+            elif bit:
+                dead.add(ru)
+    return unions + len(dead)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -282,6 +282,28 @@ def reference_intertwiner_rows(f: Matrix, head: dict, tail: dict) -> list[dict[i
     return rows
 
 
+def reference_pieces(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The rows split into connected pieces: two rows are in one piece when
+    a chain of rows, each sharing an unknown with the next, joins them.
+    A plain union-find over the unknowns, with no package code: the oracle
+    for the piece shape of the orbit systems (ROADMAP item 15)."""
+    parent: dict[int, int] = {}
+
+    def find(u: int) -> int:
+        while parent.setdefault(u, u) != u:
+            u = parent[u]
+        return u
+
+    for row in rows:
+        first, *rest = row
+        for u in rest:
+            parent[find(u)] = find(first)
+    pieces: dict[int, list] = {}
+    for row in rows:
+        pieces.setdefault(find(next(iter(row))), []).append(row)
+    return list(pieces.values())
+
+
 def reference_pivot_positions(x: Matrix) -> list[tuple[int, int]]:
     """Lower-left-rank-preserving pivots of a square matrix over Fractions:
     columns left to right, the bottom-most nonzero is the pivot, upper rows

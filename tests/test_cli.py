@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 import nilorbits
 from nilorbits import cli, quiver
 from nilorbits.cli import main
-from nilorbits.correspondence import (_MAX_N, parabolic_representative,
-                                      pattern_to_matrix, tex_matrix, tex_pattern)
+from nilorbits.correspondence import (_MAX_N, _pattern_orbit_dimension,
+                                      parabolic_representative, pattern_to_matrix, tex_matrix,
+                                      tex_pattern)
 from nilorbits.harness import (_MAX_SUITE_RANK, brute_force_count,
                                random_group_element_pair)
 from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec, _coordinates,
@@ -185,9 +186,10 @@ def test_repr_at_the_size_bound_runs_in_256_mb():
 
 
 def test_identify_at_the_size_bound_runs_in_512_mb():
-    # The zero sp_1000 matrix: its rows, the gate and the orbit-dimension
-    # solve on the representative's coordinates peak near 215 MB, with no
-    # per-group table.
+    # The zero sp_1000 matrix: its parsed rows and the gate peak near 35 MB
+    # (peak RSS with the interpreter, 2-core VM, Python 3.11); the orbit
+    # dimension is counted off the decoded pattern, with no coordinate list
+    # or per-group table.
     proc = _cli_at_the_bound(["identify", "--group", "sp", "--format", "json"],
                              matrix_to_json(Matrix.zero(_MAX_N)), 512 << 20)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
@@ -212,8 +214,10 @@ def seeded_borel_pattern(kind: str, l: int, seed: int) -> LinkPattern:
 
 
 def test_identify_answers_an_sp200_representative_in_bounded_time():
-    # Each elimination step touches only the rows that hold its column, so
-    # a legal input of n = 200 is answered well inside the timeout.
+    # Each elimination step of the rank signature touches only the rows that
+    # hold its column, and the orbit dimension is counted off the decoded
+    # pattern, so a legal input of n = 200 is answered well inside the
+    # timeout.
     g = GroupKind.symplectic(200)
     p = seeded_borel_pattern(g.family, g.l, 200)
     assert len(p.arcs) > g.l // 2
@@ -226,6 +230,16 @@ def test_identify_answers_an_sp200_representative_in_bounded_time():
     got = json.loads(proc.stdout)
     assert pattern_from_obj(got["pattern"]) == p
     assert 0 < got["orbit_dimension"] <= len(_coordinates(SpaceSpec.borel(g)))
+
+
+def test_the_sp200_orbit_dimension_count_equals_the_elimination():
+    # The count CLI `identify` reports, against the elimination on the
+    # representative, on the pattern of the sp_200 request above.
+    g = GroupKind.symplectic(200)
+    spec = SpaceSpec.borel(g)
+    p = seeded_borel_pattern(g.family, g.l, 200)
+    want = orbit_dimension(parabolic_representative(p, spec), spec)
+    assert _pattern_orbit_dimension(p, spec) == want
 
 
 @pytest.mark.parametrize("level", [["--rank", "3000"], ["--rank", "1000000000"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorbits.correspondence import (MalformedInputError, _arc_at, _arc_units,
-                                      _decode, _decoded, identify,
+                                      _decode, _decoded, _pattern_orbit_dimension, identify,
                                       identify_parabolic,
                                       parabolic_representative,
                                       pattern_to_matrix, rank_signature, refine,
@@ -20,7 +20,8 @@ from nilorbits.patterns import (Arc, LinkPattern, count_borel, dotted,
                                 unoriented_loop, upper_loop, validate)
 
 from conftest import (random_rational_matrix, rank_table_direct, reference_arc_table,
-                      reference_arc_units, reference_pivot_positions,
+                      reference_arc_units, reference_coordinates, reference_eliminate,
+                      reference_intertwiner_rows, reference_pieces, reference_pivot_positions,
                       self_dual_link_patterns)
 
 
@@ -387,13 +388,61 @@ def test_the_glued_representative_has_the_borel_representative_orbit_dimension(g
     # The Borel representative lies in the P-orbit that its glued pattern
     # indexes, and the orbit dimension is constant on a P-orbit, so solving
     # on either representative gives the same dimension: CLI `identify`
-    # reports the one of the decoded pattern's representative.
+    # reports the one of the decoded pattern, counted off its arcs.
     for blocks in compositions(g.l):
         spec = SpaceSpec.from_blocks(g, blocks)
         for p in borel_patterns(g):
             want = orbit_dimension(pattern_to_matrix(p, g), spec)
             got = orbit_dimension(parabolic_representative(glue(p, spec), spec), spec)
             assert got == want, (g.name, blocks, p.text())
+
+
+# sp_2 ... sp_8 and o_1 ... o_9: every orbit of every flag that reaches l
+COUNTED_GROUPS = [GroupKind.symplectic(n) for n in range(2, 9, 2)] + [
+    GroupKind.orthogonal(n) for n in range(1, 10)]
+# Orbits of all those flags, per group: the patterns of every composition of l.
+COUNTED_ORBITS = {"sp_2": 3, "sp_4": 20, "sp_6": 142, "sp_8": 1133, "o_1": 1, "o_2": 1,
+                  "o_3": 1, "o_4": 9, "o_5": 9, "o_6": 33, "o_7": 33, "o_8": 285, "o_9": 285}
+
+
+def composition_orbits(g):
+    """(spec, pattern) for every orbit of every flag of g that reaches l."""
+    for blocks in compositions(g.l):
+        spec = SpaceSpec.from_blocks(g, blocks)
+        for p in enumerate_patterns(g.family, len(blocks), blocks):
+            yield spec, p
+
+
+@pytest.mark.parametrize("g", COUNTED_GROUPS, ids=lambda g: g.name)
+def test_the_orbit_dimension_count_equals_the_elimination(g):
+    # CLI `identify` counts the orbit dimension off the pattern's arcs; the
+    # public `orbit_dimension` eliminates on the representative.
+    seen = 0
+    for spec, p in composition_orbits(g):
+        want = orbit_dimension(parabolic_representative(p, spec), spec)
+        assert _pattern_orbit_dimension(p, spec) == want, (g.name, spec.blocks, p.text())
+        seen += 1
+    assert seen == COUNTED_ORBITS[g.name]
+
+
+@pytest.mark.parametrize("g", COUNTED_GROUPS, ids=lambda g: g.name)
+def test_every_piece_of_an_orbit_system_has_one_or_two_unknowns_and_rank_one(g):
+    # ROADMAP item 15's piece shape, tested rather than proved: the rows of
+    # a |-> [a, x] on the coordinates of p, for x an orbit's representative,
+    # split into connected pieces of one or two unknowns and rank 1 each,
+    # so the orbit dimension is the number of pieces.  The count does not
+    # rely on it: it is exact on any signed partial permutation of the
+    # algebra (`test_linalg.py`).
+    for spec, p in composition_orbits(g):
+        count, entry = reference_coordinates(spec)
+        x = parabolic_representative(p, spec)
+        pieces = reference_pieces(reference_intertwiner_rows(x, entry, entry))
+        for piece in pieces:
+            unknowns = set().union(*piece)
+            assert len(unknowns) in (1, 2), (g.name, spec.blocks, p.text(), piece)
+            assert len(reference_eliminate([dict(row) for row in piece], count)) == 1, \
+                (g.name, spec.blocks, p.text(), piece)
+        assert len(pieces) == _pattern_orbit_dimension(p, spec), (g.name, p.text())
 
 
 def test_tex_emitters():

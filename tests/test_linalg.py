@@ -14,13 +14,15 @@ from nilorbits.linalg import (DomainError, GroupKind, Matrix, SpaceSpec,
                               matrix_from_json, matrix_from_obj, matrix_to_json,
                               orbit_dimension, parabolic_dim, rank)
 from nilorbits.linalg import (_MAX_DENOMINATOR_BITS, _coordinates, _eliminate,
-                              _intertwiner_rows, _keeps, _lie_violation, _square_violation)
+                              _intertwiner_rows, _keeps, _lie_violation, _square_violation,
+                              _unit_orbit_dimension)
 from nilorbits.patterns import enumerate_patterns
 
 from conftest import (dense_commutant_dim, divides_rows, flag_positions, naive_rank,
                       position_table, random_rational_matrix, reference_coordinates,
                       reference_eliminate, reference_first_row_pivots,
-                      reference_intertwiner_rows, reference_lie_violation, small_flag_specs)
+                      reference_intertwiner_rows, reference_lie_violation, reference_mates,
+                      small_flag_specs)
 
 
 def test_matrix_rejects_floats_and_ragged():
@@ -791,3 +793,61 @@ def test_coordinate_supports_are_disjoint_members_that_keep_the_flag():
             assert not positions & seen, (g.name, spec.flag, support)
             assert _lie_violation(rows, g) is None, (g.name, spec.flag, support)
             seen |= positions
+
+
+def test_the_orbit_dimension_count_refuses_a_second_entry_in_a_row_or_a_column():
+    # The count is exact only on a signed partial permutation: two entries
+    # in one row or one column would give a row of the system more than
+    # two terms, so it raises rather than return a wrong rank.
+    spec = SpaceSpec.borel(GroupKind.symplectic(4))
+    with pytest.raises(RuntimeError, match="second entry in row 1:"):
+        _unit_orbit_dimension([(0, 1, 1), (0, 2, -1)], spec)
+    with pytest.raises(RuntimeError, match="second entry in column 4:"):
+        _unit_orbit_dimension([(0, 3, 1), (1, 3, 1)], spec)
+    # one entry per row and column: the orbit of E_12 - E_34 in sp_4
+    assert _unit_orbit_dimension([(0, 1, 1), (2, 3, -1)], spec) == \
+        orbit_dimension(Matrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 0],
+                                          [0, 0, 0, -1], [0, 0, 0, 0]]), spec)
+
+
+def random_signed_partial_permutation(g, rng) -> list[tuple[int, int, int]]:
+    """The entries (r, c, +-1), 0-based, of a random member of g with at
+    most one entry in each row and each column, squaring to zero or not:
+    mate pairs (`reference_mates`) are taken in a random order while their
+    rows and columns are free, each with a random sign."""
+    rows, cols, units = set(), set(), []
+    for r, c, mr, mc, sign in rng.sample(reference_mates(g), g.n * g.n):
+        if rng.random() < 0.5 or (r, c) == (mr, mc) and sign < 0:
+            continue
+        used_rows, used_cols = {r, mr}, {c, mc}
+        if (r, c) != (mr, mc) and (len(used_rows) < 2 or len(used_cols) < 2) \
+                or used_rows & rows or used_cols & cols:
+            continue
+        v = rng.choice((1, -1))
+        units += [(r, c, v)] if (r, c) == (mr, mc) else [(r, c, v), (mr, mc, sign * v)]
+        rows |= used_rows
+        cols |= used_cols
+    return units
+
+
+def test_the_orbit_dimension_count_equals_the_reference_rank_on_any_signed_partial_permutation():
+    # The count does not rely on a pattern's shape: on random signed
+    # partial permutations of the algebra, nilpotent or not, on every flag
+    # of every group up to n = 9, it equals the rank of the reference rows
+    # of a |-> [a, x].  Pieces here grow past two unknowns, with odd cycles
+    # and one-term rows.
+    rng = random.Random(15)
+    for spec in small_flag_specs():
+        g = spec.group
+        if g.n > 9:
+            continue
+        count, entry = reference_coordinates(spec)
+        for _ in range(4):
+            units = random_signed_partial_permutation(g, rng)
+            rows = [[0] * g.n for _ in range(g.n)]
+            for r, c, v in units:
+                rows[r][c] = v
+            x = Matrix.from_rows(rows)
+            assert lie_member(x, g), units
+            want = len(reference_eliminate(reference_intertwiner_rows(x, entry, entry), count))
+            assert _unit_orbit_dimension(units, spec) == want, (g.name, spec.flag, units)

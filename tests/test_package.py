@@ -177,6 +177,12 @@ REFUSALS = [
     (lambda: nilorbits.random_group_element_pair("g", B4, 1),
      "group must be a GroupKind, got str"),
     (lambda: nilorbits.SpaceSpec.borel("g"), "group must be a GroupKind, got str"),
+    # An unhashable group is refused before `SpaceSpec.borel`'s cache hashes it.
+    (lambda: nilorbits.SpaceSpec.borel([]), "group must be a GroupKind, got list"),
+    (lambda: nilorbits.pattern_to_matrix(P4, []), "group must be a GroupKind, got list"),
+    (lambda: nilorbits.random_group_element_pair([], B4, 1),
+     "group must be a GroupKind, got list"),
+    (lambda: nilorbits.borel_subalgebra_dim([]), "group must be a GroupKind, got list"),
     (lambda: nilorbits.form_matrix("g"), "group must be a GroupKind, got str"),
 ]
 
@@ -208,10 +214,13 @@ def test_one_elimination_kernel_and_one_gcd_importer():
     # check's `_identify_rows` shares), and only linalg imports gcd, so no
     # module reduces rows on its own.
     # The flag rule is stated once too, in linalg._keeps: the parabolic's
-    # coordinates keep the flag by it, and so do the stabilizer's unknowns
-    # on V_k, which `symmetric_endo_dim` solves on with A_omega alone from
-    # the basis rows and the loop rows.  No inclusion arrows are built.
-    defined = {"_eliminate": [], "_coordinates": [], "_keeps": [],
+    # per-position rule `_coordinate_at` keeps the flag by it, and so do the
+    # stabilizer's unknowns on V_k, which `symmetric_endo_dim` solves on
+    # with A_omega alone from the basis rows and the loop rows.  No
+    # inclusion arrows are built.  The coordinate list and the orbit
+    # dimension count read the per-position rule; the count eliminates
+    # nothing.
+    defined = {"_eliminate": [], "_coordinates": [], "_keeps": [], "_coordinate_at": [],
                "_intertwiner_rows": [], "_inclusions": []}
     callers = {name: {} for name in (*defined, "_delta_positions")}
     importers = set()
@@ -228,17 +237,18 @@ def test_one_elimination_kernel_and_one_gcd_importer():
                     or isinstance(node, ast.Attribute) and node.attr == "gcd"):
                 importers.add(path.stem)
     assert defined == {"_eliminate": ["linalg"], "_coordinates": ["linalg"],
-                       "_keeps": ["linalg"], "_intertwiner_rows": ["linalg"],
-                       "_inclusions": []}
-    assert {"rank", "_orbit_dimension", "symmetric_endo_dim",
+                       "_keeps": ["linalg"], "_coordinate_at": ["linalg"],
+                       "_intertwiner_rows": ["linalg"], "_inclusions": []}
+    assert {"rank", "orbit_dimension", "symmetric_endo_dim",
             "_delta_positions"} <= set(callers["_eliminate"])
     assert callers["_delta_positions"] == {"rank_signature": 1, "_identify_rows": 1}
-    assert "parabolic_dim" not in callers["_eliminate"]
-    assert callers["_coordinates"] == {"parabolic_dim": 1, "_orbit_dimension": 1,
+    assert not {"parabolic_dim", "_unit_orbit_dimension"} & set(callers["_eliminate"])
+    assert callers["_coordinates"] == {"parabolic_dim": 1, "orbit_dimension": 1,
                                        "_root_elements": 1, "symmetric_endo_dim": 1}
-    assert set(callers["_keeps"]) == {"_coordinates", "symmetric_endo_dim"}
+    assert set(callers["_keeps"]) == {"_coordinate_at", "symmetric_endo_dim"}
+    assert set(callers["_coordinate_at"]) == {"_coordinates", "_unit_orbit_dimension"}
     assert callers["_intertwiner_rows"]["symmetric_endo_dim"] == 2
-    assert callers["_eliminate"]["_orbit_dimension"] == 1
+    assert callers["_eliminate"]["orbit_dimension"] == 1
     assert importers == {"linalg"}
 
 
@@ -249,7 +259,7 @@ def test_the_coordinates_are_one_support_list_read_as_it_is():
     # dict, so no position-keyed table of the coordinates is made.
     spec = nilorbits.SpaceSpec.borel(nilorbits.GroupKind.orthogonal(5))
     assert type(linalg._coordinates(spec)) is list
-    readers = {"_coordinates", "parabolic_dim", "_orbit_dimension", "_root_elements",
+    readers = {"_coordinates", "parabolic_dim", "orbit_dimension", "_root_elements",
                "symmetric_endo_dim"}
     found, tables = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -412,12 +422,15 @@ def test_one_arc_fold_read_off_the_form_signs():
     # The arc <-> matrix-unit dictionary is two closed forms and no table:
     # correspondence's `_arc_at` folds a position onto its arc and
     # `_arc_units` reads an arc's position, mate and sign back, each with
-    # one caller.  The signs are stated once, in linalg._form_signs, so the
-    # representative's signs are the form's.  Only the pattern layer walks
-    # arc types and their capacity costs.
+    # one caller; the representative's entries (`_units`) are read by the
+    # row builder and the orbit dimension count.  The signs are stated
+    # once, in linalg._form_signs, so the representative's signs are the
+    # form's.  Only the pattern layer walks arc types and their capacity
+    # costs.
     defined = {name: [] for name in ("_arc_at", "_arc_units", "_form_signs",
                                      "_mates", "_arc_table")}
-    callers = {name: set() for name in ("_arc_at", "_arc_units", "_arc_types", "_arc_cost")}
+    callers = {name: set() for name in ("_arc_at", "_arc_units", "_units", "_arc_types",
+                                        "_arc_cost")}
     signs = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -432,7 +445,9 @@ def test_one_arc_fold_read_off_the_form_signs():
     assert defined == {"_arc_at": ["correspondence"], "_arc_units": ["correspondence"],
                        "_form_signs": ["linalg"], "_mates": [], "_arc_table": []}
     assert callers["_arc_at"] == {("correspondence", "_decode")}
-    assert callers["_arc_units"] == {("correspondence", "_pattern_rows")}
+    assert callers["_arc_units"] == {("correspondence", "_units")}
+    assert callers["_units"] == {("correspondence", "_pattern_rows"),
+                                 ("correspondence", "_pattern_orbit_dimension")}
     assert signs == {("linalg", "_form_signs")}
     assert {module for module, _ in callers["_arc_types"] | callers["_arc_cost"]} == {"patterns"}
     assert "eps" not in _names_read(PACKAGE / "correspondence.py")
@@ -456,41 +471,59 @@ def test_one_size_bound_before_every_square_build():
     assert _calls(funcs["pattern_to_matrix"], "_pattern_rows") == 1
 
 
-def test_cli_identify_solves_on_the_decoded_representative():
-    # The orbit dimension is constant on a P-orbit, so CLI `identify` solves
-    # it on the representative of the pattern it decoded, never on the
-    # conjugated input, whose cleared rows grow under elimination.  That
-    # representative is a member with x^2 = 0 by construction, so the
-    # solve is the ungated `_orbit_dimension`: only the input is gated.
+def test_cli_identify_counts_the_dimension_off_the_decoded_pattern():
+    # The orbit dimension is constant on a P-orbit, so CLI `identify` takes
+    # it from the pattern it decoded, never from the conjugated input: one
+    # call of the count `_pattern_orbit_dimension(p, spec)`, which reads
+    # the pattern's arcs.  No representative is built and nothing is
+    # eliminated for the dimension.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     handler = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "_cmd_identify")
-    solves = [call for call in ast.walk(handler) if isinstance(call, ast.Call)
-              and isinstance(call.func, ast.Name) and call.func.id == "_orbit_dimension"]
-    assert len(solves) == 1
-    (point, _), keywords = solves[0].args, solves[0].keywords
-    assert keywords == []
-    assert isinstance(point, ast.Call) and isinstance(point.func, ast.Name)
-    assert point.func.id == "parabolic_representative"
+    counts = [call for call in ast.walk(handler) if isinstance(call, ast.Call)
+              and isinstance(call.func, ast.Name) and call.func.id == "_pattern_orbit_dimension"]
+    assert len(counts) == 1
+    assert [ast.unparse(arg) for arg in counts[0].args] == ["p", "spec"]
+    assert counts[0].keywords == []
+    for name in ("_orbit_dimension", "orbit_dimension", "parabolic_representative",
+                 "pattern_to_matrix", "_eliminate"):
+        assert _calls(handler, name) == 0, name
+
+
+def test_the_orbit_dimension_count_makes_no_matrix_and_eliminates_nothing():
+    # From the refined pattern to the count, the route reads arcs, matrix
+    # units and coordinates: it makes no Matrix and no Fraction and calls
+    # no elimination and no row builder.
+    funcs = {}
+    for module in ("linalg", "correspondence"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        funcs.update((node.name, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef))
+    for name in ("_pattern_orbit_dimension", "_units", "_arc_units",
+                 "_unit_orbit_dimension", "_coordinate_at", "_keeps"):
+        node = funcs[name]
+        assert _made(node) == [], name
+        for callee in ("_eliminate", "_intertwiner_rows", "_coordinates", "_pattern_rows"):
+            assert _calls(node, callee) == 0, (name, callee)
 
 
 def test_public_orbit_dimension_gates_before_the_ungated_solve():
     # `orbit_dimension` takes any matrix and any spec, so it refuses a
     # wrongly typed spec, a non-member or an x with x^2 != 0 before it
-    # solves; the ungated `_orbit_dimension` has two callers, that gate and
-    # CLI `identify` on its representative.
+    # solves by elimination on the coordinates of p.  It is the solve's one
+    # caller, so the solve is its body: no ungated `_orbit_dimension` is
+    # left, and CLI `identify` counts instead.
     tree = ast.parse((PACKAGE / "linalg.py").read_text())
     public = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "orbit_dimension")
     calls = [call.func.id for call in ast.walk(public)
              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
-    assert calls == ["_require_instance", "require_two_nilpotent", "_orbit_dimension"]
-    callers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and _calls(node, "_orbit_dimension"):
-                callers.add((path.stem, node.name))
-    assert callers == {("linalg", "orbit_dimension"), ("cli", "_cmd_identify")}
+    assert calls[:2] == ["_require_instance", "require_two_nilpotent"]
+    assert {"_coordinates", "_intertwiner_rows", "_eliminate"} <= set(calls[2:])
+    defined = [(path.stem, node.name) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_orbit_dimension"]
+    assert defined == []
 
 
 def test_cli_calls_no_membership_check():
