@@ -11,17 +11,15 @@ import argparse
 import contextlib
 import os
 import sys
-from itertools import chain, islice, repeat, starmap
-from typing import Iterator
+from itertools import islice, repeat
 
 from .correspondence import (_MAX_N, _pattern_orbit_dimension, identify, identify_parabolic,
                              parabolic_representative, tex_matrix, tex_pattern, tex_table)
 from .harness import _MAX_SUITE_RANK, SuiteConfig, run_suite, suite_report_json
 from .linalg import (DomainError, GroupKind, ORTHOGONAL, SYMPLECTIC, SpaceSpec,
                      _SHORT, _dumps, matrix_from_json, matrix_to_json)
-from .patterns import (_ARC_TUPLE, _CSV_ARCS, _JSON_ARCS, _TEXT_ARCS, _TEXT_ENDS, _block,
-                       _csv_row, _json_ends, _level_json, _patterns, _search, count_borel,
-                       pattern_from_json, pattern_to_obj)
+from .patterns import (_lines, _patterns, _search, count_borel, pattern_from_json,
+                       pattern_to_obj)
 from .quiver import (_MAX_AR_RANK, ar_sequences, multiset_text, multiset_to_json,
                      pattern_to_summands)
 
@@ -50,15 +48,19 @@ def _flag_ends_at_l(g: GroupKind, end: int) -> None:
 
 
 def _level(args) -> tuple[str, int, tuple[int, ...] | None]:
-    """(kind, k, b) for the combinatorial commands, refused when --n is
-    given and the level's flag does not end at l of the group of that size.
-    b is None at the Borel level (k blocks of 1), whose flag reaches l by
-    construction, so no block tuple is built for it."""
+    """(kind, k, b) for the combinatorial commands, refused when --blocks
+    does not sum to a --rank given with it, or when --n is given and the
+    level's flag does not end at l of the group of that size.  b is None at
+    the Borel level (k blocks of 1), whose flag reaches l by construction,
+    so no block tuple is built for it."""
     if args.rank is not None and args.rank < 0:
         raise DomainError(f"--rank must be nonnegative, got {args.rank}")
     if args.blocks:
         b = _parse_blocks(args.blocks)
         k = len(b)
+        if args.rank is not None and sum(b) != args.rank:
+            raise DomainError(f"--blocks {args.blocks} sum to {sum(b)}, not to "
+                              f"--rank {args.rank}")
     elif args.rank is not None or args.n is not None:
         b = None
         k = args.rank if args.rank is not None else args.n // 2
@@ -107,19 +109,6 @@ def _emit(args, text: str):
         out.write(text if text.endswith("\n") else text + "\n")
 
 
-# Lines per write when streaming: few writes, and memory bounded by one batch.
-_BATCH = 512
-
-
-def _stream(args, strings: Iterator[str], ends: tuple[str, str] = ("", "")):
-    """Write each string as a line between the two `ends` (none by default:
-    a csv row is its whole line), `_BATCH` lines at a time, each batch as
-    one `_block`."""
-    with _output(args) as out:
-        while batch := list(islice(strings, _BATCH)):
-            out.write(_block(batch, ends))
-
-
 def _matrix_text(m) -> str:
     """The entries, each column right-aligned to its widest entry."""
     rows = [[str(v) for v in row] for row in m.entries]
@@ -131,25 +120,15 @@ def _matrix_text(m) -> str:
 # (a peak RSS near 25 MB at sp l=5, 2,043 patterns; near 90 MB at sp l=6, 13,029).
 _TEX_MAX_PATTERNS = 5000
 
-# How the search joins each pattern's arcs for `enumerate --format`: the
-# streamed formats take the joined string their lines wrap, and tex takes
-# the arc tuples it makes patterns of.
-_ENUMERATE_JOINS = {"json": _JSON_ARCS, "csv": _CSV_ARCS, "text": _TEXT_ARCS,
-                    "tex": _ARC_TUPLE}
-
-
 def _cmd_enumerate(args) -> int:
     kind, k, b = _level(args)
-    # refuses a bad level before anything is written or a Borel block tuple built
-    b, found = _search(kind, k, b or repeat(1, k), _ENUMERATE_JOINS[args.format])
-    if args.format == "json":
-        _stream(args, found, _json_ends(_level_json(kind, k, b)))
-    elif args.format == "csv":
-        _stream(args, chain(["index,arcs"], starmap(_csv_row, enumerate(found, start=1))))
-    elif args.format == "tex":
-        _emit(args, _tex_enumeration(args, kind, k, b, found))
+    b = b or repeat(1, k)   # the search checks the level before a Borel tuple is built
+    if args.format == "tex":
+        _emit(args, _tex_enumeration(args, kind, k, *_search(kind, k, b)))
     else:
-        _stream(args, found, _TEXT_ENDS)
+        lines = _lines(kind, k, b, args.format)   # refuses a bad level before --out opens
+        with _output(args) as out:
+            out.writelines(lines)
     return 0
 
 
@@ -269,7 +248,8 @@ _OPTIONS = {
                                  help="group family to verify (default: both)")),
     "n": (("--n",), dict(type=int, default=None, help="matrix size n")),
     "rank": (("--rank",), dict(type=int, default=None,
-                               help="rank l (Borel level: n = 2l or 2l+1)")),
+                               help="rank l (Borel level: n = 2l or 2l+1); with "
+                                    "--blocks, the blocks must sum to l")),
     "blocks": (("--blocks",), dict(type=str, default=None,
                                    help="comma-separated flag block sizes, e.g. 2,1,1")),
     "seed": (("--seed",), dict(type=int, default=0, help="suite seed")),

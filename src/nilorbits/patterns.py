@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain, count, islice
 from operator import attrgetter, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -164,7 +165,7 @@ class LinkPattern:
         return tuple(arc.key() for arc in self.arcs)
 
     def text(self) -> str:
-        return _arcs_text(_joined(self.arcs, _TEXT_ARCS))
+        return _line(self, "text")
 
 
 def _one_arc(arc: Arc) -> tuple[Arc]:
@@ -172,47 +173,8 @@ def _one_arc(arc: Arc) -> tuple[Arc]:
     return (arc,)
 
 
-# How each writer joins a pattern's arcs: an item per arc and the separator
-# between items.  `_search` joins every pattern it finds with one of them,
-# and `_joined` joins a pattern's own arcs with the same pair, so the line
-# helpers below take the joined string and each writer's layout is stated
-# once.  The arc tuple is the search's default.
+# The search's default join, each pattern as its arc tuple (formats: `_FORMATS`).
 _ARC_TUPLE = (_one_arc, ())
-_JSON_ARCS = (attrgetter("_json"), ",")
-_TEXT_ARCS = (attrgetter("_text"), ", ")
-_CSV_ARCS = (attrgetter("_text"), ";")
-
-
-def _joined(arcs: tuple[Arc, ...], join: tuple) -> str:
-    """These arcs joined as `_search` would join them with `join`."""
-    item, sep = join
-    return sep.join(map(item, arcs))
-
-
-# What a writer's line puts before and after a pattern's joined arcs: the
-# text line's pair here, the json line's from `_json_ends`.  The csv row
-# has its own helper, since it carries the row's index.
-_TEXT_ENDS = ("{", "}")
-
-
-def _arcs_text(arcs: str) -> str:
-    """`LinkPattern.text` of the pattern whose arcs join to `arcs` under
-    `_TEXT_ARCS`."""
-    return arcs.join(_TEXT_ENDS)   # head + arcs + tail
-
-
-def _block(batch: list[str], ends: tuple[str, str]) -> str:
-    """The line head + s + tail of each string s of a nonempty batch, with a
-    newline after each, in one join: what the line helper of `ends`
-    (`_arcs_text`, `_json_line`) writes for each, without a call per line."""
-    head, tail = ends
-    return head + (tail + "\n" + head).join(batch) + tail + "\n"
-
-
-def _csv_row(index: int, arcs: str) -> str:
-    """The CLI's csv row of the pattern whose arcs join to `arcs` under
-    `_CSV_ARCS`."""
-    return f"{index},{arcs}"
 
 
 def _arc_cost(arc: Arc, kind: str) -> tuple[tuple[int, int], ...]:
@@ -325,9 +287,9 @@ def _search(kind: str, k: int, b: Iterable[int],
     The level is checked here, before the first pattern is asked for: its
     arc-type count first, so that `b` may be a lazy iterable.  By default a
     pattern is its bare arc tuple (`_ARC_TUPLE`): `enumerate_patterns`
-    makes the tuples patterns, and the CLI counts them.  With one of the
-    writers' joins (`_JSON_ARCS`, `_TEXT_ARCS`, `_CSV_ARCS`) a pattern is
-    the string its line helper takes.
+    makes the tuples patterns, and the CLI counts them.  With the join of
+    a streamed format (json, csv or text, in `_FORMATS`) a pattern is its
+    arcs' fragments joined into the string that `_lines` wraps.
 
     The level's table holds only the arc types that fit its capacities: a
     loop that costs more than its vertex holds (every loop of o, and the
@@ -573,30 +535,62 @@ def pattern_from_obj(obj) -> LinkPattern:
     return LinkPattern(obj["kind"], obj["k"], tuple(obj["b"]), arcs)
 
 
-@lru_cache(maxsize=256)
-def _level_json(kind: str, k: int, b: tuple[int, ...]) -> str:
-    # the object without its opening brace: under sort_keys "arcs" comes first
-    return _dumps({"b": list(b), "k": k, "kind": kind})[1:]
-
-
-def _json_ends(level_json: str) -> tuple[str, str]:
-    """What a json line puts before and after the pattern's arcs joined
-    under `_JSON_ARCS`, at the level whose `_level_json` is given."""
-    return '{"arcs":[', "]," + level_json
-
-
-def _json_line(arcs: str, level_json: str) -> str:
-    """`pattern_to_json` of the pattern whose arcs join to `arcs` under
-    `_JSON_ARCS`, at the level whose `_level_json` is given."""
-    return arcs.join(_json_ends(level_json))   # head + arcs + tail
-
-
 def pattern_to_json(p: LinkPattern) -> str:
     """Canonical byte-stable serialization (arcs in canonical order): the
     `_dumps(pattern_to_obj(p))` bytes, joined from cached per-arc and
     per-level fragments."""
-    return _json_line(_joined(p.arcs, _JSON_ARCS), _level_json(p.kind, p.k, p.b))
+    return _line(p, "json")
 
 
 def pattern_from_json(text: str) -> LinkPattern:
     return pattern_from_obj(_load_json(text))
+
+
+# -- Lines --------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _json_ends(kind: str, k: int, b: tuple[int, ...]) -> tuple[str, str]:
+    # the object's keys sort as arcs, b, k, kind: the arcs open the line, and
+    # the level's keys close it
+    return '{"arcs":[', "]," + _dumps({"b": list(b), "k": k, "kind": kind})[1:]
+
+
+# Each streamed format, stated once: the search's join (an item per arc and
+# the separator between items) and what a line puts before and after the
+# joined arcs at the level (kind, k, b).  A csv row's line is its index, a
+# comma and the joined arcs, and the rows follow a header (`_lines`).
+_FORMATS = {
+    "json": ((attrgetter("_json"), ","), _json_ends),
+    "text": ((attrgetter("_text"), ", "), lambda kind, k, b: ("{", "}")),
+    "csv": ((attrgetter("_text"), ";"), lambda kind, k, b: ("", "")),
+}
+
+
+def _line(p: LinkPattern, fmt: str) -> str:
+    """The json or text line (without its newline) `_lines` writes for p."""
+    (item, sep), ends = _FORMATS[fmt]
+    return sep.join(map(item, p.arcs)).join(ends(p.kind, p.k, p.b))
+
+
+# Lines per block of `_lines`: few writes, and memory bounded by one block.
+_BATCH = 512
+
+
+def _lines(kind: str, k: int, b: Iterable[int], fmt: str) -> Iterator[str]:
+    """Every pattern of the level as a line of `fmt` ending in a newline, in
+    canonical order, handed out as blocks of `_BATCH` lines.
+
+    The level is checked by `_search` when `_lines` is called, not when the
+    first block is asked for, so a caller can refuse a bad level before it
+    opens its output.  A block is one join of its patterns' joined arcs,
+    with no call per line.
+    """
+    join, ends = _FORMATS[fmt]
+    b, found = _search(kind, k, b, join)
+    if fmt == "csv":
+        found = chain(["index,arcs"], map("{},{}".format, count(1), found))
+    head, tail = ends(kind, k, b)
+    glue = tail + "\n" + head
+    blocks = iter(lambda: list(islice(found, _BATCH)), [])
+    return (head + glue.join(block) + tail + "\n" for block in blocks)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilorbits
-from nilorbits import cli, quiver
+from nilorbits import cli, patterns, quiver
 from nilorbits.cli import main
 from nilorbits.correspondence import (_MAX_N, _pattern_orbit_dimension,
                                       parabolic_representative, pattern_to_matrix, tex_matrix,
@@ -265,6 +265,28 @@ def test_blocks_are_ascii_digit_lists(capsys, blocks):
     assert captured.err.startswith("nilorbits count: ")
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("level", [["--group", "sp", "--rank", "5", "--blocks", "1,1"],
+                                   ["--group", "o", "--rank", "4", "--blocks", "2,1"]])
+def test_blocks_that_do_not_sum_to_the_rank_are_refused(capsys, command, level):
+    # the rank was once dropped here: count printed the blocks' level (13, 8)
+    assert main([command, *level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"nilorbits {command}: --blocks ")
+    # a rank the blocks sum to is the level the blocks give alone
+    group, blocks = level[:2], level[-1]
+    assert main([command, *group, "--blocks", blocks]) == 0
+    alone = capsys.readouterr().out
+    rank = str(sum(map(int, blocks.split(","))))
+    assert main([command, *group, "--rank", rank, "--blocks", blocks]) == 0
+    assert capsys.readouterr() == (alone, "")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert ("with --blocks, the blocks must sum to l"
+            in " ".join(capsys.readouterr().out.split()))
+
+
 def test_enumerate_json_lines_round_trip(capsys):
     assert main(["enumerate", "--group", "o", "--n", "4",
                  "--format", "json"]) == 0
@@ -353,8 +375,8 @@ def test_enumerate_bytes_do_not_depend_on_the_batch_size(tmp_path, capsys, monke
     assert main(argv) == 0
     want = capsys.readouterr().out
     assert want.endswith("\n")
-    for size in (1, 2, 3, cli._BATCH):
-        monkeypatch.setattr(cli, "_BATCH", size)
+    for size in (1, 2, 3, patterns._BATCH):
+        monkeypatch.setattr(patterns, "_BATCH", size)
         assert main(argv) == 0
         assert capsys.readouterr() == (want, ""), size
         out = tmp_path / f"patterns-{size}.txt"
@@ -364,13 +386,17 @@ def test_enumerate_bytes_do_not_depend_on_the_batch_size(tmp_path, capsys, monke
 
 
 def test_enumerate_refuses_a_bad_level_before_opening_out(tmp_path, capsys):
+    # --rank -1 is refused by its option; --rank 224 only by the search,
+    # past its arc-type bound, which must run before --out is opened
     out = tmp_path / "kept.txt"
     out.write_text("keep me\n")
-    assert main(["enumerate", "--rank", "-1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("nilorbits enumerate: ")
-    assert out.read_text() == "keep me\n"
+    for argv in (["--rank", "-1"],
+                 *(["--rank", "224", "--format", fmt] for fmt in ("json", "csv", "text"))):
+        assert main(["enumerate", *argv, "--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1, argv
+        assert captured.err.startswith("nilorbits enumerate: "), argv
+        assert out.read_bytes() == b"keep me\n", argv
 
 
 LEVELS_OUTSIDE_N = [["--group", "sp", "--n", "7"],

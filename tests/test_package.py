@@ -563,13 +563,15 @@ def test_cli_streams_the_search_without_building_patterns(monkeypatch):
 
 
 def test_cli_enumerate_writes_no_line_by_its_own_call():
-    # json and text lines are written a batch per join (`patterns._block`),
-    # not by calling (or mapping) a line helper per pattern.
+    # The pattern layer owns every streamed line format (`patterns._lines`):
+    # the CLI names a format and writes the blocks it gets, so of the
+    # pattern layer's private names it imports only the line stream, the
+    # search (for count and the tex table) and the tex table's patterns.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    handler = next(node for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == "_cmd_enumerate")
-    read = {node.id for node in ast.walk(handler) if isinstance(node, ast.Name)}
-    assert read & {"_json_line", "_arcs_text"} == set()
+    private = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "patterns"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {"_lines", "_search", "_patterns"}
 
 
 def test_the_search_table_holds_only_the_types_that_fit(monkeypatch):
@@ -593,7 +595,7 @@ def test_the_search_table_holds_only_the_types_that_fit(monkeypatch):
 
 
 def test_the_json_line_layout_is_stated_once():
-    # `_json_line` writes the one pattern-object layout for the CLI's
+    # `_json_ends` states the one pattern-object layout for the CLI's
     # stream and for `pattern_to_json`; no second writer spells it out.
     found = {path.name: path.read_text().count('{"arcs":[')
              for path in sorted(PACKAGE.glob("*.py"))}
